@@ -28,7 +28,6 @@ from .dist import (
     CouplingEntropies,
     Dist,
     SparseCoupling,
-    conditional_rows,
     coupling_entropies,
     entropy,
     entropy_nats,

@@ -22,7 +22,7 @@ import logging
 
 import numpy as np
 
-from .dist import Dist, SUM_ATOL, conditional_rows, entropy, sample_index
+from .dist import Dist, SUM_ATOL, SparseCoupling, entropy, sample_index
 from .mcg import Belief, McgSpec, message_prior_prob
 from .mdp import ObservedTrajectory, Step, Trajectory, apply_actuator_noise, step
 from .maxent import QTable, softmax_policy
@@ -41,10 +41,45 @@ WIPEOUT_EPS = 1e-12
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class DecisionRule:
-    """Message-conditional action distributions sharing a fixed marginal."""
+    """A coupling of a belief block with the planned action distribution, as arrays.
 
-    per_message: tuple[Dist, ...]
+    ``joint[m, a]`` is the coupling mass on message ``m`` and action ``a``, and
+    ``row_mass[m]`` is row ``m``'s total, summed in the coupling's entry
+    order. Message ``m`` acts by its joint row normalized, ``joint[m] /
+    row_mass[m]``; a row with no mass (a message the belief has ruled out)
+    acts by ``marginal``, which keeps the mixture identity exact. Both arrays
+    are copied and marked read-only at construction.
+    """
+
+    joint: np.ndarray
+    row_mass: np.ndarray
     marginal: Dist
+
+    def __post_init__(self):
+        for name in ("joint", "row_mass"):
+            arr = np.array(getattr(self, name), dtype=np.float64, copy=True)
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        n_rows, n_cols = self.joint.shape
+        if n_cols != len(self.marginal):
+            raise ValueError("joint must have one column per action of the marginal")
+        if self.row_mass.shape != (n_rows,):
+            raise ValueError("row_mass must have one entry per joint row")
+
+    @classmethod
+    def from_coupling(cls, coupling: SparseCoupling, marginal: Dist) -> "DecisionRule":
+        """Read the joint and its row totals off a sparse coupling in one pass."""
+        mass, rows, cols = zip(*coupling.entries)
+        joint = np.zeros((coupling.n_rows, coupling.n_cols))
+        joint[rows, cols] = mass
+        # bincount adds the weights in entry order, as a per-entry loop would.
+        row_mass = np.bincount(rows, weights=mass, minlength=coupling.n_rows)
+        return cls(joint=joint, row_mass=row_mass, marginal=marginal)
+
+    def row(self, m: int) -> np.ndarray:
+        """Action distribution of message ``m``."""
+        total = self.row_mass[m]
+        return self.joint[m] / total if total > 0.0 else self.marginal.probs
 
 
 @dataclasses.dataclass(eq=False)
@@ -58,40 +93,49 @@ class EpisodeRecord:
 
 
 def make_decision_rule(b: Dist, action_dist: Dist) -> DecisionRule:
-    """Couple a belief block with an action distribution and split it by message.
+    """Couple a belief block with an action distribution.
 
-    The rows are the conditionals of a greedy minimum entropy coupling, so
-    their belief-weighted mixture reproduces ``action_dist`` exactly and the
-    one-step mutual information between message and action is greedily
-    maximized.
+    The rule's rows are the conditionals of a greedy minimum entropy
+    coupling, so their belief-weighted mixture reproduces ``action_dist``
+    exactly and the one-step mutual information between message and action
+    is greedily maximized.
     """
-    coupling = greedy_mec(b, action_dist)
-    rows = conditional_rows(coupling, fallback=action_dist)
-    return DecisionRule(per_message=rows, marginal=action_dist)
+    return DecisionRule.from_coupling(greedy_mec(b, action_dist), action_dist)
 
 
 def check_mixture(rule: DecisionRule, b: Dist) -> None:
-    """Assert the action-marginal identity at a decision point.
+    """Assert that the rule's joint has the belief and the policy as marginals.
 
-    The belief-weighted mixture of the per-message rows must equal the
-    planned action distribution to within 1e-9 per action. A violation means
+    The column sums of the joint must equal the planned action distribution,
+    and the row totals the belief, to within 1e-9 per entry. Then the
+    belief-weighted mixture of the rows is the policy. A violation means
     sender and receiver would drift apart, so it raises immediately.
     """
-    rows = np.stack([d.probs for d in rule.per_message])
-    mix = b.probs @ rows
-    err = float(np.max(np.abs(mix - rule.marginal.probs)))
-    if err > SUM_ATOL:
-        raise RuntimeError(f"decision-rule mixture drifted from the policy by {err!r}")
+    col_err = float(np.max(np.abs(rule.joint.sum(axis=0) - rule.marginal.probs)))
+    row_err = float(np.max(np.abs(rule.row_mass - b.probs)))
+    if col_err > SUM_ATOL or row_err > SUM_ATOL:
+        raise RuntimeError(
+            f"decision-rule joint drifted from the policy by {col_err!r} "
+            f"and from the belief by {row_err!r}"
+        )
 
 
 def posterior_update(b: Dist, rule: DecisionRule, executed: int) -> Dist:
     """Bayes update of a belief block from one executed action.
 
-    If the observed action carries zero likelihood under every live message
-    (possible only under noise or a corrupted trajectory), the belief resets
-    to uniform and the desync is logged rather than silently propagated.
+    The likelihood of each message is its row's probability of the executed
+    action: ``joint[:, executed] / row_mass``, or the marginal's for rows
+    with no mass. If the observed action carries zero likelihood under every
+    live message (possible only under noise or a corrupted trajectory), the
+    belief resets to uniform and the desync is logged rather than silently
+    propagated.
     """
-    likelihood = np.array([row[executed] for row in rule.per_message])
+    likelihood = np.divide(
+        rule.joint[:, executed],
+        rule.row_mass,
+        out=np.full(len(b), rule.marginal.probs[executed]),
+        where=rule.row_mass > 0.0,
+    )
     weights = b.probs * likelihood
     total = float(weights.sum())
     if total < WIPEOUT_EPS:
@@ -155,7 +199,7 @@ def sender_episode(
     while not mcg.mdp.is_terminal(s):
         block, rule = _plan(belief, softmax_policy(q, s))
         value = m[block] if mcg.message_space.factored else m
-        intended = sample_index(rule.per_message[value].probs, rng)
+        intended = sample_index(rule.row(value), rng)
         executed = apply_actuator_noise(intended, mcg.noise_p, mcg.mdp.n_actions, rng)
         belief = _apply(belief, block, rule, executed)
         trace.append(belief)
@@ -239,9 +283,9 @@ def exact_coded_value(q: QTable, mcg: McgSpec) -> tuple[float, float]:
             return
         block, rule = _plan(belief, softmax_policy(q, s))
         value = m[block] if mcg.message_space.factored else m
-        row = rule.per_message[value]
+        row = rule.row(value)
         for a in range(mcg.mdp.n_actions):
-            pa = row[a]
+            pa = float(row[a])
             if pa == 0.0:
                 continue
             nb = _apply(belief, block, rule, a)

@@ -172,25 +172,3 @@ def coupling_entropies(c: SparseCoupling) -> CouplingEntropies:
         mutual_info_bits=hr + hc - joint,
     )
 
-
-def conditional_rows(c: SparseCoupling, fallback: Dist) -> tuple[Dist, ...]:
-    """Per-row conditional distributions of a coupling.
-
-    Rows with positive marginal mass are normalized; rows with zero mass get
-    ``fallback`` (typically the column marginal), which keeps the mixture
-    identity exact for beliefs that place no mass there.
-    """
-    if len(fallback) != c.n_cols:
-        raise ValueError("fallback length must equal the number of columns")
-    weights = [np.zeros(c.n_cols) for _ in range(c.n_rows)]
-    totals = np.zeros(c.n_rows)
-    for mass, r, col in c.entries:
-        weights[r][col] += mass
-        totals[r] += mass
-    out = []
-    for r in range(c.n_rows):
-        if totals[r] > 0.0:
-            out.append(Dist(weights[r] / totals[r]))
-        else:
-            out.append(fallback)
-    return tuple(out)

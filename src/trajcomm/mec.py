@@ -158,13 +158,8 @@ def _couple_sorted(p: list, q: list) -> list:
 def _sorted_support(probs: np.ndarray):
     """Non-increasing stable sort of the positive entries; returns (values, indices)."""
     order = np.argsort(-probs, kind="stable")
-    values, indices = [], []
-    for i in order:
-        v = float(probs[i])
-        if v > 0.0:
-            values.append(v)
-            indices.append(int(i))
-    return values, indices
+    order = order[probs[order] > 0.0]
+    return probs[order].tolist(), order.tolist()
 
 
 def greedy_mec(p: Dist, q: Dist) -> SparseCoupling:

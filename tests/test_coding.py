@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from trajcomm.coding import (
+    DecisionRule,
+    check_mixture,
     exact_coded_value,
     make_decision_rule,
     map_estimate,
@@ -16,7 +18,7 @@ from trajcomm.coding import (
     run_roundtrip,
     sender_episode,
 )
-from trajcomm.dist import Dist, coupling_entropies, entropy
+from trajcomm.dist import Dist, SparseCoupling, coupling_entropies, entropy
 from trajcomm.envs import build_channel_chain, build_codegrid, build_toy_mcg, chain_mcg
 from trajcomm.maxent import exact_soft_vi, softmax_policy
 from trajcomm.mcg import Belief, McgSpec, MessageSpace, sample_message
@@ -29,18 +31,18 @@ TOY_SOFTMAX = np.array([0.7213991842739685, 0.26538792877224193, 0.0132128869537
 class TestMakeDecisionRule:
     def test_fair_coins_permutation(self):
         rule = make_decision_rule(Dist([0.5, 0.5]), Dist([0.5, 0.5]))
-        assert np.allclose(rule.per_message[0].probs, [1.0, 0.0])
-        assert np.allclose(rule.per_message[1].probs, [0.0, 1.0])
+        assert np.allclose(rule.row(0), [1.0, 0.0])
+        assert np.allclose(rule.row(1), [0.0, 1.0])
 
     def test_known_message_communicates_nothing(self):
         action_dist = Dist([0.3, 0.6, 0.1])
         rule = make_decision_rule(Dist([1.0]), action_dist)
-        assert np.allclose(rule.per_message[0].probs, action_dist.probs)
+        assert np.allclose(rule.row(0), action_dist.probs)
 
     def test_coin_against_three_outcomes(self):
         rule = make_decision_rule(Dist([0.5, 0.5]), Dist([0.5, 0.25, 0.25]))
-        assert np.allclose(rule.per_message[0].probs, [1.0, 0.0, 0.0])
-        assert np.allclose(rule.per_message[1].probs, [0.0, 0.5, 0.5])
+        assert np.allclose(rule.row(0), [1.0, 0.0, 0.0])
+        assert np.allclose(rule.row(1), [0.0, 0.5, 0.5])
 
     def test_mixture_reconstructs_marginal(self):
         rng = np.random.default_rng(21)
@@ -48,15 +50,151 @@ class TestMakeDecisionRule:
             b = Dist(rng.dirichlet(np.ones(int(rng.integers(2, 10)))))
             a = Dist(rng.dirichlet(np.ones(int(rng.integers(2, 6)))))
             rule = make_decision_rule(b, a)
-            mix = sum(b.probs[i] * rule.per_message[i].probs for i in range(len(b)))
+            mix = sum(b.probs[i] * rule.row(i) for i in range(len(b)))
             assert np.max(np.abs(mix - a.probs)) < 1e-9
+
+
+class TestDecisionRuleRows:
+    def test_identity_coupling_rows(self):
+        c = SparseCoupling(((0.5, 0, 0), (0.5, 1, 1)), 2, 2)
+        rule = DecisionRule.from_coupling(c, Dist([0.5, 0.5]))
+        assert np.allclose(rule.row(0), [1.0, 0.0])
+        assert np.allclose(rule.row(1), [0.0, 1.0])
+
+    def test_independent_rows_equal_column_marginal(self):
+        c = SparseCoupling(
+            ((0.25, 0, 0), (0.25, 0, 1), (0.25, 1, 0), (0.25, 1, 1)), 2, 2
+        )
+        rule = DecisionRule.from_coupling(c, Dist([0.5, 0.5]))
+        for m in range(2):
+            assert np.allclose(rule.row(m), c.col_marginal().probs)
+
+    def test_mixed_example_rows(self):
+        c = SparseCoupling(((0.5, 0, 0), (0.25, 1, 1), (0.25, 1, 2)), 2, 3)
+        rule = DecisionRule.from_coupling(c, c.col_marginal())
+        assert np.allclose(rule.row(0), [1.0, 0.0, 0.0])
+        assert np.allclose(rule.row(1), [0.0, 0.5, 0.5])
+        assert np.array_equal(rule.row_mass, [0.5, 0.5])
+
+    def test_zero_mass_row_gets_fallback(self):
+        c = SparseCoupling(((1.0, 0, 0),), 2, 1)
+        rule = DecisionRule.from_coupling(c, Dist([1.0]))
+        assert rule.row_mass[1] == 0.0
+        assert rule.row(1) is rule.marginal.probs
+
+    def test_fallback_length_checked(self):
+        c = SparseCoupling(((1.0, 0, 0),), 1, 1)
+        with pytest.raises(ValueError):
+            DecisionRule.from_coupling(c, Dist([0.5, 0.5]))
+
+    def test_arrays_are_read_only_copies(self):
+        joint = np.array([[0.5, 0.0], [0.0, 0.5]])
+        rule = DecisionRule(joint=joint, row_mass=[0.5, 0.5], marginal=Dist([0.5, 0.5]))
+        joint[0, 0] = 0.0
+        assert rule.joint[0, 0] == 0.5
+        with pytest.raises(ValueError):
+            rule.joint[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            rule.row_mass[0] = 1.0
+
+
+def _reference_rows(c: SparseCoupling, fallback: Dist) -> list:
+    """One Dist per coupling row, built entry by entry (the array rule's reference)."""
+    weights = [np.zeros(c.n_cols) for _ in range(c.n_rows)]
+    totals = np.zeros(c.n_rows)
+    for mass, r, col in c.entries:
+        weights[r][col] += mass
+        totals[r] += mass
+    return [
+        Dist(weights[r] / totals[r]) if totals[r] > 0.0 else fallback for r in range(c.n_rows)
+    ]
+
+
+def _reference_posterior(b: Dist, rows: list, executed: int) -> np.ndarray:
+    """Bayes update with the likelihood gathered row by row into a list."""
+    likelihood = np.array([row[executed] for row in rows])
+    weights = b.probs * likelihood
+    return weights / float(weights.sum())
+
+
+def _random_coupling(rng: np.random.Generator, n_rows: int, n_cols: int) -> SparseCoupling:
+    """A random sparse joint with some empty rows and several entries per live row."""
+    live = rng.random(n_rows) < 0.7
+    live[0] = True
+    cells = [(r, c) for r in range(n_rows) if live[r] for c in range(n_cols) if rng.random() < 0.6]
+    cells.append((0, 0))
+    cells = sorted(set(cells))
+    masses = rng.random(len(cells))
+    masses /= masses.sum()
+    return SparseCoupling(
+        tuple((float(m), r, c) for m, (r, c) in zip(masses, cells)), n_rows, n_cols
+    )
+
+
+class TestReferenceEquivalence:
+    """The array rule reproduces the per-row reference bit for bit."""
+
+    def _assert_matches(self, c: SparseCoupling, b: Dist, marginal: Dist):
+        rule = DecisionRule.from_coupling(c, marginal)
+        ref = _reference_rows(c, marginal)
+        for m in range(c.n_rows):
+            assert rule.row(m).tobytes() == ref[m].probs.tobytes()
+        for a in range(c.n_cols):
+            if marginal[a] == 0.0:
+                continue  # no row can have produced this action
+            post = posterior_update(b, rule, a)
+            assert post.probs.tobytes() == _reference_posterior(b, ref, a).tobytes()
+
+    def test_random_couplings_with_empty_rows(self):
+        rng = np.random.default_rng(31)
+        for _ in range(200):
+            c = _random_coupling(rng, int(rng.integers(1, 40)), int(rng.integers(1, 7)))
+            self._assert_matches(c, c.row_marginal(), c.col_marginal())
+            # A belief that still weighs the empty rows exercises the fallback.
+            self._assert_matches(c, Dist.uniform(c.n_rows), c.col_marginal())
+
+    def test_greedy_couplings_of_a_1024_row_belief(self):
+        rng = np.random.default_rng(32)
+        for _ in range(5):
+            w = rng.random(1024) * (rng.random(1024) < 0.8)
+            b = Dist.from_weights(w)
+            a = Dist(rng.dirichlet(np.ones(4)))
+            self._assert_matches(greedy_mec(b, a), b, a)
+
+
+class TestCheckMixture:
+    def test_coupled_rule_passes(self):
+        b = Dist([0.25, 0.25, 0.5])
+        rule = make_decision_rule(b, Dist([0.5, 0.3, 0.2]))
+        check_mixture(rule, b)
+
+    def test_drift_within_tolerance_passes(self):
+        rule = DecisionRule(
+            joint=[[0.5 + 5e-10, 0.0], [0.0, 0.5]], row_mass=[0.5, 0.5], marginal=Dist([0.5, 0.5])
+        )
+        check_mixture(rule, Dist([0.5, 0.5]))
+
+    def test_column_drift_raises(self):
+        rule = DecisionRule(
+            joint=[[0.5 + 2e-9, 0.0], [0.0, 0.5]], row_mass=[0.5, 0.5], marginal=Dist([0.5, 0.5])
+        )
+        with pytest.raises(RuntimeError, match="drifted"):
+            check_mixture(rule, Dist([0.5, 0.5]))
+
+    def test_row_mass_drift_raises(self):
+        rule = DecisionRule(
+            joint=[[0.5, 0.0], [0.0, 0.5]],
+            row_mass=[0.5 + 2e-9, 0.5 - 2e-9],
+            marginal=Dist([0.5, 0.5]),
+        )
+        with pytest.raises(RuntimeError, match="drifted"):
+            check_mixture(rule, Dist([0.5, 0.5]))
 
 
 class TestPosteriorUpdate:
     def test_bayes_arithmetic(self):
-        rule = make_decision_rule(Dist([0.5, 0.5]), Dist([0.6, 0.4]))
-        rule = rule.__class__(
-            per_message=(Dist([0.9, 0.1]), Dist([0.3, 0.7])), marginal=Dist([0.6, 0.4])
+        rule = DecisionRule(
+            joint=[[0.45, 0.05], [0.15, 0.35]], row_mass=[0.5, 0.5], marginal=Dist([0.6, 0.4])
         )
         post = posterior_update(Dist([0.5, 0.5]), rule, 0)
         assert np.allclose(post.probs, [0.75, 0.25])
@@ -68,16 +206,14 @@ class TestPosteriorUpdate:
 
     def test_identical_rows_keep_prior(self):
         d = Dist([0.3, 0.7])
-        rule = make_decision_rule(Dist([1.0]), d)
-        rule = rule.__class__(per_message=(d, d), marginal=d)
+        rule = DecisionRule(joint=[[0.15, 0.35], [0.15, 0.35]], row_mass=[0.5, 0.5], marginal=d)
         prior = Dist([0.25, 0.75])
         post = posterior_update(prior, rule, 1)
         assert np.allclose(post.probs, prior.probs)
 
     def test_wipeout_resets_to_uniform_and_warns(self, caplog):
-        rule = make_decision_rule(Dist([0.5, 0.5]), Dist([0.5, 0.5]))
-        rule = rule.__class__(
-            per_message=(Dist([1.0, 0.0]), Dist([1.0, 0.0])), marginal=Dist([1.0, 0.0])
+        rule = DecisionRule(
+            joint=[[0.5, 0.0], [0.5, 0.0]], row_mass=[0.5, 0.5], marginal=Dist([1.0, 0.0])
         )
         with caplog.at_level(logging.WARNING, logger="trajcomm.coding"):
             post = posterior_update(Dist([0.5, 0.5]), rule, 1)

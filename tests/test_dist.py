@@ -7,7 +7,6 @@ from trajcomm.dist import (
     CouplingEntropies,
     Dist,
     SparseCoupling,
-    conditional_rows,
     coupling_entropies,
     entropy,
     sample_index,
@@ -124,36 +123,3 @@ class TestCouplingEntropies:
     def test_validates_identity(self):
         with pytest.raises(ValueError):
             CouplingEntropies(1.0, 1.0, 1.0, 0.5)
-
-
-class TestConditionalRows:
-    def test_identity_coupling_rows(self):
-        c = SparseCoupling(((0.5, 0, 0), (0.5, 1, 1)), 2, 2)
-        rows = conditional_rows(c, Dist([0.5, 0.5]))
-        assert np.allclose(rows[0].probs, [1.0, 0.0])
-        assert np.allclose(rows[1].probs, [0.0, 1.0])
-
-    def test_independent_rows_equal_column_marginal(self):
-        c = SparseCoupling(
-            ((0.25, 0, 0), (0.25, 0, 1), (0.25, 1, 0), (0.25, 1, 1)), 2, 2
-        )
-        rows = conditional_rows(c, Dist([0.5, 0.5]))
-        for row in rows:
-            assert np.allclose(row.probs, c.col_marginal().probs)
-
-    def test_mixed_example_rows(self):
-        c = SparseCoupling(((0.5, 0, 0), (0.25, 1, 1), (0.25, 1, 2)), 2, 3)
-        rows = conditional_rows(c, c.col_marginal())
-        assert np.allclose(rows[0].probs, [1.0, 0.0, 0.0])
-        assert np.allclose(rows[1].probs, [0.0, 0.5, 0.5])
-
-    def test_zero_mass_row_gets_fallback(self):
-        c = SparseCoupling(((1.0, 0, 0),), 2, 1)
-        fallback = Dist([1.0])
-        rows = conditional_rows(c, fallback)
-        assert rows[1] is fallback
-
-    def test_fallback_length_checked(self):
-        c = SparseCoupling(((1.0, 0, 0),), 1, 1)
-        with pytest.raises(ValueError):
-            conditional_rows(c, Dist([0.5, 0.5]))

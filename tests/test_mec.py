@@ -70,17 +70,14 @@ class TestGreedyMecProperties:
             assert h >= max(entropy(p), entropy(q)) - 1e-9
 
     def test_mixture_identity(self):
-        # sum_i p_i * conditional_row_i reconstructs q exactly.
-        from trajcomm.dist import conditional_rows
+        # sum_i p_i * joint[i] / row_mass[i] reconstructs q exactly.
+        from trajcomm.coding import DecisionRule
 
         rng = np.random.default_rng(14)
         for _ in range(100):
             p, q = random_dist(rng, max_size=24), random_dist(rng, max_size=24)
-            c = greedy_mec(p, q)
-            rows = conditional_rows(c, q)
-            mix = sum(
-                p.probs[i] * rows[i].probs for i in range(len(p))
-            )
+            rule = DecisionRule.from_coupling(greedy_mec(p, q), q)
+            mix = sum(p.probs[i] * rule.row(i) for i in range(len(p)))
             assert np.max(np.abs(mix - q.probs)) < 1e-9
 
     def test_fill_call_postconditions(self):
