@@ -47,8 +47,9 @@ class DecisionRule:
     ``row_mass[m]`` is row ``m``'s total, summed in the coupling's entry
     order. Message ``m`` acts by its joint row normalized, ``joint[m] /
     row_mass[m]``; a row with no mass (a message the belief has ruled out)
-    acts by ``marginal``, which keeps the mixture identity exact. Both arrays
-    are copied and marked read-only at construction.
+    acts by ``marginal``, which keeps the mixture identity exact. The rule
+    owns both arrays: they are marked read-only at construction, without a
+    copy when they already are float64 arrays.
     """
 
     joint: np.ndarray
@@ -57,7 +58,7 @@ class DecisionRule:
 
     def __post_init__(self):
         for name in ("joint", "row_mass"):
-            arr = np.array(getattr(self, name), dtype=np.float64, copy=True)
+            arr = np.asarray(getattr(self, name), dtype=np.float64)
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         n_rows, n_cols = self.joint.shape
@@ -70,6 +71,7 @@ class DecisionRule:
     def from_coupling(cls, coupling: SparseCoupling, marginal: Dist) -> "DecisionRule":
         """Read the joint and its row totals off a sparse coupling in one pass."""
         mass, rows, cols = zip(*coupling.entries)
+        mass, rows = np.array(mass), np.array(rows)
         joint = np.zeros((coupling.n_rows, coupling.n_cols))
         joint[rows, cols] = mass
         # bincount adds the weights in entry order, as a per-entry loop would.
@@ -111,8 +113,8 @@ def check_mixture(rule: DecisionRule, b: Dist) -> None:
     belief-weighted mixture of the rows is the policy. A violation means
     sender and receiver would drift apart, so it raises immediately.
     """
-    col_err = float(np.max(np.abs(rule.joint.sum(axis=0) - rule.marginal.probs)))
-    row_err = float(np.max(np.abs(rule.row_mass - b.probs)))
+    col_err = float(abs(rule.joint.sum(axis=0) - rule.marginal.probs).max())
+    row_err = float(abs(rule.row_mass - b.probs).max())
     if col_err > SUM_ATOL or row_err > SUM_ATOL:
         raise RuntimeError(
             f"decision-rule joint drifted from the policy by {col_err!r} "

@@ -157,9 +157,10 @@ def _couple_sorted(p: list, q: list) -> list:
 
 def _sorted_support(probs: np.ndarray):
     """Non-increasing stable sort of the positive entries; returns (values, indices)."""
-    order = np.argsort(-probs, kind="stable")
-    order = order[probs[order] > 0.0]
-    return probs[order].tolist(), order.tolist()
+    order = (-probs).argsort(kind="stable")
+    values = probs[order]
+    keep = values > 0.0
+    return values[keep].tolist(), order[keep].tolist()
 
 
 def greedy_mec(p: Dist, q: Dist) -> SparseCoupling:

@@ -87,11 +87,10 @@ class TestDecisionRuleRows:
         with pytest.raises(ValueError):
             DecisionRule.from_coupling(c, Dist([0.5, 0.5]))
 
-    def test_arrays_are_read_only_copies(self):
-        joint = np.array([[0.5, 0.0], [0.0, 0.5]])
-        rule = DecisionRule(joint=joint, row_mass=[0.5, 0.5], marginal=Dist([0.5, 0.5]))
-        joint[0, 0] = 0.0
-        assert rule.joint[0, 0] == 0.5
+    def test_arrays_are_read_only(self):
+        rule = DecisionRule(
+            joint=[[0.5, 0.0], [0.0, 0.5]], row_mass=[0.5, 0.5], marginal=Dist([0.5, 0.5])
+        )
         with pytest.raises(ValueError):
             rule.joint[0, 0] = 1.0
         with pytest.raises(ValueError):
