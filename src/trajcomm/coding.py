@@ -12,7 +12,14 @@ posteriori message.
 
 Both agents update beliefs with the executed action. Under actuator noise
 the sender cannot transmit its intention, so mirroring the executed action is
-the only choice that keeps the two belief traces synchronized.
+the only choice that keeps the two belief traces synchronized. The update is
+noise-aware: both agents know the noise level ε, and weigh message ``m`` by
+``(1-ε)·P(a|m) + ε/|A|`` for executed action ``a``, so one flipped action
+does not rule the true message out.
+
+A decision rule keeps the coupling as a dense joint over (message, action)
+plus its row totals. The sender's row and the receiver's likelihood column
+are read straight off those arrays; no per-message distribution is built.
 """
 
 from __future__ import annotations
@@ -47,9 +54,11 @@ class DecisionRule:
     ``row_mass[m]`` is row ``m``'s total, summed in the coupling's entry
     order. Message ``m`` acts by its joint row normalized, ``joint[m] /
     row_mass[m]``; a row with no mass (a message the belief has ruled out)
-    acts by ``marginal``, which keeps the mixture identity exact. The rule
-    owns both arrays: they are marked read-only at construction, without a
-    copy when they already are float64 arrays.
+    acts by ``marginal``, which keeps the mixture identity exact. The
+    receiver's likelihood of an executed action is the same row entry, mixed
+    with the uniform draw of actuator noise (see ``posterior_update``). The
+    rule owns both arrays: they are marked read-only at construction, without
+    a copy when they already are float64 arrays.
     """
 
     joint: np.ndarray
@@ -122,22 +131,27 @@ def check_mixture(rule: DecisionRule, b: Dist) -> None:
         )
 
 
-def posterior_update(b: Dist, rule: DecisionRule, executed: int) -> Dist:
+def posterior_update(b: Dist, rule: DecisionRule, executed: int, noise_p: float = 0.0) -> Dist:
     """Bayes update of a belief block from one executed action.
 
-    The likelihood of each message is its row's probability of the executed
-    action: ``joint[:, executed] / row_mass``, or the marginal's for rows
-    with no mass. If the observed action carries zero likelihood under every
-    live message (possible only under noise or a corrupted trajectory), the
-    belief resets to uniform and the desync is logged rather than silently
-    propagated.
+    Message ``m`` intends action ``a`` with probability ``P(a|m)``, its
+    rule's row: ``joint[m, a] / row_mass[m]``, or the marginal's for a row
+    with no mass. With actuator noise ``noise_p`` = ε the executed action is
+    a uniform draw over all actions with probability ε, so the likelihood of
+    executing ``a`` is ``(1-ε)·P(a|m) + ε/|A|``; a flipped action lowers the
+    true message's weight instead of ruling it out. If the observed action
+    carries zero likelihood under every live message (possible only without
+    noise, on a corrupted trajectory), the belief resets to uniform and the
+    desync is logged rather than silently propagated.
     """
-    likelihood = np.divide(
+    intended = np.divide(
         rule.joint[:, executed],
         rule.row_mass,
         out=np.full(len(b), rule.marginal.probs[executed]),
         where=rule.row_mass > 0.0,
     )
+    # Exact at ε = 0: 1.0 * x + 0.0 == x for every x >= 0.
+    likelihood = (1.0 - noise_p) * intended + noise_p / rule.joint.shape[1]
     weights = b.probs * likelihood
     total = float(weights.sum())
     if total < WIPEOUT_EPS:
@@ -176,9 +190,11 @@ def _plan(belief: Belief, action_dist: Dist) -> tuple[int, DecisionRule]:
     return block, rule
 
 
-def _apply(belief: Belief, block: int, rule: DecisionRule, executed: int) -> Belief:
+def _apply(
+    belief: Belief, block: int, rule: DecisionRule, executed: int, noise_p: float
+) -> Belief:
     blocks = list(belief.blocks)
-    blocks[block] = posterior_update(blocks[block], rule, executed)
+    blocks[block] = posterior_update(blocks[block], rule, executed, noise_p)
     return Belief(tuple(blocks), factored=belief.factored)
 
 
@@ -203,7 +219,7 @@ def sender_episode(
         value = m[block] if mcg.message_space.factored else m
         intended = sample_index(rule.row(value), rng)
         executed = apply_actuator_noise(intended, mcg.noise_p, mcg.mdp.n_actions, rng)
-        belief = _apply(belief, block, rule, executed)
+        belief = _apply(belief, block, rule, executed, mcg.noise_p)
         trace.append(belief)
         nxt, reward = step(mcg.mdp, s, executed, rng)
         steps.append(Step(s, intended, executed, reward))
@@ -234,7 +250,7 @@ def receiver_decode(
     trace = [belief]
     for s, executed in z.steps:
         block, rule = _plan(belief, softmax_policy(q, s))
-        belief = _apply(belief, block, rule, executed)
+        belief = _apply(belief, block, rule, executed, mcg.noise_p)
         trace.append(belief)
     return map_estimate(belief, mcg.message_space.factored), tuple(trace)
 
@@ -290,7 +306,7 @@ def exact_coded_value(q: QTable, mcg: McgSpec) -> tuple[float, float]:
             pa = float(row[a])
             if pa == 0.0:
                 continue
-            nb = _apply(belief, block, rule, a)
+            nb = _apply(belief, block, rule, a, mcg.noise_p)
             reward = float(mcg.mdp.rewards[s, a])
             for nxt, pt in mcg.mdp.transitions[s][a]:
                 if pt > 0.0:

@@ -109,9 +109,11 @@ def _reference_rows(c: SparseCoupling, fallback: Dist) -> list:
     ]
 
 
-def _reference_posterior(b: Dist, rows: list, executed: int) -> np.ndarray:
+def _reference_posterior(b: Dist, rows: list, executed: int, noise_p: float) -> np.ndarray:
     """Bayes update with the likelihood gathered row by row into a list."""
-    likelihood = np.array([row[executed] for row in rows])
+    likelihood = np.array(
+        [(1.0 - noise_p) * row[executed] + noise_p / len(row) for row in rows]
+    )
     weights = b.probs * likelihood
     return weights / float(weights.sum())
 
@@ -141,8 +143,9 @@ class TestReferenceEquivalence:
         for a in range(c.n_cols):
             if marginal[a] == 0.0:
                 continue  # no row can have produced this action
-            post = posterior_update(b, rule, a)
-            assert post.probs.tobytes() == _reference_posterior(b, ref, a).tobytes()
+            for noise_p in (0.0, 0.2):
+                post = posterior_update(b, rule, a, noise_p).probs
+                assert post.tobytes() == _reference_posterior(b, ref, a, noise_p).tobytes()
 
     def test_random_couplings_with_empty_rows(self):
         rng = np.random.default_rng(31)
@@ -209,6 +212,13 @@ class TestPosteriorUpdate:
         prior = Dist([0.25, 0.75])
         post = posterior_update(prior, rule, 1)
         assert np.allclose(post.probs, prior.probs)
+
+    def test_noise_keeps_flipped_message_alive(self):
+        # Message 0 always intends action 0; under 20% noise it still
+        # executes action 1 with probability 0.1.
+        rule = make_decision_rule(Dist([0.5, 0.5]), Dist([0.5, 0.5]))
+        post = posterior_update(Dist([0.5, 0.5]), rule, 1, noise_p=0.2)
+        assert np.allclose(post.probs, [0.1, 0.9])
 
     def test_wipeout_resets_to_uniform_and_warns(self, caplog):
         rule = DecisionRule(
@@ -329,6 +339,24 @@ class TestReceiverDecode:
         not_terminal = ObservedTrajectory(steps=(), final_state=0)
         with pytest.raises(ValueError):
             receiver_decode(q, mcg, not_terminal)
+
+
+class TestNoisyChannel:
+    def test_noise_aware_decoding_on_chain(self):
+        # A noise-blind update zeroes the true message on the first flipped
+        # action and decoded ~0.6 of these round trips.
+        chain = build_channel_chain(12, 4)
+        mcg = chain_mcg(chain, MessageSpace.explicit(64), noise_p=0.2)
+        q = exact_soft_vi(chain, alpha=1.0)
+        rng = np.random.default_rng(10)
+        correct = 0
+        for _ in range(300):
+            m = sample_message(mcg, rng)
+            rec = run_roundtrip(q, mcg, m, rng)
+            correct += rec.decoded == m
+            for bs, br in zip(rec.sender_belief_trace, rec.receiver_belief_trace, strict=True):
+                assert bs.blocks[0].probs.tobytes() == br.blocks[0].probs.tobytes()
+        assert correct / 300 >= 0.9
 
 
 class TestGuarantees:
