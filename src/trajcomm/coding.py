@@ -265,7 +265,7 @@ def _validate_view(mcg: McgSpec, z: ObservedTrajectory) -> None:
             raise ValueError(f"trajectory steps from terminal state {s}")
         if not (0 <= a < mdp.n_actions):
             raise ValueError(f"executed action {a} out of range")
-        if all(t != nxt or p == 0.0 for t, p in mdp.transitions[s][a]):
+        if all(t != nxt or p == 0.0 for t, p in mdp.successors(s, a)):
             raise ValueError(f"transition {s} -[{a}]-> {nxt} impossible under the MDP")
     if not mdp.is_terminal(z.final_state):
         raise ValueError("trajectory does not end in a terminal state")
@@ -308,7 +308,7 @@ def exact_coded_value(q: QTable, mcg: McgSpec) -> tuple[float, float]:
                 continue
             nb = _apply(belief, block, rule, a, mcg.noise_p)
             reward = float(mcg.mdp.rewards[s, a])
-            for nxt, pt in mcg.mdp.transitions[s][a]:
+            for nxt, pt in mcg.mdp.successors(s, a):
                 if pt > 0.0:
                     walk(nxt, nb, m, prob * pa * pt, ret + reward)
 

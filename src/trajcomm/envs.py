@@ -64,10 +64,8 @@ class CodingMdpSpec:
 def build_toy_mcg(priority: float, noise_p: float = 0.0) -> McgSpec:
     """One non-terminal state, three actions with rewards (4, 3, 0), and two
     equiprobable messages."""
-    mdp = MdpSpec(
-        n_states=2,
-        n_actions=3,
-        transitions=((((1, 1.0),), ((1, 1.0),), ((1, 1.0),)), ()),
+    mdp = MdpSpec.deterministic(
+        next_table=np.ones((2, 3), dtype=np.int64),
         rewards=np.array([[4.0, 3.0, 0.0], [0.0, 0.0, 0.0]]),
         initial_state=0,
         terminal_states=frozenset({1}),
@@ -99,41 +97,21 @@ def build_codegrid(
     gx, gy = grid.goal[0] - 1, grid.goal[1] - 1
     sx, sy = grid.start[0] - 1, grid.start[1] - 1
 
-    def sid(x: int, y: int, t: int) -> int:
-        return (t * h + y) * w + x
-
-    n_states = w * h * (t_max + 1)
-    terminal = set()
-    rewards = np.zeros((n_states, 4))
-    transitions = []
-    for t in range(t_max + 1):
-        for y in range(h):
-            for x in range(w):
-                s = sid(x, y, t)
-                if (x, y) == (gx, gy) or t == t_max:
-                    terminal.add(s)
-    for s in range(n_states):
-        t, rem = divmod(s, w * h)
-        y, x = divmod(rem, w)
-        if s in terminal:
-            transitions.append(())
-            continue
-        per_action = []
-        for a, (dx, dy) in enumerate(_GRID_MOVES):
-            nx = min(max(x + dx, 0), w - 1)
-            ny = min(max(y + dy, 0), h - 1)
-            nxt = sid(nx, ny, t + 1)
-            per_action.append(((nxt, 1.0),))
-            if (nx, ny) == (gx, gy):
-                rewards[s, a] = 1.0
-        transitions.append(tuple(per_action))
-    mdp = MdpSpec(
-        n_states=n_states,
-        n_actions=4,
-        transitions=tuple(transitions),
-        rewards=rewards,
-        initial_state=sid(sx, sy, 0),
-        terminal_states=frozenset(terminal),
+    # State ids are (t * h + y) * w + x, so the arrays below are (t, y, x).
+    t, y, x = np.meshgrid(np.arange(t_max + 1), np.arange(h), np.arange(w), indexing="ij")
+    terminal = ((x == gx) & (y == gy)) | (t == t_max)
+    next_table = np.empty((t_max + 1, h, w, 4), dtype=np.int64)
+    rewards = np.zeros((t_max + 1, h, w, 4))
+    for a, (dx, dy) in enumerate(_GRID_MOVES):
+        nx = np.clip(x + dx, 0, w - 1)
+        ny = np.clip(y + dy, 0, h - 1)
+        next_table[..., a] = ((t + 1) * h + ny) * w + nx
+        rewards[..., a] = (nx == gx) & (ny == gy) & ~terminal
+    mdp = MdpSpec.deterministic(
+        next_table=next_table.reshape(-1, 4),
+        rewards=rewards.reshape(-1, 4),
+        initial_state=sy * w + sx,
+        terminal_states=frozenset(np.flatnonzero(terminal).tolist()),
         horizon_bound=t_max,
     )
     return McgSpec(
@@ -157,19 +135,13 @@ def build_coding_mdp(spec: CodingMdpSpec) -> MdpSpec:
     # States 0..limit are symbol counts; state limit+1 is the stopped sink.
     n_states = limit + 2
     sink = limit + 1
+    next_table = np.empty((n_states, k + 1), dtype=np.int64)
+    next_table[:, :k] = np.arange(1, n_states + 1)[:, None]
+    next_table[:, k] = sink
     rewards = np.zeros((n_states, k + 1))
-    transitions = []
-    for t in range(limit):
-        per_action = [((t + 1, 1.0),) for _ in range(k)]
-        per_action.append(((sink, 1.0),))
-        rewards[t, :k] = [-c for c in costs]
-        transitions.append(tuple(per_action))
-    transitions.append(())  # state == limit: forced stop
-    transitions.append(())  # sink
-    return MdpSpec(
-        n_states=n_states,
-        n_actions=k + 1,
-        transitions=tuple(transitions),
+    rewards[:limit, :k] = [-c for c in costs]
+    return MdpSpec.deterministic(
+        next_table=next_table,
         rewards=rewards,
         initial_state=0,
         terminal_states=frozenset({limit, sink}),
@@ -194,13 +166,9 @@ def build_channel_chain(
         if not 0 <= t < steps:
             raise ValueError(f"reward step {t} outside the chain")
         table[t, :] = r
-    transitions = tuple(
-        tuple(((t + 1, 1.0),) for _ in range(n_actions)) for t in range(steps)
-    ) + ((),)
-    return MdpSpec(
-        n_states=steps + 1,
-        n_actions=n_actions,
-        transitions=transitions,
+    next_table = np.repeat(np.arange(1, steps + 2)[:, None], n_actions, axis=1)
+    return MdpSpec.deterministic(
+        next_table=next_table,
         rewards=table,
         initial_state=0,
         terminal_states=frozenset({steps}),

@@ -48,26 +48,27 @@ def save_dist(d: Dist, path) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Game specs as JSON documents with dense transition/reward tables.
+# Game specs as JSON documents. Version 2 stores the MDP's CSR transition
+# arrays; version 1 (no ``format_version`` field) stored a dense S x A x S
+# tensor and is still read.
 # ---------------------------------------------------------------------------
+
+MCG_FORMAT_VERSION = 2
+
 
 def mcg_to_document(mcg: McgSpec) -> dict:
     mdp = mcg.mdp
-    dense = np.zeros((mdp.n_states, mdp.n_actions, mdp.n_states))
-    for s in range(mdp.n_states):
-        if mdp.is_terminal(s):
-            continue
-        for a in range(mdp.n_actions):
-            for nxt, prob in mdp.transitions[s][a]:
-                dense[s, a, nxt] += prob
     return {
+        "format_version": MCG_FORMAT_VERSION,
         "mdp": {
             "n_states": mdp.n_states,
             "n_actions": mdp.n_actions,
             "initial_state": mdp.initial_state,
             "terminal_states": sorted(mdp.terminal_states),
             "horizon_bound": mdp.horizon_bound,
-            "transitions": dense.tolist(),
+            "row_offsets": mdp.row_offsets.tolist(),
+            "next_state": mdp.next_state.tolist(),
+            "prob": mdp.prob.tolist(),
             "rewards": mdp.rewards.tolist(),
         },
         "message_space": {
@@ -80,22 +81,37 @@ def mcg_to_document(mcg: McgSpec) -> dict:
     }
 
 
+def _dense_to_csr(dense: np.ndarray, terminal: frozenset) -> tuple:
+    """CSR arrays of a dense S x A x S tensor: each row's positive entries in
+    target order; terminal rows are dropped."""
+    positive = (dense > 0.0) & ~np.isin(np.arange(len(dense)), list(terminal))[:, None, None]
+    counts = positive.sum(axis=2).reshape(-1)
+    return (
+        np.concatenate(([0], np.cumsum(counts))),
+        np.nonzero(positive)[2],
+        dense[positive],
+    )
+
+
 def mcg_from_document(doc: dict) -> McgSpec:
     m = doc["mdp"]
     terminal = frozenset(m["terminal_states"])
-    transitions = []
-    for s, per_state in enumerate(m["transitions"]):
-        if s in terminal:
-            transitions.append(())
-            continue
-        rows = []
-        for row in per_state:
-            rows.append(tuple((i, p) for i, p in enumerate(row) if p > 0.0))
-        transitions.append(tuple(rows))
+    version = doc.get("format_version", 1)
+    if version == 1:
+        dense = np.array(m["transitions"], dtype=np.float64)
+        if dense.shape != (m["n_states"], m["n_actions"], m["n_states"]):
+            raise ValueError("dense transitions must have shape (n_states, n_actions, n_states)")
+        row_offsets, next_state, prob = _dense_to_csr(dense, terminal)
+    elif version == MCG_FORMAT_VERSION:
+        row_offsets, next_state, prob = m["row_offsets"], m["next_state"], m["prob"]
+    else:
+        raise ValueError(f"unknown game-spec format version {version!r}")
     mdp = MdpSpec(
         n_states=m["n_states"],
         n_actions=m["n_actions"],
-        transitions=tuple(transitions),
+        row_offsets=row_offsets,
+        next_state=next_state,
+        prob=prob,
         rewards=np.array(m["rewards"]),
         initial_state=m["initial_state"],
         terminal_states=terminal,

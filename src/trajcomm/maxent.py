@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .dist import Dist, entropy, entropy_nats, sample_index
-from .mdp import MdpSpec, enumerate_trajectories, step, trajectory_return
+from .mdp import MdpSpec, state_occupancy, step
 
 MAX_EXACT_ENTRIES = 10**6
 
@@ -86,25 +86,34 @@ def exact_soft_vi(mdp: MdpSpec, alpha: float) -> QTable:
     horizon bound, ``horizon_bound`` sweeps from V = 0 reach the fixed point
     exactly, and the induced softmax policy maximizes the entropy-regularized
     objective.
+
+    Each sweep is a handful of array operations over the MDP's CSR
+    transitions: ``bincount`` over ``entry_row`` of ``prob * V[next_state]``
+    gives E[V(s')] for every (s, a) row at once, then a log-sum-exp over the
+    non-terminal rows of Q gives the new V. ``bincount`` adds each row's
+    branches in stored order, and the logarithm is ``math.log`` per state, so
+    the table is bit-identical to a per-state loop over the branches.
+    Terminal rows of Q stay zero.
     """
     if mdp.n_states * mdp.n_actions > MAX_EXACT_ENTRIES:
         raise ValueError("MDP too large for exact soft value iteration")
     if alpha <= 0.0:
         raise ValueError("temperature must be positive")
-    values = np.zeros((mdp.n_states, mdp.n_actions))
-    v = np.zeros(mdp.n_states)
-    nonterminal = [s for s in range(mdp.n_states) if not mdp.is_terminal(s)]
+    n_states, n_actions = mdp.n_states, mdp.n_actions
+    live = np.flatnonzero(~mdp.terminal_mask)
+    rewards = np.where(mdp.terminal_mask[:, None], 0.0, mdp.rewards)
+    v = np.zeros(n_states)
     for _ in range(mdp.horizon_bound):
-        for s in nonterminal:
-            for a in range(mdp.n_actions):
-                ev = 0.0
-                for nxt, prob in mdp.transitions[s][a]:
-                    ev += prob * v[nxt]
-                values[s, a] = mdp.rewards[s, a] + ev
-        for s in nonterminal:
-            x = values[s] / alpha
-            m = x.max()
-            v[s] = alpha * (m + math.log(float(np.exp(x - m).sum())))
+        ev = np.bincount(
+            mdp.entry_row, weights=mdp.prob * v[mdp.next_state], minlength=n_states * n_actions
+        )
+        values = rewards + ev.reshape(n_states, n_actions)
+        x = values[live] / alpha
+        m = x.max(axis=1)
+        sums = np.exp(x - m[:, None]).sum(axis=1)
+        # math.log, not np.log: numpy's SIMD log can differ in the last bit.
+        logs = np.fromiter(map(math.log, sums.tolist()), np.float64, len(live))
+        v[live] = alpha * (m + logs)
     return QTable(values=values, alpha=alpha)
 
 
@@ -146,17 +155,17 @@ def train_soft_q(
 def exact_policy_objective(
     mdp: MdpSpec, policy: Callable[[int], Dist], alpha: float
 ) -> float:
-    """Exact value of E[sum_t R + alpha * H_nats(pi(S_t))] by enumeration."""
-    total = 0.0
-    for z, prob in enumerate_trajectories(mdp, policy):
-        bonus = sum(entropy_nats(policy(s.state)) for s in z.steps)
-        total += prob * (trajectory_return(z) + alpha * bonus)
-    return total
+    """Exact value of E[sum_t R + alpha * H_nats(pi(S_t))], from the state occupancy."""
+    visits, visited = state_occupancy(mdp, policy)
+    return float(
+        sum(
+            visits[s] * (d.probs @ mdp.rewards[s] + alpha * entropy_nats(d))
+            for s, d in visited.items()
+        )
+    )
 
 
 def expected_cumulative_entropy_bits(mdp: MdpSpec, policy: Callable[[int], Dist]) -> float:
     """Expected sum over visited states of the policy's action entropy, in bits."""
-    total = 0.0
-    for z, prob in enumerate_trajectories(mdp, policy):
-        total += prob * sum(entropy(policy(s.state)) for s in z.steps)
-    return total
+    visits, visited = state_occupancy(mdp, policy)
+    return float(sum(visits[s] * entropy(d) for s, d in visited.items()))

@@ -1,4 +1,5 @@
-"""Tabular episodic MDPs: specs, rollouts, and exhaustive trajectory enumeration."""
+"""Tabular episodic MDPs: CSR transition arrays, rollouts, trajectory enumeration
+and exact policy evaluation by state occupancy."""
 
 from __future__ import annotations
 
@@ -47,53 +48,139 @@ class ObservedTrajectory:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class MdpSpec:
-    """A finite episodic MDP.
+    """A finite episodic MDP whose transitions are stored as CSR arrays.
 
-    ``transitions[s][a]`` is a tuple of ``(next_state, probability)`` pairs;
-    rows for terminal states may be empty. Episodes are undiscounted and must
+    Row ``r = s * n_actions + a`` holds the branches of taking action ``a`` in
+    state ``s``: entries ``row_offsets[r]`` up to ``row_offsets[r + 1]`` of
+    the flat ``next_state`` and ``prob`` arrays, in stored order. Every
+    non-terminal state has a non-empty row for every action, each row's
+    probabilities sum to 1 within ``SUM_ATOL``, and terminal states have empty
+    rows. ``entry_row[k]`` is the row of entry ``k`` and ``terminal_mask`` the
+    terminal states as a boolean vector; both are derived at construction,
+    and every array is read-only. Episodes are undiscounted and must
     terminate within ``horizon_bound`` steps, which builders guarantee by
     encoding time into the state where needed.
     """
 
     n_states: int
     n_actions: int
-    transitions: tuple
+    row_offsets: np.ndarray
+    next_state: np.ndarray
+    prob: np.ndarray
     rewards: np.ndarray
     initial_state: int
     terminal_states: frozenset
     horizon_bound: int
 
     def __post_init__(self):
-        rewards = np.array(self.rewards, dtype=np.float64)
-        if rewards.shape != (self.n_states, self.n_actions):
+        n_states, n_actions = self.n_states, self.n_actions
+        rewards = _frozen(self.rewards, np.float64)
+        if rewards.shape != (n_states, n_actions):
             raise ValueError("reward table shape must be (n_states, n_actions)")
-        rewards.setflags(write=False)
-        object.__setattr__(self, "rewards", rewards)
-        object.__setattr__(self, "terminal_states", frozenset(self.terminal_states))
-        if not (0 <= self.initial_state < self.n_states):
+        terminal_states = frozenset(self.terminal_states)
+        if not all(0 <= s < n_states for s in terminal_states):
+            raise ValueError("terminal state out of range")
+        if not (0 <= self.initial_state < n_states):
             raise ValueError("initial state out of range")
         if self.horizon_bound < 1:
             raise ValueError("horizon bound must be positive")
-        if len(self.transitions) != self.n_states:
-            raise ValueError("transition table must have one row per state")
-        for s, per_state in enumerate(self.transitions):
-            if s in self.terminal_states:
-                continue
-            if len(per_state) != self.n_actions:
-                raise ValueError(f"state {s} must define every action")
-            for a, branches in enumerate(per_state):
-                total = 0.0
-                for nxt, prob in branches:
-                    if not (0 <= nxt < self.n_states):
-                        raise ValueError(f"transition target {nxt} out of range")
-                    if prob < 0.0:
-                        raise ValueError("transition probabilities must be non-negative")
-                    total += prob
-                if abs(total - 1.0) > SUM_ATOL:
-                    raise ValueError(f"transition row ({s}, {a}) sums to {total!r}")
+        offsets = _frozen(self.row_offsets, np.int64)
+        next_state = _frozen(self.next_state, np.int64)
+        prob = _frozen(self.prob, np.float64)
+        n_rows = n_states * n_actions
+        if offsets.shape != (n_rows + 1,):
+            raise ValueError("transition table must have one row per (state, action)")
+        if next_state.ndim != 1 or prob.shape != next_state.shape:
+            raise ValueError("next_state and prob must be 1-D arrays of equal length")
+        counts = np.diff(offsets)
+        if offsets[0] != 0 or offsets[-1] != len(prob) or np.any(counts < 0):
+            raise ValueError("row offsets must rise from 0 to the number of entries")
+        terminal_mask = np.zeros(n_states, dtype=bool)
+        terminal_mask[list(terminal_states)] = True
+        terminal_mask.setflags(write=False)
+        live_rows = np.repeat(~terminal_mask, n_actions)
+        bad = np.flatnonzero((counts == 0) & live_rows)
+        if len(bad):
+            raise ValueError(f"state {bad[0] // n_actions} must define every action")
+        bad = np.flatnonzero((counts > 0) & ~live_rows)
+        if len(bad):
+            raise ValueError(f"terminal state {bad[0] // n_actions} must have no transitions")
+        bad = np.flatnonzero((next_state < 0) | (next_state >= n_states))
+        if len(bad):
+            raise ValueError(f"transition target {next_state[bad[0]]} out of range")
+        if np.any(prob < 0.0):
+            raise ValueError("transition probabilities must be non-negative")
+        entry_row = np.repeat(np.arange(n_rows), counts)
+        entry_row.setflags(write=False)
+        # bincount adds each row's weights in stored order, as a loop would.
+        totals = np.bincount(entry_row, weights=prob, minlength=n_rows)
+        bad = np.flatnonzero(live_rows & ~(np.abs(totals - 1.0) <= SUM_ATOL))
+        if len(bad):
+            s, a = divmod(int(bad[0]), n_actions)
+            raise ValueError(f"transition row ({s}, {a}) sums to {float(totals[bad[0]])!r}")
+        for name, value in (
+            ("rewards", rewards),
+            ("terminal_states", terminal_states),
+            ("row_offsets", offsets),
+            ("next_state", next_state),
+            ("prob", prob),
+            ("entry_row", entry_row),
+            ("terminal_mask", terminal_mask),
+            # Python-list views of the arrays, indexed like them (rewards by
+            # row): ``step`` and the tree walkers read single entries, which
+            # costs less from a list than as numpy scalars.
+            ("_offsets", offsets.tolist()),
+            ("_next", next_state.tolist()),
+            ("_prob", prob.tolist()),
+            ("_rewards", rewards.reshape(-1).tolist()),
+        ):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def deterministic(
+        cls,
+        next_table,
+        rewards,
+        initial_state: int,
+        terminal_states,
+        horizon_bound: int,
+    ) -> "MdpSpec":
+        """An MDP in which action ``a`` moves state ``s`` to ``next_table[s, a]``.
+
+        Rows of terminal states are ignored and stored empty.
+        """
+        next_table = np.asarray(next_table, dtype=np.int64)
+        n_states, n_actions = next_table.shape
+        live = np.ones(n_states, dtype=bool)
+        live[list(terminal_states)] = False
+        live_rows = np.repeat(live, n_actions)
+        next_state = next_table.reshape(-1)[live_rows]
+        return cls(
+            n_states=n_states,
+            n_actions=n_actions,
+            row_offsets=np.concatenate(([0], np.cumsum(live_rows))),
+            next_state=next_state,
+            prob=np.ones(len(next_state)),
+            rewards=rewards,
+            initial_state=initial_state,
+            terminal_states=terminal_states,
+            horizon_bound=horizon_bound,
+        )
 
     def is_terminal(self, s: int) -> bool:
         return s in self.terminal_states
+
+    def successors(self, s: int, a: int) -> list[tuple[int, float]]:
+        """The ``(next_state, probability)`` branches of action ``a`` in state ``s``."""
+        r = s * self.n_actions + a
+        lo, hi = self._offsets[r], self._offsets[r + 1]
+        return list(zip(self._next[lo:hi], self._prob[lo:hi]))
+
+
+def _frozen(values, dtype) -> np.ndarray:
+    arr = np.array(values, dtype=dtype)
+    arr.setflags(write=False)
+    return arr
 
 
 def step(mdp: MdpSpec, s: int, a: int, rng: np.random.Generator) -> tuple[int, float]:
@@ -102,13 +189,13 @@ def step(mdp: MdpSpec, s: int, a: int, rng: np.random.Generator) -> tuple[int, f
         raise ValueError(f"cannot step from terminal state {s}")
     if not (0 <= a < mdp.n_actions):
         raise ValueError(f"action {a} out of range")
-    branches = mdp.transitions[s][a]
-    if len(branches) == 1:
-        nxt = branches[0][0]
+    r = s * mdp.n_actions + a
+    lo, hi = mdp._offsets[r], mdp._offsets[r + 1]
+    if hi - lo == 1:
+        nxt = mdp._next[lo]
     else:
-        probs = np.array([p for _, p in branches])
-        nxt = branches[sample_index(probs, rng)][0]
-    return nxt, float(mdp.rewards[s, a])
+        nxt = mdp._next[lo + sample_index(mdp.prob[lo:hi], rng)]
+    return nxt, mdp._rewards[r]
 
 
 def apply_actuator_noise(a: int, noise_p: float, n_actions: int, rng: np.random.Generator) -> int:
@@ -138,7 +225,7 @@ def rollout(
     s = mdp.initial_state
     steps = []
     while not mdp.is_terminal(s):
-        if len(steps) > mdp.horizon_bound:
+        if len(steps) >= mdp.horizon_bound:
             raise RuntimeError("episode exceeded the declared horizon bound")
         intended = sample_index(policy(s).probs, rng)
         executed = apply_actuator_noise(intended, noise_p, mdp.n_actions, rng)
@@ -154,25 +241,43 @@ def enumerate_trajectories(
     """Every positive-probability trajectory of a (noiseless) policy.
 
     Probabilities multiply policy and transition branches and sum to 1 within
-    tolerance. Raises if more than ``ENUMERATION_LIMIT`` trajectories would be
-    produced.
+    tolerance. A backward pass first counts the trajectories, and raises if
+    there are more than ``ENUMERATION_LIMIT``, before any is built.
     """
+    action_probs: dict[int, np.ndarray] = {}
+    counts: dict[int, int] = {}
+
+    def count(s: int) -> int:
+        if mdp.is_terminal(s):
+            return 1
+        if s not in counts:
+            probs = action_probs[s] = policy(s).probs
+            counts[s] = sum(
+                count(nxt)
+                for a in range(mdp.n_actions)
+                if probs[a] != 0.0
+                for nxt, pt in mdp.successors(s, a)
+                if pt != 0.0
+            )
+        return counts[s]
+
+    if count(mdp.initial_state) > ENUMERATION_LIMIT:
+        raise ValueError("trajectory enumeration exceeded its size guard")
+
     out: list[tuple[Trajectory, float]] = []
     prefix: list[Step] = []
 
     def walk(s: int, prob: float):
         if mdp.is_terminal(s):
-            if len(out) >= ENUMERATION_LIMIT:
-                raise ValueError("trajectory enumeration exceeded its size guard")
             out.append((Trajectory(steps=tuple(prefix), final_state=s), prob))
             return
-        action_probs = policy(s).probs
+        probs = action_probs[s]
         for a in range(mdp.n_actions):
-            pa = float(action_probs[a])
+            pa = float(probs[a])
             if pa == 0.0:
                 continue
             reward = float(mdp.rewards[s, a])
-            for nxt, pt in mdp.transitions[s][a]:
+            for nxt, pt in mdp.successors(s, a):
                 if pt == 0.0:
                     continue
                 prefix.append(Step(s, a, a, reward))
@@ -183,6 +288,39 @@ def enumerate_trajectories(
     return out
 
 
+def state_occupancy(
+    mdp: MdpSpec, policy: Callable[[int], Dist]
+) -> tuple[np.ndarray, dict[int, Dist]]:
+    """Expected number of visits to each state under a (noiseless) policy.
+
+    A forward pass pushes the state distribution through the transition
+    arrays one step at a time until all of its mass is terminal; terminal
+    states count no visits. Also returns the policy's distribution at every
+    visited state, the only states where ``policy`` is called. Raises if
+    mass is still live after ``horizon_bound`` steps.
+    """
+    n_states = mdp.n_states
+    visits = np.zeros(n_states)
+    rows = np.zeros((n_states, mdp.n_actions))
+    visited: dict[int, Dist] = {}
+    mass = np.zeros(n_states)
+    mass[mdp.initial_state] = 1.0
+    for _ in range(mdp.horizon_bound + 1):
+        mass[mdp.terminal_mask] = 0.0
+        frontier = np.flatnonzero(mass)
+        if not len(frontier):
+            return visits, visited
+        for s in frontier.tolist():
+            if s not in visited:
+                visited[s] = policy(s)
+                rows[s] = visited[s].probs
+        visits += mass
+        flow = (mass[:, None] * rows).reshape(-1)[mdp.entry_row] * mdp.prob
+        mass = np.bincount(mdp.next_state, weights=flow, minlength=n_states)
+    raise RuntimeError("episodes exceeded the declared horizon bound")
+
+
 def exact_policy_return(mdp: MdpSpec, policy: Callable[[int], Dist]) -> float:
-    """Exact expected return of a stationary policy, by enumeration."""
-    return sum(prob * trajectory_return(z) for z, prob in enumerate_trajectories(mdp, policy))
+    """Exact expected return of a stationary policy, from its state occupancy."""
+    visits, visited = state_occupancy(mdp, policy)
+    return float(sum(visits[s] * (d.probs @ mdp.rewards[s]) for s, d in visited.items()))

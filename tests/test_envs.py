@@ -84,7 +84,7 @@ class TestCodeGrid:
                 if mdp.rewards[s, a] == 1.0:
                     goal_distance = dist[s] + 1
                     break
-                nxt = mdp.transitions[s][a][0][0]
+                [(nxt, _)] = mdp.successors(s, a)
                 if nxt not in dist:
                     dist[nxt] = dist[s] + 1
                     frontier.append(nxt)

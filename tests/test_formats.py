@@ -13,6 +13,7 @@ from trajcomm.envs import (
     chain_mcg,
 )
 from trajcomm.formats import (
+    MCG_FORMAT_VERSION,
     image_space,
     image_to_message,
     load_dist,
@@ -20,6 +21,8 @@ from trajcomm.formats import (
     load_pbm,
     load_qtable,
     load_trajectory,
+    mcg_from_document,
+    mcg_to_document,
     message_to_image,
     metrics_to_csv,
     save_dist,
@@ -29,8 +32,8 @@ from trajcomm.formats import (
     save_trajectory,
 )
 from trajcomm.maxent import QTable, exact_soft_vi
-from trajcomm.mcg import MessageSpace
-from trajcomm.mdp import Step, Trajectory, rollout
+from trajcomm.mcg import Belief, McgSpec, MessageSpace
+from trajcomm.mdp import MdpSpec, Step, Trajectory, rollout
 from trajcomm.sweep import MetricsRow
 
 
@@ -53,6 +56,23 @@ class TestDistFiles:
             load_dist(path)
 
 
+def branching_mcg():
+    """Action 0 in state 0 branches to state 1 or 2; targets stored in ascending order."""
+    mdp = MdpSpec(
+        n_states=3,
+        n_actions=2,
+        row_offsets=[0, 2, 3, 3, 3, 3, 3],
+        next_state=[1, 2, 2],
+        prob=[0.3, 0.7, 1.0],
+        rewards=np.array([[0.5, -1.0], [0.0, 0.0], [0.0, 0.0]]),
+        initial_state=0,
+        terminal_states=frozenset({1, 2}),
+        horizon_bound=1,
+    )
+    space = MessageSpace.explicit(2)
+    return McgSpec(mdp=mdp, message_space=space, prior=Belief.uniform(space), priority=1.0)
+
+
 class TestMcgFiles:
     @pytest.mark.parametrize(
         "mcg",
@@ -60,8 +80,9 @@ class TestMcgFiles:
             build_toy_mcg(priority=2.0),
             build_codegrid(8, noise_p=0.1),
             chain_mcg(build_channel_chain(5, 2, rewards={2: 0.5}), MessageSpace.product([2] * 4)),
+            branching_mcg(),
         ],
-        ids=["toy", "codegrid", "chain"],
+        ids=["toy", "codegrid", "chain", "branching"],
     )
     def test_round_trip(self, mcg, tmp_path):
         path = tmp_path / "env.json"
@@ -72,7 +93,9 @@ class TestMcgFiles:
         assert loaded.mdp.terminal_states == mcg.mdp.terminal_states
         assert loaded.mdp.initial_state == mcg.mdp.initial_state
         assert np.array_equal(loaded.mdp.rewards, mcg.mdp.rewards)
-        assert loaded.mdp.transitions == mcg.mdp.transitions
+        assert np.array_equal(loaded.mdp.row_offsets, mcg.mdp.row_offsets)
+        assert np.array_equal(loaded.mdp.next_state, mcg.mdp.next_state)
+        assert np.array_equal(loaded.mdp.prob, mcg.mdp.prob)
         assert loaded.message_space == mcg.message_space
         assert loaded.priority == mcg.priority
         assert loaded.noise_p == mcg.noise_p
@@ -91,7 +114,59 @@ class TestMcgFiles:
         )
         path = tmp_path / "env.json"
         save_mcg(mcg, path)
-        assert load_mcg(path).mdp.transitions == mdp.transitions
+        loaded = load_mcg(path).mdp
+        assert np.array_equal(loaded.row_offsets, mdp.row_offsets)
+        assert np.array_equal(loaded.next_state, mdp.next_state)
+        assert np.array_equal(loaded.prob, mdp.prob)
+
+
+def assert_same_transitions(a, b):
+    for name in ("row_offsets", "next_state", "prob", "rewards"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert a.terminal_states == b.terminal_states
+
+
+def dense_document(mcg):
+    """A version-1 document: the dense S x A x S tensor and no format_version."""
+    doc = mcg_to_document(mcg)
+    mdp = mcg.mdp
+    dense = np.zeros((mdp.n_states, mdp.n_actions, mdp.n_states))
+    for s in range(mdp.n_states):
+        for a in range(mdp.n_actions):
+            for nxt, prob in mdp.successors(s, a):
+                dense[s, a, nxt] += prob
+    del doc["format_version"]
+    for key in ("row_offsets", "next_state", "prob"):
+        del doc["mdp"][key]
+    doc["mdp"]["transitions"] = dense.tolist()
+    return doc
+
+
+class TestMcgDocumentVersions:
+    def test_document_is_versioned_and_sparse(self):
+        doc = mcg_to_document(branching_mcg())
+        assert doc["format_version"] == MCG_FORMAT_VERSION
+        assert "transitions" not in doc["mdp"]
+        assert doc["mdp"]["next_state"] == [1, 2, 2]
+
+    @pytest.mark.parametrize(
+        "mcg",
+        [build_toy_mcg(priority=2.0), build_codegrid(8), branching_mcg()],
+        ids=["toy", "codegrid", "branching"],
+    )
+    def test_dense_document_loads(self, mcg):
+        assert_same_transitions(mcg_from_document(dense_document(mcg)).mdp, mcg.mdp)
+
+    def test_sparse_codegrid_spec_is_small(self, tmp_path):
+        path = tmp_path / "env.json"
+        save_mcg(build_codegrid(8), path)
+        assert path.stat().st_size < 100_000
+
+    def test_unknown_version_rejected(self):
+        doc = mcg_to_document(build_toy_mcg(priority=1.0))
+        doc["format_version"] = 99
+        with pytest.raises(ValueError, match="format version"):
+            mcg_from_document(doc)
 
 
 class TestQTableFiles:

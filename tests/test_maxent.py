@@ -5,8 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from trajcomm.dist import Dist
-from trajcomm.envs import build_channel_chain, build_toy_mcg
+from trajcomm.dist import Dist, entropy, entropy_nats
+from trajcomm.envs import (
+    CodingMdpSpec,
+    build_channel_chain,
+    build_codegrid,
+    build_coding_mdp,
+    build_toy_mcg,
+)
 from trajcomm.maxent import (
     QTable,
     TrainConfig,
@@ -17,7 +23,7 @@ from trajcomm.maxent import (
     softmax_policy,
     train_soft_q,
 )
-from trajcomm.mdp import MdpSpec, exact_policy_return
+from trajcomm.mdp import MdpSpec, enumerate_trajectories, exact_policy_return, trajectory_return
 
 TOY_SOFTMAX = (0.7213991842739685, 0.26538792877224193, 0.013212886953789414)
 TOY_SOFT_VALUE = 4.32656264126747
@@ -25,6 +31,22 @@ TOY_SOFT_VALUE = 4.32656264126747
 
 def toy_qtable(alpha=1.0):
     return QTable(values=np.array([[4.0, 3.0, 0.0], [0.0, 0.0, 0.0]]), alpha=alpha)
+
+
+def stochastic_mdp():
+    """Four states, two actions; action 0 in state 0 branches to 1 or 2."""
+    return MdpSpec(
+        n_states=4,
+        n_actions=2,
+        # Rows (s, a) in order: (0,0) -> 1 or 2, (0,1) -> 2, then 1 and 2 -> 3.
+        row_offsets=[0, 2, 3, 4, 5, 6, 7, 7, 7],
+        next_state=[1, 2, 2, 3, 3, 3, 3],
+        prob=[0.5, 0.5, 1.0, 1.0, 1.0, 1.0, 1.0],
+        rewards=np.array([[0.2, 0.0], [1.0, 0.1], [0.0, 0.6], [0.0, 0.0]]),
+        initial_state=0,
+        terminal_states=frozenset({3}),
+        horizon_bound=2,
+    )
 
 
 class TestSoftmaxPolicy:
@@ -133,23 +155,126 @@ class TestTrainSoftQ:
         assert np.allclose(softmax_policy(learned, 0).probs, 0.5, atol=0.02)
 
     def test_converges_on_stochastic_mdp(self):
-        mdp = MdpSpec(
-            n_states=4,
-            n_actions=2,
-            transitions=(
-                ((((1, 0.5), (2, 0.5))), (((2, 1.0),))),
-                ((((3, 1.0),)), (((3, 1.0),))),
-                ((((3, 1.0),)), (((3, 1.0),))),
-                (),
-            ),
-            rewards=np.array([[0.2, 0.0], [1.0, 0.1], [0.0, 0.6], [0.0, 0.0]]),
-            initial_state=0,
-            terminal_states=frozenset({3}),
-            horizon_bound=2,
-        )
+        mdp = stochastic_mdp()
         exact = exact_soft_vi(mdp, alpha=0.5)
         learned = train_soft_q(
             mdp, alpha=0.5, cfg=TrainConfig(episodes=60_000, learning_rate=0.02, seed=2)
         )
         mask = [s for s in range(mdp.n_states) if not mdp.is_terminal(s)]
         assert np.max(np.abs(learned.values[mask] - exact.values[mask])) < 0.05
+
+
+def loop_soft_vi(mdp, alpha):
+    """Reference: the per-state loop over each (s, a) row's branches."""
+    values = np.zeros((mdp.n_states, mdp.n_actions))
+    v = np.zeros(mdp.n_states)
+    nonterminal = [s for s in range(mdp.n_states) if not mdp.is_terminal(s)]
+    for _ in range(mdp.horizon_bound):
+        for s in nonterminal:
+            for a in range(mdp.n_actions):
+                ev = 0.0
+                for nxt, prob in mdp.successors(s, a):
+                    ev += prob * v[nxt]
+                values[s, a] = mdp.rewards[s, a] + ev
+        for s in nonterminal:
+            x = values[s] / alpha
+            m = x.max()
+            v[s] = alpha * (m + math.log(float(np.exp(x - m).sum())))
+    return values
+
+
+SOFT_VI_CASES = [
+    ("toy", lambda: build_toy_mcg(priority=0.0).mdp, 1.0),
+    ("codegrid-8", lambda: build_codegrid(8).mdp, 1 / 7),
+    ("codegrid-1024", lambda: build_codegrid(1024).mdp, 1 / 7),
+    *[
+        (f"chain-200x4-alpha{alpha}", lambda: build_channel_chain(200, 4), alpha)
+        for alpha in (1.0, 0.5, 0.25, 0.125)
+    ],
+    ("coding-standard", lambda: build_coding_mdp(CodingMdpSpec()), 1.0),
+    (
+        "coding-unequal",
+        lambda: build_coding_mdp(
+            CodingMdpSpec(variant="unequal_costs", alphabet_size=3, symbol_costs=(1.0, 2.0, 0.5))
+        ),
+        0.3,
+    ),
+    ("stochastic", stochastic_mdp, 0.5),
+    # Two branches per row, and rewards on terminal states, which Q ignores.
+    ("layered-stochastic", lambda: layered_stochastic_mdp(), 0.6),
+    (
+        "chain-rewards",
+        lambda: build_channel_chain(30, 3, rewards={1: 0.5, 7: -1.25, 20: 2.0}),
+        0.37,
+    ),
+    ("fan", lambda: fan_mdp(), 1.0),
+]
+
+
+def fan_mdp(n=2000, n_actions=3, seed=0):
+    """``n`` states whose every action leads to their own second-step state,
+    where the best reward is 0. The first-step Q values are then exactly the
+    logs of the second-step soft values, so a log that differs in the last
+    bit from ``math.log`` (numpy's SIMD log does, on some inputs) shows."""
+    rng = np.random.default_rng(seed)
+    next_table = np.empty((2 * n + 1, n_actions), dtype=np.int64)
+    next_table[:n] = np.arange(n, 2 * n)[:, None]
+    next_table[n:] = 2 * n
+    rewards = np.zeros((2 * n + 1, n_actions))
+    rewards[n : 2 * n, 1:] = -rng.random((n, n_actions - 1))
+    return MdpSpec.deterministic(next_table, rewards, 0, frozenset({2 * n}), 2)
+
+
+class TestSoftViReference:
+    @pytest.mark.parametrize(
+        "build,alpha", [c[1:] for c in SOFT_VI_CASES], ids=[c[0] for c in SOFT_VI_CASES]
+    )
+    def test_array_backup_is_bit_identical_to_loop(self, build, alpha):
+        mdp = build()
+        q = exact_soft_vi(mdp, alpha)
+        assert q.values.tobytes() == loop_soft_vi(mdp, alpha).tobytes()
+
+
+def layered_stochastic_mdp(seed=0, layers=3, width=3, n_actions=3):
+    """Random time-layered MDP: every action branches to two states of the next
+    layer, rewards are random everywhere, and the last layer is terminal."""
+    rng = np.random.default_rng(seed)
+    n_states = 1 + width * layers
+    offsets, next_state, prob = [0], [], []
+    for s in range(n_states):
+        layer = 0 if s == 0 else (s - 1) // width + 1
+        for _ in range(n_actions):
+            if layer < layers:
+                targets = 1 + layer * width + np.sort(rng.choice(width, 2, replace=False))
+                next_state.extend(targets.tolist())
+                prob.extend(rng.dirichlet(np.ones(2)).tolist())
+            offsets.append(len(next_state))
+    return MdpSpec(
+        n_states=n_states,
+        n_actions=n_actions,
+        row_offsets=offsets,
+        next_state=next_state,
+        prob=prob,
+        rewards=rng.normal(size=(n_states, n_actions)),
+        initial_state=0,
+        terminal_states=frozenset(range(1 + width * (layers - 1), n_states)),
+        horizon_bound=layers,
+    )
+
+
+class TestOccupancyEvaluators:
+    def test_match_enumeration_on_stochastic_mdp(self):
+        mdp = layered_stochastic_mdp()
+        rng = np.random.default_rng(1)
+        table = [Dist(rng.dirichlet(np.ones(mdp.n_actions))) for _ in range(mdp.n_states)]
+        table[1] = Dist.point_mass(2, mdp.n_actions)  # a zero-probability action
+        policy = lambda s: table[s]
+        alpha = 0.6
+        paths = enumerate_trajectories(mdp, policy)
+        assert len(paths) > 20
+        ret = sum(p * trajectory_return(z) for z, p in paths)
+        nats = sum(p * sum(entropy_nats(table[st.state]) for st in z.steps) for z, p in paths)
+        bits = sum(p * sum(entropy(table[st.state]) for st in z.steps) for z, p in paths)
+        assert abs(exact_policy_return(mdp, policy) - ret) <= 1e-12
+        assert abs(exact_policy_objective(mdp, policy, alpha) - (ret + alpha * nats)) <= 1e-12
+        assert abs(expected_cumulative_entropy_bits(mdp, policy) - bits) <= 1e-12

@@ -35,7 +35,9 @@ def single_state_mdp(n_actions=3):
     return MdpSpec(
         n_states=2,
         n_actions=n_actions,
-        transitions=(tuple(((1, 1.0),) for _ in range(n_actions)), ()),
+        row_offsets=list(range(n_actions + 1)) + [n_actions] * n_actions,
+        next_state=[1] * n_actions,
+        prob=[1.0] * n_actions,
         rewards=np.zeros((2, n_actions)),
         initial_state=0,
         terminal_states=frozenset({1}),
@@ -71,7 +73,9 @@ class TestStep:
         mdp = MdpSpec(
             n_states=3,
             n_actions=1,
-            transitions=((((1, 0.3), (2, 0.7)),), (), ()),
+            row_offsets=[0, 2, 2, 2],
+            next_state=[1, 2],
+            prob=[0.3, 0.7],
             rewards=np.zeros((3, 1)),
             initial_state=0,
             terminal_states=frozenset({1, 2}),
@@ -80,6 +84,56 @@ class TestStep:
         rng = np.random.default_rng(5)
         hits = sum(step(mdp, 0, 0, rng)[0] == 2 for _ in range(20000))
         assert abs(hits / 20000 - 0.7) < 0.02
+
+
+def two_step_chain(**overrides):
+    """States 0 -> 1 -> 2 under one action; state 2 is terminal."""
+    fields = dict(
+        n_states=3,
+        n_actions=1,
+        row_offsets=[0, 1, 2, 2],
+        next_state=[1, 2],
+        prob=[1.0, 1.0],
+        rewards=np.zeros((3, 1)),
+        initial_state=0,
+        terminal_states=frozenset({2}),
+        horizon_bound=2,
+    )
+    fields.update(overrides)
+    return MdpSpec(**fields)
+
+
+class TestMdpSpecValidation:
+    def test_well_formed_arrays_are_read_only(self):
+        mdp = two_step_chain()
+        for arr in (mdp.row_offsets, mdp.next_state, mdp.prob, mdp.entry_row, mdp.terminal_mask):
+            assert not arr.flags.writeable
+        assert mdp.entry_row.tolist() == [0, 1]
+        assert mdp.terminal_mask.tolist() == [False, False, True]
+
+    @pytest.mark.parametrize(
+        "overrides,message",
+        [
+            ({"next_state": [1, 3]}, "transition target 3 out of range"),
+            (
+                {"row_offsets": [0, 2, 3, 3], "next_state": [1, 2, 2], "prob": [1.5, -0.5, 1.0]},
+                "non-negative",
+            ),
+            ({"prob": [1.0, 1.0 - 2e-9]}, r"transition row \(1, 0\) sums to"),
+            (
+                {"row_offsets": [0, 1, 1, 1], "next_state": [1], "prob": [1.0]},
+                "state 1 must define every action",
+            ),
+            ({"row_offsets": [0, 1, 2]}, "one row per"),
+        ],
+        ids=["target-out-of-range", "negative-probability", "row-sum-off", "missing-row", "row-count"],
+    )
+    def test_rejects_malformed_transitions(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            two_step_chain(**overrides)
+
+    def test_row_sum_within_tolerance_passes(self):
+        two_step_chain(prob=[1.0, 1.0 - 5e-10])
 
 
 class TestActuatorNoise:
@@ -101,6 +155,17 @@ class TestActuatorNoise:
     def test_rejects_bad_probability(self):
         with pytest.raises(ValueError):
             apply_actuator_noise(0, 1.5, 2, np.random.default_rng(0))
+
+
+class TestRollout:
+    def test_episode_longer_than_horizon_bound_raises(self):
+        mdp = two_step_chain(horizon_bound=1)
+        with pytest.raises(RuntimeError, match="horizon bound"):
+            rollout(mdp, lambda s: Dist.uniform(1), np.random.default_rng(0))
+
+    def test_episode_of_exactly_horizon_bound_steps(self):
+        z = rollout(two_step_chain(), lambda s: Dist.uniform(1), np.random.default_rng(0))
+        assert len(z.steps) == 2 and z.final_state == 2
 
 
 class TestTrajectoryReturn:
