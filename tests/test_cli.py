@@ -1,6 +1,8 @@
 """End-to-end runs of the command-line file pipeline."""
 
 from trajcomm.cli import main
+from trajcomm.dist import Dist
+from trajcomm.formats import save_dist
 
 
 def test_solve_send_receive_decodes_the_sent_message(tmp_path):
@@ -16,3 +18,13 @@ def test_solve_send_receive_decodes_the_sent_message(tmp_path):
         "--traj", str(traj), "--out", str(decoded),
     ]) == 0
     assert decoded.read_text() == "3\n"
+
+
+def test_mec_prints_the_coupling_and_its_entropy(tmp_path, capsys):
+    p, q = tmp_path / "p.txt", tmp_path / "q.txt"
+    save_dist(Dist([0.5, 0.5]), p)
+    save_dist(Dist([0.5, 0.25, 0.25]), q)
+    assert main(["mec", "--p", str(p), "--q", str(q)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[:3] == ["0.5 0 0", "0.25 1 1", "0.25 1 2"]
+    assert "joint_bits 1.5" in lines
