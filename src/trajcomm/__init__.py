@@ -47,7 +47,6 @@ from .maxent import (
     exact_policy_objective,
     exact_soft_vi,
     expected_cumulative_entropy_bits,
-    soft_value,
     softmax_policy,
     train_soft_q,
 )
@@ -57,7 +56,6 @@ from .mcg import (
     MessageSpace,
     exact_mcg_value,
     hamming_distance,
-    mcg_payoff,
     sample_message,
 )
 from .mdp import (

@@ -157,14 +157,15 @@ def rollout_rl_pr(
     return int(np.argmax(b)), ret
 
 
-def evaluate_rl_pr(
-    q: MessageConditionalQ, mcg: McgSpec, episodes: int,
-    rng: np.random.Generator | None = None, greedy: bool = False,
-) -> EvalStats:
-    """Empirical decode accuracy and mean return of a trained baseline."""
-    _check_space(mcg)
-    if rng is None:
-        rng = np.random.default_rng(0)
+def evaluation_rollouts(
+    q: MessageConditionalQ, mcg: McgSpec, episodes: int, rng: np.random.Generator,
+    greedy: bool = False,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Play ``episodes`` evaluation episodes: per-episode decode hits and returns.
+
+    Each episode draws its message from the prior, then plays
+    ``rollout_rl_pr`` with the same generator.
+    """
     prior = mcg.prior.blocks[0].probs
     hits = np.zeros(episodes)
     rets = np.zeros(episodes)
@@ -173,6 +174,19 @@ def evaluate_rl_pr(
         guess, ret = rollout_rl_pr(q, mcg, m, rng, greedy=greedy)
         hits[i] = 1.0 if guess == m else 0.0
         rets[i] = ret
+    return hits, rets
+
+
+def evaluate_rl_pr(
+    q: MessageConditionalQ, mcg: McgSpec, episodes: int,
+    rng: np.random.Generator | None = None, greedy: bool = False,
+) -> EvalStats:
+    """Empirical decode accuracy and mean return of a trained baseline."""
+    _check_space(mcg)
+    if rng is None:
+        rng = np.random.default_rng(0)
+    hits, rets = evaluation_rollouts(q, mcg, episodes, rng, greedy=greedy)
+
     def se(x):
         return float(x.std(ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0
     return EvalStats(

@@ -78,13 +78,11 @@ class DecisionRule:
 
     @classmethod
     def from_coupling(cls, coupling: SparseCoupling, marginal: Dist) -> "DecisionRule":
-        """Read the joint and its row totals off a sparse coupling in one pass."""
-        mass, rows, cols = zip(*coupling.entries)
-        mass, rows = np.array(mass), np.array(rows)
+        """Read the joint and its row totals off a sparse coupling's entry arrays."""
         joint = np.zeros((coupling.n_rows, coupling.n_cols))
-        joint[rows, cols] = mass
+        joint[coupling.rows, coupling.cols] = coupling.masses
         # bincount adds the weights in entry order, as a per-entry loop would.
-        row_mass = np.bincount(rows, weights=mass, minlength=coupling.n_rows)
+        row_mass = np.bincount(coupling.rows, weights=coupling.masses, minlength=coupling.n_rows)
         return cls(joint=joint, row_mass=row_mass, marginal=marginal)
 
     def row(self, m: int) -> np.ndarray:
@@ -162,24 +160,30 @@ def posterior_update(b: Dist, rule: DecisionRule, executed: int, noise_p: float 
     return Dist(weights / total)
 
 
-def _active_block(belief: Belief) -> int:
-    """Index of the block to couple next: largest entropy, ties to the lowest.
+def _block_entropies(belief: Belief) -> np.ndarray | None:
+    """Entropy of every block of a factored belief; None for an explicit one.
 
-    Entropies are compared exactly; sender and receiver run this on
-    bit-identical beliefs, so the selection can never diverge.
+    The coder keeps this array next to its belief and, after each update,
+    recomputes only the entry of the block that changed.
     """
     if not belief.factored:
-        return 0
-    best, best_h = 0, -1.0
-    for j, block in enumerate(belief.blocks):
-        h = entropy(block)
-        if h > best_h:
-            best, best_h = j, h
-    return best
+        return None
+    return np.array([entropy(block) for block in belief.blocks])
 
 
-def _plan(belief: Belief, action_dist: Dist) -> tuple[int, DecisionRule]:
-    block = _active_block(belief)
+def _active_block(h: np.ndarray | None) -> int:
+    """Index of the block to couple next: largest entropy, ties to the lowest.
+
+    ``h`` holds the block entropies (None for an explicit belief, which has
+    one block). ``np.argmax`` returns the first maximum, and entropies are
+    compared exactly; sender and receiver run this on bit-identical beliefs,
+    so the selection can never diverge.
+    """
+    return 0 if h is None else int(np.argmax(h))
+
+
+def _plan(belief: Belief, h: np.ndarray | None, action_dist: Dist) -> tuple[int, DecisionRule]:
+    block = _active_block(h)
     if len(belief.blocks[block]) > MAX_EXPLICIT_MESSAGES:
         raise ValueError(
             f"belief support {len(belief.blocks[block])} exceeds the per-coupling cap "
@@ -191,10 +195,14 @@ def _plan(belief: Belief, action_dist: Dist) -> tuple[int, DecisionRule]:
 
 
 def _apply(
-    belief: Belief, block: int, rule: DecisionRule, executed: int, noise_p: float
+    belief: Belief, h: np.ndarray | None, block: int, rule: DecisionRule, executed: int,
+    noise_p: float,
 ) -> Belief:
+    """The updated belief; ``h``, if given, is updated in place to match it."""
     blocks = list(belief.blocks)
     blocks[block] = posterior_update(blocks[block], rule, executed, noise_p)
+    if h is not None:
+        h[block] = entropy(blocks[block])
     return Belief(tuple(blocks), factored=belief.factored)
 
 
@@ -211,15 +219,16 @@ def sender_episode(
     if not mcg.message_space.contains(m):
         raise ValueError(f"message {m!r} is not in the message space")
     belief = mcg.prior
+    h = _block_entropies(belief)
     trace = [belief]
     steps = []
     s = mcg.mdp.initial_state
     while not mcg.mdp.is_terminal(s):
-        block, rule = _plan(belief, softmax_policy(q, s))
+        block, rule = _plan(belief, h, softmax_policy(q, s))
         value = m[block] if mcg.message_space.factored else m
         intended = sample_index(rule.row(value), rng)
         executed = apply_actuator_noise(intended, mcg.noise_p, mcg.mdp.n_actions, rng)
-        belief = _apply(belief, block, rule, executed, mcg.noise_p)
+        belief = _apply(belief, h, block, rule, executed, mcg.noise_p)
         trace.append(belief)
         nxt, reward = step(mcg.mdp, s, executed, rng)
         steps.append(Step(s, intended, executed, reward))
@@ -247,10 +256,11 @@ def receiver_decode(
     """
     _validate_view(mcg, z)
     belief = mcg.prior
+    h = _block_entropies(belief)
     trace = [belief]
     for s, executed in z.steps:
-        block, rule = _plan(belief, softmax_policy(q, s))
-        belief = _apply(belief, block, rule, executed, mcg.noise_p)
+        block, rule = _plan(belief, h, softmax_policy(q, s))
+        belief = _apply(belief, h, block, rule, executed, mcg.noise_p)
         trace.append(belief)
     return map_estimate(belief, mcg.message_space.factored), tuple(trace)
 
@@ -292,28 +302,30 @@ def exact_coded_value(q: QTable, mcg: McgSpec) -> tuple[float, float]:
     total_return = 0.0
     total_acc = 0.0
 
-    def walk(s, belief, m, prob, ret):
+    def walk(s, belief, h, m, prob, ret):
         nonlocal total_return, total_acc
         if mcg.mdp.is_terminal(s):
             total_return += prob * ret
             if map_estimate(belief, mcg.message_space.factored) == m:
                 total_acc += prob
             return
-        block, rule = _plan(belief, softmax_policy(q, s))
+        block, rule = _plan(belief, h, softmax_policy(q, s))
         value = m[block] if mcg.message_space.factored else m
         row = rule.row(value)
         for a in range(mcg.mdp.n_actions):
             pa = float(row[a])
             if pa == 0.0:
                 continue
-            nb = _apply(belief, block, rule, a, mcg.noise_p)
+            nh = None if h is None else h.copy()
+            nb = _apply(belief, nh, block, rule, a, mcg.noise_p)
             reward = float(mcg.mdp.rewards[s, a])
             for nxt, pt in mcg.mdp.successors(s, a):
                 if pt > 0.0:
-                    walk(nxt, nb, m, prob * pa * pt, ret + reward)
+                    walk(nxt, nb, nh, m, prob * pa * pt, ret + reward)
 
+    prior_h = _block_entropies(mcg.prior)
     for m in mcg.message_space.messages():
         pm = message_prior_prob(mcg, m)
         if pm > 0.0:
-            walk(mcg.mdp.initial_state, mcg.prior, m, pm, 0.0)
+            walk(mcg.mdp.initial_state, mcg.prior, prior_h, m, pm, 0.0)
     return total_return, total_acc

@@ -26,12 +26,15 @@ class Dist:
         arr = np.array(self.probs, dtype=np.float64, copy=True)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("distribution must be a non-empty 1-D vector")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("distribution entries must be finite")
-        if np.any(arr < 0.0):
-            raise ValueError("distribution entries must be non-negative")
         total = float(arr.sum())
-        if abs(total - 1.0) > SUM_ATOL:
+        # One pass for a valid vector: both comparisons are False on NaN, and
+        # an infinite entry makes the total non-finite. Only a vector that
+        # fails it runs the checks below, which name the fault.
+        if not (arr.min() >= 0.0 and abs(total - 1.0) <= SUM_ATOL):
+            if not np.all(np.isfinite(arr)):
+                raise ValueError("distribution entries must be finite")
+            if np.any(arr < 0.0):
+                raise ValueError("distribution entries must be non-negative")
             raise ValueError(f"distribution sums to {total!r}, not 1")
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
@@ -54,21 +57,14 @@ class Dist:
         probs[index] = 1.0
         return cls(probs)
 
-    @classmethod
-    def from_weights(cls, weights) -> "Dist":
-        """Normalize non-negative weights with positive total into a Dist."""
-        arr = np.asarray(weights, dtype=np.float64)
-        total = float(arr.sum())
-        if total <= 0.0:
-            raise ValueError("weights must have positive total")
-        return cls(arr / total)
-
 
 def entropy(d: Dist) -> float:
     """Shannon entropy of a distribution in bits, with 0 log 0 = 0.
 
-    Cached on the (immutable) distribution: belief traces re-ask for block
-    entropies at every decision point, mostly for unchanged blocks.
+    Cached on the (immutable) distribution, so asking again is free: policy
+    rows are shared across decisions, and belief traces may be read more than
+    once. The coder itself asks once per block when an episode starts and
+    once for the updated block after each decision.
     """
     cached = getattr(d, "_entropy_bits", None)
     if cached is None:
@@ -96,50 +92,71 @@ class SparseCoupling:
     """A sparse joint distribution over (row, col) index pairs.
 
     ``entries`` is a sequence of ``(mass, row, col)`` triples with strictly
-    positive masses, no duplicate cells, and total mass 1 within ``SUM_ATOL``.
-    Both marginals must themselves be valid distributions.
+    positive finite masses, cells in range, no duplicate cells, and total
+    mass 1 within ``SUM_ATOL``. The entries are also kept as read-only
+    arrays ``masses``, ``rows`` and ``cols``, in entry order.
+
+    The row and column marginals are built on first read, each summed in
+    entry order and validated as a ``Dist``, then cached.
     """
 
     entries: tuple[tuple[float, int, int], ...]
     n_rows: int
     n_cols: int
+    masses: np.ndarray = dataclasses.field(init=False, repr=False)
+    rows: np.ndarray = dataclasses.field(init=False, repr=False)
+    cols: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n_rows < 1 or self.n_cols < 1:
             raise ValueError("coupling shape must be at least 1x1")
-        rows = np.zeros(self.n_rows)
-        cols = np.zeros(self.n_cols)
-        seen = set()
-        total = 0.0
-        for mass, r, c in self.entries:
-            if not (mass > 0.0) or not math.isfinite(mass):
-                raise ValueError("coupling masses must be positive and finite")
-            if not (0 <= r < self.n_rows and 0 <= c < self.n_cols):
-                raise ValueError(f"coupling cell ({r}, {c}) out of range")
-            if (r, c) in seen:
-                raise ValueError(f"duplicate coupling cell ({r}, {c})")
-            seen.add((r, c))
-            rows[r] += mass
-            cols[c] += mass
-            total += mass
+        entries = tuple(self.entries)
+        if not entries:
+            raise ValueError("coupling mass sums to 0.0, not 1")
+        k = len(entries)
+        masses, rows, cols = zip(*entries)
+        masses = np.fromiter(masses, np.float64, k)
+        if not (masses.min() > 0.0 and masses.max() < math.inf):
+            raise ValueError("coupling masses must be positive and finite")
+        # Rows and columns in one array, so each range check is one reduction.
+        index = np.array((rows, cols))
+        if index.dtype.kind not in "iu":
+            raise ValueError("coupling cells must be integer indices")
+        rows, cols = index
+        high = index.max(axis=1)
+        if not (index.min() >= 0 and high[0] < self.n_rows and high[1] < self.n_cols):
+            out = (rows < 0) | (rows >= self.n_rows) | (cols < 0) | (cols >= self.n_cols)
+            r, c = entries[int(np.argmax(out))][1:]
+            raise ValueError(f"coupling cell ({r}, {c}) out of range")
+        cells = rows * self.n_cols + cols
+        if np.bincount(cells).max() > 1:
+            # Name the cell whose second occurrence comes first.
+            repeat = np.ones(k, dtype=bool)
+            repeat[np.unique(cells, return_index=True)[1]] = False
+            r, c = entries[int(np.argmax(repeat))][1:]
+            raise ValueError(f"duplicate coupling cell ({r}, {c})")
+        total = float(masses.sum())
         if abs(total - 1.0) > SUM_ATOL:
             raise ValueError(f"coupling mass sums to {total!r}, not 1")
-        object.__setattr__(self, "entries", tuple(self.entries))
-        # Marginal validity (raises if either fails to normalize).
-        object.__setattr__(self, "_rows", Dist(rows))
-        object.__setattr__(self, "_cols", Dist(cols))
+        for name, arr in (("masses", masses), ("rows", rows), ("cols", cols)):
+            arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "entries", entries)
 
     def row_marginal(self) -> Dist:
-        return self._rows
+        marginal = getattr(self, "_row_marginal", None)
+        if marginal is None:
+            # bincount adds the masses in entry order.
+            marginal = Dist(np.bincount(self.rows, weights=self.masses, minlength=self.n_rows))
+            object.__setattr__(self, "_row_marginal", marginal)
+        return marginal
 
     def col_marginal(self) -> Dist:
-        return self._cols
-
-    def dense(self) -> np.ndarray:
-        out = np.zeros((self.n_rows, self.n_cols))
-        for mass, r, c in self.entries:
-            out[r, c] = mass
-        return out
+        marginal = getattr(self, "_col_marginal", None)
+        if marginal is None:
+            marginal = Dist(np.bincount(self.cols, weights=self.masses, minlength=self.n_cols))
+            object.__setattr__(self, "_col_marginal", marginal)
+        return marginal
 
 
 @dataclasses.dataclass(frozen=True)
@@ -161,7 +178,7 @@ class CouplingEntropies:
 
 def coupling_entropies(c: SparseCoupling) -> CouplingEntropies:
     """Exact joint/marginal entropies and mutual information of a coupling."""
-    masses = np.array([m for m, _, _ in c.entries])
+    masses = c.masses
     joint = float(max(0.0, -np.sum(masses * np.log2(masses))))
     hr = entropy(c.row_marginal())
     hc = entropy(c.col_marginal())

@@ -38,6 +38,8 @@ class QTable:
             raise ValueError("temperature must be positive")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
+        # softmax_policy's per-state cache.
+        object.__setattr__(self, "_policy_rows", {})
 
 
 @dataclasses.dataclass(frozen=True)
@@ -60,22 +62,15 @@ def _softmax(row: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def softmax_policy(q: QTable, s: int) -> Dist:
-    """Boltzmann policy pi(a|s) proportional to exp(Q(s,a)/alpha)."""
-    return Dist(_softmax(q.values[s], q.alpha))
+    """Boltzmann policy pi(a|s) proportional to exp(Q(s,a)/alpha).
 
-
-def soft_value(q: QTable, s: int) -> float:
-    """Entropy-regularized state value alpha * log sum_a exp(Q(s,a)/alpha)."""
-    x = q.values[s] / q.alpha
-    m = float(x.max())
-    return q.alpha * (m + math.log(float(np.exp(x - m).sum())))
-
-
-def policy_matrix(q: QTable) -> np.ndarray:
-    """All softmax rows at once; terminal-state rows are still well-defined."""
-    x = q.values / q.alpha
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    Cached per state on the (immutable) Q table: sender and receiver ask for
+    the same rows at every decision, so each row is built and validated once.
+    """
+    d = q._policy_rows.get(s)
+    if d is None:
+        d = q._policy_rows[s] = Dist(_softmax(q.values[s], q.alpha))
+    return d
 
 
 def exact_soft_vi(mdp: MdpSpec, alpha: float) -> QTable:

@@ -10,13 +10,12 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
 from typing import Callable
 
 import numpy as np
 
 from .dist import Dist, entropy, sample_index
-from .mdp import MdpSpec, ObservedTrajectory, Trajectory, enumerate_trajectories, trajectory_return
+from .mdp import MdpSpec, ObservedTrajectory, enumerate_trajectories, trajectory_return
 
 
 @dataclasses.dataclass(frozen=True)
@@ -132,11 +131,6 @@ def message_prior_prob(mcg: McgSpec, m) -> float:
     if mcg.message_space.factored:
         return float(np.prod([d[v] for d, v in zip(mcg.prior.blocks, m)]))
     return mcg.prior.blocks[0][m]
-
-
-def mcg_payoff(z: Trajectory, m, m_hat, priority: float) -> float:
-    """Trajectory return plus the priority-weighted decode indicator."""
-    return trajectory_return(z) + (priority if m == m_hat else 0.0)
 
 
 def hamming_distance(m: tuple, m_hat: tuple) -> int:

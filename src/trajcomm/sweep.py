@@ -15,9 +15,8 @@ import math
 import numpy as np
 
 from . import envs
-from .baseline import rollout_rl_pr, train_rl_pr
+from .baseline import evaluation_rollouts, train_rl_pr
 from .coding import run_roundtrip
-from .dist import sample_index
 from .formats import image_space, save_metrics_csv
 from .maxent import TrainConfig, exact_soft_vi
 from .mcg import Belief, McgSpec, MessageSpace, hamming_distance, sample_message
@@ -158,15 +157,8 @@ def _rl_pr_cell(cfg: SweepConfig, mcg: McgSpec, zeta: float, seed: int, rng) -> 
         alpha_end=mp.get("alpha_end", 0.015),
         lr_end=mp.get("lr_end", 0.02),
     )
-    hits = np.zeros(cfg.rollouts)
-    rets = np.zeros(cfg.rollouts)
-    prior = mcg.prior.blocks[0].probs
     greedy = bool(mp.get("greedy_eval", True))
-    for i in range(cfg.rollouts):
-        m = sample_index(prior, rng)
-        guess, ret = rollout_rl_pr(q, mcg, m, rng, greedy=greedy)
-        hits[i] = 1.0 if guess == m else 0.0
-        rets[i] = ret
+    hits, rets = evaluation_rollouts(q, mcg, cfg.rollouts, rng, greedy=greedy)
     return hits, rets, 1.0 - hits
 
 

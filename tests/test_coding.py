@@ -159,7 +159,7 @@ class TestReferenceEquivalence:
         rng = np.random.default_rng(32)
         for _ in range(5):
             w = rng.random(1024) * (rng.random(1024) < 0.8)
-            b = Dist.from_weights(w)
+            b = Dist(w / w.sum())
             a = Dist(rng.dirichlet(np.ones(4)))
             self._assert_matches(greedy_mec(b, a), b, a)
 
@@ -341,6 +341,60 @@ class TestReceiverDecode:
             receiver_decode(q, mcg, not_terminal)
 
 
+def _reference_active_block(belief: Belief) -> int:
+    """The block pick as a scan of every block: first strictly larger entropy wins."""
+    best, best_h = 0, -1.0
+    for j, block in enumerate(belief.blocks):
+        h = entropy(block)
+        if h > best_h:
+            best, best_h = j, h
+    return best
+
+
+class TestRunningBlockPick:
+    """The running entropy array picks the block a full scan would pick."""
+
+    def _assert_trace_picks(self, trace) -> int:
+        """Each step changes exactly the block the scan picks; returns the tied steps."""
+        ties = 0
+        for before, after in zip(trace, trace[1:]):
+            changed = [j for j, (u, v) in enumerate(zip(before.blocks, after.blocks)) if u is not v]
+            assert changed == [_reference_active_block(before)]
+            hs = [entropy(block) for block in before.blocks]
+            ties += hs.count(max(hs)) > 1
+        return ties
+
+    def _roundtrips(self, mcg, n, seed):
+        q = exact_soft_vi(mcg.mdp, alpha=1.0)
+        rng = np.random.default_rng(seed)
+        ties = 0
+        for _ in range(n):
+            rec = run_roundtrip(q, mcg, sample_message(mcg, rng), rng)
+            ties += self._assert_trace_picks(rec.sender_belief_trace)
+            ties += self._assert_trace_picks(rec.receiver_belief_trace)
+        assert ties > 0
+
+    def test_noisy_image_over_long_chain(self):
+        mcg = chain_mcg(build_channel_chain(200, 2), MessageSpace.product([2] * 64), noise_p=0.05)
+        self._roundtrips(mcg, 3, seed=11)
+
+    def test_mirrored_blocks_tie_exactly(self):
+        # Permuted blocks have bit-equal entropies; the two ternary blocks tie
+        # for the first pick.
+        blocks = [Dist([0.3, 0.7]), Dist([0.7, 0.3]), Dist([0.5, 0.5]), Dist([0.3, 0.7])]
+        blocks += [Dist([0.2, 0.3, 0.5]), Dist([0.5, 0.2, 0.3])]
+        assert entropy(blocks[0]) == entropy(blocks[1])
+        assert entropy(blocks[4]) == entropy(blocks[5])
+        mcg = McgSpec(
+            mdp=build_channel_chain(40, 3),
+            message_space=MessageSpace.product([2, 2, 2, 2, 3, 3]),
+            prior=Belief(tuple(blocks), factored=True),
+            priority=1.0,
+            noise_p=0.1,
+        )
+        self._roundtrips(mcg, 10, seed=12)
+
+
 class TestNoisyChannel:
     def test_noise_aware_decoding_on_chain(self):
         # A noise-blind update zeroes the true message on the first flipped
@@ -374,6 +428,15 @@ class TestGuarantees:
         coded_return, _ = exact_coded_value(q, mcg)
         plain = exact_policy_return(chain, lambda s: softmax_policy(q, s))
         assert coded_return == pytest.approx(plain, abs=1e-9)
+
+    def test_return_preserved_exactly_with_factored_messages(self):
+        chain = build_channel_chain(4, 2, rewards={1: 0.3})
+        mcg = chain_mcg(chain, MessageSpace.product([2, 3, 2]))
+        q = exact_soft_vi(chain, alpha=0.7)
+        coded_return, accuracy = exact_coded_value(q, mcg)
+        plain = exact_policy_return(chain, lambda s: softmax_policy(q, s))
+        assert coded_return == pytest.approx(plain, abs=1e-9)
+        assert 1.0 / 12 < accuracy <= 1.0
 
     def test_one_step_information_within_one_bit_of_oracle(self):
         rng = np.random.default_rng(7)

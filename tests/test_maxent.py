@@ -16,10 +16,10 @@ from trajcomm.envs import (
 from trajcomm.maxent import (
     QTable,
     TrainConfig,
+    _softmax,
     exact_policy_objective,
     exact_soft_vi,
     expected_cumulative_entropy_bits,
-    soft_value,
     softmax_policy,
     train_soft_q,
 )
@@ -50,6 +50,22 @@ def stochastic_mdp():
 
 
 class TestSoftmaxPolicy:
+    @pytest.mark.parametrize(
+        "mdp, alpha",
+        [
+            (build_toy_mcg(priority=0.0).mdp, 1.0),
+            (build_codegrid(1024).mdp, 1.0 / 7.0),
+            (build_channel_chain(200, 2), 1.0),
+        ],
+        ids=["toy", "codegrid-1024-beta7", "chain-200x2"],
+    )
+    def test_cached_rows_are_softmax_bytes(self, mdp, alpha):
+        q = exact_soft_vi(mdp, alpha)
+        for s in range(mdp.n_states):
+            pol = softmax_policy(q, s)
+            assert pol.probs.tobytes() == _softmax(q.values[s], q.alpha).tobytes()
+            assert softmax_policy(q, s) is pol
+
     def test_reference_row(self):
         pol = softmax_policy(toy_qtable(), 0)
         assert np.max(np.abs(pol.probs - TOY_SOFTMAX)) < 1e-12
@@ -72,17 +88,31 @@ class TestSoftmaxPolicy:
             assert np.max(np.abs(a.probs - b.probs)) < 1e-12
 
 
+def log_sum_exp_value(q: QTable, s: int) -> float:
+    """The soft state value alpha * log sum_a exp(Q(s,a)/alpha)."""
+    x = q.values[s] / q.alpha
+    m = float(x.max())
+    return q.alpha * (m + math.log(float(np.exp(x - m).sum())))
+
+
 class TestSoftValue:
+    """The soft value, as the objective of the softmax policy and as a log-sum-exp."""
+
     def test_two_equal_entries(self):
-        q = QTable(values=np.array([[0.0, 0.0]]), alpha=1.0)
-        assert soft_value(q, 0) == pytest.approx(math.log(2), abs=1e-12)
+        # One step, two actions, no reward: the objective is alpha * ln 2.
+        chain = build_channel_chain(1, 2)
+        q = exact_soft_vi(chain, alpha=1.0)
+        value = exact_policy_objective(chain, lambda s: softmax_policy(q, s), 1.0)
+        assert value == pytest.approx(math.log(2), abs=1e-12)
 
     def test_reference_value(self):
-        assert soft_value(toy_qtable(), 0) == pytest.approx(TOY_SOFT_VALUE, abs=1e-9)
+        assert log_sum_exp_value(toy_qtable(), 0) == pytest.approx(TOY_SOFT_VALUE, abs=1e-9)
 
     def test_cold_limit_is_max(self):
-        q = QTable(values=np.array([[4.0, 3.0, 0.0]]), alpha=1e-9)
-        assert soft_value(q, 0) == pytest.approx(4.0, abs=1e-6)
+        mcg = build_toy_mcg(priority=0.0)
+        q = exact_soft_vi(mcg.mdp, alpha=1e-9)
+        value = exact_policy_objective(mcg.mdp, lambda s: softmax_policy(q, s), 1e-9)
+        assert value == pytest.approx(4.0, abs=1e-6)
 
     def test_equals_expected_q_plus_entropy(self):
         # alpha * logsumexp(Q/alpha) == E_pi[Q] + alpha * H_nats(pi).
@@ -93,7 +123,7 @@ class TestSoftValue:
             q = QTable(values=row[None, :], alpha=alpha)
             pol = softmax_policy(q, 0).probs
             expected = float(pol @ row) - alpha * float(pol @ np.log(pol))
-            assert soft_value(q, 0) == pytest.approx(expected, abs=1e-9)
+            assert log_sum_exp_value(q, 0) == pytest.approx(expected, abs=1e-9)
 
 
 class TestExactSoftVi:

@@ -13,7 +13,6 @@ from trajcomm.mcg import (
     McgSpec,
     MessageSpace,
     hamming_distance,
-    mcg_payoff,
     sample_message,
 )
 from trajcomm.mdp import (
@@ -182,27 +181,6 @@ class TestTrajectoryReturn:
             final_state=3,
         )
         assert trajectory_return(z) == 1.0
-
-
-class TestMcgPayoff:
-    def test_correct_guess_adds_priority(self):
-        z = Trajectory(steps=(Step(0, 0, 0, 4.0),), final_state=1)
-        assert mcg_payoff(z, 1, 1, 2.0) == 6.0
-
-    def test_wrong_guess_ignores_priority(self):
-        z = Trajectory(steps=(Step(0, 0, 0, 4.0),), final_state=1)
-        assert mcg_payoff(z, 1, 0, 17.0) == 4.0
-
-    def test_zero_priority(self):
-        z = Trajectory(steps=(Step(0, 2, 2, 0.0),), final_state=1)
-        assert mcg_payoff(z, 1, 1, 0.0) == 0.0
-
-    def test_monotone_in_priority_when_correct(self):
-        z = Trajectory(steps=(Step(0, 0, 0, 1.0),), final_state=1)
-        payoffs = [mcg_payoff(z, 0, 0, zeta) for zeta in (0.0, 0.5, 1.0, 5.0)]
-        assert payoffs == sorted(payoffs)
-        wrong = [mcg_payoff(z, 0, 1, zeta) for zeta in (0.0, 0.5, 1.0, 5.0)]
-        assert len(set(wrong)) == 1
 
 
 class TestHamming:
