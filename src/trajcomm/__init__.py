@@ -14,10 +14,9 @@ from .baseline import (
     train_rl_pr,
 )
 from .coding import (
-    DecisionRule,
     EpisodeRecord,
+    action_row,
     exact_coded_value,
-    make_decision_rule,
     map_estimate,
     posterior_update,
     receiver_decode,

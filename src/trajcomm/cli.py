@@ -114,8 +114,6 @@ def _message_from_args(args, mcg):
 
 def _cmd_send(args) -> int:
     mcg = load_mcg(args.spec)
-    if args.noise_p is not None:
-        mcg = dataclass_replace_noise(mcg, args.noise_p)
     q = load_qtable(args.qtable)
     _check_qtable(mcg, q)
     m, _ = _message_from_args(args, mcg)
@@ -177,12 +175,6 @@ def _check_qtable(mcg, q) -> None:
         )
 
 
-def dataclass_replace_noise(mcg, noise_p):
-    import dataclasses
-
-    return dataclasses.replace(mcg, noise_p=noise_p)
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="trajcomm", description="communicate messages through MDP trajectories"
@@ -211,7 +203,6 @@ def main(argv=None) -> int:
     p.add_argument("--image", help="plain PBM file carrying the message")
     p.add_argument("--block-pixels", type=int, default=1)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--noise-p", type=float, help="override the spec's actuator noise")
     p.add_argument("--out", required=True)
 
     p = sub.add_parser("receive", help="decode a trajectory file")

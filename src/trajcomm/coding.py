@@ -17,9 +17,9 @@ noise-aware: both agents know the noise level ε, and weigh message ``m`` by
 ``(1-ε)·P(a|m) + ε/|A|`` for executed action ``a``, so one flipped action
 does not rule the true message out.
 
-A decision rule keeps the coupling as a dense joint over (message, action)
-plus its row totals. The sender's row and the receiver's likelihood column
-are read straight off those arrays; no per-message distribution is built.
+The coupling is the decision rule. Message ``m`` acts by its row of the
+coupling's dense joint divided by the row's total, and the receiver reads its
+likelihoods off one column; no per-message distribution is built.
 """
 
 from __future__ import annotations
@@ -42,53 +42,8 @@ logger = logging.getLogger(__name__)
 MAX_EXPLICIT_MESSAGES = 4096
 
 # Belief mass below this after an update means the observed action was
-# impossible under the replayed rule; the belief resets to uniform.
+# impossible under the replayed coupling; the belief resets to uniform.
 WIPEOUT_EPS = 1e-12
-
-
-@dataclasses.dataclass(frozen=True, eq=False)
-class DecisionRule:
-    """A coupling of a belief block with the planned action distribution, as arrays.
-
-    ``joint[m, a]`` is the coupling mass on message ``m`` and action ``a``, and
-    ``row_mass[m]`` is row ``m``'s total, summed in the coupling's entry
-    order. Message ``m`` acts by its joint row normalized, ``joint[m] /
-    row_mass[m]``; a row with no mass (a message the belief has ruled out)
-    acts by ``marginal``, which keeps the mixture identity exact. The
-    receiver's likelihood of an executed action is the same row entry, mixed
-    with the uniform draw of actuator noise (see ``posterior_update``). The
-    rule owns both arrays: they are marked read-only at construction, without
-    a copy when they already are float64 arrays.
-    """
-
-    joint: np.ndarray
-    row_mass: np.ndarray
-    marginal: Dist
-
-    def __post_init__(self):
-        for name in ("joint", "row_mass"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        n_rows, n_cols = self.joint.shape
-        if n_cols != len(self.marginal):
-            raise ValueError("joint must have one column per action of the marginal")
-        if self.row_mass.shape != (n_rows,):
-            raise ValueError("row_mass must have one entry per joint row")
-
-    @classmethod
-    def from_coupling(cls, coupling: SparseCoupling, marginal: Dist) -> "DecisionRule":
-        """Read the joint and its row totals off a sparse coupling's entry arrays."""
-        joint = np.zeros((coupling.n_rows, coupling.n_cols))
-        joint[coupling.rows, coupling.cols] = coupling.masses
-        # bincount adds the weights in entry order, as a per-entry loop would.
-        row_mass = np.bincount(coupling.rows, weights=coupling.masses, minlength=coupling.n_rows)
-        return cls(joint=joint, row_mass=row_mass, marginal=marginal)
-
-    def row(self, m: int) -> np.ndarray:
-        """Action distribution of message ``m``."""
-        total = self.row_mass[m]
-        return self.joint[m] / total if total > 0.0 else self.marginal.probs
 
 
 @dataclasses.dataclass(eq=False)
@@ -101,55 +56,61 @@ class EpisodeRecord:
     receiver_belief_trace: tuple[Belief, ...] | None = None
 
 
-def make_decision_rule(b: Dist, action_dist: Dist) -> DecisionRule:
-    """Couple a belief block with an action distribution.
+def action_row(coupling: SparseCoupling, m: int, policy: Dist) -> np.ndarray:
+    """Action distribution of message ``m`` under a coupling of belief and policy.
 
-    The rule's rows are the conditionals of a greedy minimum entropy
-    coupling, so their belief-weighted mixture reproduces ``action_dist``
-    exactly and the one-step mutual information between message and action
-    is greedily maximized.
+    The row is ``joint[m] / row_mass[m]``. A row with no mass (a message the
+    belief has ruled out) acts by ``policy``, which keeps the mixture identity
+    exact.
     """
-    return DecisionRule.from_coupling(greedy_mec(b, action_dist), action_dist)
+    total = coupling.row_mass[m]
+    return coupling.joint[m] / total if total > 0.0 else policy.probs
 
 
-def check_mixture(rule: DecisionRule, b: Dist) -> None:
-    """Assert that the rule's joint has the belief and the policy as marginals.
+def check_mixture(coupling: SparseCoupling, b: Dist, policy: Dist) -> None:
+    """Assert that the coupling has the belief and the policy as marginals.
 
-    The column sums of the joint must equal the planned action distribution,
-    and the row totals the belief, to within 1e-9 per entry. Then the
-    belief-weighted mixture of the rows is the policy. A violation means
-    sender and receiver would drift apart, so it raises immediately.
+    The coupling must have one row per message of ``b`` and one column per
+    action of ``policy``; its column sums must equal the policy, and its row
+    totals the belief, to within 1e-9 per entry. Then the belief-weighted
+    mixture of the rows is the policy. A violation means sender and receiver
+    would drift apart, so it raises immediately.
     """
-    col_err = float(abs(rule.joint.sum(axis=0) - rule.marginal.probs).max())
-    row_err = float(abs(rule.row_mass - b.probs).max())
+    if coupling.joint.shape != (len(b), len(policy)):
+        raise RuntimeError(f"coupling shape {coupling.joint.shape}, not {(len(b), len(policy))}")
+    col_err = float(abs(coupling.joint.sum(axis=0) - policy.probs).max())
+    row_err = float(abs(coupling.row_mass - b.probs).max())
     if col_err > SUM_ATOL or row_err > SUM_ATOL:
         raise RuntimeError(
-            f"decision-rule joint drifted from the policy by {col_err!r} "
+            f"coupling drifted from the policy by {col_err!r} "
             f"and from the belief by {row_err!r}"
         )
 
 
-def posterior_update(b: Dist, rule: DecisionRule, executed: int, noise_p: float = 0.0) -> Dist:
+def posterior_update(
+    b: Dist, coupling: SparseCoupling, policy: Dist, executed: int, noise_p: float = 0.0
+) -> Dist:
     """Bayes update of a belief block from one executed action.
 
-    Message ``m`` intends action ``a`` with probability ``P(a|m)``, its
-    rule's row: ``joint[m, a] / row_mass[m]``, or the marginal's for a row
-    with no mass. With actuator noise ``noise_p`` = ε the executed action is
-    a uniform draw over all actions with probability ε, so the likelihood of
-    executing ``a`` is ``(1-ε)·P(a|m) + ε/|A|``; a flipped action lowers the
-    true message's weight instead of ruling it out. If the observed action
-    carries zero likelihood under every live message (possible only without
-    noise, on a corrupted trajectory), the belief resets to uniform and the
-    desync is logged rather than silently propagated.
+    Message ``m`` intends action ``a`` with probability ``P(a|m)``, its row
+    of the coupling: ``joint[m, a] / row_mass[m]``, or ``policy[a]`` for a
+    row with no mass (see ``action_row``). With actuator noise ``noise_p`` =
+    ε the executed action is a uniform draw over all actions with probability
+    ε, so the likelihood of executing ``a`` is ``(1-ε)·P(a|m) + ε/|A|``; a
+    flipped action lowers the true message's weight instead of ruling it
+    out. If the observed action carries zero likelihood under every live
+    message (possible only without noise, on a corrupted trajectory), the
+    belief resets to uniform and the desync is logged rather than silently
+    propagated.
     """
     intended = np.divide(
-        rule.joint[:, executed],
-        rule.row_mass,
-        out=np.full(len(b), rule.marginal.probs[executed]),
-        where=rule.row_mass > 0.0,
+        coupling.joint[:, executed],
+        coupling.row_mass,
+        out=np.full(len(b), policy.probs[executed]),
+        where=coupling.row_mass > 0.0,
     )
     # Exact at ε = 0: 1.0 * x + 0.0 == x for every x >= 0.
-    likelihood = (1.0 - noise_p) * intended + noise_p / rule.joint.shape[1]
+    likelihood = (1.0 - noise_p) * intended + noise_p / coupling.n_cols
     weights = b.probs * likelihood
     total = float(weights.sum())
     if total < WIPEOUT_EPS:
@@ -161,12 +122,12 @@ def posterior_update(b: Dist, rule: DecisionRule, executed: int, noise_p: float 
 
 
 def _block_entropies(belief: Belief) -> np.ndarray | None:
-    """Entropy of every block of a factored belief; None for an explicit one.
+    """Entropy of every block of a belief; None for a belief with one block.
 
     The coder keeps this array next to its belief and, after each update,
     recomputes only the entry of the block that changed.
     """
-    if not belief.factored:
+    if len(belief.blocks) == 1:
         return None
     return np.array([entropy(block) for block in belief.blocks])
 
@@ -174,36 +135,38 @@ def _block_entropies(belief: Belief) -> np.ndarray | None:
 def _active_block(h: np.ndarray | None) -> int:
     """Index of the block to couple next: largest entropy, ties to the lowest.
 
-    ``h`` holds the block entropies (None for an explicit belief, which has
-    one block). ``np.argmax`` returns the first maximum, and entropies are
-    compared exactly; sender and receiver run this on bit-identical beliefs,
-    so the selection can never diverge.
+    ``h`` holds the block entropies (None for a belief with one block).
+    ``np.argmax`` returns the first maximum, and entropies are compared
+    exactly; sender and receiver run this on bit-identical beliefs, so the
+    selection can never diverge.
     """
     return 0 if h is None else int(np.argmax(h))
 
 
-def _plan(belief: Belief, h: np.ndarray | None, action_dist: Dist) -> tuple[int, DecisionRule]:
+def _plan(belief: Belief, h: np.ndarray | None, policy: Dist) -> tuple[int, SparseCoupling]:
+    """The active block and the greedy coupling of its belief with ``policy``."""
     block = _active_block(h)
-    if len(belief.blocks[block]) > MAX_EXPLICIT_MESSAGES:
+    b = belief.blocks[block]
+    if len(b) > MAX_EXPLICIT_MESSAGES:
         raise ValueError(
-            f"belief support {len(belief.blocks[block])} exceeds the per-coupling cap "
+            f"belief support {len(b)} exceeds the per-coupling cap "
             f"{MAX_EXPLICIT_MESSAGES}; use a factored message space"
         )
-    rule = make_decision_rule(belief.blocks[block], action_dist)
-    check_mixture(rule, belief.blocks[block])
-    return block, rule
+    coupling = greedy_mec(b, policy)
+    check_mixture(coupling, b, policy)
+    return block, coupling
 
 
 def _apply(
-    belief: Belief, h: np.ndarray | None, block: int, rule: DecisionRule, executed: int,
-    noise_p: float,
+    belief: Belief, h: np.ndarray | None, block: int, coupling: SparseCoupling, policy: Dist,
+    executed: int, noise_p: float,
 ) -> Belief:
     """The updated belief; ``h``, if given, is updated in place to match it."""
     blocks = list(belief.blocks)
-    blocks[block] = posterior_update(blocks[block], rule, executed, noise_p)
+    blocks[block] = posterior_update(blocks[block], coupling, policy, executed, noise_p)
     if h is not None:
         h[block] = entropy(blocks[block])
-    return Belief(tuple(blocks), factored=belief.factored)
+    return Belief(tuple(blocks))
 
 
 def sender_episode(
@@ -211,10 +174,10 @@ def sender_episode(
 ) -> EpisodeRecord:
     """Play one sender episode carrying message ``m``.
 
-    At each state the sender rebuilds the decision rule from its belief and
-    the max-entropy policy, samples its intended action from the row of the
-    active message block, passes it through actuator noise, and updates the
-    belief with the executed action (mirroring what the receiver will see).
+    At each state the sender couples its belief with the max-entropy policy,
+    samples its intended action from the coupling row of the active message
+    block, passes it through actuator noise, and updates the belief with the
+    executed action (mirroring what the receiver will see).
     """
     if not mcg.message_space.contains(m):
         raise ValueError(f"message {m!r} is not in the message space")
@@ -224,11 +187,12 @@ def sender_episode(
     steps = []
     s = mcg.mdp.initial_state
     while not mcg.mdp.is_terminal(s):
-        block, rule = _plan(belief, h, softmax_policy(q, s))
+        policy = softmax_policy(q, s)
+        block, coupling = _plan(belief, h, policy)
         value = m[block] if mcg.message_space.factored else m
-        intended = sample_index(rule.row(value), rng)
+        intended = sample_index(action_row(coupling, value, policy), rng)
         executed = apply_actuator_noise(intended, mcg.noise_p, mcg.mdp.n_actions, rng)
-        belief = _apply(belief, h, block, rule, executed, mcg.noise_p)
+        belief = _apply(belief, h, block, coupling, policy, executed, mcg.noise_p)
         trace.append(belief)
         nxt, reward = step(mcg.mdp, s, executed, rng)
         steps.append(Step(s, intended, executed, reward))
@@ -250,7 +214,7 @@ def receiver_decode(
 ) -> tuple[object, tuple[Belief, ...]]:
     """Decode a message from an observed trajectory.
 
-    Replays exactly the sender's rule construction and belief updates
+    Replays exactly the sender's couplings and belief updates
     (identical block selection and tie-breaking) over the executed actions,
     then returns the MAP message and the full belief trace.
     """
@@ -259,8 +223,9 @@ def receiver_decode(
     h = _block_entropies(belief)
     trace = [belief]
     for s, executed in z.steps:
-        block, rule = _plan(belief, h, softmax_policy(q, s))
-        belief = _apply(belief, h, block, rule, executed, mcg.noise_p)
+        policy = softmax_policy(q, s)
+        block, coupling = _plan(belief, h, policy)
+        belief = _apply(belief, h, block, coupling, policy, executed, mcg.noise_p)
         trace.append(belief)
     return map_estimate(belief, mcg.message_space.factored), tuple(trace)
 
@@ -309,15 +274,16 @@ def exact_coded_value(q: QTable, mcg: McgSpec) -> tuple[float, float]:
             if map_estimate(belief, mcg.message_space.factored) == m:
                 total_acc += prob
             return
-        block, rule = _plan(belief, h, softmax_policy(q, s))
+        policy = softmax_policy(q, s)
+        block, coupling = _plan(belief, h, policy)
         value = m[block] if mcg.message_space.factored else m
-        row = rule.row(value)
+        row = action_row(coupling, value, policy)
         for a in range(mcg.mdp.n_actions):
             pa = float(row[a])
             if pa == 0.0:
                 continue
             nh = None if h is None else h.copy()
-            nb = _apply(belief, nh, block, rule, a, mcg.noise_p)
+            nb = _apply(belief, nh, block, coupling, policy, a, mcg.noise_p)
             reward = float(mcg.mdp.rewards[s, a])
             for nxt, pt in mcg.mdp.successors(s, a):
                 if pt > 0.0:

@@ -93,11 +93,13 @@ class SparseCoupling:
 
     ``entries`` is a sequence of ``(mass, row, col)`` triples with strictly
     positive finite masses, cells in range, no duplicate cells, and total
-    mass 1 within ``SUM_ATOL``. The entries are also kept as read-only
-    arrays ``masses``, ``rows`` and ``cols``, in entry order.
+    mass 1 within ``SUM_ATOL``. Construction also keeps read-only arrays:
+    ``masses``, ``rows`` and ``cols`` in entry order, the dense ``joint``
+    (``joint[r, c]`` is the mass on cell ``(r, c)``) and its row totals
+    ``row_mass``, summed in entry order.
 
-    The row and column marginals are built on first read, each summed in
-    entry order and validated as a ``Dist``, then cached.
+    ``row_marginal()`` is ``row_mass`` validated as a ``Dist``; the column
+    marginal is summed in entry order on first read. Both are cached.
     """
 
     entries: tuple[tuple[float, int, int], ...]
@@ -106,6 +108,8 @@ class SparseCoupling:
     masses: np.ndarray = dataclasses.field(init=False, repr=False)
     rows: np.ndarray = dataclasses.field(init=False, repr=False)
     cols: np.ndarray = dataclasses.field(init=False, repr=False)
+    joint: np.ndarray = dataclasses.field(init=False, repr=False)
+    row_mass: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
         if self.n_rows < 1 or self.n_cols < 1:
@@ -138,7 +142,12 @@ class SparseCoupling:
         total = float(masses.sum())
         if abs(total - 1.0) > SUM_ATOL:
             raise ValueError(f"coupling mass sums to {total!r}, not 1")
-        for name, arr in (("masses", masses), ("rows", rows), ("cols", cols)):
+        joint = np.zeros((self.n_rows, self.n_cols))
+        joint[rows, cols] = masses
+        # bincount adds the masses in entry order.
+        row_mass = np.bincount(rows, weights=masses, minlength=self.n_rows)
+        arrays = dict(masses=masses, rows=rows, cols=cols, joint=joint, row_mass=row_mass)
+        for name, arr in arrays.items():
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "entries", entries)
@@ -146,8 +155,7 @@ class SparseCoupling:
     def row_marginal(self) -> Dist:
         marginal = getattr(self, "_row_marginal", None)
         if marginal is None:
-            # bincount adds the masses in entry order.
-            marginal = Dist(np.bincount(self.rows, weights=self.masses, minlength=self.n_rows))
+            marginal = Dist(self.row_mass)
             object.__setattr__(self, "_row_marginal", marginal)
         return marginal
 

@@ -121,7 +121,7 @@ def mcg_from_document(doc: dict) -> McgSpec:
         tuple(doc["message_space"]["block_sizes"]),
         factored=doc["message_space"]["factored"],
     )
-    prior = Belief(tuple(Dist(np.array(b)) for b in doc["prior"]), factored=space.factored)
+    prior = Belief(tuple(Dist(np.array(b)) for b in doc["prior"]))
     return McgSpec(
         mdp=mdp,
         message_space=space,

@@ -69,34 +69,29 @@ class MessageSpace:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Belief:
-    """A posterior over messages: one Dist, or one Dist per factored block."""
+    """A posterior over messages: one Dist per message-space block."""
 
     blocks: tuple[Dist, ...]
-    factored: bool
 
     def __post_init__(self):
         if not self.blocks:
             raise ValueError("belief needs at least one block")
-        if not self.factored and len(self.blocks) != 1:
-            raise ValueError("an explicit belief has a single block")
         object.__setattr__(self, "blocks", tuple(self.blocks))
 
     @classmethod
     def explicit(cls, d: Dist) -> "Belief":
-        return cls((d,), factored=False)
+        return cls((d,))
 
     @classmethod
     def uniform(cls, space: MessageSpace) -> "Belief":
-        return cls(tuple(Dist.uniform(b) for b in space.block_sizes), factored=space.factored)
+        return cls(tuple(Dist.uniform(b) for b in space.block_sizes))
 
     def entropy_bits(self) -> float:
         return float(sum(entropy(b) for b in self.blocks))
 
     def matches(self, space: MessageSpace) -> bool:
-        return (
-            self.factored == space.factored
-            and len(self.blocks) == len(space.block_sizes)
-            and all(len(d) == b for d, b in zip(self.blocks, space.block_sizes))
+        return len(self.blocks) == len(space.block_sizes) and all(
+            len(d) == b for d, b in zip(self.blocks, space.block_sizes)
         )
 
 

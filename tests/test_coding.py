@@ -1,4 +1,4 @@
-"""Sender/receiver coding tests: decision rules, posteriors, episodes,
+"""Sender/receiver coding tests: coupling rows, posteriors, episodes,
 round trips, and the information-theoretic guarantees."""
 
 import logging
@@ -8,10 +8,9 @@ import numpy as np
 import pytest
 
 from trajcomm.coding import (
-    DecisionRule,
+    action_row,
     check_mixture,
     exact_coded_value,
-    make_decision_rule,
     map_estimate,
     posterior_update,
     receiver_decode,
@@ -28,77 +27,69 @@ from trajcomm.mec import exact_mec_oracle, greedy_mec
 TOY_SOFTMAX = np.array([0.7213991842739685, 0.26538792877224193, 0.013212886953789414])
 
 
-class TestMakeDecisionRule:
+def _coupling(joint) -> SparseCoupling:
+    """The sparse coupling of a dense joint, entries in row-major order."""
+    joint = np.asarray(joint, dtype=np.float64)
+    rows, cols = np.nonzero(joint)
+    entries = tuple((float(joint[r, c]), int(r), int(c)) for r, c in zip(rows, cols))
+    return SparseCoupling(entries, *joint.shape)
+
+
+class TestActionRow:
     def test_fair_coins_permutation(self):
-        rule = make_decision_rule(Dist([0.5, 0.5]), Dist([0.5, 0.5]))
-        assert np.allclose(rule.row(0), [1.0, 0.0])
-        assert np.allclose(rule.row(1), [0.0, 1.0])
+        policy = Dist([0.5, 0.5])
+        c = greedy_mec(Dist([0.5, 0.5]), policy)
+        assert np.allclose(action_row(c, 0, policy), [1.0, 0.0])
+        assert np.allclose(action_row(c, 1, policy), [0.0, 1.0])
 
     def test_known_message_communicates_nothing(self):
         action_dist = Dist([0.3, 0.6, 0.1])
-        rule = make_decision_rule(Dist([1.0]), action_dist)
-        assert np.allclose(rule.row(0), action_dist.probs)
+        c = greedy_mec(Dist([1.0]), action_dist)
+        assert np.allclose(action_row(c, 0, action_dist), action_dist.probs)
 
     def test_coin_against_three_outcomes(self):
-        rule = make_decision_rule(Dist([0.5, 0.5]), Dist([0.5, 0.25, 0.25]))
-        assert np.allclose(rule.row(0), [1.0, 0.0, 0.0])
-        assert np.allclose(rule.row(1), [0.0, 0.5, 0.5])
+        policy = Dist([0.5, 0.25, 0.25])
+        c = greedy_mec(Dist([0.5, 0.5]), policy)
+        assert np.allclose(action_row(c, 0, policy), [1.0, 0.0, 0.0])
+        assert np.allclose(action_row(c, 1, policy), [0.0, 0.5, 0.5])
 
     def test_mixture_reconstructs_marginal(self):
         rng = np.random.default_rng(21)
         for _ in range(50):
             b = Dist(rng.dirichlet(np.ones(int(rng.integers(2, 10)))))
             a = Dist(rng.dirichlet(np.ones(int(rng.integers(2, 6)))))
-            rule = make_decision_rule(b, a)
-            mix = sum(b.probs[i] * rule.row(i) for i in range(len(b)))
+            c = greedy_mec(b, a)
+            mix = sum(b.probs[i] * action_row(c, i, a) for i in range(len(b)))
             assert np.max(np.abs(mix - a.probs)) < 1e-9
 
-
-class TestDecisionRuleRows:
     def test_identity_coupling_rows(self):
         c = SparseCoupling(((0.5, 0, 0), (0.5, 1, 1)), 2, 2)
-        rule = DecisionRule.from_coupling(c, Dist([0.5, 0.5]))
-        assert np.allclose(rule.row(0), [1.0, 0.0])
-        assert np.allclose(rule.row(1), [0.0, 1.0])
+        policy = Dist([0.5, 0.5])
+        assert np.allclose(action_row(c, 0, policy), [1.0, 0.0])
+        assert np.allclose(action_row(c, 1, policy), [0.0, 1.0])
 
     def test_independent_rows_equal_column_marginal(self):
         c = SparseCoupling(
             ((0.25, 0, 0), (0.25, 0, 1), (0.25, 1, 0), (0.25, 1, 1)), 2, 2
         )
-        rule = DecisionRule.from_coupling(c, Dist([0.5, 0.5]))
         for m in range(2):
-            assert np.allclose(rule.row(m), c.col_marginal().probs)
+            assert np.allclose(action_row(c, m, Dist([0.5, 0.5])), c.col_marginal().probs)
 
     def test_mixed_example_rows(self):
         c = SparseCoupling(((0.5, 0, 0), (0.25, 1, 1), (0.25, 1, 2)), 2, 3)
-        rule = DecisionRule.from_coupling(c, c.col_marginal())
-        assert np.allclose(rule.row(0), [1.0, 0.0, 0.0])
-        assert np.allclose(rule.row(1), [0.0, 0.5, 0.5])
-        assert np.array_equal(rule.row_mass, [0.5, 0.5])
+        assert np.allclose(action_row(c, 0, c.col_marginal()), [1.0, 0.0, 0.0])
+        assert np.allclose(action_row(c, 1, c.col_marginal()), [0.0, 0.5, 0.5])
+        assert np.array_equal(c.row_mass, [0.5, 0.5])
 
     def test_zero_mass_row_gets_fallback(self):
         c = SparseCoupling(((1.0, 0, 0),), 2, 1)
-        rule = DecisionRule.from_coupling(c, Dist([1.0]))
-        assert rule.row_mass[1] == 0.0
-        assert rule.row(1) is rule.marginal.probs
-
-    def test_fallback_length_checked(self):
-        c = SparseCoupling(((1.0, 0, 0),), 1, 1)
-        with pytest.raises(ValueError):
-            DecisionRule.from_coupling(c, Dist([0.5, 0.5]))
-
-    def test_arrays_are_read_only(self):
-        rule = DecisionRule(
-            joint=[[0.5, 0.0], [0.0, 0.5]], row_mass=[0.5, 0.5], marginal=Dist([0.5, 0.5])
-        )
-        with pytest.raises(ValueError):
-            rule.joint[0, 0] = 1.0
-        with pytest.raises(ValueError):
-            rule.row_mass[0] = 1.0
+        policy = Dist([1.0])
+        assert c.row_mass[1] == 0.0
+        assert action_row(c, 1, policy) is policy.probs
 
 
 def _reference_rows(c: SparseCoupling, fallback: Dist) -> list:
-    """One Dist per coupling row, built entry by entry (the array rule's reference)."""
+    """One Dist per coupling row, built entry by entry (the array rows' reference)."""
     weights = [np.zeros(c.n_cols) for _ in range(c.n_rows)]
     totals = np.zeros(c.n_rows)
     for mass, r, col in c.entries:
@@ -133,18 +124,18 @@ def _random_coupling(rng: np.random.Generator, n_rows: int, n_cols: int) -> Spar
 
 
 class TestReferenceEquivalence:
-    """The array rule reproduces the per-row reference bit for bit."""
+    """Rows and posteriors read off the coupling's arrays reproduce the per-row
+    reference bit for bit."""
 
-    def _assert_matches(self, c: SparseCoupling, b: Dist, marginal: Dist):
-        rule = DecisionRule.from_coupling(c, marginal)
-        ref = _reference_rows(c, marginal)
+    def _assert_matches(self, c: SparseCoupling, b: Dist, policy: Dist):
+        ref = _reference_rows(c, policy)
         for m in range(c.n_rows):
-            assert rule.row(m).tobytes() == ref[m].probs.tobytes()
+            assert action_row(c, m, policy).tobytes() == ref[m].probs.tobytes()
         for a in range(c.n_cols):
-            if marginal[a] == 0.0:
+            if policy[a] == 0.0:
                 continue  # no row can have produced this action
             for noise_p in (0.0, 0.2):
-                post = posterior_update(b, rule, a, noise_p).probs
+                post = posterior_update(b, c, policy, a, noise_p).probs
                 assert post.tobytes() == _reference_posterior(b, ref, a, noise_p).tobytes()
 
     def test_random_couplings_with_empty_rows(self):
@@ -166,66 +157,70 @@ class TestReferenceEquivalence:
 
 class TestCheckMixture:
     def test_coupled_rule_passes(self):
-        b = Dist([0.25, 0.25, 0.5])
-        rule = make_decision_rule(b, Dist([0.5, 0.3, 0.2]))
-        check_mixture(rule, b)
+        b, policy = Dist([0.25, 0.25, 0.5]), Dist([0.5, 0.3, 0.2])
+        check_mixture(greedy_mec(b, policy), b, policy)
 
     def test_drift_within_tolerance_passes(self):
-        rule = DecisionRule(
-            joint=[[0.5 + 5e-10, 0.0], [0.0, 0.5]], row_mass=[0.5, 0.5], marginal=Dist([0.5, 0.5])
-        )
-        check_mixture(rule, Dist([0.5, 0.5]))
+        c = _coupling([[0.5 + 5e-10, 0.0], [0.0, 0.5]])
+        check_mixture(c, Dist([0.5, 0.5]), Dist([0.5, 0.5]))
 
     def test_column_drift_raises(self):
-        rule = DecisionRule(
-            joint=[[0.5 + 2e-9, 0.0], [0.0, 0.5]], row_mass=[0.5, 0.5], marginal=Dist([0.5, 0.5])
-        )
+        # Row totals are exact; column 0 carries 2e-9 too much.
+        c = _coupling([[0.25 + 2e-9, 0.25 - 2e-9], [0.25, 0.25]])
+        assert np.array_equal(c.row_mass, [0.5, 0.5])
         with pytest.raises(RuntimeError, match="drifted"):
-            check_mixture(rule, Dist([0.5, 0.5]))
+            check_mixture(c, Dist([0.5, 0.5]), Dist([0.5, 0.5]))
 
     def test_row_mass_drift_raises(self):
-        rule = DecisionRule(
-            joint=[[0.5, 0.0], [0.0, 0.5]],
-            row_mass=[0.5 + 2e-9, 0.5 - 2e-9],
-            marginal=Dist([0.5, 0.5]),
-        )
+        # Column sums are exact; row 0 carries 2e-9 too much.
+        c = _coupling([[0.25 + 2e-9, 0.25], [0.25 - 2e-9, 0.25]])
+        assert np.array_equal(c.joint.sum(axis=0), [0.5, 0.5])
         with pytest.raises(RuntimeError, match="drifted"):
-            check_mixture(rule, Dist([0.5, 0.5]))
+            check_mixture(c, Dist([0.5, 0.5]), Dist([0.5, 0.5]))
+
+    @pytest.mark.parametrize(
+        "b, policy",
+        [
+            pytest.param(Dist([1.0]), Dist([0.5, 0.5]), id="extra-action"),
+            pytest.param(Dist([0.5, 0.5]), Dist([1.0]), id="extra-message"),
+        ],
+    )
+    def test_shape_mismatch_raises(self, b, policy):
+        c = SparseCoupling(((1.0, 0, 0),), 1, 1)
+        with pytest.raises(RuntimeError, match="shape"):
+            check_mixture(c, b, policy)
 
 
 class TestPosteriorUpdate:
     def test_bayes_arithmetic(self):
-        rule = DecisionRule(
-            joint=[[0.45, 0.05], [0.15, 0.35]], row_mass=[0.5, 0.5], marginal=Dist([0.6, 0.4])
-        )
-        post = posterior_update(Dist([0.5, 0.5]), rule, 0)
+        c = _coupling([[0.45, 0.05], [0.15, 0.35]])
+        post = posterior_update(Dist([0.5, 0.5]), c, Dist([0.6, 0.4]), 0)
         assert np.allclose(post.probs, [0.75, 0.25])
 
     def test_deterministic_rule_identifies(self):
-        rule = make_decision_rule(Dist([0.5, 0.5]), Dist([0.5, 0.5]))
-        post = posterior_update(Dist([0.5, 0.5]), rule, 0)
+        policy = Dist([0.5, 0.5])
+        c = greedy_mec(Dist([0.5, 0.5]), policy)
+        post = posterior_update(Dist([0.5, 0.5]), c, policy, 0)
         assert np.allclose(post.probs, [1.0, 0.0])
 
     def test_identical_rows_keep_prior(self):
-        d = Dist([0.3, 0.7])
-        rule = DecisionRule(joint=[[0.15, 0.35], [0.15, 0.35]], row_mass=[0.5, 0.5], marginal=d)
+        c = _coupling([[0.15, 0.35], [0.15, 0.35]])
         prior = Dist([0.25, 0.75])
-        post = posterior_update(prior, rule, 1)
+        post = posterior_update(prior, c, Dist([0.3, 0.7]), 1)
         assert np.allclose(post.probs, prior.probs)
 
     def test_noise_keeps_flipped_message_alive(self):
         # Message 0 always intends action 0; under 20% noise it still
         # executes action 1 with probability 0.1.
-        rule = make_decision_rule(Dist([0.5, 0.5]), Dist([0.5, 0.5]))
-        post = posterior_update(Dist([0.5, 0.5]), rule, 1, noise_p=0.2)
+        policy = Dist([0.5, 0.5])
+        c = greedy_mec(Dist([0.5, 0.5]), policy)
+        post = posterior_update(Dist([0.5, 0.5]), c, policy, 1, noise_p=0.2)
         assert np.allclose(post.probs, [0.1, 0.9])
 
     def test_wipeout_resets_to_uniform_and_warns(self, caplog):
-        rule = DecisionRule(
-            joint=[[0.5, 0.0], [0.5, 0.0]], row_mass=[0.5, 0.5], marginal=Dist([1.0, 0.0])
-        )
+        c = _coupling([[0.5, 0.0], [0.5, 0.0]])
         with caplog.at_level(logging.WARNING, logger="trajcomm.coding"):
-            post = posterior_update(Dist([0.5, 0.5]), rule, 1)
+            post = posterior_update(Dist([0.5, 0.5]), c, Dist([1.0, 0.0]), 1)
         assert np.allclose(post.probs, [0.5, 0.5])
         assert any("wiped out" in r.message for r in caplog.records)
 
@@ -388,7 +383,7 @@ class TestRunningBlockPick:
         mcg = McgSpec(
             mdp=build_channel_chain(40, 3),
             message_space=MessageSpace.product([2, 2, 2, 2, 3, 3]),
-            prior=Belief(tuple(blocks), factored=True),
+            prior=Belief(tuple(blocks)),
             priority=1.0,
             noise_p=0.1,
         )

@@ -149,7 +149,9 @@ class TestSparseCoupling:
         assert np.array_equal(c.masses, [0.5, 0.25, 0.25])
         assert np.array_equal(c.rows, [0, 1, 1])
         assert np.array_equal(c.cols, [0, 1, 2])
-        for arr in (c.masses, c.rows, c.cols):
+        assert np.array_equal(c.joint, [[0.5, 0.0, 0.0], [0.0, 0.25, 0.25]])
+        assert np.array_equal(c.row_mass, [0.5, 0.5])
+        for arr in (c.masses, c.rows, c.cols, c.joint, c.row_mass):
             with pytest.raises(ValueError):
                 arr[0] = 0
 
@@ -165,10 +167,14 @@ class TestSparseCoupling:
                 (float(m), int(k) // n_cols, int(k) % n_cols) for m, k in zip(masses, cells)
             )
             rows, cols = np.zeros(n_rows), np.zeros(n_cols)
+            joint = np.zeros((n_rows, n_cols))
             for mass, r, col in entries:
                 rows[r] += mass
                 cols[col] += mass
+                joint[r, col] = mass
             c = SparseCoupling(entries, n_rows, n_cols)
+            assert c.joint.tobytes() == joint.tobytes()
+            assert c.row_mass.tobytes() == rows.tobytes()
             assert c.row_marginal().probs.tobytes() == rows.tobytes()
             assert c.col_marginal().probs.tobytes() == cols.tobytes()
             assert c.row_marginal() is c.row_marginal()

@@ -83,13 +83,13 @@ class TestGreedyMecProperties:
 
     def test_mixture_identity(self):
         # sum_i p_i * joint[i] / row_mass[i] reconstructs q exactly.
-        from trajcomm.coding import DecisionRule
+        from trajcomm.coding import action_row
 
         rng = np.random.default_rng(14)
         for _ in range(100):
             p, q = random_dist(rng, max_size=24), random_dist(rng, max_size=24)
-            rule = DecisionRule.from_coupling(greedy_mec(p, q), q)
-            mix = sum(p.probs[i] * rule.row(i) for i in range(len(p)))
+            c = greedy_mec(p, q)
+            mix = sum(p.probs[i] * action_row(c, i, q) for i in range(len(p)))
             assert np.max(np.abs(mix - q.probs)) < 1e-9
 
     def test_sparsity_linear_in_support(self):
