@@ -88,6 +88,23 @@ class TestActionRow:
         assert action_row(c, 1, policy) is policy.probs
 
 
+class TestDecisionRuleRows:
+    def test_arrays_are_read_only(self):
+        # The decision rule is the greedy coupling; the arrays action_row
+        # reads from it, and the fallback row it hands out, must not be writable.
+        policy = Dist([0.5, 0.5])
+        rule = greedy_mec(Dist([0.5, 0.5]), policy)
+        assert np.array_equal(rule.joint, [[0.5, 0.0], [0.0, 0.5]])
+        assert np.array_equal(rule.row_mass, [0.5, 0.5])
+        with pytest.raises(ValueError):
+            rule.joint[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            rule.row_mass[0] = 1.0
+        empty_row = SparseCoupling(((1.0, 0, 0),), 2, 1)
+        with pytest.raises(ValueError):
+            action_row(empty_row, 1, Dist([1.0]))[0] = 0.0
+
+
 def _reference_rows(c: SparseCoupling, fallback: Dist) -> list:
     """One Dist per coupling row, built entry by entry (the array rows' reference)."""
     weights = [np.zeros(c.n_cols) for _ in range(c.n_rows)]
