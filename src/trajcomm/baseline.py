@@ -6,6 +6,11 @@ the exact posterior over messages against the sender's live behavior policy,
 and the terminal transition's reward is shaped by priority * max_m b(m)
 before the update. Evaluation rolls out the low-temperature policy and
 guesses the MAP of the same exact posterior.
+
+Training builds one softmax block per visited state, over every message.
+That block is the behaviour policy and posterior column of the step taken
+from the state, and its row for the episode's message also gives the
+soft-value target of the step that entered it.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ import math
 import numpy as np
 
 from .dist import sample_index
+from .maxent import softmax_parts
 from .mcg import McgSpec
 from .mdp import apply_actuator_noise, step
 
@@ -57,9 +63,7 @@ def _check_space(mcg: McgSpec) -> int:
 
 def _behavior(q_s: np.ndarray, alpha: float) -> np.ndarray:
     """Softmax rows for every message at one state: shape (messages, actions)."""
-    x = q_s / alpha
-    e = np.exp(x - x.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    return softmax_parts(q_s, alpha)[0]
 
 
 def train_rl_pr(
@@ -80,6 +84,12 @@ def train_rl_pr(
     final Q update. The temperature anneals geometrically from
     ``alpha_start`` to ``alpha_end``; the learning rate anneals likewise when
     ``lr_end`` is given.
+
+    One softmax block per visited state serves two steps: row ``m``'s max
+    and exp-sum give the soft-value target of the step that enters the
+    state, and the block is the behaviour policy and posterior column of the
+    step taken from it. It is rebuilt after the update only on a self-loop,
+    where the update changed it.
     """
     n_messages = _check_space(mcg)
     if rng is None:
@@ -95,8 +105,8 @@ def train_rl_pr(
         m = sample_index(prior, rng)
         b = prior.copy()
         s = mdp.initial_state
+        rows, mx, sums = softmax_parts(q[s], alpha)
         while True:
-            rows = _behavior(q[s], alpha)
             a = sample_index(rows[m], rng)
             executed = apply_actuator_noise(a, mcg.noise_p, mdp.n_actions, rng)
             b = b * rows[:, executed]
@@ -109,12 +119,14 @@ def train_rl_pr(
             if mdp.is_terminal(nxt):
                 target = reward + priority * float(b.max())
             else:
-                x = q[nxt, m] / alpha
-                mx = x.max()
-                target = reward + alpha * (mx + math.log(float(np.exp(x - mx).sum())))
+                if nxt != s:
+                    rows, mx, sums = softmax_parts(q[nxt], alpha)
+                target = reward + alpha * (mx[m, 0] + math.log(sums[m, 0]))
             q[s, m, executed] += lr * (target - q[s, m, executed])
             if mdp.is_terminal(nxt):
                 break
+            if nxt == s:
+                rows, mx, sums = softmax_parts(q[s], alpha)
             s = nxt
         alpha = max(alpha_end, alpha * decay)
         lr *= lr_decay

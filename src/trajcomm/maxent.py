@@ -55,10 +55,20 @@ class TrainConfig:
             raise ValueError("learning rate must lie in (0, 1]")
 
 
-def _softmax(row: np.ndarray, alpha: float) -> np.ndarray:
-    x = row / alpha
-    e = np.exp(x - x.max())
-    return e / e.sum()
+def softmax_parts(q: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Softmax of ``q / alpha`` along the last axis, with the parts it was built from.
+
+    Returns ``(probs, mx, sums)``: ``mx`` is each row's max of ``q / alpha``
+    and ``sums`` its sum of ``exp(q / alpha - mx)``, both with the last axis
+    kept at size 1. A row's soft value is ``alpha * (mx + log(sums))``, so
+    the trainers read a state's soft-value target off the same block their
+    behaviour policy samples from.
+    """
+    x = q / alpha
+    mx = x.max(axis=-1, keepdims=True)
+    e = np.exp(x - mx)
+    sums = e.sum(axis=-1, keepdims=True)
+    return e / sums, mx, sums
 
 
 def softmax_policy(q: QTable, s: int) -> Dist:
@@ -69,7 +79,7 @@ def softmax_policy(q: QTable, s: int) -> Dist:
     """
     d = q._policy_rows.get(s)
     if d is None:
-        d = q._policy_rows[s] = Dist(_softmax(q.values[s], q.alpha))
+        d = q._policy_rows[s] = Dist(softmax_parts(q.values[s], q.alpha)[0])
     return d
 
 
@@ -123,6 +133,10 @@ def train_soft_q(
     Behavior is the softmax policy of the current table; targets bootstrap
     through the soft value of the next state (zero at terminals). Constant
     learning rate, undiscounted episodes.
+
+    One softmax per visited state: the row built for the next state gives the
+    step's target and is the policy the next step samples from. It is rebuilt
+    after the update only on a self-loop, where the update changed it.
     """
     if alpha <= 0.0:
         raise ValueError("temperature must be positive")
@@ -132,17 +146,19 @@ def train_soft_q(
     lr = cfg.learning_rate
     for _ in range(cfg.episodes):
         s = mdp.initial_state
+        probs, mx, sums = softmax_parts(q[s], alpha)
         while not mdp.is_terminal(s):
-            probs = _softmax(q[s], alpha)
             a = sample_index(probs, rng)
             nxt, reward = step(mdp, s, a, rng)
             if mdp.is_terminal(nxt):
                 target = reward
             else:
-                x = q[nxt] / alpha
-                m = x.max()
-                target = reward + alpha * (m + math.log(float(np.exp(x - m).sum())))
+                if nxt != s:
+                    probs, mx, sums = softmax_parts(q[nxt], alpha)
+                target = reward + alpha * (mx[0] + math.log(sums[0]))
             q[s, a] += lr * (target - q[s, a])
+            if nxt == s:
+                probs, mx, sums = softmax_parts(q[s], alpha)
             s = nxt
     return QTable(values=q, alpha=alpha)
 

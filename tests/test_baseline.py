@@ -1,5 +1,7 @@
 """Message-conditional Q-learning baseline tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -11,10 +13,10 @@ from trajcomm.baseline import (
     train_rl_pr,
 )
 from trajcomm.dist import Dist, sample_index
-from trajcomm.envs import build_channel_chain, build_toy_mcg, chain_mcg
+from trajcomm.envs import build_channel_chain, build_codegrid, build_toy_mcg, chain_mcg
 from trajcomm.maxent import TrainConfig, exact_soft_vi, train_soft_q
 from trajcomm.mcg import Belief, McgSpec, MessageSpace
-from trajcomm.mdp import apply_actuator_noise, enumerate_trajectories, step
+from trajcomm.mdp import MdpSpec, apply_actuator_noise, enumerate_trajectories, step
 
 
 def single_message_game():
@@ -63,6 +65,100 @@ class TestTrainRlPr:
         assert stats.accuracy >= 0.95
         # Message-separated play keeps high return: best two actions.
         assert stats.mean_return >= 3.0
+
+
+def self_loop_game(noise_p=0.0):
+    """Three messages over a stochastic MDP whose states 0 and 1 each have an
+    action that stays put half the time."""
+    mdp = MdpSpec(
+        n_states=3,
+        n_actions=2,
+        # Rows (0,0) -> 0 or 1, (0,1) -> 1, (1,0) -> 2, (1,1) -> 1 or 2.
+        row_offsets=[0, 2, 3, 4, 6, 6, 6],
+        next_state=[0, 1, 1, 2, 1, 2],
+        prob=[0.5, 0.5, 1.0, 1.0, 0.5, 0.5],
+        rewards=np.array([[0.3, -0.2], [0.5, 0.1], [0.0, 0.0]]),
+        initial_state=0,
+        terminal_states=frozenset({2}),
+        horizon_bound=64,
+    )
+    return McgSpec(
+        mdp=mdp,
+        message_space=MessageSpace.explicit(3),
+        prior=Belief.explicit(Dist([0.5, 0.3, 0.2])),
+        priority=1.0,
+        noise_p=noise_p,
+    )
+
+
+def per_step_rl_pr(mcg, priority, cfg, rng, alpha_start, alpha_end, lr_end):
+    """Reference: the RL+PR trainer with a fresh softmax block for the behaviour
+    policy and a separate soft-value target at every step."""
+    mdp = mcg.mdp
+    n_messages = mcg.message_space.cardinality
+    q = np.zeros((mdp.n_states, n_messages, mdp.n_actions))
+    lr = cfg.learning_rate
+    prior = mcg.prior.blocks[0].probs
+    decay = (alpha_end / alpha_start) ** (1.0 / max(1, cfg.episodes - 1))
+    lr_decay = (lr_end / lr) ** (1.0 / max(1, cfg.episodes - 1))
+    alpha = alpha_start
+    for _ in range(cfg.episodes):
+        m = sample_index(prior, rng)
+        b = prior.copy()
+        s = mdp.initial_state
+        while True:
+            x = q[s] / alpha
+            e = np.exp(x - x.max(axis=1, keepdims=True))
+            rows = e / e.sum(axis=1, keepdims=True)
+            a = sample_index(rows[m], rng)
+            executed = apply_actuator_noise(a, mcg.noise_p, mdp.n_actions, rng)
+            b = b * rows[:, executed]
+            total = b.sum()
+            if total < 1e-300:
+                b = np.full(n_messages, 1.0 / n_messages)
+            else:
+                b = b / total
+            nxt, reward = step(mdp, s, executed, rng)
+            if mdp.is_terminal(nxt):
+                target = reward + priority * float(b.max())
+            else:
+                x = q[nxt, m] / alpha
+                mx = x.max()
+                target = reward + alpha * (mx + math.log(float(np.exp(x - mx).sum())))
+            q[s, m, executed] += lr * (target - q[s, m, executed])
+            if mdp.is_terminal(nxt):
+                break
+            s = nxt
+        alpha = max(alpha_end, alpha * decay)
+        lr *= lr_decay
+    return q
+
+
+class TestTrainRlPrReference:
+    @pytest.mark.parametrize(
+        "game, zeta, episodes",
+        [
+            (lambda: build_codegrid(8), 0.3, 500),
+            (lambda: build_codegrid(8), 3.0, 500),
+            (lambda: build_codegrid(8, noise_p=0.1), 0.3, 500),
+            (lambda: build_codegrid(8, noise_p=0.1), 3.0, 500),
+            (lambda: build_toy_mcg(priority=10.0), 10.0, 2000),
+            (self_loop_game, 1.0, 2000),
+            (lambda: self_loop_game(noise_p=0.1), 1.0, 2000),
+        ],
+        ids=[
+            "codegrid-8-zeta0.3", "codegrid-8-zeta3", "codegrid-8-zeta0.3-eps0.1",
+            "codegrid-8-zeta3-eps0.1", "toy", "self-loop", "self-loop-eps0.1",
+        ],
+    )
+    def test_values_match_per_step_loop_bytes(self, game, zeta, episodes):
+        # The sweep's RL+PR schedule: temperature 0.25 -> 0.015, rate 0.25 -> 0.02.
+        mcg = game()
+        cfg = TrainConfig(episodes=episodes, learning_rate=0.25, seed=0)
+        schedule = dict(alpha_start=0.25, alpha_end=0.015, lr_end=0.02)
+        q = train_rl_pr(mcg, zeta, cfg, rng=np.random.default_rng(7), **schedule)
+        reference = per_step_rl_pr(mcg, zeta, cfg, np.random.default_rng(7), **schedule)
+        assert q.values.tobytes() == reference.tobytes()
 
 
 class TestEvaluateRlPr:

@@ -84,6 +84,32 @@ class TestEntropy:
             assert 0.0 <= entropy(d) <= np.log2(n) + 1e-12
 
 
+def cumsum_sample_index(probs, rng):
+    """Reference: the numpy inverse-CDF draw."""
+    cum = np.cumsum(probs)
+    i = int(np.searchsorted(cum, rng.random() * cum[-1], side="right"))
+    return min(i, len(probs) - 1)
+
+
+class FixedDraws:
+    """A stand-in generator whose ``random()`` returns the given values in turn."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def random(self):
+        return next(self._values)
+
+
+# (length, where runs of zero-mass entries sit); a run is n // 16 entries, at
+# least one.
+SAMPLE_CASES = [(1, "none"), (2, "none"), (2, "leading"), (2, "trailing")] + [
+    (n, zeros)
+    for n in (4, 64, 1024, 4096)
+    for zeros in ("none", "leading", "interior", "trailing", "all-three")
+]
+
+
 class TestSampleIndex:
     def test_matches_probabilities(self):
         rng = np.random.default_rng(0)
@@ -98,6 +124,35 @@ class TestSampleIndex:
         rng = np.random.default_rng(1)
         probs = np.array([0.0, 1.0, 0.0])
         assert all(sample_index(probs, rng) == 1 for _ in range(100))
+
+    @pytest.mark.parametrize("n, zeros", SAMPLE_CASES)
+    def test_matches_cumsum_searchsorted_draw_for_draw(self, n, zeros):
+        probs = np.random.default_rng(n).random(n)
+        k = max(1, n // 16)
+        runs = {
+            "leading": [slice(0, k)],
+            "interior": [slice(n // 2, n // 2 + k)],
+            "trailing": [slice(n - k, n)],
+        }
+        runs["all-three"] = runs["leading"] + runs["interior"] + runs["trailing"]
+        for cut in runs.get(zeros, []):
+            probs[cut] = 0.0
+        probs /= probs.sum()
+        rng, ref = np.random.default_rng(5), np.random.default_rng(5)
+        draws = [sample_index(probs, rng) for _ in range(1000)]
+        assert draws == [cumsum_sample_index(probs, ref) for _ in range(1000)]
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    def test_exact_boundaries_match_searchsorted(self):
+        # A draw landing exactly on a running total goes to the next index,
+        # past any zero-mass entries; u = 1, which random() never returns,
+        # is capped to the last index.
+        probs = np.array([0.0, 0.25, 0.25, 0.0, 0.5, 0.0])
+        us = [0.0, 0.25, 0.5, 0.75, 1.0, 0.9999999999999999]
+        got, want = FixedDraws(us), FixedDraws(us)
+        draws = [sample_index(probs, got) for _ in us]
+        assert draws == [cumsum_sample_index(probs, want) for _ in us]
+        assert draws == [1, 2, 4, 4, 5, 4]
 
 
 class TestSparseCoupling:

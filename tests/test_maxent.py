@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from trajcomm.dist import Dist, entropy, entropy_nats
+from trajcomm.dist import Dist, entropy, entropy_nats, sample_index
 from trajcomm.envs import (
     CodingMdpSpec,
     build_channel_chain,
@@ -16,14 +16,20 @@ from trajcomm.envs import (
 from trajcomm.maxent import (
     QTable,
     TrainConfig,
-    _softmax,
+    softmax_parts,
     exact_policy_objective,
     exact_soft_vi,
     expected_cumulative_entropy_bits,
     softmax_policy,
     train_soft_q,
 )
-from trajcomm.mdp import MdpSpec, enumerate_trajectories, exact_policy_return, trajectory_return
+from trajcomm.mdp import (
+    MdpSpec,
+    enumerate_trajectories,
+    exact_policy_return,
+    step,
+    trajectory_return,
+)
 
 TOY_SOFTMAX = (0.7213991842739685, 0.26538792877224193, 0.013212886953789414)
 TOY_SOFT_VALUE = 4.32656264126747
@@ -63,7 +69,7 @@ class TestSoftmaxPolicy:
         q = exact_soft_vi(mdp, alpha)
         for s in range(mdp.n_states):
             pol = softmax_policy(q, s)
-            assert pol.probs.tobytes() == _softmax(q.values[s], q.alpha).tobytes()
+            assert pol.probs.tobytes() == softmax_parts(q.values[s], q.alpha)[0].tobytes()
             assert softmax_policy(q, s) is pol
 
     def test_reference_row(self):
@@ -192,6 +198,62 @@ class TestTrainSoftQ:
         )
         mask = [s for s in range(mdp.n_states) if not mdp.is_terminal(s)]
         assert np.max(np.abs(learned.values[mask] - exact.values[mask])) < 0.05
+
+
+def self_loop_mdp():
+    """Three states, two actions; action 0 in state 0 stays there half the time,
+    and action 1 in state 1 stays there half the time."""
+    return MdpSpec(
+        n_states=3,
+        n_actions=2,
+        # Rows (0,0) -> 0 or 1, (0,1) -> 1, (1,0) -> 2, (1,1) -> 1 or 2.
+        row_offsets=[0, 2, 3, 4, 6, 6, 6],
+        next_state=[0, 1, 1, 2, 1, 2],
+        prob=[0.5, 0.5, 1.0, 1.0, 0.5, 0.5],
+        rewards=np.array([[0.3, -0.2], [0.5, 0.1], [0.0, 0.0]]),
+        initial_state=0,
+        terminal_states=frozenset({2}),
+        horizon_bound=64,
+    )
+
+
+def per_step_soft_q(mdp, alpha, cfg, rng):
+    """Reference: soft Q-learning with a fresh softmax and a separate soft-value
+    target at every step."""
+    q = np.zeros((mdp.n_states, mdp.n_actions))
+    for _ in range(cfg.episodes):
+        s = mdp.initial_state
+        while not mdp.is_terminal(s):
+            x = q[s] / alpha
+            e = np.exp(x - x.max())
+            a = sample_index(e / e.sum(), rng)
+            nxt, reward = step(mdp, s, a, rng)
+            if mdp.is_terminal(nxt):
+                target = reward
+            else:
+                x = q[nxt] / alpha
+                m = x.max()
+                target = reward + alpha * (m + math.log(float(np.exp(x - m).sum())))
+            q[s, a] += cfg.learning_rate * (target - q[s, a])
+            s = nxt
+    return q
+
+
+class TestTrainSoftQReference:
+    @pytest.mark.parametrize(
+        "mdp, alpha",
+        [
+            (stochastic_mdp(), 0.5),
+            (self_loop_mdp(), 0.5),
+            (build_channel_chain(6, 3), 0.2),
+        ],
+        ids=["stochastic", "self-loop", "chain-6x3"],
+    )
+    def test_values_match_per_step_loop_bytes(self, mdp, alpha):
+        cfg = TrainConfig(episodes=2000, learning_rate=0.1, seed=4)
+        learned = train_soft_q(mdp, alpha, cfg, rng=np.random.default_rng(9))
+        reference = per_step_soft_q(mdp, alpha, cfg, np.random.default_rng(9))
+        assert learned.values.tobytes() == reference.tobytes()
 
 
 def loop_soft_vi(mdp, alpha):
