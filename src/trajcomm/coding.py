@@ -20,6 +20,18 @@ does not rule the true message out.
 The coupling is the decision rule. Message ``m`` acts by its row of the
 coupling's dense joint divided by the row's total, and the receiver reads its
 likelihoods off one column; no per-message distribution is built.
+
+Replay is deterministic, so a decision depends only on the bytes of the
+active block's belief and of the policy row (the noise level is fixed by the
+game). Each call of ``sender_episode``, ``receiver_decode`` and
+``exact_coded_value`` keeps one memo keyed by
+``(block.probs.tobytes(), policy.probs.tobytes())``. An entry holds the
+coupling built and checked for those bytes, and the posterior already
+computed from it for each executed action. A repeated decision reuses both,
+so ``greedy_mec``, ``check_mixture`` and ``posterior_update`` run once per
+distinct input rather than once per step. The memo lives for one call: the
+sender and the receiver never share one, so every decode rebuilds its
+couplings from the observed trajectory alone.
 """
 
 from __future__ import annotations
@@ -143,29 +155,58 @@ def _active_block(h: np.ndarray | None) -> int:
     return 0 if h is None else int(np.argmax(h))
 
 
-def _plan(belief: Belief, h: np.ndarray | None, policy: Dist) -> tuple[int, SparseCoupling]:
-    """The active block and the greedy coupling of its belief with ``policy``."""
+# (block bytes, policy bytes) -> (coupling, posterior per executed action).
+_Memo = dict[tuple[bytes, bytes], tuple[SparseCoupling, dict[int, Dist]]]
+
+
+def _plan(
+    belief: Belief, h: np.ndarray | None, policy: Dist, memo: _Memo
+) -> tuple[int, SparseCoupling, dict[int, Dist]]:
+    """The active block, its greedy coupling with ``policy``, and that
+    coupling's posteriors so far, keyed by executed action.
+
+    The coupling is built and checked only when ``memo`` has no entry for
+    the block's and the policy's bytes; the new entry starts with no
+    posteriors.
+    """
     block = _active_block(h)
     b = belief.blocks[block]
-    if len(b) > MAX_EXPLICIT_MESSAGES:
-        raise ValueError(
-            f"belief support {len(b)} exceeds the per-coupling cap "
-            f"{MAX_EXPLICIT_MESSAGES}; use a factored message space"
-        )
-    coupling = greedy_mec(b, policy)
-    check_mixture(coupling, b, policy)
-    return block, coupling
+    key = (b.probs.tobytes(), policy.probs.tobytes())
+    decision = memo.get(key)
+    if decision is None:
+        if len(b) > MAX_EXPLICIT_MESSAGES:
+            raise ValueError(
+                f"belief support {len(b)} exceeds the per-coupling cap "
+                f"{MAX_EXPLICIT_MESSAGES}; use a factored message space"
+            )
+        coupling = greedy_mec(b, policy)
+        check_mixture(coupling, b, policy)
+        decision = memo[key] = (coupling, {})
+    return block, *decision
 
 
 def _apply(
-    belief: Belief, h: np.ndarray | None, block: int, coupling: SparseCoupling, policy: Dist,
-    executed: int, noise_p: float,
+    belief: Belief, h: np.ndarray | None, block: int, coupling: SparseCoupling,
+    posteriors: dict[int, Dist], policy: Dist, executed: int, noise_p: float,
 ) -> Belief:
-    """The updated belief; ``h``, if given, is updated in place to match it."""
+    """The updated belief; ``h``, if given, is updated in place to match it.
+
+    The block's posterior is taken from ``posteriors`` when the coupling has
+    seen ``executed`` before, and stored there otherwise. A posterior that
+    reads exactly uniform is not stored: a wipe-out resets the block to
+    uniform, and each wipe-out must log its own warning.
+    """
+    post = posteriors.get(executed)
+    if post is None:
+        post = posterior_update(belief.blocks[block], coupling, policy, executed, noise_p)
+        uniform = 1.0 / len(post)
+        # The first entry settles it for almost every posterior.
+        if post.probs[0] != uniform or not (post.probs == uniform).all():
+            posteriors[executed] = post
     blocks = list(belief.blocks)
-    blocks[block] = posterior_update(blocks[block], coupling, policy, executed, noise_p)
+    blocks[block] = post
     if h is not None:
-        h[block] = entropy(blocks[block])
+        h[block] = entropy(post)
     return Belief(tuple(blocks))
 
 
@@ -183,16 +224,17 @@ def sender_episode(
         raise ValueError(f"message {m!r} is not in the message space")
     belief = mcg.prior
     h = _block_entropies(belief)
+    memo: _Memo = {}
     trace = [belief]
     steps = []
     s = mcg.mdp.initial_state
     while not mcg.mdp.is_terminal(s):
         policy = softmax_policy(q, s)
-        block, coupling = _plan(belief, h, policy)
+        block, coupling, posteriors = _plan(belief, h, policy, memo)
         value = m[block] if mcg.message_space.factored else m
         intended = sample_index(action_row(coupling, value, policy), rng)
         executed = apply_actuator_noise(intended, mcg.noise_p, mcg.mdp.n_actions, rng)
-        belief = _apply(belief, h, block, coupling, policy, executed, mcg.noise_p)
+        belief = _apply(belief, h, block, coupling, posteriors, policy, executed, mcg.noise_p)
         trace.append(belief)
         nxt, reward = step(mcg.mdp, s, executed, rng)
         steps.append(Step(s, intended, executed, reward))
@@ -221,11 +263,12 @@ def receiver_decode(
     _validate_view(mcg, z)
     belief = mcg.prior
     h = _block_entropies(belief)
+    memo: _Memo = {}
     trace = [belief]
     for s, executed in z.steps:
         policy = softmax_policy(q, s)
-        block, coupling = _plan(belief, h, policy)
-        belief = _apply(belief, h, block, coupling, policy, executed, mcg.noise_p)
+        block, coupling, posteriors = _plan(belief, h, policy, memo)
+        belief = _apply(belief, h, block, coupling, posteriors, policy, executed, mcg.noise_p)
         trace.append(belief)
     return map_estimate(belief, mcg.message_space.factored), tuple(trace)
 
@@ -256,14 +299,20 @@ def run_roundtrip(q: QTable, mcg: McgSpec, m, rng: np.random.Generator) -> Episo
 
 
 def exact_coded_value(q: QTable, mcg: McgSpec) -> tuple[float, float]:
-    """Exact message-averaged expected return and decode accuracy, noiseless.
+    """Exact message-averaged expected return and decode accuracy.
 
     Walks every (message, trajectory) branch of the coded sender, replicating
-    the belief dynamics exactly, so it is exponential in the horizon and only
-    suitable for small games.
+    the belief dynamics exactly. Under actuator noise ε the sender executes
+    action ``a`` with probability ``(1-ε)·P(a|m) + ε/|A|``, so the walk
+    branches on every executed action and applies the noise-aware update; at
+    ε = 0 the weight is ``P(a|m)`` exactly and impossible actions are pruned.
+    One memo serves the whole walk, over every message, so each distinct
+    decision is coupled once; the number of branches is still exponential in
+    the horizon, so the walk only suits small games.
     """
-    if mcg.noise_p != 0.0:
-        raise ValueError("exact evaluation assumes a noiseless game")
+    noise_p = mcg.noise_p
+    n_actions = mcg.mdp.n_actions
+    memo: _Memo = {}
     total_return = 0.0
     total_acc = 0.0
 
@@ -275,15 +324,16 @@ def exact_coded_value(q: QTable, mcg: McgSpec) -> tuple[float, float]:
                 total_acc += prob
             return
         policy = softmax_policy(q, s)
-        block, coupling = _plan(belief, h, policy)
+        block, coupling, posteriors = _plan(belief, h, policy, memo)
         value = m[block] if mcg.message_space.factored else m
         row = action_row(coupling, value, policy)
-        for a in range(mcg.mdp.n_actions):
-            pa = float(row[a])
+        for a in range(n_actions):
+            # Exact at ε = 0: 1.0 * x + 0.0 == x for every x >= 0.
+            pa = (1.0 - noise_p) * float(row[a]) + noise_p / n_actions
             if pa == 0.0:
                 continue
             nh = None if h is None else h.copy()
-            nb = _apply(belief, nh, block, coupling, policy, a, mcg.noise_p)
+            nb = _apply(belief, nh, block, coupling, posteriors, policy, a, noise_p)
             reward = float(mcg.mdp.rewards[s, a])
             for nxt, pt in mcg.mdp.successors(s, a):
                 if pt > 0.0:

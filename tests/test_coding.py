@@ -1,12 +1,14 @@
 """Sender/receiver coding tests: coupling rows, posteriors, episodes,
 round trips, and the information-theoretic guarantees."""
 
+import dataclasses
 import logging
 import math
 
 import numpy as np
 import pytest
 
+from trajcomm import coding
 from trajcomm.coding import (
     action_row,
     check_mixture,
@@ -17,11 +19,25 @@ from trajcomm.coding import (
     run_roundtrip,
     sender_episode,
 )
-from trajcomm.dist import Dist, SparseCoupling, coupling_entropies, entropy
-from trajcomm.envs import build_channel_chain, build_codegrid, build_toy_mcg, chain_mcg
-from trajcomm.maxent import exact_soft_vi, softmax_policy
+from trajcomm.dist import Dist, SparseCoupling, coupling_entropies, entropy, sample_index
+from trajcomm.envs import (
+    CodeGridSpec,
+    build_channel_chain,
+    build_codegrid,
+    build_toy_mcg,
+    chain_mcg,
+)
+from trajcomm.maxent import QTable, exact_soft_vi, softmax_policy
 from trajcomm.mcg import Belief, McgSpec, MessageSpace, sample_message
-from trajcomm.mdp import ObservedTrajectory, exact_policy_return, trajectory_return
+from trajcomm.mdp import (
+    ObservedTrajectory,
+    Step,
+    Trajectory,
+    apply_actuator_noise,
+    exact_policy_return,
+    step,
+    trajectory_return,
+)
 from trajcomm.mec import exact_mec_oracle, greedy_mec
 
 TOY_SOFTMAX = np.array([0.7213991842739685, 0.26538792877224193, 0.013212886953789414])
@@ -366,12 +382,20 @@ def _reference_active_block(belief: Belief) -> int:
 class TestRunningBlockPick:
     """The running entropy array picks the block a full scan would pick."""
 
-    def _assert_trace_picks(self, trace) -> int:
-        """Each step changes exactly the block the scan picks; returns the tied steps."""
+    def _assert_trace_picks(self, q, mcg, z: ObservedTrajectory, trace) -> int:
+        """Each step replaces exactly the block the scan picks by its posterior;
+        returns the tied steps.
+
+        Blocks are compared by bytes: a memoized posterior may be the very
+        object it replaces, as when a point mass stays a point mass.
+        """
+        assert len(trace) == len(z.steps) + 1
         ties = 0
-        for before, after in zip(trace, trace[1:]):
-            changed = [j for j, (u, v) in enumerate(zip(before.blocks, after.blocks)) if u is not v]
-            assert changed == [_reference_active_block(before)]
+        for (s, executed), before, after in zip(z.steps, trace, trace[1:]):
+            policy = softmax_policy(q, s)
+            block, coupling = _reference_plan(before, policy)
+            want = _reference_apply(before, block, coupling, policy, executed, mcg.noise_p)
+            _assert_same_bytes((after,), (want,))
             hs = [entropy(block) for block in before.blocks]
             ties += hs.count(max(hs)) > 1
         return ties
@@ -382,8 +406,9 @@ class TestRunningBlockPick:
         ties = 0
         for _ in range(n):
             rec = run_roundtrip(q, mcg, sample_message(mcg, rng), rng)
-            ties += self._assert_trace_picks(rec.sender_belief_trace)
-            ties += self._assert_trace_picks(rec.receiver_belief_trace)
+            z = rec.trajectory.receiver_view()
+            ties += self._assert_trace_picks(q, mcg, z, rec.sender_belief_trace)
+            ties += self._assert_trace_picks(q, mcg, z, rec.receiver_belief_trace)
         assert ties > 0
 
     def test_noisy_image_over_long_chain(self):
@@ -405,6 +430,174 @@ class TestRunningBlockPick:
             noise_p=0.1,
         )
         self._roundtrips(mcg, 10, seed=12)
+
+
+def _reference_plan(belief: Belief, policy: Dist) -> tuple[int, SparseCoupling]:
+    """One decision with no memo: pick the block by a scan, couple and check."""
+    block = _reference_active_block(belief)
+    b = belief.blocks[block]
+    coupling = greedy_mec(b, policy)
+    check_mixture(coupling, b, policy)
+    return block, coupling
+
+
+def _reference_apply(
+    belief: Belief, block: int, coupling: SparseCoupling, policy: Dist, executed: int,
+    noise_p: float,
+) -> Belief:
+    blocks = list(belief.blocks)
+    blocks[block] = posterior_update(blocks[block], coupling, policy, executed, noise_p)
+    return Belief(tuple(blocks))
+
+
+def _reference_sender(q, mcg, m, rng) -> tuple[Trajectory, list]:
+    """The sender with one coupling, one check and one update per decision."""
+    belief = mcg.prior
+    trace = [belief]
+    steps = []
+    s = mcg.mdp.initial_state
+    while not mcg.mdp.is_terminal(s):
+        policy = softmax_policy(q, s)
+        block, coupling = _reference_plan(belief, policy)
+        value = m[block] if mcg.message_space.factored else m
+        intended = sample_index(action_row(coupling, value, policy), rng)
+        executed = apply_actuator_noise(intended, mcg.noise_p, mcg.mdp.n_actions, rng)
+        belief = _reference_apply(belief, block, coupling, policy, executed, mcg.noise_p)
+        trace.append(belief)
+        nxt, reward = step(mcg.mdp, s, executed, rng)
+        steps.append(Step(s, intended, executed, reward))
+        s = nxt
+    return Trajectory(steps=tuple(steps), final_state=s), trace
+
+
+def _reference_decode(q, mcg, z: ObservedTrajectory) -> tuple[object, list]:
+    """The receiver with one coupling, one check and one update per decision."""
+    belief = mcg.prior
+    trace = [belief]
+    for s, executed in z.steps:
+        policy = softmax_policy(q, s)
+        block, coupling = _reference_plan(belief, policy)
+        belief = _reference_apply(belief, block, coupling, policy, executed, mcg.noise_p)
+        trace.append(belief)
+    return map_estimate(belief, mcg.message_space.factored), trace
+
+
+def _assert_same_bytes(trace, ref):
+    assert len(trace) == len(ref)
+    for got, want in zip(trace, ref):
+        assert len(got.blocks) == len(want.blocks)
+        for u, v in zip(got.blocks, want.blocks):
+            assert u.probs.tobytes() == v.probs.tobytes()
+
+
+def _noisy_image_game():
+    return chain_mcg(build_channel_chain(200, 2), MessageSpace.product([2] * 64), noise_p=0.05)
+
+
+class TestMemoMatchesReference:
+    """The memoized coder reproduces the per-decision loop byte for byte."""
+
+    @pytest.mark.parametrize(
+        "game, alpha, episodes",
+        [
+            pytest.param(_noisy_image_game, 1.0, 3, id="noisy-image-chain"),
+            pytest.param(
+                lambda: chain_mcg(build_channel_chain(200, 4), MessageSpace.explicit(64)),
+                1.0,
+                3,
+                id="chain-64-messages",
+            ),
+            pytest.param(lambda: build_codegrid(32), 0.15, 10, id="codegrid-32"),
+        ],
+    )
+    def test_traces_trajectories_and_decodes(self, game, alpha, episodes):
+        mcg = game()
+        q = exact_soft_vi(mcg.mdp, alpha)
+        draws = np.random.default_rng(41)
+        for i in range(episodes):
+            m = sample_message(mcg, draws)
+            rec = sender_episode(q, mcg, m, np.random.default_rng(i))
+            ref_trajectory, ref_trace = _reference_sender(q, mcg, m, np.random.default_rng(i))
+            assert rec.trajectory.steps == ref_trajectory.steps
+            assert rec.trajectory.final_state == ref_trajectory.final_state
+            _assert_same_bytes(rec.sender_belief_trace, ref_trace)
+            z = rec.trajectory.receiver_view()
+            decoded, trace = receiver_decode(q, mcg, z)
+            ref_decoded, ref_trace = _reference_decode(q, mcg, z)
+            assert decoded == ref_decoded
+            _assert_same_bytes(trace, ref_trace)
+
+    def test_explicit_chain_collapses_to_a_point_mass(self):
+        mcg = chain_mcg(build_channel_chain(200, 4), MessageSpace.explicit(64))
+        q = exact_soft_vi(mcg.mdp, 1.0)
+        rec = run_roundtrip(q, mcg, 17, np.random.default_rng(0))
+        assert rec.receiver_belief_trace[-1].entropy_bits() == 0.0
+        assert rec.decoded == 17
+
+
+class TestMemoScope:
+    """Each coder call keeps its own memo: one coupling per distinct decision."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = {"greedy_mec": 0, "check_mixture": 0}
+        for name in counts:
+            original = getattr(coding, name)
+
+            def counted(*args, _name=name, _original=original):
+                counts[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(coding, name, counted)
+        return counts
+
+    def test_one_coupling_per_distinct_decision(self, counts):
+        mcg = _noisy_image_game()
+        q = exact_soft_vi(mcg.mdp, 1.0)
+        rng = np.random.default_rng(13)
+        rec = sender_episode(q, mcg, sample_message(mcg, rng), rng)
+        sent = counts["greedy_mec"]
+        z = rec.trajectory.receiver_view()
+        distinct = {
+            (
+                before.blocks[_reference_active_block(before)].probs.tobytes(),
+                softmax_policy(q, s).probs.tobytes(),
+            )
+            for (s, _), before in zip(z.steps, rec.sender_belief_trace)
+        }
+        assert sent == len(distinct) < len(z.steps)
+        receiver_decode(q, mcg, z)
+        # The receiver shares nothing with the sender: it builds them all again.
+        assert counts["greedy_mec"] == 2 * sent
+        assert counts["check_mixture"] == counts["greedy_mec"]
+
+    def test_nothing_survives_between_decodes(self, counts):
+        mcg = _noisy_image_game()
+        q = exact_soft_vi(mcg.mdp, 1.0)
+        rng = np.random.default_rng(14)
+        z = sender_episode(q, mcg, sample_message(mcg, rng), rng).trajectory.receiver_view()
+        counts["greedy_mec"] = 0
+        receiver_decode(q, mcg, z)
+        first = counts["greedy_mec"]
+        receiver_decode(q, mcg, z)
+        assert first > 0
+        assert counts["greedy_mec"] == 2 * first
+
+
+class TestWipeoutWarnings:
+    def test_one_warning_per_wipeout(self, caplog):
+        # Both states' rows underflow to [1.0, 0.0]; every executed action 1
+        # wipes the belief out, the same decision each time.
+        values = np.array([[0.0, -1000.0]] * 3 + [[0.0, 0.0]])
+        q = QTable(values, alpha=1.0)
+        assert softmax_policy(q, 0).probs.tolist() == [1.0, 0.0]
+        mcg = chain_mcg(build_channel_chain(3, 2), MessageSpace.explicit(2))
+        z = ObservedTrajectory(steps=((0, 1), (1, 1), (2, 1)), final_state=3)
+        with caplog.at_level(logging.WARNING, logger="trajcomm.coding"):
+            decoded, trace = receiver_decode(q, mcg, z)
+        assert sum("wiped out" in r.message for r in caplog.records) == 3
+        assert all(b.blocks[0].probs.tolist() == [0.5, 0.5] for b in trace)
+        assert decoded == 0
 
 
 class TestNoisyChannel:
@@ -474,3 +667,41 @@ class TestGuarantees:
             h0 = rec.sender_belief_trace[0].entropy_bits()
             hT = rec.sender_belief_trace[-1].entropy_bits()
             assert hT >= h0 - budget - 1e-9
+
+    def test_codegrid_8_value_pin(self):
+        mcg = build_codegrid(8)
+        q = exact_soft_vi(mcg.mdp, alpha=0.5)
+        assert exact_coded_value(q, mcg) == (0.07967486029358133, 0.9999778581481396)
+
+
+def _noise_mixed(q: QTable, noise_p: float, n_actions: int):
+    """The executed-action policy of a sender under actuator noise."""
+    return lambda s: Dist((1.0 - noise_p) * softmax_policy(q, s).probs + noise_p / n_actions)
+
+
+class TestExactValueUnderNoise:
+    @pytest.mark.parametrize(
+        "noise_p, accuracy", [(0.0, 1.0), (0.05, 0.9036878906250004), (0.2, 0.6960999999999998)]
+    )
+    def test_chain_accuracy_pins(self, noise_p, accuracy):
+        chain = build_channel_chain(6, 2)
+        mcg = chain_mcg(chain, MessageSpace.explicit(16), noise_p=noise_p)
+        _, got = exact_coded_value(exact_soft_vi(chain, alpha=1.0), mcg)
+        assert got == pytest.approx(accuracy, abs=1e-12)
+
+    @pytest.mark.parametrize("noise_p", [0.1, 0.3])
+    def test_toy_return_is_the_noise_mixed_policy_return(self, noise_p):
+        mcg = dataclasses.replace(build_toy_mcg(priority=2.0), noise_p=noise_p)
+        q = exact_soft_vi(mcg.mdp, alpha=1.0)
+        coded_return, _ = exact_coded_value(q, mcg)
+        mixed = exact_policy_return(mcg.mdp, _noise_mixed(q, noise_p, mcg.mdp.n_actions))
+        assert coded_return == pytest.approx(mixed, abs=1e-12)
+
+    @pytest.mark.parametrize("noise_p", [0.0, 0.1, 0.3])
+    def test_codegrid_return_is_the_noise_mixed_policy_return(self, noise_p):
+        grid = CodeGridSpec(3, 3, (1, 1), (3, 3), 5)
+        mcg = dataclasses.replace(build_codegrid(8, grid=grid), noise_p=noise_p)
+        q = exact_soft_vi(mcg.mdp, alpha=0.3)
+        coded_return, _ = exact_coded_value(q, mcg)
+        mixed = exact_policy_return(mcg.mdp, _noise_mixed(q, noise_p, mcg.mdp.n_actions))
+        assert coded_return == pytest.approx(mixed, abs=1e-12)
