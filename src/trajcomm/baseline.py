@@ -61,9 +61,9 @@ def _check_space(mcg: McgSpec) -> int:
     return n
 
 
-def _behavior(q_s: np.ndarray, alpha: float) -> np.ndarray:
-    """Softmax rows for every message at one state: shape (messages, actions)."""
-    return softmax_parts(q_s, alpha)[0]
+def standard_error(x: np.ndarray) -> float:
+    """Standard error of the mean of ``x``; 0 for fewer than two samples."""
+    return float(x.std(ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0
 
 
 def train_rl_pr(
@@ -157,7 +157,7 @@ def rollout_rl_pr(
             executed = apply_actuator_noise(a, mcg.noise_p, mdp.n_actions, rng)
             likelihood = (picks == executed).astype(float)
         else:
-            rows = _behavior(q.values[s], alpha)
+            rows = softmax_parts(q.values[s], alpha)[0]
             a = sample_index(rows[m], rng)
             executed = apply_actuator_noise(a, mcg.noise_p, mdp.n_actions, rng)
             likelihood = rows[:, executed]
@@ -198,14 +198,11 @@ def evaluate_rl_pr(
     if rng is None:
         rng = np.random.default_rng(0)
     hits, rets = evaluation_rollouts(q, mcg, episodes, rng, greedy=greedy)
-
-    def se(x):
-        return float(x.std(ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0
     return EvalStats(
         accuracy=float(hits.mean()),
-        accuracy_se=se(hits),
+        accuracy_se=standard_error(hits),
         mean_return=float(rets.mean()),
-        return_se=se(rets),
+        return_se=standard_error(rets),
     )
 
 
@@ -220,7 +217,7 @@ def posterior_from_scratch(
     """
     b = mcg.prior.blocks[0].probs.copy()
     for s, executed in steps:
-        rows = _behavior(q.values[s], alpha)
+        rows = softmax_parts(q.values[s], alpha)[0]
         b = b * rows[:, executed]
     total = b.sum()
     return b / total if total > 0 else np.full(len(b), 1.0 / len(b))

@@ -1,9 +1,8 @@
-"""Finite probability vectors, sparse couplings, and entropy utilities."""
+"""Finite probability vectors, couplings, and entropy utilities."""
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from bisect import bisect_right
 from itertools import accumulate
 
@@ -100,68 +99,64 @@ def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class SparseCoupling:
-    """A sparse joint distribution over (row, col) index pairs.
+    """A joint distribution over (row, col) index pairs, stored dense.
 
-    ``entries`` is a sequence of ``(mass, row, col)`` triples with strictly
-    positive finite masses, cells in range, no duplicate cells, and total
-    mass 1 within ``SUM_ATOL``. Construction also keeps read-only arrays:
-    ``masses``, ``rows`` and ``cols`` in entry order, the dense ``joint``
-    (``joint[r, c]`` is the mass on cell ``(r, c)``) and its row totals
-    ``row_mass``, summed in entry order.
+    ``joint[r, c]`` is the mass on cell ``(r, c)``: a 2-D table of at least
+    1x1 with non-negative finite masses that sum to 1 within ``SUM_ATOL``.
+    It is copied and marked read-only at construction, as ``Dist`` does.
+    The greedy coupling is sparse in content, with few positive cells, but
+    one dense table is its only stored form.
 
-    ``row_marginal()`` is ``row_mass`` validated as a ``Dist``; the column
-    marginal is summed in entry order on first read. Both are cached.
+    ``entries`` derives the ``(mass, row, col)`` triples of the positive
+    cells in row-major order. Both marginals add those masses in that order:
+    the row totals ``row_mass`` at construction, the column marginal on
+    first read. ``row_marginal()`` is ``row_mass`` validated as a ``Dist``;
+    both marginals are cached.
     """
 
-    entries: tuple[tuple[float, int, int], ...]
-    n_rows: int
-    n_cols: int
-    masses: np.ndarray = dataclasses.field(init=False, repr=False)
-    rows: np.ndarray = dataclasses.field(init=False, repr=False)
-    cols: np.ndarray = dataclasses.field(init=False, repr=False)
-    joint: np.ndarray = dataclasses.field(init=False, repr=False)
+    joint: np.ndarray
     row_mass: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
-        if self.n_rows < 1 or self.n_cols < 1:
-            raise ValueError("coupling shape must be at least 1x1")
-        entries = tuple(self.entries)
-        if not entries:
-            raise ValueError("coupling mass sums to 0.0, not 1")
-        k = len(entries)
-        masses, rows, cols = zip(*entries)
-        masses = np.fromiter(masses, np.float64, k)
-        if not (masses.min() > 0.0 and masses.max() < math.inf):
-            raise ValueError("coupling masses must be positive and finite")
-        # Rows and columns in one array, so each range check is one reduction.
-        index = np.array((rows, cols))
-        if index.dtype.kind not in "iu":
-            raise ValueError("coupling cells must be integer indices")
-        rows, cols = index
-        high = index.max(axis=1)
-        if not (index.min() >= 0 and high[0] < self.n_rows and high[1] < self.n_cols):
-            out = (rows < 0) | (rows >= self.n_rows) | (cols < 0) | (cols >= self.n_cols)
-            r, c = entries[int(np.argmax(out))][1:]
-            raise ValueError(f"coupling cell ({r}, {c}) out of range")
-        cells = rows * self.n_cols + cols
-        if np.bincount(cells).max() > 1:
-            # Name the cell whose second occurrence comes first.
-            repeat = np.ones(k, dtype=bool)
-            repeat[np.unique(cells, return_index=True)[1]] = False
-            r, c = entries[int(np.argmax(repeat))][1:]
-            raise ValueError(f"duplicate coupling cell ({r}, {c})")
-        total = float(masses.sum())
-        if abs(total - 1.0) > SUM_ATOL:
-            raise ValueError(f"coupling mass sums to {total!r}, not 1")
-        joint = np.zeros((self.n_rows, self.n_cols))
-        joint[rows, cols] = masses
-        # bincount adds the masses in entry order.
-        row_mass = np.bincount(rows, weights=masses, minlength=self.n_rows)
-        arrays = dict(masses=masses, rows=rows, cols=cols, joint=joint, row_mass=row_mass)
-        for name, arr in arrays.items():
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "entries", entries)
+        joint = np.array(self.joint, dtype=np.float64, copy=True)
+        if joint.ndim != 2 or joint.size == 0:
+            raise ValueError("coupling must be a 2-D table of at least 1x1")
+        # As in Dist: a min and a sum for a valid table, and checks that
+        # name the fault for one that fails.
+        if not (joint.min() >= 0.0 and abs(float(joint.sum()) - 1.0) <= SUM_ATOL):
+            if not (np.all(np.isfinite(joint)) and joint.min() >= 0.0):
+                raise ValueError("coupling masses must be non-negative and finite")
+            raise ValueError(f"coupling mass sums to {float(joint.sum())!r}, not 1")
+        joint.setflags(write=False)
+        object.__setattr__(self, "joint", joint)
+        rows, _, masses = self._cells()
+        row_mass = np.bincount(rows, weights=masses, minlength=joint.shape[0])
+        row_mass.setflags(write=False)
+        object.__setattr__(self, "row_mass", row_mass)
+
+    def _cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rows, columns and masses of the positive cells, in row-major order.
+
+        The marginals are summed over these with ``np.bincount``, which adds
+        in this order; ``joint.sum(axis=...)`` adds a contiguous axis
+        pairwise and can differ in the last bit.
+        """
+        rows, cols = np.nonzero(self.joint)
+        return rows, cols, self.joint[rows, cols]
+
+    @property
+    def n_rows(self) -> int:
+        return self.joint.shape[0]
+
+    @property
+    def n_cols(self) -> int:
+        return self.joint.shape[1]
+
+    @property
+    def entries(self) -> tuple[tuple[float, int, int], ...]:
+        """``(mass, row, col)`` of each positive cell, in row-major order."""
+        rows, cols, masses = self._cells()
+        return tuple(zip(masses.tolist(), rows.tolist(), cols.tolist()))
 
     def row_marginal(self) -> Dist:
         marginal = getattr(self, "_row_marginal", None)
@@ -173,7 +168,8 @@ class SparseCoupling:
     def col_marginal(self) -> Dist:
         marginal = getattr(self, "_col_marginal", None)
         if marginal is None:
-            marginal = Dist(np.bincount(self.cols, weights=self.masses, minlength=self.n_cols))
+            _, cols, masses = self._cells()
+            marginal = Dist(np.bincount(cols, weights=masses, minlength=self.n_cols))
             object.__setattr__(self, "_col_marginal", marginal)
         return marginal
 
@@ -197,7 +193,7 @@ class CouplingEntropies:
 
 def coupling_entropies(c: SparseCoupling) -> CouplingEntropies:
     """Exact joint/marginal entropies and mutual information of a coupling."""
-    masses = c.masses
+    masses = c.joint[c.joint > 0.0]
     joint = float(max(0.0, -np.sum(masses * np.log2(masses))))
     hr = entropy(c.row_marginal())
     hc = entropy(c.col_marginal())

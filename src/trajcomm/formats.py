@@ -94,41 +94,47 @@ def _dense_to_csr(dense: np.ndarray, terminal: frozenset) -> tuple:
 
 
 def mcg_from_document(doc: dict) -> McgSpec:
-    m = doc["mdp"]
-    terminal = frozenset(m["terminal_states"])
-    version = doc.get("format_version", 1)
-    if version == 1:
-        dense = np.array(m["transitions"], dtype=np.float64)
-        if dense.shape != (m["n_states"], m["n_actions"], m["n_states"]):
-            raise ValueError("dense transitions must have shape (n_states, n_actions, n_states)")
-        row_offsets, next_state, prob = _dense_to_csr(dense, terminal)
-    elif version == MCG_FORMAT_VERSION:
-        row_offsets, next_state, prob = m["row_offsets"], m["next_state"], m["prob"]
-    else:
-        raise ValueError(f"unknown game-spec format version {version!r}")
-    mdp = MdpSpec(
-        n_states=m["n_states"],
-        n_actions=m["n_actions"],
-        row_offsets=row_offsets,
-        next_state=next_state,
-        prob=prob,
-        rewards=np.array(m["rewards"]),
-        initial_state=m["initial_state"],
-        terminal_states=terminal,
-        horizon_bound=m["horizon_bound"],
-    )
-    space = MessageSpace(
-        tuple(doc["message_space"]["block_sizes"]),
-        factored=doc["message_space"]["factored"],
-    )
-    prior = Belief(tuple(Dist(np.array(b)) for b in doc["prior"]))
-    return McgSpec(
-        mdp=mdp,
-        message_space=space,
-        prior=prior,
-        priority=doc["priority"],
-        noise_p=doc["noise_p"],
-    )
+    """The game spec a document describes; a missing key raises ValueError."""
+    try:
+        m = doc["mdp"]
+        terminal = frozenset(m["terminal_states"])
+        version = doc.get("format_version", 1)
+        if version == 1:
+            dense = np.array(m["transitions"], dtype=np.float64)
+            if dense.shape != (m["n_states"], m["n_actions"], m["n_states"]):
+                raise ValueError(
+                    "dense transitions must have shape (n_states, n_actions, n_states)"
+                )
+            row_offsets, next_state, prob = _dense_to_csr(dense, terminal)
+        elif version == MCG_FORMAT_VERSION:
+            row_offsets, next_state, prob = m["row_offsets"], m["next_state"], m["prob"]
+        else:
+            raise ValueError(f"unknown game-spec format version {version!r}")
+        mdp = MdpSpec(
+            n_states=m["n_states"],
+            n_actions=m["n_actions"],
+            row_offsets=row_offsets,
+            next_state=next_state,
+            prob=prob,
+            rewards=np.array(m["rewards"]),
+            initial_state=m["initial_state"],
+            terminal_states=terminal,
+            horizon_bound=m["horizon_bound"],
+        )
+        space = MessageSpace(
+            tuple(doc["message_space"]["block_sizes"]),
+            factored=doc["message_space"]["factored"],
+        )
+        prior = Belief(tuple(Dist(np.array(b)) for b in doc["prior"]))
+        return McgSpec(
+            mdp=mdp,
+            message_space=space,
+            prior=prior,
+            priority=doc["priority"],
+            noise_p=doc["noise_p"],
+        )
+    except KeyError as e:
+        raise ValueError(f"game spec is missing the key {e.args[0]!r}") from e
 
 
 def save_mcg(mcg: McgSpec, path) -> None:
@@ -153,7 +159,7 @@ def save_qtable(q: QTable, path) -> None:
 
 
 def load_qtable(path) -> QTable:
-    lines = Path(path).read_text().splitlines()
+    lines = Path(path).read_text().splitlines() or [""]
     head = lines[0].split()
     if len(head) != 2 or head[0] != "alpha":
         raise ValueError("Q-table file must start with an 'alpha <value>' header")
@@ -164,6 +170,8 @@ def load_qtable(path) -> QTable:
             continue
         s, a, v = line.split()
         triples.append((int(s), int(a), float(v)))
+    if not triples:
+        raise ValueError("Q-table file has no 'state action value' lines")
     n_states = max(s for s, _, _ in triples) + 1
     n_actions = max(a for _, a, _ in triples) + 1
     values = np.zeros((n_states, n_actions))
@@ -186,7 +194,7 @@ def save_trajectory(z: Trajectory, path) -> None:
 
 
 def load_trajectory(path) -> Trajectory:
-    lines = Path(path).read_text().splitlines()
+    lines = Path(path).read_text().splitlines() or [""]
     head = lines[0].split()
     if len(head) != 2 or head[0] != "final_state":
         raise ValueError("trajectory file must start with a 'final_state <s>' header")

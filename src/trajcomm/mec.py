@@ -20,20 +20,21 @@ def greedy_mec(p: Dist, q: Dist) -> SparseCoupling:
     the other's residual for a later step. Compton et al. (2022) prove the
     joint entropy is within log2(e)/e (about 0.53) bits of the optimum. Each
     step uses up at least one row or column, so the coupling has at most
-    ``|supp p| + |supp q| - 1`` entries, and both marginals are reproduced to
-    within 1e-9 per entry.
+    ``|supp p| + |supp q| - 1`` positive cells, and both marginals are
+    reproduced to within 1e-9 per entry. Each step fills a cell no earlier
+    step touched, since one of its row and column is then used up.
 
     Ties between equal masses go to the lower index, so identical inputs
-    always yield an identical entry sequence; sender and receiver rely on that
-    to reconstruct the same coupling independently.
+    always yield an identical table; sender and receiver rely on that to
+    reconstruct the same coupling independently.
 
     Args:
         p: Row marginal.
         q: Column marginal.
 
     Returns:
-        SparseCoupling with ``n_rows == len(p)`` and ``n_cols == len(q)``,
-        entries in row-major order.
+        SparseCoupling whose dense ``len(p) x len(q)`` table holds each
+        step's mass in the cell it filled; every other cell is 0.
 
     Raises:
         ValueError: If either input is not a valid distribution (raised at
@@ -44,19 +45,18 @@ def greedy_mec(p: Dist, q: Dist) -> SparseCoupling:
     cols = [(-m, j) for j, m in enumerate((q.probs / q.probs.sum()).tolist()) if m > 0.0]
     heapq.heapify(rows)
     heapq.heapify(cols)
-    entries = []
+    joint = np.zeros((len(p), len(q)))
     while rows and cols:
         r, i = heapq.heappop(rows)
         c, j = heapq.heappop(cols)
         # Keys are negated masses, so the larger key is the smaller mass.
-        entries.append((-max(r, c), i, j))
+        joint[i, j] = -max(r, c)
         if r < c:
             heapq.heappush(rows, (r - c, i))
         elif c < r:
             heapq.heappush(cols, (c - r, j))
     # A rounding sliver left on one side once the other is used up is dropped.
-    entries.sort(key=lambda e: (e[1], e[2]))
-    return SparseCoupling(tuple(entries), n_rows=len(p), n_cols=len(q))
+    return SparseCoupling(joint)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +107,9 @@ def exact_mec_oracle(p: Dist, q: Dist) -> SparseCoupling:
         q: Column marginal with at most 6 positive entries.
 
     Returns:
-        A minimum-entropy SparseCoupling of ``p`` and ``q``.
+        A minimum-entropy SparseCoupling of ``p`` and ``q``: each forest
+        edge's mass sits in the dense table at its (row, column) cell, and
+        every other cell is 0.
 
     Raises:
         ValueError: If either support exceeds 6 outcomes.
@@ -159,7 +161,7 @@ def exact_mec_oracle(p: Dist, q: Dist) -> SparseCoupling:
             if cost < hang[t][x]:
                 hang[t][x], hang_arg[t][x] = cost, b
 
-    entries = []
+    joint = np.zeros((len(p), len(q)))
 
     def rebuild(parent, x):
         t = parent >= n_rows
@@ -167,7 +169,7 @@ def exact_mec_oracle(p: Dist, q: Dist) -> SparseCoupling:
             b = hang_arg[t][x]
             w = tree_arg[b]
             r, c = (w, parent) if t else (parent, w)
-            entries.append((abs(imbalance[b]) / _SCALE, lines[r][0], lines[c][0]))
+            joint[lines[r][0], lines[c][0]] = abs(imbalance[b]) / _SCALE
             rebuild(w, b ^ (1 << w))
             x ^= b
 
@@ -176,5 +178,4 @@ def exact_mec_oracle(p: Dist, q: Dist) -> SparseCoupling:
         b = forest_arg[x]
         rebuild((b & -b).bit_length() - 1, b ^ (b & -b))
         x ^= b
-    entries.sort(key=lambda e: (e[1], e[2]))
-    return SparseCoupling(tuple(entries), n_rows=len(p), n_cols=len(q))
+    return SparseCoupling(joint)

@@ -10,12 +10,11 @@ recorded in the row instead of aborting the sweep.
 from __future__ import annotations
 
 import dataclasses
-import math
 
 import numpy as np
 
 from . import envs
-from .baseline import evaluation_rollouts, train_rl_pr
+from .baseline import evaluation_rollouts, standard_error, train_rl_pr
 from .coding import run_roundtrip
 from .formats import image_space, save_metrics_csv
 from .maxent import TrainConfig, exact_soft_vi
@@ -35,10 +34,10 @@ class SweepConfig:
     """
 
     env: str
-    env_params: dict
     method: str
     grid: tuple[float, ...]
     seeds: tuple[int, ...]
+    env_params: dict = dataclasses.field(default_factory=dict)
     episodes: int = 200_000
     rollouts: int = 10
     noise_p: tuple[float, ...] = (0.0,)
@@ -120,10 +119,6 @@ def build_env(name: str, params: dict, noise_p: float = 0.0) -> McgSpec:
     raise ValueError(f"unknown environment {name!r}")
 
 
-def _se(x: np.ndarray) -> float:
-    return float(x.std(ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0
-
-
 def _meme_cell(cfg: SweepConfig, mcg: McgSpec, beta: float, rng) -> tuple:
     q = exact_soft_vi(mcg.mdp, alpha=1.0 / beta)
     hits = np.zeros(cfg.rollouts)
@@ -184,11 +179,11 @@ def run_sweep(cfg: SweepConfig) -> list[MetricsRow]:
                             noise_p=noise,
                             seed=seed,
                             decode_accuracy=float(hits.mean()),
-                            accuracy_se=_se(hits),
+                            accuracy_se=standard_error(hits),
                             mean_return=float(rets.mean()),
-                            return_se=_se(rets),
+                            return_se=standard_error(rets),
                             mean_hamming=float(hams.mean()),
-                            hamming_se=_se(hams),
+                            hamming_se=standard_error(hams),
                             rollouts=cfg.rollouts,
                         )
                     )
@@ -213,17 +208,12 @@ def run_sweep(cfg: SweepConfig) -> list[MetricsRow]:
 
 
 def sweep_config_from_document(doc: dict) -> SweepConfig:
-    return SweepConfig(
-        env=doc["env"],
-        env_params=doc.get("env_params", {}),
-        method=doc["method"],
-        grid=tuple(doc["grid"]),
-        seeds=tuple(doc["seeds"]),
-        episodes=doc.get("episodes", 200_000),
-        rollouts=doc.get("rollouts", 10),
-        noise_p=tuple(doc.get("noise_p", [0.0])),
-        method_params=doc.get("method_params", {}),
-    )
+    """The sweep a config document describes; its keys are ``SweepConfig``'s
+    fields. A missing or unknown key raises ValueError."""
+    try:
+        return SweepConfig(**doc)
+    except TypeError as e:
+        raise ValueError(f"bad sweep config: {e}") from e
 
 
 def write_sweep_csv(cfg: SweepConfig, path) -> list[MetricsRow]:

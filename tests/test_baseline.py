@@ -14,7 +14,7 @@ from trajcomm.baseline import (
 )
 from trajcomm.dist import Dist, sample_index
 from trajcomm.envs import build_channel_chain, build_codegrid, build_toy_mcg, chain_mcg
-from trajcomm.maxent import TrainConfig, exact_soft_vi, train_soft_q
+from trajcomm.maxent import TrainConfig, exact_soft_vi, softmax_parts, train_soft_q
 from trajcomm.mcg import Belief, McgSpec, MessageSpace
 from trajcomm.mdp import MdpSpec, apply_actuator_noise, enumerate_trajectories, step
 
@@ -219,13 +219,11 @@ class TestPerfectReceiverPosterior:
         for _ in range(20):
             m = int(rng.integers(6))
             # Reproduce the rollout's incremental posterior by hand.
-            from trajcomm.baseline import _behavior
-
             b = mcg.prior.blocks[0].probs.copy()
             s = chain.initial_state
             steps = []
             while not chain.is_terminal(s):
-                rows = _behavior(values[s], 0.5)
+                rows = softmax_parts(values[s], 0.5)[0]
                 a = sample_index(rows[m], rng)
                 steps.append((s, a))
                 b = b * rows[:, a]
@@ -242,10 +240,8 @@ class TestPerfectReceiverPosterior:
         mcg = chain_mcg(chain, MessageSpace.explicit(3))
         values = rng.normal(size=(chain.n_states, 3, 2))
         q = MessageConditionalQ(values=values, alpha_start=0.4, alpha_end=0.4)
-        from trajcomm.baseline import _behavior
-
         policies = {
-            m: (lambda s, _m=m: Dist(_behavior(values[s], 0.4)[_m]))
+            m: (lambda s, _m=m: Dist(softmax_parts(values[s], 0.4)[0][_m]))
             for m in range(3)
         }
         m_true = 1
@@ -253,7 +249,7 @@ class TestPerfectReceiverPosterior:
         s = chain.initial_state
         steps = []
         while not chain.is_terminal(s):
-            rows = _behavior(values[s], 0.4)
+            rows = softmax_parts(values[s], 0.4)[0]
             a = sample_index(rows[m_true], rng)
             steps.append((s, a))
             s, _ = step(chain, s, a, rng)

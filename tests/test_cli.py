@@ -1,16 +1,25 @@
 """End-to-end runs of the command-line file pipeline."""
 
+import json
+
 import pytest
 
 from trajcomm.cli import main
 from trajcomm.dist import Dist
-from trajcomm.formats import save_dist
+from trajcomm.formats import METRICS_COLUMNS, save_dist
+
+
+def _codegrid_8(tmp_path):
+    """A codegrid spec with 8 messages and its Q table at beta = 2."""
+    spec, qtable = tmp_path / "env.json", tmp_path / "q.txt"
+    assert main(["make-env", "codegrid", "--messages", "8", "--out", str(spec)]) == 0
+    assert main(["solve", "--spec", str(spec), "--beta", "2", "--out", str(qtable)]) == 0
+    return spec, qtable
 
 
 def test_solve_send_receive_decodes_the_sent_message(tmp_path):
-    spec, qtable, traj, decoded = (tmp_path / n for n in ("env.json", "q.txt", "z.txt", "m.txt"))
-    assert main(["make-env", "codegrid", "--messages", "8", "--out", str(spec)]) == 0
-    assert main(["solve", "--spec", str(spec), "--beta", "2", "--out", str(qtable)]) == 0
+    spec, qtable = _codegrid_8(tmp_path)
+    traj, decoded = tmp_path / "z.txt", tmp_path / "m.txt"
     assert main([
         "send", "--spec", str(spec), "--qtable", str(qtable),
         "--message", "3", "--seed", "0", "--out", str(traj),
@@ -62,3 +71,77 @@ def test_mec_prints_the_coupling_and_its_entropy(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert lines[:3] == ["0.5 0 0", "0.25 1 1", "0.25 1 2"]
     assert "joint_bits 1.5" in lines
+
+
+def test_receive_writes_the_belief_entropy_trace(tmp_path):
+    spec, qtable = _codegrid_8(tmp_path)
+    traj, decoded, csv = tmp_path / "z.txt", tmp_path / "m.txt", tmp_path / "h.csv"
+    assert main([
+        "send", "--spec", str(spec), "--qtable", str(qtable),
+        "--message", "5", "--seed", "1", "--out", str(traj),
+    ]) == 0
+    assert main([
+        "receive", "--spec", str(spec), "--qtable", str(qtable), "--traj", str(traj),
+        "--out", str(decoded), "--entropy-csv", str(csv),
+    ]) == 0
+    n_steps = len(traj.read_text().splitlines()) - 1
+    lines = csv.read_text().splitlines()
+    assert lines[0] == "step,belief_entropy_bits"
+    rows = [line.split(",") for line in lines[1:]]
+    assert [int(step) for step, _ in rows] == list(range(n_steps + 1))
+    bits = [float(h) for _, h in rows]
+    assert bits[0] == pytest.approx(3.0, abs=1e-9)
+    assert all(0.0 <= h <= 3.0 for h in bits)
+
+
+def test_sweep_writes_one_row_per_cell(tmp_path):
+    config, out = tmp_path / "sweep.json", tmp_path / "rows.csv"
+    config.write_text(json.dumps({
+        "env": "codegrid", "env_params": {"n_messages": 4}, "method": "meme",
+        "grid": [2.0], "seeds": [0], "rollouts": 2,
+    }))
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    header, *rows = out.read_text().splitlines()
+    assert header == ",".join(METRICS_COLUMNS)
+    assert len(rows) == 1
+    assert rows[0].split(",")[-1] == ""
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        ({"env": "codegrid", "method": "meme", "grid": [2.0], "seeds": [0], "rollout": 3},
+         "rollout"),
+        ({"method": "meme", "grid": [2.0], "seeds": [0]}, "env"),
+    ],
+    ids=["misspelt-key", "missing-env"],
+)
+def test_sweep_rejects_a_bad_config_key(tmp_path, capsys, doc, key):
+    config = tmp_path / "sweep.json"
+    config.write_text(json.dumps(doc))
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "rows.csv")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
+    assert not (tmp_path / "rows.csv").exists()
+
+
+@pytest.mark.parametrize("fault", ["Q-table", "trajectory", "terminal_states"])
+def test_malformed_input_files_exit_cleanly(tmp_path, capsys, fault):
+    # An empty Q-table file, an empty trajectory file, and a game spec whose
+    # "mdp" object lacks every key.
+    spec, qtable = _codegrid_8(tmp_path)
+    empty, bad_spec = tmp_path / "empty.txt", tmp_path / "bad.json"
+    empty.write_text("")
+    bad_spec.write_text(json.dumps({"mdp": {}}))
+    argv = {
+        "Q-table": ["send", "--spec", str(spec), "--qtable", str(empty),
+                    "--message", "0", "--seed", "0", "--out", str(tmp_path / "z.txt")],
+        "trajectory": ["receive", "--spec", str(spec), "--qtable", str(qtable),
+                       "--traj", str(empty), "--out", str(tmp_path / "m.txt")],
+        "terminal_states": ["solve", "--spec", str(bad_spec), "--beta", "2",
+                            "--out", str(tmp_path / "q2.txt")],
+    }[fault]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and fault in err

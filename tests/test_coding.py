@@ -43,14 +43,6 @@ from trajcomm.mec import exact_mec_oracle, greedy_mec
 TOY_SOFTMAX = np.array([0.7213991842739685, 0.26538792877224193, 0.013212886953789414])
 
 
-def _coupling(joint) -> SparseCoupling:
-    """The sparse coupling of a dense joint, entries in row-major order."""
-    joint = np.asarray(joint, dtype=np.float64)
-    rows, cols = np.nonzero(joint)
-    entries = tuple((float(joint[r, c]), int(r), int(c)) for r, c in zip(rows, cols))
-    return SparseCoupling(entries, *joint.shape)
-
-
 class TestActionRow:
     def test_fair_coins_permutation(self):
         policy = Dist([0.5, 0.5])
@@ -79,26 +71,24 @@ class TestActionRow:
             assert np.max(np.abs(mix - a.probs)) < 1e-9
 
     def test_identity_coupling_rows(self):
-        c = SparseCoupling(((0.5, 0, 0), (0.5, 1, 1)), 2, 2)
+        c = SparseCoupling([[0.5, 0.0], [0.0, 0.5]])
         policy = Dist([0.5, 0.5])
         assert np.allclose(action_row(c, 0, policy), [1.0, 0.0])
         assert np.allclose(action_row(c, 1, policy), [0.0, 1.0])
 
     def test_independent_rows_equal_column_marginal(self):
-        c = SparseCoupling(
-            ((0.25, 0, 0), (0.25, 0, 1), (0.25, 1, 0), (0.25, 1, 1)), 2, 2
-        )
+        c = SparseCoupling([[0.25, 0.25], [0.25, 0.25]])
         for m in range(2):
             assert np.allclose(action_row(c, m, Dist([0.5, 0.5])), c.col_marginal().probs)
 
     def test_mixed_example_rows(self):
-        c = SparseCoupling(((0.5, 0, 0), (0.25, 1, 1), (0.25, 1, 2)), 2, 3)
+        c = SparseCoupling([[0.5, 0.0, 0.0], [0.0, 0.25, 0.25]])
         assert np.allclose(action_row(c, 0, c.col_marginal()), [1.0, 0.0, 0.0])
         assert np.allclose(action_row(c, 1, c.col_marginal()), [0.0, 0.5, 0.5])
         assert np.array_equal(c.row_mass, [0.5, 0.5])
 
     def test_zero_mass_row_gets_fallback(self):
-        c = SparseCoupling(((1.0, 0, 0),), 2, 1)
+        c = SparseCoupling([[1.0], [0.0]])
         policy = Dist([1.0])
         assert c.row_mass[1] == 0.0
         assert action_row(c, 1, policy) is policy.probs
@@ -116,7 +106,7 @@ class TestDecisionRuleRows:
             rule.joint[0, 0] = 1.0
         with pytest.raises(ValueError):
             rule.row_mass[0] = 1.0
-        empty_row = SparseCoupling(((1.0, 0, 0),), 2, 1)
+        empty_row = SparseCoupling([[1.0], [0.0]])
         with pytest.raises(ValueError):
             action_row(empty_row, 1, Dist([1.0]))[0] = 0.0
 
@@ -149,11 +139,9 @@ def _random_coupling(rng: np.random.Generator, n_rows: int, n_cols: int) -> Spar
     cells = [(r, c) for r in range(n_rows) if live[r] for c in range(n_cols) if rng.random() < 0.6]
     cells.append((0, 0))
     cells = sorted(set(cells))
-    masses = rng.random(len(cells))
-    masses /= masses.sum()
-    return SparseCoupling(
-        tuple((float(m), r, c) for m, (r, c) in zip(masses, cells)), n_rows, n_cols
-    )
+    joint = np.zeros((n_rows, n_cols))
+    joint[tuple(zip(*cells))] = rng.random(len(cells))
+    return SparseCoupling(joint / joint.sum())
 
 
 class TestReferenceEquivalence:
@@ -194,19 +182,19 @@ class TestCheckMixture:
         check_mixture(greedy_mec(b, policy), b, policy)
 
     def test_drift_within_tolerance_passes(self):
-        c = _coupling([[0.5 + 5e-10, 0.0], [0.0, 0.5]])
+        c = SparseCoupling([[0.5 + 5e-10, 0.0], [0.0, 0.5]])
         check_mixture(c, Dist([0.5, 0.5]), Dist([0.5, 0.5]))
 
     def test_column_drift_raises(self):
         # Row totals are exact; column 0 carries 2e-9 too much.
-        c = _coupling([[0.25 + 2e-9, 0.25 - 2e-9], [0.25, 0.25]])
+        c = SparseCoupling([[0.25 + 2e-9, 0.25 - 2e-9], [0.25, 0.25]])
         assert np.array_equal(c.row_mass, [0.5, 0.5])
         with pytest.raises(RuntimeError, match="drifted"):
             check_mixture(c, Dist([0.5, 0.5]), Dist([0.5, 0.5]))
 
     def test_row_mass_drift_raises(self):
         # Column sums are exact; row 0 carries 2e-9 too much.
-        c = _coupling([[0.25 + 2e-9, 0.25], [0.25 - 2e-9, 0.25]])
+        c = SparseCoupling([[0.25 + 2e-9, 0.25], [0.25 - 2e-9, 0.25]])
         assert np.array_equal(c.joint.sum(axis=0), [0.5, 0.5])
         with pytest.raises(RuntimeError, match="drifted"):
             check_mixture(c, Dist([0.5, 0.5]), Dist([0.5, 0.5]))
@@ -219,14 +207,14 @@ class TestCheckMixture:
         ],
     )
     def test_shape_mismatch_raises(self, b, policy):
-        c = SparseCoupling(((1.0, 0, 0),), 1, 1)
+        c = SparseCoupling([[1.0]])
         with pytest.raises(RuntimeError, match="shape"):
             check_mixture(c, b, policy)
 
 
 class TestPosteriorUpdate:
     def test_bayes_arithmetic(self):
-        c = _coupling([[0.45, 0.05], [0.15, 0.35]])
+        c = SparseCoupling([[0.45, 0.05], [0.15, 0.35]])
         post = posterior_update(Dist([0.5, 0.5]), c, Dist([0.6, 0.4]), 0)
         assert np.allclose(post.probs, [0.75, 0.25])
 
@@ -237,7 +225,7 @@ class TestPosteriorUpdate:
         assert np.allclose(post.probs, [1.0, 0.0])
 
     def test_identical_rows_keep_prior(self):
-        c = _coupling([[0.15, 0.35], [0.15, 0.35]])
+        c = SparseCoupling([[0.15, 0.35], [0.15, 0.35]])
         prior = Dist([0.25, 0.75])
         post = posterior_update(prior, c, Dist([0.3, 0.7]), 1)
         assert np.allclose(post.probs, prior.probs)
@@ -251,7 +239,7 @@ class TestPosteriorUpdate:
         assert np.allclose(post.probs, [0.1, 0.9])
 
     def test_wipeout_resets_to_uniform_and_warns(self, caplog):
-        c = _coupling([[0.5, 0.0], [0.5, 0.0]])
+        c = SparseCoupling([[0.5, 0.0], [0.5, 0.0]])
         with caplog.at_level(logging.WARNING, logger="trajcomm.coding"):
             post = posterior_update(Dist([0.5, 0.5]), c, Dist([1.0, 0.0]), 1)
         assert np.allclose(post.probs, [0.5, 0.5])
