@@ -17,18 +17,24 @@ noise-aware: both agents know the noise level ε, and weigh message ``m`` by
 ``(1-ε)·P(a|m) + ε/|A|`` for executed action ``a``, so one flipped action
 does not rule the true message out.
 
-The coupling is the decision rule. Message ``m`` acts by its row of the
-coupling's dense joint divided by the row's total, and the receiver reads its
-likelihoods off one column; no per-message distribution is built.
+The coupling is the decision rule. It stores one row per message in the
+belief's support, so after a few steps a block of thousands of messages is
+coupled, checked and updated through a table of a few rows. Message ``m``
+acts by its stored row divided by the row's total, and the receiver reads
+its likelihoods off one column; a message outside the support acts by the
+policy, and no per-message distribution is built. The posterior is
+scattered back into a vector over the whole block before it is normalized,
+so its bytes are those of a dense update.
 
 Replay is deterministic, so a decision depends only on the bytes of the
 active block's belief and of the policy row (the noise level is fixed by the
 game). Each call of ``sender_episode``, ``receiver_decode`` and
 ``exact_coded_value`` keeps one memo keyed by
 ``(block.probs.tobytes(), policy.probs.tobytes())``. An entry holds the
-coupling built and checked for those bytes, and the posterior already
-computed from it for each executed action. A repeated decision reuses both,
-so ``greedy_mec``, ``check_mixture`` and ``posterior_update`` run once per
+coupling built and checked for those bytes, the posterior already computed
+from it for each executed action, and the action row of each message played
+through it. A repeated decision reuses all three, so ``greedy_mec``,
+``check_mixture``, ``posterior_update`` and ``action_row`` run once per
 distinct input rather than once per step. The memo lives for one call: the
 sender and the receiver never share one, so every decode rebuilds its
 couplings from the observed trajectory alone.
@@ -49,8 +55,9 @@ from .mec import greedy_mec
 
 logger = logging.getLogger(__name__)
 
-# Explicit beliefs beyond this size must use a factored space instead; each
-# coupling call is O(N log N) in the belief support.
+# Explicit beliefs beyond this size must use a factored space instead. A
+# coupling costs O(k log k) in the k messages of the belief's support, but
+# the uniform prior has k = N, and every posterior is a vector of all N.
 MAX_EXPLICIT_MESSAGES = 4096
 
 # Belief mass below this after an update means the observed action was
@@ -71,12 +78,17 @@ class EpisodeRecord:
 def action_row(coupling: SparseCoupling, m: int, policy: Dist) -> np.ndarray:
     """Action distribution of message ``m`` under a coupling of belief and policy.
 
-    The row is ``joint[m] / row_mass[m]``. A row with no mass (a message the
-    belief has ruled out) acts by ``policy``, which keeps the mixture identity
-    exact.
+    The row is ``joint[k] / row_mass[k]`` at the position ``k`` of ``m`` in
+    ``coupling.rows``. A message outside the stored rows, or a stored row
+    with no mass (a message the belief has ruled out), acts by ``policy``,
+    which keeps the mixture identity exact.
     """
-    total = coupling.row_mass[m]
-    return coupling.joint[m] / total if total > 0.0 else policy.probs
+    rows = coupling.rows
+    k = int(rows.searchsorted(m))
+    if k == len(rows) or rows[k] != m:
+        return policy.probs
+    total = coupling.row_mass[k]
+    return coupling.joint[k] / total if total > 0.0 else policy.probs
 
 
 def check_mixture(coupling: SparseCoupling, b: Dist, policy: Dist) -> None:
@@ -84,14 +96,21 @@ def check_mixture(coupling: SparseCoupling, b: Dist, policy: Dist) -> None:
 
     The coupling must have one row per message of ``b`` and one column per
     action of ``policy``; its column sums must equal the policy, and its row
-    totals the belief, to within 1e-9 per entry. Then the belief-weighted
-    mixture of the rows is the policy. A violation means sender and receiver
-    would drift apart, so it raises immediately.
+    totals the belief, with 0 for a row it leaves out, to within 1e-9 per
+    entry. Then the belief-weighted mixture of the rows is the policy. A
+    violation means sender and receiver would drift apart, so it raises
+    immediately.
     """
-    if coupling.joint.shape != (len(b), len(policy)):
-        raise RuntimeError(f"coupling shape {coupling.joint.shape}, not {(len(b), len(policy))}")
-    col_err = float(abs(coupling.joint.sum(axis=0) - policy.probs).max())
-    row_err = float(abs(coupling.row_mass - b.probs).max())
+    rows, joint = coupling.rows, coupling.joint
+    shape, want = (coupling.n_rows, joint.shape[1]), (len(b.probs), len(policy.probs))
+    if shape != want:
+        raise RuntimeError(f"coupling shape {shape}, not {want}")
+    col_err = float(abs(joint.sum(axis=0) - policy.probs).max())
+    # The belief less the row marginal, row by row: a row left out keeps its
+    # whole belief mass.
+    drift = b.probs.copy()
+    drift[rows] -= coupling.row_mass
+    row_err = float(abs(drift).max())
     if col_err > SUM_ATOL or row_err > SUM_ATOL:
         raise RuntimeError(
             f"coupling drifted from the policy by {col_err!r} "
@@ -105,21 +124,22 @@ def posterior_update(
     """Bayes update of a belief block from one executed action.
 
     Message ``m`` intends action ``a`` with probability ``P(a|m)``, its row
-    of the coupling: ``joint[m, a] / row_mass[m]``, or ``policy[a]`` for a
-    row with no mass (see ``action_row``). With actuator noise ``noise_p`` =
-    ε the executed action is a uniform draw over all actions with probability
-    ε, so the likelihood of executing ``a`` is ``(1-ε)·P(a|m) + ε/|A|``; a
-    flipped action lowers the true message's weight instead of ruling it
-    out. If the observed action carries zero likelihood under every live
-    message (possible only without noise, on a corrupted trajectory), the
-    belief resets to uniform and the desync is logged rather than silently
-    propagated.
+    of the coupling, or ``policy[a]`` for a message that acts by the policy
+    (see ``action_row``). With actuator noise ``noise_p`` = ε the executed
+    action is a uniform draw over all actions with probability ε, so the
+    likelihood of executing ``a`` is ``(1-ε)·P(a|m) + ε/|A|``; a flipped
+    action lowers the true message's weight instead of ruling it out. The
+    stored rows' ``P(a|m)`` are computed on those rows alone and scattered
+    into a full-length vector of ``policy[a]``, so the weights and their sum
+    are those of the full belief. If the observed action carries zero
+    likelihood under every live message (possible only without noise, on a
+    corrupted trajectory), the belief resets to uniform and the desync is
+    logged rather than silently propagated.
     """
-    intended = np.divide(
-        coupling.joint[:, executed],
-        coupling.row_mass,
-        out=np.full(len(b), policy.probs[executed]),
-        where=coupling.row_mass > 0.0,
+    rows, joint, row_mass = coupling.rows, coupling.joint, coupling.row_mass
+    intended = np.full(coupling.n_rows, policy.probs[executed])
+    intended[rows] = np.divide(
+        joint[:, executed], row_mass, out=intended[rows], where=row_mass > 0.0
     )
     # Exact at ε = 0: 1.0 * x + 0.0 == x for every x >= 0.
     likelihood = (1.0 - noise_p) * intended + noise_p / coupling.n_cols
@@ -148,26 +168,31 @@ def _active_block(h: np.ndarray | None) -> int:
     """Index of the block to couple next: largest entropy, ties to the lowest.
 
     ``h`` holds the block entropies (None for a belief with one block).
-    ``np.argmax`` returns the first maximum, and entropies are compared
+    ``argmax`` returns the first maximum, and entropies are compared
     exactly; sender and receiver run this on bit-identical beliefs, so the
-    selection can never diverge.
+    selection can never diverge. The array's own method skips the couple of
+    microseconds ``np.argmax`` spends dispatching, at every decision.
     """
-    return 0 if h is None else int(np.argmax(h))
+    return 0 if h is None else int(h.argmax())
 
 
-# (block bytes, policy bytes) -> (coupling, posterior per executed action).
-_Memo = dict[tuple[bytes, bytes], tuple[SparseCoupling, dict[int, Dist]]]
+# (block bytes, policy bytes) -> (coupling, posterior per executed action,
+# action row per message).
+_Memo = dict[
+    tuple[bytes, bytes], tuple[SparseCoupling, dict[int, Dist], dict[int, np.ndarray]]
+]
 
 
 def _plan(
     belief: Belief, h: np.ndarray | None, policy: Dist, memo: _Memo
-) -> tuple[int, SparseCoupling, dict[int, Dist]]:
+) -> tuple[int, SparseCoupling, dict[int, Dist], dict[int, np.ndarray]]:
     """The active block, its greedy coupling with ``policy``, and that
-    coupling's posteriors so far, keyed by executed action.
+    coupling's posteriors and action rows so far, keyed by executed action
+    and by message.
 
     The coupling is built and checked only when ``memo`` has no entry for
     the block's and the policy's bytes; the new entry starts with no
-    posteriors.
+    posteriors and no rows.
     """
     block = _active_block(h)
     b = belief.blocks[block]
@@ -181,8 +206,19 @@ def _plan(
             )
         coupling = greedy_mec(b, policy)
         check_mixture(coupling, b, policy)
-        decision = memo[key] = (coupling, {})
+        decision = memo[key] = (coupling, {}, {})
     return block, *decision
+
+
+def _row(
+    rows: dict[int, np.ndarray], coupling: SparseCoupling, m: int, policy: Dist
+) -> np.ndarray:
+    """``action_row`` of message ``m``, taken from ``rows`` when the coupling
+    has played ``m`` before, and stored there otherwise."""
+    row = rows.get(m)
+    if row is None:
+        row = rows[m] = action_row(coupling, m, policy)
+    return row
 
 
 def _apply(
@@ -230,9 +266,9 @@ def sender_episode(
     s = mcg.mdp.initial_state
     while not mcg.mdp.is_terminal(s):
         policy = softmax_policy(q, s)
-        block, coupling, posteriors = _plan(belief, h, policy, memo)
+        block, coupling, posteriors, rows = _plan(belief, h, policy, memo)
         value = m[block] if mcg.message_space.factored else m
-        intended = sample_index(action_row(coupling, value, policy), rng)
+        intended = sample_index(_row(rows, coupling, value, policy), rng)
         executed = apply_actuator_noise(intended, mcg.noise_p, mcg.mdp.n_actions, rng)
         belief = _apply(belief, h, block, coupling, posteriors, policy, executed, mcg.noise_p)
         trace.append(belief)
@@ -247,7 +283,7 @@ def sender_episode(
 
 def map_estimate(belief: Belief, factored: bool):
     """Maximum a posteriori message; argmax per block, ties to the lowest index."""
-    picks = [int(np.argmax(b.probs)) for b in belief.blocks]
+    picks = [int(b.probs.argmax()) for b in belief.blocks]
     return tuple(picks) if factored else picks[0]
 
 
@@ -267,7 +303,7 @@ def receiver_decode(
     trace = [belief]
     for s, executed in z.steps:
         policy = softmax_policy(q, s)
-        block, coupling, posteriors = _plan(belief, h, policy, memo)
+        block, coupling, posteriors, _ = _plan(belief, h, policy, memo)
         belief = _apply(belief, h, block, coupling, posteriors, policy, executed, mcg.noise_p)
         trace.append(belief)
     return map_estimate(belief, mcg.message_space.factored), tuple(trace)
@@ -324,9 +360,9 @@ def exact_coded_value(q: QTable, mcg: McgSpec) -> tuple[float, float]:
                 total_acc += prob
             return
         policy = softmax_policy(q, s)
-        block, coupling, posteriors = _plan(belief, h, policy, memo)
+        block, coupling, posteriors, rows = _plan(belief, h, policy, memo)
         value = m[block] if mcg.message_space.factored else m
-        row = action_row(coupling, value, policy)
+        row = _row(rows, coupling, value, policy)
         for a in range(n_actions):
             # Exact at ε = 0: 1.0 * x + 0.0 == x for every x >= 0.
             pa = (1.0 - noise_p) * float(row[a]) + noise_p / n_actions

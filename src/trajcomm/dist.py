@@ -97,24 +97,45 @@ def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
     return min(bisect_right(cum, rng.random() * cum[-1]), len(cum) - 1)
 
 
+def _running_total(table: np.ndarray, axis: int) -> np.ndarray:
+    """Sums along ``axis``, each adding its entries one at a time in order.
+
+    Adding a zero leaves a total unchanged, so these are the sums of the
+    positive cells in row-major order; the final ``+ 0.0`` turns the total
+    of a line holding only ``-0.0`` into ``0.0``.
+    """
+    totals = np.add.accumulate(table, axis=axis)
+    return (totals[:, -1] if axis == 1 else totals[-1]) + 0.0
+
+
 @dataclasses.dataclass(frozen=True, eq=False)
 class SparseCoupling:
-    """A joint distribution over (row, col) index pairs, stored dense.
+    """A joint distribution over (row, col) index pairs, stored by its rows.
 
-    ``joint[r, c]`` is the mass on cell ``(r, c)``: a 2-D table of at least
-    1x1 with non-negative finite masses that sum to 1 within ``SUM_ATOL``.
-    It is copied and marked read-only at construction, as ``Dist`` does.
-    The greedy coupling is sparse in content, with few positive cells, but
-    one dense table is its only stored form.
+    Only the rows that carry mass need be stored: ``rows`` holds their
+    global indices in ascending order, and ``joint[k, c]`` is the mass on
+    cell ``(rows[k], c)``. ``rows`` defaults to every row of ``joint``, and
+    ``n_rows``, the number of global rows, to the number of stored rows;
+    any row not in ``rows`` has no mass. The greedy coupling of a belief
+    stores the belief's support, so a belief with a few live messages out
+    of thousands gives a table of a few rows. ``joint`` is a table of at least 1x1 with
+    non-negative finite masses that sum to 1 within ``SUM_ATOL``; it and
+    ``rows`` are copied and marked read-only at construction, as ``Dist``
+    does.
 
     ``entries`` derives the ``(mass, row, col)`` triples of the positive
-    cells in row-major order. Both marginals add those masses in that order:
-    the row totals ``row_mass`` at construction, the column marginal on
-    first read. ``row_marginal()`` is ``row_mass`` validated as a ``Dist``;
-    both marginals are cached.
+    cells in row-major order, with global row indices. Both marginals add
+    those masses in that order, one at a time (``np.add.accumulate``; a
+    pairwise ``joint.sum(axis=...)`` can differ in the last bit): the stored
+    rows' totals ``row_mass`` (one per entry of ``rows``) at construction,
+    the column marginal on first read. ``row_marginal()`` is ``row_mass``
+    placed at ``rows`` in a vector of ``n_rows`` entries, validated as a
+    ``Dist``; both marginals are cached.
     """
 
     joint: np.ndarray
+    rows: np.ndarray | None = None
+    n_rows: int | None = None
     row_mass: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
@@ -129,24 +150,22 @@ class SparseCoupling:
             raise ValueError(f"coupling mass sums to {float(joint.sum())!r}, not 1")
         joint.setflags(write=False)
         object.__setattr__(self, "joint", joint)
-        rows, _, masses = self._cells()
-        row_mass = np.bincount(rows, weights=masses, minlength=joint.shape[0])
+        n_stored = joint.shape[0]
+        n_rows = n_stored if self.n_rows is None else int(self.n_rows)
+        if self.rows is None:
+            rows = np.arange(n_stored)
+        else:
+            rows = np.array(self.rows, dtype=np.intp, copy=True)
+            if rows.shape != (n_stored,) or rows[0] < 0 or (rows[1:] <= rows[:-1]).any():
+                raise ValueError(f"coupling rows must be {n_stored} ascending indices")
+        rows.setflags(write=False)
+        if rows[-1] >= n_rows:
+            raise ValueError(f"coupling row {int(rows[-1])} out of range for {n_rows} rows")
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "n_rows", n_rows)
+        row_mass = _running_total(joint, axis=1)
         row_mass.setflags(write=False)
         object.__setattr__(self, "row_mass", row_mass)
-
-    def _cells(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Rows, columns and masses of the positive cells, in row-major order.
-
-        The marginals are summed over these with ``np.bincount``, which adds
-        in this order; ``joint.sum(axis=...)`` adds a contiguous axis
-        pairwise and can differ in the last bit.
-        """
-        rows, cols = np.nonzero(self.joint)
-        return rows, cols, self.joint[rows, cols]
-
-    @property
-    def n_rows(self) -> int:
-        return self.joint.shape[0]
 
     @property
     def n_cols(self) -> int:
@@ -155,21 +174,23 @@ class SparseCoupling:
     @property
     def entries(self) -> tuple[tuple[float, int, int], ...]:
         """``(mass, row, col)`` of each positive cell, in row-major order."""
-        rows, cols, masses = self._cells()
-        return tuple(zip(masses.tolist(), rows.tolist(), cols.tolist()))
+        local, cols = np.nonzero(self.joint)
+        masses = self.joint[local, cols]
+        return tuple(zip(masses.tolist(), self.rows[local].tolist(), cols.tolist()))
 
     def row_marginal(self) -> Dist:
         marginal = getattr(self, "_row_marginal", None)
         if marginal is None:
-            marginal = Dist(self.row_mass)
+            probs = np.zeros(self.n_rows)
+            probs[self.rows] = self.row_mass
+            marginal = Dist(probs)
             object.__setattr__(self, "_row_marginal", marginal)
         return marginal
 
     def col_marginal(self) -> Dist:
         marginal = getattr(self, "_col_marginal", None)
         if marginal is None:
-            _, cols, masses = self._cells()
-            marginal = Dist(np.bincount(cols, weights=masses, minlength=self.n_cols))
+            marginal = Dist(_running_total(self.joint, axis=0))
             object.__setattr__(self, "_col_marginal", marginal)
         return marginal
 

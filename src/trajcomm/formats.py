@@ -94,9 +94,17 @@ def _dense_to_csr(dense: np.ndarray, terminal: frozenset) -> tuple:
 
 
 def mcg_from_document(doc: dict) -> McgSpec:
-    """The game spec a document describes; a missing key raises ValueError."""
+    """The game spec a document describes.
+
+    A missing key, or a document or ``"mdp"`` that is not a JSON object,
+    raises ValueError.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"game spec must be a JSON object, not {type(doc).__name__}")
     try:
         m = doc["mdp"]
+        if not isinstance(m, dict):
+            raise ValueError(f'game spec "mdp" must be a JSON object, not {type(m).__name__}')
         terminal = frozenset(m["terminal_states"])
         version = doc.get("format_version", 1)
         if version == 1:

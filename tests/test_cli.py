@@ -125,23 +125,32 @@ def test_sweep_rejects_a_bad_config_key(tmp_path, capsys, doc, key):
     assert not (tmp_path / "rows.csv").exists()
 
 
-@pytest.mark.parametrize("fault", ["Q-table", "trajectory", "terminal_states"])
+# Valid JSON that is no game spec, and the text the error must contain.
+BAD_SPECS = {
+    "terminal_states": ({"mdp": {}}, "terminal_states"),
+    "spec-list": ([1], "game spec must be a JSON object, not list"),
+    "mdp-list": ({"mdp": []}, 'game spec "mdp" must be a JSON object, not list'),
+}
+
+
+@pytest.mark.parametrize("fault", ["Q-table", "trajectory", *BAD_SPECS])
 def test_malformed_input_files_exit_cleanly(tmp_path, capsys, fault):
-    # An empty Q-table file, an empty trajectory file, and a game spec whose
-    # "mdp" object lacks every key.
+    # An empty Q-table file, an empty trajectory file, and game specs that
+    # parse as JSON but have the wrong shape: an "mdp" object that lacks
+    # every key, a list for the whole document, and a list for "mdp".
     spec, qtable = _codegrid_8(tmp_path)
     empty, bad_spec = tmp_path / "empty.txt", tmp_path / "bad.json"
     empty.write_text("")
-    bad_spec.write_text(json.dumps({"mdp": {}}))
+    document, expected = BAD_SPECS.get(fault, ({}, fault))
+    bad_spec.write_text(json.dumps(document))
     argv = {
         "Q-table": ["send", "--spec", str(spec), "--qtable", str(empty),
                     "--message", "0", "--seed", "0", "--out", str(tmp_path / "z.txt")],
         "trajectory": ["receive", "--spec", str(spec), "--qtable", str(qtable),
                        "--traj", str(empty), "--out", str(tmp_path / "m.txt")],
-        "terminal_states": ["solve", "--spec", str(bad_spec), "--beta", "2",
-                            "--out", str(tmp_path / "q2.txt")],
-    }[fault]
+    }.get(fault, ["solve", "--spec", str(bad_spec), "--beta", "2",
+                  "--out", str(tmp_path / "q2.txt")])
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and fault in err
+    assert err.startswith("error:") and expected in err

@@ -40,6 +40,8 @@ from trajcomm.mdp import (
 )
 from trajcomm.mec import exact_mec_oracle, greedy_mec
 
+from test_mec import reference_greedy
+
 TOY_SOFTMAX = np.array([0.7213991842739685, 0.26538792877224193, 0.013212886953789414])
 
 
@@ -111,29 +113,43 @@ class TestDecisionRuleRows:
             action_row(empty_row, 1, Dist([1.0]))[0] = 0.0
 
 
-def _reference_rows(c: SparseCoupling, fallback: Dist) -> list:
-    """One Dist per coupling row, built entry by entry (the array rows' reference)."""
-    weights = [np.zeros(c.n_cols) for _ in range(c.n_rows)]
-    totals = np.zeros(c.n_rows)
+def _dense(c: SparseCoupling) -> np.ndarray:
+    """The coupling's full ``n_rows x n_cols`` table, placed from its entries."""
+    joint = np.zeros((c.n_rows, c.n_cols))
     for mass, r, col in c.entries:
-        weights[r][col] += mass
-        totals[r] += mass
-    return [
-        Dist(weights[r] / totals[r]) if totals[r] > 0.0 else fallback for r in range(c.n_rows)
-    ]
+        joint[r, col] = mass
+    return joint
+
+
+def _reference_rows(joint: np.ndarray, fallback: Dist) -> list:
+    """One Dist per row of a dense table, built cell by cell in row-major
+    order (the array rows' reference); a row with no mass acts by ``fallback``."""
+    n_rows, n_cols = joint.shape
+    weights = [np.zeros(n_cols) for _ in range(n_rows)]
+    totals = np.zeros(n_rows)
+    for r, col in zip(*np.nonzero(joint)):
+        weights[r][col] += joint[r, col]
+        totals[r] += joint[r, col]
+    return [Dist(weights[r] / totals[r]) if totals[r] > 0.0 else fallback for r in range(n_rows)]
 
 
 def _reference_posterior(b: Dist, rows: list, executed: int, noise_p: float) -> np.ndarray:
-    """Bayes update with the likelihood gathered row by row into a list."""
+    """Bayes update with the likelihood gathered row by row into a list; a
+    wiped-out belief resets to uniform."""
     likelihood = np.array(
         [(1.0 - noise_p) * row[executed] + noise_p / len(row) for row in rows]
     )
     weights = b.probs * likelihood
-    return weights / float(weights.sum())
+    total = float(weights.sum())
+    if total < coding.WIPEOUT_EPS:
+        return np.full(len(rows), 1.0 / len(rows))
+    return weights / total
 
 
 def _random_coupling(rng: np.random.Generator, n_rows: int, n_cols: int) -> SparseCoupling:
-    """A random sparse joint with some empty rows and several entries per live row."""
+    """A random sparse joint with several entries per live row. Only the live
+    rows are stored, and some of them get no entries, so a row can be empty
+    by being left out or by being stored with no mass."""
     live = rng.random(n_rows) < 0.7
     live[0] = True
     cells = [(r, c) for r in range(n_rows) if live[r] for c in range(n_cols) if rng.random() < 0.6]
@@ -141,7 +157,8 @@ def _random_coupling(rng: np.random.Generator, n_rows: int, n_cols: int) -> Spar
     cells = sorted(set(cells))
     joint = np.zeros((n_rows, n_cols))
     joint[tuple(zip(*cells))] = rng.random(len(cells))
-    return SparseCoupling(joint / joint.sum())
+    rows = np.flatnonzero(live)
+    return SparseCoupling(joint[rows] / joint.sum(), rows=rows, n_rows=n_rows)
 
 
 class TestReferenceEquivalence:
@@ -149,7 +166,7 @@ class TestReferenceEquivalence:
     reference bit for bit."""
 
     def _assert_matches(self, c: SparseCoupling, b: Dist, policy: Dist):
-        ref = _reference_rows(c, policy)
+        ref = _reference_rows(_dense(c), policy)
         for m in range(c.n_rows):
             assert action_row(c, m, policy).tobytes() == ref[m].probs.tobytes()
         for a in range(c.n_cols):
@@ -173,13 +190,32 @@ class TestReferenceEquivalence:
             w = rng.random(1024) * (rng.random(1024) < 0.8)
             b = Dist(w / w.sum())
             a = Dist(rng.dirichlet(np.ones(4)))
-            self._assert_matches(greedy_mec(b, a), b, a)
+            c = greedy_mec(b, a)
+            self._assert_matches(c, b, a)
+            # The rows left out of the coupling act by the policy.
+            self._assert_matches(c, Dist.uniform(1024), a)
 
 
 class TestCheckMixture:
     def test_coupled_rule_passes(self):
         b, policy = Dist([0.25, 0.25, 0.5]), Dist([0.5, 0.3, 0.2])
         check_mixture(greedy_mec(b, policy), b, policy)
+
+    def test_stored_rows_are_checked_against_the_belief(self):
+        c = SparseCoupling([[0.5], [0.5]], rows=[0, 2], n_rows=3)
+        check_mixture(c, Dist([0.5, 0.0, 0.5]), Dist([1.0]))
+        with pytest.raises(RuntimeError, match="drifted"):
+            check_mixture(c, Dist([0.5, 0.5, 0.0]), Dist([1.0]))
+        with pytest.raises(RuntimeError, match="shape"):
+            check_mixture(c, Dist([0.5, 0.5]), Dist([1.0]))
+
+    def test_belief_mass_off_the_stored_rows_raises(self):
+        # Each stored row is 5e-10 above the belief, within tolerance, but
+        # the row the coupling leaves out carries 5e-9 of the belief.
+        c = SparseCoupling(np.full((10, 1), 0.1), rows=np.arange(10), n_rows=11)
+        check_mixture(c, Dist([0.1] * 10 + [0.0]), Dist([1.0]))
+        with pytest.raises(RuntimeError, match="drifted"):
+            check_mixture(c, Dist([0.1 - 5e-10] * 10 + [5e-9]), Dist([1.0]))
 
     def test_drift_within_tolerance_passes(self):
         c = SparseCoupling([[0.5 + 5e-10, 0.0], [0.0, 0.5]])
@@ -381,8 +417,8 @@ class TestRunningBlockPick:
         ties = 0
         for (s, executed), before, after in zip(z.steps, trace, trace[1:]):
             policy = softmax_policy(q, s)
-            block, coupling = _reference_plan(before, policy)
-            want = _reference_apply(before, block, coupling, policy, executed, mcg.noise_p)
+            block, rows = _reference_plan(before, policy)
+            want = _reference_apply(before, block, rows, executed, mcg.noise_p)
             _assert_same_bytes((after,), (want,))
             hs = [entropy(block) for block in before.blocks]
             ties += hs.count(max(hs)) > 1
@@ -420,21 +456,19 @@ class TestRunningBlockPick:
         self._roundtrips(mcg, 10, seed=12)
 
 
-def _reference_plan(belief: Belief, policy: Dist) -> tuple[int, SparseCoupling]:
-    """One decision with no memo: pick the block by a scan, couple and check."""
+def _reference_plan(belief: Belief, policy: Dist) -> tuple[int, list]:
+    """One decision with no memo and none of the coder's coupling code: pick
+    the block by a scan, couple it with the heap greedy, and read one Dist
+    per message off the dense table."""
     block = _reference_active_block(belief)
-    b = belief.blocks[block]
-    coupling = greedy_mec(b, policy)
-    check_mixture(coupling, b, policy)
-    return block, coupling
+    return block, _reference_rows(reference_greedy(belief.blocks[block], policy), policy)
 
 
 def _reference_apply(
-    belief: Belief, block: int, coupling: SparseCoupling, policy: Dist, executed: int,
-    noise_p: float,
+    belief: Belief, block: int, rows: list, executed: int, noise_p: float
 ) -> Belief:
     blocks = list(belief.blocks)
-    blocks[block] = posterior_update(blocks[block], coupling, policy, executed, noise_p)
+    blocks[block] = Dist(_reference_posterior(blocks[block], rows, executed, noise_p))
     return Belief(tuple(blocks))
 
 
@@ -446,11 +480,11 @@ def _reference_sender(q, mcg, m, rng) -> tuple[Trajectory, list]:
     s = mcg.mdp.initial_state
     while not mcg.mdp.is_terminal(s):
         policy = softmax_policy(q, s)
-        block, coupling = _reference_plan(belief, policy)
+        block, rows = _reference_plan(belief, policy)
         value = m[block] if mcg.message_space.factored else m
-        intended = sample_index(action_row(coupling, value, policy), rng)
+        intended = sample_index(rows[value].probs, rng)
         executed = apply_actuator_noise(intended, mcg.noise_p, mcg.mdp.n_actions, rng)
-        belief = _reference_apply(belief, block, coupling, policy, executed, mcg.noise_p)
+        belief = _reference_apply(belief, block, rows, executed, mcg.noise_p)
         trace.append(belief)
         nxt, reward = step(mcg.mdp, s, executed, rng)
         steps.append(Step(s, intended, executed, reward))
@@ -464,8 +498,8 @@ def _reference_decode(q, mcg, z: ObservedTrajectory) -> tuple[object, list]:
     trace = [belief]
     for s, executed in z.steps:
         policy = softmax_policy(q, s)
-        block, coupling = _reference_plan(belief, policy)
-        belief = _reference_apply(belief, block, coupling, policy, executed, mcg.noise_p)
+        block, rows = _reference_plan(belief, policy)
+        belief = _reference_apply(belief, block, rows, executed, mcg.noise_p)
         trace.append(belief)
     return map_estimate(belief, mcg.message_space.factored), trace
 
@@ -496,6 +530,7 @@ class TestMemoMatchesReference:
                 id="chain-64-messages",
             ),
             pytest.param(lambda: build_codegrid(32), 0.15, 10, id="codegrid-32"),
+            pytest.param(lambda: build_codegrid(1024), 1 / 7, 3, id="codegrid-1024"),
         ],
     )
     def test_traces_trajectories_and_decodes(self, game, alpha, episodes):
@@ -528,7 +563,7 @@ class TestMemoScope:
 
     @pytest.fixture
     def counts(self, monkeypatch):
-        counts = {"greedy_mec": 0, "check_mixture": 0}
+        counts = {"greedy_mec": 0, "check_mixture": 0, "action_row": 0}
         for name in counts:
             original = getattr(coding, name)
 
@@ -558,6 +593,19 @@ class TestMemoScope:
         # The receiver shares nothing with the sender: it builds them all again.
         assert counts["greedy_mec"] == 2 * sent
         assert counts["check_mixture"] == counts["greedy_mec"]
+
+    def test_one_action_row_per_distinct_decision_and_message(self, counts):
+        mcg = _noisy_image_game()
+        q = exact_soft_vi(mcg.mdp, 1.0)
+        rng = np.random.default_rng(13)
+        m = sample_message(mcg, rng)
+        rec = sender_episode(q, mcg, m, rng)
+        played = set()
+        for step, before in zip(rec.trajectory.steps, rec.sender_belief_trace):
+            block = _reference_active_block(before)
+            policy = softmax_policy(q, step.state)
+            played.add((before.blocks[block].probs.tobytes(), policy.probs.tobytes(), m[block]))
+        assert counts["action_row"] == len(played) < len(rec.trajectory.steps)
 
     def test_nothing_survives_between_decodes(self, counts):
         mcg = _noisy_image_game()

@@ -196,13 +196,33 @@ class TestSparseCoupling:
             with pytest.raises(ValueError):
                 arr[0] = 0
 
+    def test_stored_rows_keep_global_indices(self):
+        c = SparseCoupling([[0.5, 0.0], [0.25, 0.25]], rows=[1, 3], n_rows=5)
+        assert (c.n_rows, c.n_cols) == (5, 2)
+        assert c.entries == ((0.5, 1, 0), (0.25, 3, 0), (0.25, 3, 1))
+        assert np.array_equal(c.row_mass, [0.5, 0.5])
+        assert np.array_equal(c.row_marginal().probs, [0.0, 0.5, 0.0, 0.5, 0.0])
+        assert np.array_equal(c.col_marginal().probs, [0.75, 0.25])
+        with pytest.raises(ValueError):
+            c.rows[0] = 0
+
+    @pytest.mark.parametrize(
+        "rows, n_rows",
+        [([3, 1], 5), ([1, 1], 5), ([-1, 2], 5), ([1, 5], 5), ([0, 2], None), ([1], 5), (None, 1)],
+        ids=["descending", "repeated", "negative", "past-the-end", "past-the-stored",
+             "wrong-count", "too-few"],
+    )
+    def test_rejects_bad_rows(self, rows, n_rows):
+        with pytest.raises(ValueError, match="coupling row"):
+            SparseCoupling([[0.5, 0.0], [0.25, 0.25]], rows=rows, n_rows=n_rows)
+
     def test_lazy_marginals_match_entry_loop_bytes(self):
         # Reference: each marginal summed cell by cell, in row-major order, in
-        # a Python loop. One-column tables are where a pairwise column sum
-        # would differ.
+        # a Python loop. One-column tables and rows of more than eight cells
+        # are where a pairwise sum would differ.
         rng = np.random.default_rng(41)
         for _ in range(300):
-            n_rows, n_cols = int(rng.integers(1, 30)), int(rng.integers(1, 8))
+            n_rows, n_cols = int(rng.integers(1, 30)), int(rng.integers(1, 20))
             cells = rng.permutation(n_rows * n_cols)[: int(rng.integers(1, n_rows * n_cols + 1))]
             masses = rng.random(len(cells)) + 1e-3
             masses /= masses.sum()

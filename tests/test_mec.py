@@ -1,18 +1,20 @@
 """Greedy coupling and exact-oracle tests.
 
-The greedy is checked on worked examples, on properties of random pairs
+The greedy is checked on worked examples, cell for cell against the textbook
+heap greedy kept here as ``reference_greedy``, on properties of random pairs
 (exact marginals, determinism, sparsity) and against ``exact_mec_oracle``:
 never below it, within the proved log2(e)/e bits of it, and close to it on
 average. The oracle is checked against an unpruned enumeration of vertices.
 """
 
+import heapq
 import math
 
 import numpy as np
 import pytest
 
 from trajcomm.dist import Dist, coupling_entropies, entropy
-from trajcomm.mec import exact_mec_oracle, greedy_mec
+from trajcomm.mec import _PY_SORT_MAX, exact_mec_oracle, greedy_mec
 
 # Compton et al. (2022): the greedy is within log2(e)/e bits of optimal.
 GREEDY_GAP_BOUND = math.log2(math.e) / math.e
@@ -26,6 +28,100 @@ def random_dist(rng, max_size=64, min_size=2, spiky=True) -> Dist:
         probs[rng.integers(n)] = 0.0
         probs = probs / probs.sum()
     return Dist(probs)
+
+
+def reference_greedy(p: Dist, q: Dist) -> np.ndarray:
+    """The textbook heap greedy, as the reference for ``greedy_mec``.
+
+    One max-heap per side over ``(-mass, index)`` of the positive entries:
+    pop the top row and the top column, place the smaller mass on their
+    cell, push the larger one's residual back. Returns the dense
+    ``len(p) x len(q)`` table.
+    """
+    rows = [(-m, i) for i, m in enumerate((p.probs / p.probs.sum()).tolist()) if m > 0.0]
+    cols = [(-m, j) for j, m in enumerate((q.probs / q.probs.sum()).tolist()) if m > 0.0]
+    heapq.heapify(rows)
+    heapq.heapify(cols)
+    joint = np.zeros((len(p), len(q)))
+    while rows and cols:
+        r, i = heapq.heappop(rows)
+        c, j = heapq.heappop(cols)
+        joint[i, j] = -max(r, c)
+        if r < c:
+            heapq.heappush(rows, (r - c, i))
+        elif c < r:
+            heapq.heappush(cols, (c - r, j))
+    return joint
+
+
+def reference_marginals(joint: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column sums of a dense table, cell by cell in row-major order."""
+    rows, cols = np.zeros(joint.shape[0]), np.zeros(joint.shape[1])
+    for r, c in zip(*np.nonzero(joint)):
+        rows[r] += joint[r, c]
+        cols[c] += joint[r, c]
+    return rows, cols
+
+
+def _reference_pairs(rng) -> list:
+    """Pairs of every kind the greedy must match the reference on."""
+    pairs = [(Dist.uniform(1024), random_dist(rng, max_size=n, min_size=n)) for n in range(1, 7)]
+    pairs += [(Dist.uniform(1024), Dist.uniform(n)) for n in (1, 2, 4)]
+    for i in range(600):
+        n_cols = 1 + i % 6
+        n_rows = int(rng.choice([1, 2, 3, 8, 63, 64, 65, 200]))
+        kind = i % 4
+        if kind == 0:  # Dirichlet masses, some entries zeroed
+            p = rng.dirichlet(np.ones(n_rows)) * (rng.random(n_rows) < 0.7)
+            q = rng.dirichlet(np.ones(n_cols)) * (rng.random(n_cols) < 0.7)
+        elif kind == 1:
+            # Masses of 1, 2 or 4 units: equal masses tie exactly, and so do
+            # residuals, since halving and doubling are exact.
+            p = rng.choice([1.0, 2.0, 4.0], n_rows) * (rng.random(n_rows) < 0.8)
+            q = rng.choice([1.0, 2.0, 4.0], n_cols)
+        elif kind == 2:  # point masses on either side
+            p = np.eye(n_rows)[rng.integers(n_rows)] if rng.random() < 0.5 else rng.random(n_rows)
+            q = np.eye(n_cols)[rng.integers(n_cols)]
+        else:  # uniform rows, possibly with zero rows
+            p = np.ones(n_rows) * (rng.random(n_rows) < 0.9)
+            q = rng.random(n_cols)
+        for d in (p, q):  # at least one positive row and column
+            if not d.any():
+                d[rng.integers(len(d))] = 1.0
+        pairs.append((Dist(p / p.sum()), Dist(q / q.sum())))
+    return pairs
+
+
+class TestGreedyMatchesHeapReference:
+    """``greedy_mec`` places the heap greedy's masses in the heap greedy's
+    cells, and its marginals have the reference's bytes."""
+
+    def test_entries_and_marginal_bytes(self):
+        supports = set()
+        for p, q in _reference_pairs(np.random.default_rng(21)):
+            supports.add(np.count_nonzero(p.probs))
+            c = greedy_mec(p, q)
+            ref = reference_greedy(p, q)
+            at = np.nonzero(ref)
+            assert c.entries == tuple(zip(ref[at].tolist(), *(a.tolist() for a in at)))
+            rows, cols = reference_marginals(ref)
+            assert c.row_marginal().probs.tobytes() == rows.tobytes()
+            assert c.col_marginal().probs.tobytes() == cols.tobytes()
+            assert c.rows.tolist() == np.flatnonzero(p.probs).tolist()
+        # Supports on both sides of the cut-off run both sorts.
+        assert min(supports) <= _PY_SORT_MAX < max(supports)
+
+    def test_stores_only_the_live_rows(self):
+        rng = np.random.default_rng(22)
+        live = np.sort(rng.choice(1024, 40, replace=False))
+        w = np.zeros(1024)
+        w[live] = rng.random(40) + 0.1
+        q = Dist([0.4, 0.3, 0.2, 0.1])
+        c = greedy_mec(Dist(w / w.sum()), q)
+        assert c.joint.shape == (40, 4)
+        assert c.rows.tolist() == live.tolist()
+        assert (c.n_rows, c.n_cols) == (1024, 4)
+        assert np.array_equal(c.row_marginal().probs[live], c.row_mass)
 
 
 class TestGreedyMecExamples:
@@ -43,6 +139,12 @@ class TestGreedyMecExamples:
         c = greedy_mec(Dist([0.5, 0.5]), Dist([0.5, 0.25, 0.25]))
         assert set(c.entries) == {(0.5, 0, 0), (0.25, 1, 1), (0.25, 1, 2)}
         assert coupling_entropies(c).joint_bits == pytest.approx(1.5, abs=1e-12)
+
+    def test_residual_ties_go_to_the_lower_index(self):
+        # Row 0 keeps a residual of 0.25 after its first cell, which ties
+        # with rows 1 and 2; the residual row comes first.
+        c = greedy_mec(Dist([0.5, 0.25, 0.25]), Dist.uniform(4))
+        assert c.entries == ((0.25, 0, 0), (0.25, 0, 1), (0.25, 1, 2), (0.25, 2, 3))
 
     def test_ties_go_to_the_lower_index(self):
         # Sender and receiver rebuild this exact entry sequence independently.
