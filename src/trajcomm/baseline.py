@@ -205,19 +205,3 @@ def evaluate_rl_pr(
         return_se=standard_error(rets),
     )
 
-
-def posterior_from_scratch(
-    q: MessageConditionalQ, mcg: McgSpec, steps, alpha: float
-) -> np.ndarray:
-    """Recompute the perfect receiver's posterior directly from a trajectory.
-
-    Used to cross-check the incrementally maintained belief: the posterior is
-    proportional to prior(m) * prod_t pi(a_t | s_t, m) under the given
-    temperature.
-    """
-    b = mcg.prior.blocks[0].probs.copy()
-    for s, executed in steps:
-        rows = softmax_parts(q.values[s], alpha)[0]
-        b = b * rows[:, executed]
-    total = b.sum()
-    return b / total if total > 0 else np.full(len(b), 1.0 / len(b))

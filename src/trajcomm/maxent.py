@@ -2,9 +2,11 @@
 
 The entropy-regularized objective E[sum_t R + alpha * H(A_t | S_t)] is
 maximized, for a tabular MDP, by a softmax-of-Q policy with log-sum-exp state
-values. ``exact_soft_vi`` computes that optimum by backward induction;
-``train_soft_q`` learns it from sampled episodes. Entropy inside the backups
-uses natural log to match exp/softmax; reporting functions convert to bits.
+values. ``exact_soft_vi`` computes that optimum by backward induction, in one
+pass over the MDP's layers of states with equal height (longest path to a
+terminal), and rejects an MDP that breaks its horizon bound; ``train_soft_q``
+learns the optimum from sampled episodes. Entropy inside the backups uses
+natural log to match exp/softmax; reporting functions convert to bits.
 """
 
 from __future__ import annotations
@@ -84,42 +86,119 @@ def softmax_policy(q: QTable, s: int) -> Dist:
 
 
 def exact_soft_vi(mdp: MdpSpec, alpha: float) -> QTable:
-    """Exact finite-horizon soft value iteration.
+    """Exact finite-horizon soft value iteration, by one backward pass.
 
-    Runs backward sweeps Q(s,a) = R(s,a) + E[V(s')] with V the log-sum-exp
-    soft value (zero at terminals). Because every trajectory ends within the
-    horizon bound, ``horizon_bound`` sweeps from V = 0 reach the fixed point
-    exactly, and the induced softmax policy maximizes the entropy-regularized
-    objective.
+    Computes Q(s,a) = R(s,a) + E[V(s')] with V the log-sum-exp soft value
+    (zero at terminals); the induced softmax policy maximizes the
+    entropy-regularized objective.
 
-    Each sweep is a handful of array operations over the MDP's CSR
-    transitions: ``bincount`` over ``entry_row`` of ``prob * V[next_state]``
-    gives E[V(s')] for every (s, a) row at once, then a log-sum-exp over the
-    non-terminal rows of Q gives the new V. ``bincount`` adds each row's
-    branches in stored order, and the logarithm is ``math.log`` per state, so
-    the table is bit-identical to a per-state loop over the branches.
-    Terminal rows of Q stay zero.
+    A state's height is the longest path from it to a terminal over every
+    stored transition entry, zero-probability ones included. The live
+    states are ordered by height, and each layer of equal height gets its
+    final V from the layers below it: ``bincount`` of
+    ``prob * V[next_state]`` over the layer's rows gives E[V(s')], then a
+    log-sum-exp per state gives V. Q is then built from the final V over
+    every row at once.
+
+    This is exactly what ``horizon_bound`` Jacobi sweeps from V = 0 give:
+    after k sweeps, a state's V is final once its height is at most k, and
+    each layer here runs the sweeps' per-row operations on the same values.
+    ``bincount`` adds each row's branches in stored order, and the logarithm
+    is ``math.log`` per state, so the table is bit-identical to a per-state
+    loop over the branches. Terminal rows of Q stay zero.
+
+    Raises ``ValueError`` if the MDP breaks ``MdpSpec``'s horizon contract:
+    a cycle among its stored entries, or a height above ``horizon_bound``.
     """
     if mdp.n_states * mdp.n_actions > MAX_EXACT_ENTRIES:
         raise ValueError("MDP too large for exact soft value iteration")
     if alpha <= 0.0:
         raise ValueError("temperature must be positive")
     n_states, n_actions = mdp.n_states, mdp.n_actions
-    live = np.flatnonzero(~mdp.terminal_mask)
+    v = _soft_values(mdp, alpha)
+    ev = np.bincount(
+        mdp.entry_row, weights=mdp.prob * v[mdp.next_state], minlength=n_states * n_actions
+    )
     rewards = np.where(mdp.terminal_mask[:, None], 0.0, mdp.rewards)
-    v = np.zeros(n_states)
-    for _ in range(mdp.horizon_bound):
+    return QTable(values=rewards + ev.reshape(n_states, n_actions), alpha=alpha)
+
+
+def _soft_values(mdp: MdpSpec, alpha: float) -> np.ndarray:
+    """The soft value of every state, by one pass over the layers of equal height.
+
+    Each layer's entries, rows and rewards are gathered into contiguous
+    slices up front, so the loop over layers only slices and computes.
+    """
+    v = np.zeros(mdp.n_states)
+    live = np.flatnonzero(~mdp.terminal_mask)
+    if not len(live):
+        return v
+    n_actions = mdp.n_actions
+    heights = _heights(mdp, live)
+    order = live[np.argsort(heights, kind="stable")]
+    n_live = len(order)
+    # Heights start at 1, so layer h is positions state_bounds[h - 1]:state_bounds[h].
+    layer_sizes = np.bincount(heights)
+    state_bounds = np.cumsum(layer_sizes)
+    first = mdp.row_offsets[order * n_actions]
+    counts = mdp.row_offsets[(order + 1) * n_actions] - first
+    entry_ends = np.cumsum(counts)
+    entries = np.arange(entry_ends[-1]) + np.repeat(first - entry_ends + counts, counts)
+    entry_bounds = np.concatenate(([0], entry_ends))[state_bounds]
+    # Shift each global row id r = s * n_actions + a to its row within the layer.
+    layer_start = np.repeat(state_bounds[:-1], layer_sizes[1:])
+    row_shift = (np.arange(n_live) - layer_start - order) * n_actions
+    local_row = mdp.entry_row[entries] + np.repeat(row_shift, counts)
+    position = np.full(mdp.n_states, n_live)  # terminals read the last slot, 0
+    position[order] = np.arange(n_live)
+    nxt = position[mdp.next_state[entries]]
+    prob = mdp.prob[entries]
+    rewards = mdp.rewards[order]
+    v_order = np.zeros(n_live + 1)
+    sb, eb = state_bounds.tolist(), entry_bounds.tolist()
+    for p0, p1, e0, e1 in zip(sb, sb[1:], eb, eb[1:]):
         ev = np.bincount(
-            mdp.entry_row, weights=mdp.prob * v[mdp.next_state], minlength=n_states * n_actions
+            local_row[e0:e1],
+            weights=prob[e0:e1] * v_order[nxt[e0:e1]],
+            minlength=(p1 - p0) * n_actions,
         )
-        values = rewards + ev.reshape(n_states, n_actions)
-        x = values[live] / alpha
-        m = x.max(axis=1)
-        sums = np.exp(x - m[:, None]).sum(axis=1)
+        x = (rewards[p0:p1] + ev.reshape(p1 - p0, n_actions)) / alpha
+        m = x.max(axis=1, keepdims=True)
+        sums = np.exp(x - m).sum(axis=1)
         # math.log, not np.log: numpy's SIMD log can differ in the last bit.
-        logs = np.fromiter(map(math.log, sums.tolist()), np.float64, len(live))
-        v[live] = alpha * (m + logs)
-    return QTable(values=values, alpha=alpha)
+        # Python float arithmetic rounds as numpy's does.
+        v_order[p0:p1] = [
+            alpha * (mx + math.log(s)) for (mx,), s in zip(m.tolist(), sums.tolist())
+        ]
+    v[order] = v_order[:n_live]
+    return v
+
+
+def _heights(mdp: MdpSpec, live: np.ndarray) -> np.ndarray:
+    """Each live state's longest path to a terminal, over every stored entry.
+
+    Iterates h(s) = 1 + max of h over s's entries from h = 0, on all live
+    states at once: each live state's entries are contiguous, so one
+    ``maximum.reduceat`` takes every max. After k rounds h is the height
+    capped at k, so h is final after the first round k whose max is below
+    k; if round ``horizon_bound + 1`` is not, some height exceeds the bound.
+    """
+    n_live = len(live)
+    position = np.full(mdp.n_states, n_live)  # terminals read the last slot, 0
+    position[live] = np.arange(n_live)
+    nxt = position[mdp.next_state]
+    starts = mdp.row_offsets[live * mdp.n_actions]
+    h = np.zeros(n_live + 1, dtype=np.int64)
+    top = np.empty(n_live, dtype=np.int64)
+    for k in range(1, mdp.horizon_bound + 2):
+        np.maximum.reduceat(h[nxt], starts, out=top)
+        np.add(top, 1, out=h[:n_live])
+        if top.max() < k - 1:  # top is h - 1
+            return h[:n_live]
+    raise ValueError(
+        f"the MDP breaks its horizon bound: a state is more than {mdp.horizon_bound} "
+        "steps from a terminal, or on a cycle"
+    )
 
 
 def train_soft_q(

@@ -59,7 +59,10 @@ class MdpSpec:
     terminal states as a boolean vector; both are derived at construction,
     and every array is read-only. Episodes are undiscounted and must
     terminate within ``horizon_bound`` steps, which builders guarantee by
-    encoding time into the state where needed.
+    encoding time into the state where needed. Construction does not check
+    this; ``exact_soft_vi`` does, and raises ``ValueError`` if a stored
+    transition entry (zero-probability ones included) closes a cycle or any
+    state is more than ``horizon_bound`` steps from a terminal.
     """
 
     n_states: int
@@ -74,6 +77,8 @@ class MdpSpec:
 
     def __post_init__(self):
         n_states, n_actions = self.n_states, self.n_actions
+        if n_actions < 1:
+            raise ValueError("an MDP needs at least one action")
         rewards = _frozen(self.rewards, np.float64)
         if rewards.shape != (n_states, n_actions):
             raise ValueError("reward table shape must be (n_states, n_actions)")

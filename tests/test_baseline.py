@@ -8,7 +8,6 @@ import pytest
 from trajcomm.baseline import (
     MessageConditionalQ,
     evaluate_rl_pr,
-    posterior_from_scratch,
     rollout_rl_pr,
     train_rl_pr,
 )
@@ -207,6 +206,21 @@ class TestEvaluateRlPr:
             q = MessageConditionalQ(values=values, alpha_start=0.3, alpha_end=0.3)
             stats = evaluate_rl_pr(q, mcg, episodes=3000)
             assert stats.accuracy >= 0.25 - 3 * stats.accuracy_se - 1e-9
+
+
+def posterior_from_scratch(q, mcg, steps, alpha):
+    """Recompute the perfect receiver's posterior directly from a trajectory.
+
+    Used to cross-check the incrementally maintained belief: the posterior is
+    proportional to prior(m) * prod_t pi(a_t | s_t, m) under the given
+    temperature.
+    """
+    b = mcg.prior.blocks[0].probs.copy()
+    for s, executed in steps:
+        rows = softmax_parts(q.values[s], alpha)[0]
+        b = b * rows[:, executed]
+    total = b.sum()
+    return b / total if total > 0 else np.full(len(b), 1.0 / len(b))
 
 
 class TestPerfectReceiverPosterior:

@@ -125,6 +125,25 @@ def test_sweep_rejects_a_bad_config_key(tmp_path, capsys, doc, key):
     assert not (tmp_path / "rows.csv").exists()
 
 
+@pytest.mark.parametrize("fault", ["horizon-one-short", "cycle"])
+def test_solve_rejects_a_spec_that_breaks_its_horizon_bound(tmp_path, capsys, fault):
+    # A 5-step chain declared with horizon_bound 4, or with state 1's first
+    # action sent back to state 0. Both used to solve to a truncated table.
+    spec, qtable = tmp_path / "env.json", tmp_path / "q.txt"
+    assert main(["make-env", "chain", "--steps", "5", "--actions", "2", "--out", str(spec)]) == 0
+    document = json.loads(spec.read_text())
+    if fault == "cycle":
+        document["mdp"]["next_state"][2] = 0
+    else:
+        document["mdp"]["horizon_bound"] = 4
+    spec.write_text(json.dumps(document))
+    capsys.readouterr()
+    assert main(["solve", "--spec", str(spec), "--beta", "1", "--out", str(qtable)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "horizon bound" in err
+    assert not qtable.exists()
+
+
 # Valid JSON that is no game spec, and the text the error must contain.
 BAD_SPECS = {
     "terminal_states": ({"mdp": {}}, "terminal_states"),

@@ -1,5 +1,6 @@
 """Max-entropy planning and learning tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -300,6 +301,14 @@ SOFT_VI_CASES = [
         0.37,
     ),
     ("fan", lambda: fan_mdp(), 1.0),
+    ("skip-chain", lambda: skip_chain_mdp(), 0.45),
+    ("branching-dag", lambda: branching_dag_mdp(), 0.8),
+    # No live state: Q is all zeros whatever the stored rewards.
+    (
+        "all-terminal",
+        lambda: MdpSpec.deterministic(np.zeros((2, 3)), np.ones((2, 3)), 0, frozenset({0, 1}), 1),
+        1.0,
+    ),
 ]
 
 
@@ -317,6 +326,45 @@ def fan_mdp(n=2000, n_actions=3, seed=0):
     return MdpSpec.deterministic(next_table, rewards, 0, frozenset({2 * n}), 2)
 
 
+def skip_chain_mdp(steps=40, n_actions=3, seed=1):
+    """A chain whose last action skips a step, so every state's successors
+    sit at two heights; rewards are random, so Q rows are not flat."""
+    rng = np.random.default_rng(seed)
+    s = np.arange(steps + 1)
+    next_table = np.repeat(np.minimum(s + 1, steps)[:, None], n_actions, axis=1)
+    next_table[:, -1] = np.minimum(s + 2, steps)
+    rewards = rng.normal(size=(steps + 1, n_actions))
+    return MdpSpec.deterministic(next_table, rewards, 0, frozenset({steps}), steps)
+
+
+def branching_dag_mdp(n_states=30, n_actions=9, seed=2):
+    """Random stochastic DAG: every row branches to up to three later states,
+    so one row's branches land in different layers. Nine actions take each
+    row's sum of exponentials past numpy's eight-element pairwise block."""
+    rng = np.random.default_rng(seed)
+    terminal = n_states - 1
+    offsets, next_state, prob = [0], [], []
+    for s in range(n_states):
+        for _ in range(n_actions):
+            if s < terminal:
+                k = min(int(rng.integers(2, 4)), terminal - s)
+                targets = s + 1 + np.sort(rng.choice(terminal - s, k, replace=False))
+                next_state.extend(targets.tolist())
+                prob.extend(rng.dirichlet(np.ones(k)).tolist())
+            offsets.append(len(next_state))
+    return MdpSpec(
+        n_states=n_states,
+        n_actions=n_actions,
+        row_offsets=offsets,
+        next_state=next_state,
+        prob=prob,
+        rewards=rng.normal(size=(n_states, n_actions)),
+        initial_state=0,
+        terminal_states=frozenset({terminal}),
+        horizon_bound=terminal,
+    )
+
+
 class TestSoftViReference:
     @pytest.mark.parametrize(
         "build,alpha", [c[1:] for c in SOFT_VI_CASES], ids=[c[0] for c in SOFT_VI_CASES]
@@ -325,6 +373,22 @@ class TestSoftViReference:
         mdp = build()
         q = exact_soft_vi(mdp, alpha)
         assert q.values.tobytes() == loop_soft_vi(mdp, alpha).tobytes()
+
+
+class TestHorizonContract:
+    """An MDP that breaks MdpSpec's horizon contract is rejected, not truncated."""
+
+    def test_cycle_raises(self):
+        # The same MDP as test_baseline's self_loop_game: states 0 and 1 can stay put.
+        with pytest.raises(ValueError, match="horizon bound"):
+            exact_soft_vi(self_loop_mdp(), 0.5)
+
+    def test_horizon_one_short_of_the_chain_raises(self):
+        chain = build_channel_chain(5, 2)
+        with pytest.raises(ValueError, match="more than 4 steps"):
+            exact_soft_vi(dataclasses.replace(chain, horizon_bound=4), 1.0)
+        q = exact_soft_vi(chain, 1.0)
+        assert q.values[0, 0] == pytest.approx(4 * math.log(2), abs=1e-12)
 
 
 def layered_stochastic_mdp(seed=0, layers=3, width=3, n_actions=3):

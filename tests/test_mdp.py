@@ -124,8 +124,16 @@ class TestMdpSpecValidation:
                 "state 1 must define every action",
             ),
             ({"row_offsets": [0, 1, 2]}, "one row per"),
+            (
+                {"n_actions": 0, "row_offsets": [0], "next_state": [], "prob": [],
+                 "rewards": np.zeros((3, 0))},
+                "at least one action",
+            ),
         ],
-        ids=["target-out-of-range", "negative-probability", "row-sum-off", "missing-row", "row-count"],
+        ids=[
+            "target-out-of-range", "negative-probability", "row-sum-off", "missing-row",
+            "row-count", "no-actions",
+        ],
     )
     def test_rejects_malformed_transitions(self, overrides, message):
         with pytest.raises(ValueError, match=message):
