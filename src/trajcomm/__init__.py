@@ -6,13 +6,7 @@ using greedy minimum entropy coupling. The receiver replays the construction
 from the observed trajectory and decodes the maximum a posteriori message.
 """
 
-from .baseline import (
-    EvalStats,
-    MessageConditionalQ,
-    evaluate_rl_pr,
-    rollout_rl_pr,
-    train_rl_pr,
-)
+from .baseline import MessageConditionalQ, rollout_rl_pr, train_rl_pr
 from .coding import (
     EpisodeRecord,
     action_row,

@@ -1,11 +1,14 @@
 """RL baseline: message-conditional soft Q-learning with a perfect receiver.
 
 The sender learns a table Q(s, m, a) by Boltzmann exploration with an
-annealed temperature. Along every episode a perfect Bayesian receiver tracks
-the exact posterior over messages against the sender's live behavior policy,
-and the terminal transition's reward is shaped by priority * max_m b(m)
-before the update. Evaluation rolls out the low-temperature policy and
-guesses the MAP of the same exact posterior.
+annealed temperature and learning rate. Along every episode a perfect
+Bayesian receiver tracks the exact posterior over messages against the
+sender's live behavior policy, and the terminal transition's reward is
+shaped by ``mcg.priority * max_m b(m)`` before the update. Evaluation plays
+each message's greedy action; the receiver scores every executed action
+against all messages' greedy actions and guesses the posterior's MAP.
+Training and evaluation update the posterior with the same step,
+``_observe``.
 
 Training builds one softmax block per visited state, over every message.
 That block is the behaviour policy and posterior column of the step taken
@@ -30,11 +33,9 @@ MAX_BASELINE_MESSAGES = 128
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class MessageConditionalQ:
-    """Q(s, m, a) values plus the temperature schedule they were trained with."""
+    """Q(s, m, a) values of the message-conditional sender."""
 
     values: np.ndarray
-    alpha_start: float
-    alpha_end: float
 
     def __post_init__(self):
         values = np.array(self.values, dtype=np.float64)
@@ -42,14 +43,6 @@ class MessageConditionalQ:
             raise ValueError("message-conditional Q must be (states, messages, actions)")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-
-
-@dataclasses.dataclass(frozen=True)
-class EvalStats:
-    accuracy: float
-    accuracy_se: float
-    mean_return: float
-    return_se: float
 
 
 def _check_space(mcg: McgSpec) -> int:
@@ -66,24 +59,34 @@ def standard_error(x: np.ndarray) -> float:
     return float(x.std(ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0
 
 
+def _observe(b: np.ndarray, likelihood: np.ndarray) -> np.ndarray:
+    """The perfect receiver's posterior after one executed action, given each
+    message's likelihood of it; a posterior that underflows resets to uniform."""
+    b = b * likelihood
+    total = b.sum()
+    if total < 1e-300:
+        return np.full(len(b), 1.0 / len(b))
+    return b / total
+
+
 def train_rl_pr(
     mcg: McgSpec,
-    priority: float,
     cfg,
     rng: np.random.Generator | None = None,
-    alpha_start: float = 1.0,
-    alpha_end: float = 0.05,
-    lr_end: float | None = None,
+    alpha_start: float = 0.25,
+    alpha_end: float = 0.015,
+    lr_end: float = 0.02,
 ) -> MessageConditionalQ:
     """Train the message-conditional sender with perfect-receiver shaping.
 
     Per episode: sample a message, roll out the Boltzmann policy for that
     message, keep the exact posterior over all messages updated with each
     executed action against the full current policy, and add
-    ``priority * max_m b(m)`` to the terminal transition's reward before the
-    final Q update. The temperature anneals geometrically from
-    ``alpha_start`` to ``alpha_end``; the learning rate anneals likewise when
-    ``lr_end`` is given.
+    ``mcg.priority * max_m b(m)`` to the terminal transition's reward before
+    the final Q update. The temperature anneals geometrically from
+    ``alpha_start`` to ``alpha_end``, and the learning rate from
+    ``cfg.learning_rate`` to ``lr_end``; pass ``lr_end=cfg.learning_rate``
+    for a constant rate.
 
     One softmax block per visited state serves two steps: row ``m``'s max
     and exp-sum give the soft-value target of the step that enters the
@@ -99,7 +102,7 @@ def train_rl_pr(
     lr = cfg.learning_rate
     prior = mcg.prior.blocks[0].probs
     decay = (alpha_end / alpha_start) ** (1.0 / max(1, cfg.episodes - 1))
-    lr_decay = 1.0 if lr_end is None else (lr_end / lr) ** (1.0 / max(1, cfg.episodes - 1))
+    lr_decay = (lr_end / lr) ** (1.0 / max(1, cfg.episodes - 1))
     alpha = alpha_start
     for _ in range(cfg.episodes):
         m = sample_index(prior, rng)
@@ -109,15 +112,10 @@ def train_rl_pr(
         while True:
             a = sample_index(rows[m], rng)
             executed = apply_actuator_noise(a, mcg.noise_p, mdp.n_actions, rng)
-            b = b * rows[:, executed]
-            total = b.sum()
-            if total < 1e-300:
-                b = np.full(n_messages, 1.0 / n_messages)
-            else:
-                b = b / total
+            b = _observe(b, rows[:, executed])
             nxt, reward = step(mdp, s, executed, rng)
             if mdp.is_terminal(nxt):
-                target = reward + priority * float(b.max())
+                target = reward + mcg.priority * float(b.max())
             else:
                 if nxt != s:
                     rows, mx, sums = softmax_parts(q[nxt], alpha)
@@ -130,48 +128,33 @@ def train_rl_pr(
             s = nxt
         alpha = max(alpha_end, alpha * decay)
         lr *= lr_decay
-    return MessageConditionalQ(values=q, alpha_start=alpha_start, alpha_end=alpha_end)
+    return MessageConditionalQ(values=q)
 
 
 def rollout_rl_pr(
-    q: MessageConditionalQ, mcg: McgSpec, m: int, rng: np.random.Generator,
-    greedy: bool = False,
+    q: MessageConditionalQ, mcg: McgSpec, m: int, rng: np.random.Generator
 ) -> tuple[int, float]:
     """One evaluation episode: returns (guessed message, MDP return).
 
-    The sender plays the low-temperature (or greedy) policy for ``m``; the
-    perfect receiver tracks the exact posterior against that same policy and
-    guesses its argmax. Greedy play still scores the posterior against the
-    matching deterministic per-message policies.
+    The sender plays the greedy policy for ``m``; the perfect receiver scores
+    each executed action against every message's greedy action and guesses
+    the argmax of its posterior.
     """
     mdp = mcg.mdp
-    alpha = q.alpha_end
-    prior = mcg.prior.blocks[0].probs
-    b = prior.copy()
+    b = mcg.prior.blocks[0].probs.copy()
     s = mdp.initial_state
     ret = 0.0
     while not mdp.is_terminal(s):
-        if greedy:
-            picks = q.values[s].argmax(axis=1)
-            a = int(picks[m])
-            executed = apply_actuator_noise(a, mcg.noise_p, mdp.n_actions, rng)
-            likelihood = (picks == executed).astype(float)
-        else:
-            rows = softmax_parts(q.values[s], alpha)[0]
-            a = sample_index(rows[m], rng)
-            executed = apply_actuator_noise(a, mcg.noise_p, mdp.n_actions, rng)
-            likelihood = rows[:, executed]
-        b = b * likelihood
-        total = b.sum()
-        b = b / total if total > 1e-300 else np.full(len(b), 1.0 / len(b))
+        picks = q.values[s].argmax(axis=1)
+        executed = apply_actuator_noise(int(picks[m]), mcg.noise_p, mdp.n_actions, rng)
+        b = _observe(b, (picks == executed).astype(float))
         s, reward = step(mdp, s, executed, rng)
         ret += reward
     return int(np.argmax(b)), ret
 
 
 def evaluation_rollouts(
-    q: MessageConditionalQ, mcg: McgSpec, episodes: int, rng: np.random.Generator,
-    greedy: bool = False,
+    q: MessageConditionalQ, mcg: McgSpec, episodes: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Play ``episodes`` evaluation episodes: per-episode decode hits and returns.
 
@@ -183,25 +166,7 @@ def evaluation_rollouts(
     rets = np.zeros(episodes)
     for i in range(episodes):
         m = sample_index(prior, rng)
-        guess, ret = rollout_rl_pr(q, mcg, m, rng, greedy=greedy)
+        guess, ret = rollout_rl_pr(q, mcg, m, rng)
         hits[i] = 1.0 if guess == m else 0.0
         rets[i] = ret
     return hits, rets
-
-
-def evaluate_rl_pr(
-    q: MessageConditionalQ, mcg: McgSpec, episodes: int,
-    rng: np.random.Generator | None = None, greedy: bool = False,
-) -> EvalStats:
-    """Empirical decode accuracy and mean return of a trained baseline."""
-    _check_space(mcg)
-    if rng is None:
-        rng = np.random.default_rng(0)
-    hits, rets = evaluation_rollouts(q, mcg, episodes, rng, greedy=greedy)
-    return EvalStats(
-        accuracy=float(hits.mean()),
-        accuracy_se=standard_error(hits),
-        mean_return=float(rets.mean()),
-        return_se=standard_error(rets),
-    )
-

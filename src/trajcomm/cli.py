@@ -27,13 +27,14 @@ from .formats import (
     message_to_image,
     save_entropy_trace_csv,
     save_mcg,
+    save_metrics_csv,
     save_pbm,
     save_qtable,
     save_trajectory,
 )
 from .maxent import TrainConfig, exact_soft_vi, train_soft_q
 from .mec import greedy_mec
-from .sweep import build_env, sweep_config_from_document, write_sweep_csv
+from .sweep import build_env, run_sweep, sweep_config_from_document
 
 
 def _add_make_env(sub):
@@ -147,7 +148,8 @@ def _cmd_receive(args) -> int:
 def _cmd_sweep(args) -> int:
     with open(args.config) as f:
         cfg = sweep_config_from_document(json.load(f))
-    rows = write_sweep_csv(cfg, args.out)
+    rows = run_sweep(cfg)
+    save_metrics_csv(rows, args.out)
     failures = sum(1 for r in rows if r.error)
     print(f"wrote {len(rows)} rows to {args.out} ({failures} cell failures)")
     return 0

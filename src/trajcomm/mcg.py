@@ -97,7 +97,11 @@ class Belief:
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class McgSpec:
-    """An MDP plus message space, prior, message priority, and actuator noise."""
+    """An MDP plus message space, prior, message priority, and actuator noise.
+
+    ``priority`` weighs decode correctness against the MDP's return; the RL
+    baseline (``baseline.train_rl_pr``) shapes its terminal reward with it.
+    """
 
     mdp: MdpSpec
     message_space: MessageSpace

@@ -16,7 +16,7 @@ import numpy as np
 from . import envs
 from .baseline import evaluation_rollouts, standard_error, train_rl_pr
 from .coding import run_roundtrip
-from .formats import image_space, save_metrics_csv
+from .formats import image_space
 from .maxent import TrainConfig, exact_soft_vi
 from .mcg import Belief, McgSpec, MessageSpace, hamming_distance, sample_message
 from .mdp import trajectory_return
@@ -27,10 +27,10 @@ class SweepConfig:
     """One sweep: an environment, a method, and the axes to scan.
 
     ``grid`` holds beta values for the coded sender and zeta values for the
-    baseline. ``episodes`` is the per-cell training budget (used by the
-    baseline; the coded sender plans exactly). ``method_params`` passes
-    training knobs (learning_rate, alpha_start, alpha_end) through to the
-    baseline trainer.
+    baseline; a baseline cell's zeta becomes its game's message priority,
+    whatever ``env_params`` says. ``episodes`` is the per-cell training
+    budget (used by the baseline; the coded sender plans exactly), and each
+    cell plays ``rollouts`` (at least one) evaluation episodes.
     """
 
     env: str
@@ -41,7 +41,6 @@ class SweepConfig:
     episodes: int = 200_000
     rollouts: int = 10
     noise_p: tuple[float, ...] = (0.0,)
-    method_params: dict = dataclasses.field(default_factory=dict)
 
     def __post_init__(self):
         if not self.grid:
@@ -50,6 +49,8 @@ class SweepConfig:
             raise ValueError("sweep needs at least one seed")
         if self.method not in ("meme", "rl_pr"):
             raise ValueError(f"unknown method {self.method!r}")
+        if self.rollouts < 1:
+            raise ValueError(f"'rollouts' must be at least 1, not {self.rollouts}")
         object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "noise_p", tuple(float(n) for n in self.noise_p))
@@ -136,29 +137,16 @@ def _meme_cell(cfg: SweepConfig, mcg: McgSpec, beta: float, rng) -> tuple:
     return hits, rets, hams
 
 
-def _rl_pr_cell(cfg: SweepConfig, mcg: McgSpec, zeta: float, seed: int, rng) -> tuple:
-    mp = cfg.method_params
-    train_cfg = TrainConfig(
-        episodes=cfg.episodes,
-        learning_rate=mp.get("learning_rate", 0.25),
-        seed=seed,
-    )
-    q = train_rl_pr(
-        mcg,
-        priority=zeta,
-        cfg=train_cfg,
-        rng=rng,
-        alpha_start=mp.get("alpha_start", 0.25),
-        alpha_end=mp.get("alpha_end", 0.015),
-        lr_end=mp.get("lr_end", 0.02),
-    )
-    greedy = bool(mp.get("greedy_eval", True))
-    hits, rets = evaluation_rollouts(q, mcg, cfg.rollouts, rng, greedy=greedy)
+def _rl_pr_cell(cfg: SweepConfig, mcg: McgSpec, zeta: float, rng) -> tuple:
+    mcg = dataclasses.replace(mcg, priority=zeta)
+    q = train_rl_pr(mcg, TrainConfig(episodes=cfg.episodes, learning_rate=0.25), rng=rng)
+    hits, rets = evaluation_rollouts(q, mcg, cfg.rollouts, rng)
     return hits, rets, 1.0 - hits
 
 
 def run_sweep(cfg: SweepConfig) -> list[MetricsRow]:
     """Run every (grid value, noise level, seed) cell and return its rows."""
+    cell = _meme_cell if cfg.method == "meme" else _rl_pr_cell
     rows = []
     for gi, param in enumerate(cfg.grid):
         for ni, noise in enumerate(cfg.noise_p):
@@ -168,42 +156,18 @@ def run_sweep(cfg: SweepConfig) -> list[MetricsRow]:
                 )
                 try:
                     mcg = build_env(cfg.env, cfg.env_params, noise_p=noise)
-                    if cfg.method == "meme":
-                        hits, rets, hams = _meme_cell(cfg, mcg, param, rng)
-                    else:
-                        hits, rets, hams = _rl_pr_cell(cfg, mcg, param, seed, rng)
-                    rows.append(
-                        MetricsRow(
-                            method=cfg.method,
-                            param=param,
-                            noise_p=noise,
-                            seed=seed,
-                            decode_accuracy=float(hits.mean()),
-                            accuracy_se=standard_error(hits),
-                            mean_return=float(rets.mean()),
-                            return_se=standard_error(rets),
-                            mean_hamming=float(hams.mean()),
-                            hamming_se=standard_error(hams),
-                            rollouts=cfg.rollouts,
-                        )
-                    )
+                    # Mean and standard error of the hits, returns and distances.
+                    stats = [
+                        v for x in cell(cfg, mcg, param, rng)
+                        for v in (float(x.mean()), standard_error(x))
+                    ]
+                    row = MetricsRow(cfg.method, param, noise, seed, *stats, cfg.rollouts)
                 except Exception as e:  # per-cell failures stay in the row
-                    rows.append(
-                        MetricsRow(
-                            method=cfg.method,
-                            param=param,
-                            noise_p=noise,
-                            seed=seed,
-                            decode_accuracy=0.0,
-                            accuracy_se=0.0,
-                            mean_return=0.0,
-                            return_se=0.0,
-                            mean_hamming=0.0,
-                            hamming_se=0.0,
-                            rollouts=0,
-                            error=f"{type(e).__name__}: {e}",
-                        )
+                    row = MetricsRow(
+                        cfg.method, param, noise, seed, *(0.0,) * 6, rollouts=0,
+                        error=f"{type(e).__name__}: {e}",
                     )
+                rows.append(row)
     return rows
 
 
@@ -214,9 +178,3 @@ def sweep_config_from_document(doc: dict) -> SweepConfig:
         return SweepConfig(**doc)
     except TypeError as e:
         raise ValueError(f"bad sweep config: {e}") from e
-
-
-def write_sweep_csv(cfg: SweepConfig, path) -> list[MetricsRow]:
-    rows = run_sweep(cfg)
-    save_metrics_csv(rows, path)
-    return rows

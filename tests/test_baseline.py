@@ -1,5 +1,6 @@
 """Message-conditional Q-learning baseline tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -7,8 +8,8 @@ import pytest
 
 from trajcomm.baseline import (
     MessageConditionalQ,
-    evaluate_rl_pr,
-    rollout_rl_pr,
+    evaluation_rollouts,
+    standard_error,
     train_rl_pr,
 )
 from trajcomm.dist import Dist, sample_index
@@ -16,16 +17,22 @@ from trajcomm.envs import build_channel_chain, build_codegrid, build_toy_mcg, ch
 from trajcomm.maxent import TrainConfig, exact_soft_vi, softmax_parts, train_soft_q
 from trajcomm.mcg import Belief, McgSpec, MessageSpace
 from trajcomm.mdp import MdpSpec, apply_actuator_noise, enumerate_trajectories, step
+from trajcomm.sweep import SweepConfig, run_sweep
 
 
-def single_message_game():
+def single_message_game(priority=0.0):
     mcg = build_toy_mcg(priority=0.0)
     return McgSpec(
         mdp=mcg.mdp,
         message_space=MessageSpace.explicit(1),
         prior=Belief.explicit(Dist([1.0])),
-        priority=0.0,
+        priority=priority,
     )
+
+
+def evaluate(q, mcg, episodes):
+    """Decode hits and returns of ``episodes`` greedy evaluation episodes."""
+    return evaluation_rollouts(q, mcg, episodes, np.random.default_rng(0))
 
 
 class TestTrainRlPr:
@@ -33,23 +40,23 @@ class TestTrainRlPr:
         chain = build_channel_chain(4, 2)
         mcg = chain_mcg(chain, MessageSpace.product([2, 2]))
         with pytest.raises(ValueError):
-            train_rl_pr(mcg, 1.0, TrainConfig(episodes=10, seed=0))
+            train_rl_pr(mcg, TrainConfig(episodes=10, seed=0))
 
     def test_message_space_cap(self):
         chain = build_channel_chain(4, 2)
         mcg = chain_mcg(chain, MessageSpace.explicit(200))
         with pytest.raises(ValueError):
-            train_rl_pr(mcg, 1.0, TrainConfig(episodes=10, seed=0))
+            train_rl_pr(mcg, TrainConfig(episodes=10, seed=0))
 
     def test_single_message_reduces_to_soft_q_plus_shift(self):
         # With one message the posterior is always the point mass, so the
         # shaped terminal reward is a constant priority bonus: training on an
         # MDP whose terminal rewards carry that bonus gives the same values.
-        mcg = single_message_game()
         zeta = 2.0
+        mcg = single_message_game(priority=zeta)
         q = train_rl_pr(
-            mcg, zeta, TrainConfig(episodes=20_000, learning_rate=0.05, seed=3),
-            alpha_start=1.0, alpha_end=1.0,
+            mcg, TrainConfig(episodes=20_000, learning_rate=0.05, seed=3),
+            alpha_start=1.0, alpha_end=1.0, lr_end=0.05,
         )
         shifted = exact_soft_vi(mcg.mdp, alpha=1.0)
         assert np.max(np.abs(q.values[0, 0] - (shifted.values[0] + zeta))) < 0.05
@@ -57,13 +64,13 @@ class TestTrainRlPr:
     def test_toy_large_priority_separates_messages(self):
         mcg = build_toy_mcg(priority=10.0)
         q = train_rl_pr(
-            mcg, 10.0, TrainConfig(episodes=200_000, learning_rate=0.03, seed=0),
-            alpha_start=1.0, alpha_end=0.15,
+            mcg, TrainConfig(episodes=200_000, learning_rate=0.03, seed=0),
+            alpha_start=1.0, alpha_end=0.15, lr_end=0.03,
         )
-        stats = evaluate_rl_pr(q, mcg, episodes=1000)
-        assert stats.accuracy >= 0.95
+        hits, rets = evaluate(q, mcg, 1000)
+        assert hits.mean() >= 0.95
         # Message-separated play keeps high return: best two actions.
-        assert stats.mean_return >= 3.0
+        assert rets.mean() >= 3.0
 
 
 def self_loop_game(noise_p=0.0):
@@ -90,7 +97,7 @@ def self_loop_game(noise_p=0.0):
     )
 
 
-def per_step_rl_pr(mcg, priority, cfg, rng, alpha_start, alpha_end, lr_end):
+def per_step_rl_pr(mcg, cfg, rng, alpha_start, alpha_end, lr_end):
     """Reference: the RL+PR trainer with a fresh softmax block for the behaviour
     policy and a separate soft-value target at every step."""
     mdp = mcg.mdp
@@ -119,7 +126,7 @@ def per_step_rl_pr(mcg, priority, cfg, rng, alpha_start, alpha_end, lr_end):
                 b = b / total
             nxt, reward = step(mdp, s, executed, rng)
             if mdp.is_terminal(nxt):
-                target = reward + priority * float(b.max())
+                target = reward + mcg.priority * float(b.max())
             else:
                 x = q[nxt, m] / alpha
                 mx = x.max()
@@ -137,10 +144,10 @@ class TestTrainRlPrReference:
     @pytest.mark.parametrize(
         "game, zeta, episodes",
         [
-            (lambda: build_codegrid(8), 0.3, 500),
-            (lambda: build_codegrid(8), 3.0, 500),
-            (lambda: build_codegrid(8, noise_p=0.1), 0.3, 500),
-            (lambda: build_codegrid(8, noise_p=0.1), 3.0, 500),
+            (lambda: build_codegrid(8, priority=0.3), 0.3, 500),
+            (lambda: build_codegrid(8, priority=3.0), 3.0, 500),
+            (lambda: build_codegrid(8, priority=0.3, noise_p=0.1), 0.3, 500),
+            (lambda: build_codegrid(8, priority=3.0, noise_p=0.1), 3.0, 500),
             (lambda: build_toy_mcg(priority=10.0), 10.0, 2000),
             (self_loop_game, 1.0, 2000),
             (lambda: self_loop_game(noise_p=0.1), 1.0, 2000),
@@ -151,48 +158,44 @@ class TestTrainRlPrReference:
         ],
     )
     def test_values_match_per_step_loop_bytes(self, game, zeta, episodes):
-        # The sweep's RL+PR schedule: temperature 0.25 -> 0.015, rate 0.25 -> 0.02.
+        # The trainer's default schedule, which the sweep runs: temperature
+        # 0.25 -> 0.015, rate 0.25 -> 0.02. The game carries the shaping zeta.
         mcg = game()
+        assert mcg.priority == zeta
         cfg = TrainConfig(episodes=episodes, learning_rate=0.25, seed=0)
-        schedule = dict(alpha_start=0.25, alpha_end=0.015, lr_end=0.02)
-        q = train_rl_pr(mcg, zeta, cfg, rng=np.random.default_rng(7), **schedule)
-        reference = per_step_rl_pr(mcg, zeta, cfg, np.random.default_rng(7), **schedule)
+        q = train_rl_pr(mcg, cfg, rng=np.random.default_rng(7))
+        reference = per_step_rl_pr(
+            mcg, cfg, np.random.default_rng(7), alpha_start=0.25, alpha_end=0.015, lr_end=0.02
+        )
         assert q.values.tobytes() == reference.tobytes()
 
 
 class TestEvaluateRlPr:
     def test_untrained_uniform_accuracy_is_prior_map(self):
         # All-zero tables play identically for every message, so the exact
-        # posterior never moves and the soft-policy receiver guesses at the
-        # prior MAP rate.
+        # posterior never moves and the receiver guesses at the prior MAP rate.
         chain = build_channel_chain(4, 2)
         mcg = chain_mcg(chain, MessageSpace.explicit(8))
-        q = MessageConditionalQ(
-            values=np.zeros((chain.n_states, 8, 2)), alpha_start=1.0, alpha_end=1.0
-        )
-        stats = evaluate_rl_pr(q, mcg, episodes=4000)
-        assert abs(stats.accuracy - 1 / 8) < 0.03
+        q = MessageConditionalQ(values=np.zeros((chain.n_states, 8, 2)))
+        hits, _ = evaluate(q, mcg, 4000)
+        assert abs(hits.mean() - 1 / 8) < 0.03
 
     def test_single_message_accuracy_is_one(self):
         mcg = single_message_game()
-        q = MessageConditionalQ(
-            values=np.zeros((mcg.mdp.n_states, 1, 3)), alpha_start=1.0, alpha_end=1.0
-        )
-        stats = evaluate_rl_pr(q, mcg, episodes=200)
-        assert stats.accuracy == 1.0
+        q = MessageConditionalQ(values=np.zeros((mcg.mdp.n_states, 1, 3)))
+        hits, _ = evaluate(q, mcg, 200)
+        assert hits.mean() == 1.0
 
     def test_babbling_policy_scores_half_plus_return(self):
         # Greedy play of the all-zero table is the babbling sender: always
         # the first action, posterior pinned at the prior, receiver forced to
         # the tie-broken MAP. Accuracy 1/2, return 4.
         mcg = build_toy_mcg(priority=6.0)
-        q = MessageConditionalQ(
-            values=np.zeros((mcg.mdp.n_states, 2, 3)), alpha_start=1.0, alpha_end=1.0
-        )
-        stats = evaluate_rl_pr(q, mcg, episodes=4000, greedy=True)
-        assert stats.mean_return == 4.0
-        assert abs(stats.accuracy - 0.5) < 0.03
-        objective = stats.mean_return + mcg.priority * stats.accuracy
+        q = MessageConditionalQ(values=np.zeros((mcg.mdp.n_states, 2, 3)))
+        hits, rets = evaluate(q, mcg, 4000)
+        assert rets.mean() == 4.0
+        assert abs(hits.mean() - 0.5) < 0.03
+        objective = rets.mean() + mcg.priority * hits.mean()
         assert abs(objective - (4.0 + mcg.priority / 2)) < 0.1
 
     def test_accuracy_at_least_prior_map(self):
@@ -203,9 +206,9 @@ class TestEvaluateRlPr:
         mcg = chain_mcg(chain, MessageSpace.explicit(4))
         for seed in range(3):
             values = rng.normal(scale=0.5, size=(chain.n_states, 4, 2))
-            q = MessageConditionalQ(values=values, alpha_start=0.3, alpha_end=0.3)
-            stats = evaluate_rl_pr(q, mcg, episodes=3000)
-            assert stats.accuracy >= 0.25 - 3 * stats.accuracy_se - 1e-9
+            q = MessageConditionalQ(values=values)
+            hits, _ = evaluate(q, mcg, 3000)
+            assert hits.mean() >= 0.25 - 3 * standard_error(hits) - 1e-9
 
 
 def posterior_from_scratch(q, mcg, steps, alpha):
@@ -229,10 +232,10 @@ class TestPerfectReceiverPosterior:
         chain = build_channel_chain(5, 3)
         mcg = chain_mcg(chain, MessageSpace.explicit(6))
         values = rng.normal(size=(chain.n_states, 6, 3))
-        q = MessageConditionalQ(values=values, alpha_start=0.5, alpha_end=0.5)
+        q = MessageConditionalQ(values=values)
         for _ in range(20):
             m = int(rng.integers(6))
-            # Reproduce the rollout's incremental posterior by hand.
+            # Reproduce the trainer's incremental posterior by hand.
             b = mcg.prior.blocks[0].probs.copy()
             s = chain.initial_state
             steps = []
@@ -253,7 +256,7 @@ class TestPerfectReceiverPosterior:
         chain = build_channel_chain(3, 2)
         mcg = chain_mcg(chain, MessageSpace.explicit(3))
         values = rng.normal(size=(chain.n_states, 3, 2))
-        q = MessageConditionalQ(values=values, alpha_start=0.4, alpha_end=0.4)
+        q = MessageConditionalQ(values=values)
         policies = {
             m: (lambda s, _m=m: Dist(softmax_parts(values[s], 0.4)[0][_m]))
             for m in range(3)
@@ -284,6 +287,34 @@ class TestPriorityZeroMatchesPlainSoftQ:
     def test_returns_converge_to_plain_soft_q(self):
         mcg = single_message_game()
         cfg = TrainConfig(episodes=20_000, learning_rate=0.05, seed=5)
-        q_baseline = train_rl_pr(mcg, 0.0, cfg, alpha_start=0.5, alpha_end=0.5)
+        q_baseline = train_rl_pr(mcg, cfg, alpha_start=0.5, alpha_end=0.5, lr_end=0.05)
         q_plain = train_soft_q(mcg.mdp, alpha=0.5, cfg=cfg)
         assert np.max(np.abs(q_baseline.values[:, 0, :] - q_plain.values)) < 0.1
+
+
+class TestRlPrSweepRows:
+    def test_rows_match_recorded_values(self):
+        # Every float of a small RL+PR sweep, recorded from an earlier version
+        # of the trainer and evaluator: a change to either that moves a single
+        # draw or update shows up here.
+        cfg = SweepConfig(
+            env="codegrid", env_params={"n_messages": 8}, method="rl_pr",
+            grid=(0.1, 3.0), seeds=(2,), noise_p=(0.0, 0.1), episodes=600, rollouts=16,
+        )
+        se_1, se_2 = 0.10077822185373188, 0.11180339887498948
+        assert [dataclasses.astuple(r) for r in run_sweep(cfg)] == [
+            ("rl_pr", 0.1, 0.0, 2, 1.0, 0.0, 0.1875, se_1, 0.0, 0.0, 16, ""),
+            ("rl_pr", 0.1, 0.1, 2, 0.75, se_2, 0.0, 0.0, 0.25, se_2, 16, ""),
+            ("rl_pr", 3.0, 0.0, 2, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 16, ""),
+            ("rl_pr", 3.0, 0.1, 2, 0.8125, se_1, 0.0, 0.0, 0.1875, se_1, 16, ""),
+        ]
+
+    def test_negative_zeta_is_an_error_row(self):
+        # The cell's zeta becomes the game's priority, which McgSpec checks.
+        cfg = SweepConfig(
+            env="codegrid", env_params={"n_messages": 4}, method="rl_pr",
+            grid=(-1.0,), seeds=(0,), episodes=10, rollouts=2,
+        )
+        (row,) = run_sweep(cfg)
+        assert row.error == "ValueError: message priority must be non-negative"
+        assert row.rollouts == 0

@@ -113,8 +113,12 @@ def test_sweep_writes_one_row_per_cell(tmp_path):
         ({"env": "codegrid", "method": "meme", "grid": [2.0], "seeds": [0], "rollout": 3},
          "rollout"),
         ({"method": "meme", "grid": [2.0], "seeds": [0]}, "env"),
+        ({"env": "codegrid", "method": "meme", "grid": [2.0], "seeds": [0], "rollouts": 0},
+         "rollouts"),
+        ({"env": "codegrid", "method": "rl_pr", "grid": [2.0], "seeds": [0],
+          "method_params": {"learning_rate": 0.1}}, "method_params"),
     ],
-    ids=["misspelt-key", "missing-env"],
+    ids=["misspelt-key", "missing-env", "rollouts-0", "method-params"],
 )
 def test_sweep_rejects_a_bad_config_key(tmp_path, capsys, doc, key):
     config = tmp_path / "sweep.json"
