@@ -31,6 +31,7 @@ from .envs import (
     build_channel_chain,
     build_codegrid,
     build_coding_mdp,
+    build_env,
     build_toy_mcg,
     chain_mcg,
 )
@@ -64,6 +65,6 @@ from .mdp import (
     trajectory_return,
 )
 from .mec import exact_mec_oracle, greedy_mec
-from .sweep import MetricsRow, SweepConfig, build_env, run_sweep
+from .sweep import MetricsRow, SweepConfig, run_sweep
 
 __all__ = [name for name in dir() if not name.startswith("_")]

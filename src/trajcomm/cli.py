@@ -16,8 +16,8 @@ import numpy as np
 
 from .coding import receiver_decode, sender_episode
 from .dist import coupling_entropies
+from .envs import GAMES, build_env, image_space
 from .formats import (
-    image_space,
     image_to_message,
     load_dist,
     load_mcg,
@@ -34,49 +34,41 @@ from .formats import (
 )
 from .maxent import TrainConfig, exact_soft_vi, train_soft_q
 from .mec import greedy_mec
-from .sweep import build_env, run_sweep, sweep_config_from_document
+from .sweep import run_sweep, sweep_config_from_document
 
 
 def _add_make_env(sub):
-    p = sub.add_parser("make-env", help="emit a game spec document")
-    p.add_argument("env", choices=["toy", "codegrid", "chain", "coding"])
+    p = sub.add_parser(
+        "make-env",
+        help="emit a game spec document",
+        description="Emit a game spec document. A game flag left out takes its "
+        "builder's default in trajcomm.envs; one the game does not take is an error.",
+        argument_default=argparse.SUPPRESS,
+    )
+    p.add_argument("env", choices=list(GAMES))
     p.add_argument("--out", required=True)
-    p.add_argument("--zeta", type=float, default=1.0, help="message priority")
-    p.add_argument("--noise-p", type=float, default=0.0)
-    p.add_argument("--messages", type=int, default=2, help="explicit message count")
-    p.add_argument("--image-pixels", type=int, help="factored image space (chain only)")
-    p.add_argument("--block-pixels", type=int, default=1)
-    p.add_argument("--steps", type=int, default=200, help="chain length")
-    p.add_argument("--actions", type=int, default=2, help="chain action count")
-    p.add_argument("--variant", default="standard", help="coding variant")
-    p.add_argument("--alphabet", type=int, default=2)
-    p.add_argument("--length-limit", type=int)
-    p.add_argument("--symbol-costs", type=float, nargs="+")
-    p.add_argument("--max-symbols", type=int, default=64)
+    g = p.add_argument_group("every game")
+    g.add_argument("--zeta", dest="priority", type=float, help="message priority")
+    g.add_argument("--noise-p", type=float)
+    g = p.add_argument_group("codegrid, chain and coding")
+    g.add_argument("--messages", dest="n_messages", type=int, help="explicit message count")
+    g = p.add_argument_group("chain")
+    g.add_argument("--image-pixels", type=int, help="factored image space (chain only)")
+    g.add_argument("--block-pixels", type=int)
+    g.add_argument("--steps", type=int, help="chain length")
+    g.add_argument("--actions", dest="n_actions", type=int, help="chain action count")
+    g = p.add_argument_group("coding")
+    g.add_argument("--variant", help="coding variant")
+    g.add_argument("--alphabet", dest="alphabet_size", type=int)
+    g.add_argument("--length-limit", type=int)
+    g.add_argument("--symbol-costs", type=float, nargs="+")
+    g.add_argument("--max-symbols", type=int)
 
 
 def _cmd_make_env(args) -> int:
-    params = {"priority": args.zeta}
-    if args.env == "codegrid":
-        params["n_messages"] = args.messages
-    elif args.env == "chain":
-        params["steps"] = args.steps
-        params["n_actions"] = args.actions
-        if args.image_pixels:
-            params["image_pixels"] = args.image_pixels
-            params["block_pixels"] = args.block_pixels
-        else:
-            params["n_messages"] = args.messages
-    elif args.env == "coding":
-        params["variant"] = args.variant
-        params["alphabet_size"] = args.alphabet
-        params["n_messages"] = args.messages
-        params["max_symbols"] = args.max_symbols
-        if args.length_limit:
-            params["length_limit"] = args.length_limit
-        if args.symbol_costs:
-            params["symbol_costs"] = args.symbol_costs
-    mcg = build_env(args.env, params, noise_p=args.noise_p)
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "env", "out")}
+    noise = {"noise_p": params.pop("noise_p")} if "noise_p" in params else {}
+    mcg = build_env(args.env, params, **noise)
     save_mcg(mcg, args.out)
     print(f"wrote {args.env} spec to {args.out}")
     return 0

@@ -1,9 +1,11 @@
-"""Concrete environments: the one-shot payoff game, a 4x4 gridworld with a
-deadline, source-coding MDPs, and a long deterministic channel chain."""
+"""Concrete environments and the game catalogue ``GAMES``: one builder per
+game, whose keyword parameters are the game's whole parameter set and whose
+defaults are the only place the game's defaults are written."""
 
 from __future__ import annotations
 
 import dataclasses
+import inspect
 
 import numpy as np
 
@@ -47,6 +49,11 @@ class CodingMdpSpec:
     def __post_init__(self):
         if self.variant not in ("standard", "length_limited", "unequal_costs"):
             raise ValueError(f"unknown coding variant {self.variant!r}")
+        # A field the variant ignores is a mistake, not a setting.
+        if self.length_limit is not None and self.variant != "length_limited":
+            raise ValueError("'length_limit' applies only to the length_limited variant")
+        if self.symbol_costs is not None and self.variant != "unequal_costs":
+            raise ValueError("'symbol_costs' applies only to the unequal_costs variant")
         if self.alphabet_size < 1:
             raise ValueError("alphabet must have at least one symbol")
         if self.variant == "length_limited":
@@ -61,7 +68,7 @@ class CodingMdpSpec:
             raise ValueError("symbol cap must be positive")
 
 
-def build_toy_mcg(priority: float, noise_p: float = 0.0) -> McgSpec:
+def build_toy_mcg(priority: float = 1.0, noise_p: float = 0.0) -> McgSpec:
     """One non-terminal state, three actions with rewards (4, 3, 0), and two
     equiprobable messages."""
     mdp = MdpSpec.deterministic(
@@ -71,13 +78,7 @@ def build_toy_mcg(priority: float, noise_p: float = 0.0) -> McgSpec:
         terminal_states=frozenset({1}),
         horizon_bound=1,
     )
-    return McgSpec(
-        mdp=mdp,
-        message_space=MessageSpace.explicit(2),
-        prior=Belief.explicit(Dist.uniform(2)),
-        priority=priority,
-        noise_p=noise_p,
-    )
+    return chain_mcg(mdp, MessageSpace.explicit(2), priority, noise_p)
 
 
 # Grid actions, in index order.
@@ -86,7 +87,7 @@ _GRID_MOVES = ((-1, 0), (1, 0), (0, 1), (0, -1))
 
 
 def build_codegrid(
-    n_messages: int,
+    n_messages: int = 2,
     priority: float = 1.0,
     noise_p: float = 0.0,
     grid: CodeGridSpec = CodeGridSpec(),
@@ -126,12 +127,10 @@ def build_codegrid(
 def build_coding_mdp(spec: CodingMdpSpec) -> MdpSpec:
     """Source coding as an MDP: states count emitted symbols, alphabet actions
     advance at their cost, and the final action stops for free."""
-    limit = spec.length_limit if spec.variant == "length_limited" else spec.max_symbols
+    # A spec holds a limit or costs only for the variant that uses them.
+    limit = spec.length_limit or spec.max_symbols
     k = spec.alphabet_size
-    if spec.variant == "unequal_costs":
-        costs = list(spec.symbol_costs)
-    else:
-        costs = [1.0] * k
+    costs = spec.symbol_costs or [1.0] * k
     # States 0..limit are symbol counts; state limit+1 is the stopped sink.
     n_states = limit + 2
     sink = limit + 1
@@ -190,3 +189,85 @@ def chain_mcg(
         priority=priority,
         noise_p=noise_p,
     )
+
+
+def build_coding_mcg(
+    variant: str = CodingMdpSpec.variant, alphabet_size: int = CodingMdpSpec.alphabet_size,
+    length_limit: int | None = None, symbol_costs: tuple[float, ...] | None = None,
+    max_symbols: int = CodingMdpSpec.max_symbols,
+    n_messages: int = 2, priority: float = 1.0, noise_p: float = 0.0,
+) -> McgSpec:
+    """Source-coding game: ``n_messages`` equiprobable messages carried by the
+    codeword emitted on the ``CodingMdpSpec`` the first five keywords give."""
+    costs = None if symbol_costs is None else tuple(symbol_costs)
+    spec = CodingMdpSpec(variant, alphabet_size, length_limit, costs, max_symbols)
+    return chain_mcg(build_coding_mdp(spec), MessageSpace.explicit(n_messages), priority, noise_p)
+
+
+def image_space(image_pixels: int, block_pixels: int) -> MessageSpace:
+    """Factored message space for a binary image, grouping pixels into blocks."""
+    if image_pixels < 1 or block_pixels < 1 or image_pixels % block_pixels:
+        raise ValueError(
+            "'image_pixels' must be a positive multiple of a positive 'block_pixels', "
+            f"not {image_pixels} and {block_pixels}"
+        )
+    return MessageSpace.product([2**block_pixels] * (image_pixels // block_pixels))
+
+
+def build_chain_mcg(
+    steps: int = 200, n_actions: int = 2, rewards: dict | None = None,
+    n_messages: int | None = None, image_pixels: int | None = None,
+    block_pixels: int | None = None, priority: float = 1.0, noise_p: float = 0.0,
+) -> McgSpec:
+    """Channel-chain game (``rewards`` keys may be JSON strings) carrying
+    ``n_messages`` explicit messages (2 if no space is given) or, not both, an
+    ``image_pixels`` binary image in blocks of ``block_pixels`` (1 by default)."""
+    if image_pixels is None:
+        if block_pixels is not None:
+            raise ValueError("'block_pixels' groups image pixels, so it needs 'image_pixels'")
+        space = MessageSpace.explicit(2 if n_messages is None else n_messages)
+    elif n_messages is not None:
+        raise ValueError("give 'n_messages' or 'image_pixels', not both")
+    else:
+        space = image_space(image_pixels, 1 if block_pixels is None else block_pixels)
+    mdp = build_channel_chain(steps, n_actions, {int(t): r for t, r in (rewards or {}).items()})
+    return chain_mcg(mdp, space, priority, noise_p)
+
+
+# Game name -> builder name. ``_game_builder`` reads the builder from the module
+# globals at call time, so a wrapper installed on that name is the one called.
+GAMES = {
+    "toy": "build_toy_mcg",
+    "codegrid": "build_codegrid",
+    "chain": "build_chain_mcg",
+    "coding": "build_coding_mcg",
+}
+
+
+def _game_builder(name: str):
+    if name not in GAMES:
+        raise ValueError(f"unknown environment {name!r}; the games are {', '.join(GAMES)}")
+    return globals()[GAMES[name]]
+
+
+def check_game_params(name: str, params) -> None:
+    """Raise ValueError, naming the key, unless ``params`` is a dict of
+    keywords the named game's builder takes; ``noise_p`` is set on its own."""
+    if not isinstance(params, dict):
+        raise ValueError(f"{name} parameters must be a JSON object, not {type(params).__name__}")
+    if "noise_p" in params:
+        raise ValueError("'noise_p' is set on its own, not among the game parameters")
+    try:
+        inspect.signature(_game_builder(name)).bind(**params)
+    except TypeError as e:
+        raise ValueError(f"{name} game: {e}") from None
+
+
+def build_env(name: str, params: dict, noise_p: float = 0.0) -> McgSpec:
+    """The named game: its builder called with the keywords ``params`` and
+    actuator noise ``noise_p``. An unknown game or parameter raises ValueError."""
+    try:
+        return _game_builder(name)(**params, noise_p=noise_p)
+    except TypeError:
+        check_game_params(name, params)  # a bad call raises ValueError here
+        raise

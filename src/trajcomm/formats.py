@@ -180,11 +180,18 @@ def load_qtable(path) -> QTable:
         triples.append((int(s), int(a), float(v)))
     if not triples:
         raise ValueError("Q-table file has no 'state action value' lines")
+    # The shape follows the largest indices; each pair in it appears once.
     n_states = max(s for s, _, _ in triples) + 1
     n_actions = max(a for _, a, _ in triples) + 1
     values = np.zeros((n_states, n_actions))
+    seen = set()
     for s, a, v in triples:
+        if s < 0 or a < 0 or (s, a) in seen:
+            raise ValueError(f"Q-table repeats state {s}, action {a}, or has a negative index")
+        seen.add((s, a))
         values[s, a] = v
+    if len(seen) != values.size:
+        raise ValueError(f"Q-table lacks {values.size - len(seen)} of its {values.shape} pairs")
     return QTable(values=values, alpha=alpha)
 
 
@@ -246,13 +253,6 @@ def save_pbm(image: np.ndarray, path) -> None:
     h, w = image.shape
     rows = [" ".join(str(int(v)) for v in row) for row in image]
     Path(path).write_text(f"P1\n{w} {h}\n" + "\n".join(rows) + "\n")
-
-
-def image_space(n_pixels: int, block_pixels: int = 1) -> MessageSpace:
-    """Factored message space for a binary image, grouping pixels into blocks."""
-    if n_pixels % block_pixels != 0:
-        raise ValueError("block size must divide the pixel count")
-    return MessageSpace.product([2**block_pixels] * (n_pixels // block_pixels))
 
 
 def image_to_message(image: np.ndarray, block_pixels: int = 1) -> tuple:

@@ -13,12 +13,11 @@ import dataclasses
 
 import numpy as np
 
-from . import envs
 from .baseline import evaluation_rollouts, standard_error, train_rl_pr
 from .coding import run_roundtrip
-from .formats import image_space
+from .envs import build_env, check_game_params
 from .maxent import TrainConfig, exact_soft_vi
-from .mcg import Belief, McgSpec, MessageSpace, hamming_distance, sample_message
+from .mcg import McgSpec, hamming_distance, sample_message
 from .mdp import trajectory_return
 
 
@@ -26,11 +25,13 @@ from .mdp import trajectory_return
 class SweepConfig:
     """One sweep: an environment, a method, and the axes to scan.
 
+    ``env`` names a game of ``envs.GAMES``, and ``env_params`` holds keywords
+    of its builder. Noise comes only from ``noise_p`` (values in [0, 0.5]).
     ``grid`` holds beta values for the coded sender and zeta values for the
     baseline; a baseline cell's zeta becomes its game's message priority,
     whatever ``env_params`` says. ``episodes`` is the per-cell training
     budget (used by the baseline; the coded sender plans exactly), and each
-    cell plays ``rollouts`` (at least one) evaluation episodes.
+    cell plays ``rollouts`` evaluation episodes; both are at least one.
     """
 
     env: str
@@ -51,9 +52,14 @@ class SweepConfig:
             raise ValueError(f"unknown method {self.method!r}")
         if self.rollouts < 1:
             raise ValueError(f"'rollouts' must be at least 1, not {self.rollouts}")
+        if self.episodes < 1:
+            raise ValueError(f"'episodes' must be at least 1, not {self.episodes}")
         object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "noise_p", tuple(float(n) for n in self.noise_p))
+        if any(not 0.0 <= n <= 0.5 for n in self.noise_p):
+            raise ValueError(f"every 'noise_p' must lie in [0, 0.5], not {list(self.noise_p)}")
+        check_game_params(self.env, self.env_params)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -80,46 +86,6 @@ class MetricsRow:
             raise ValueError("hamming distance cannot be negative")
 
 
-def build_env(name: str, params: dict, noise_p: float = 0.0) -> McgSpec:
-    """Instantiate a named environment with the given parameters."""
-    params = dict(params)
-    if name == "toy":
-        return envs.build_toy_mcg(params.get("priority", 1.0), noise_p=noise_p)
-    if name == "codegrid":
-        return envs.build_codegrid(
-            params["n_messages"], params.get("priority", 1.0), noise_p=noise_p
-        )
-    if name == "chain":
-        mdp = envs.build_channel_chain(
-            params["steps"],
-            params["n_actions"],
-            rewards={int(k): v for k, v in params.get("rewards", {}).items()},
-        )
-        if "image_pixels" in params:
-            space = image_space(params["image_pixels"], params.get("block_pixels", 1))
-        else:
-            space = MessageSpace.explicit(params["n_messages"])
-        return envs.chain_mcg(mdp, space, params.get("priority", 1.0), noise_p=noise_p)
-    if name == "coding":
-        spec = envs.CodingMdpSpec(
-            variant=params.get("variant", "standard"),
-            alphabet_size=params.get("alphabet_size", 2),
-            length_limit=params.get("length_limit"),
-            symbol_costs=tuple(params["symbol_costs"]) if "symbol_costs" in params else None,
-            max_symbols=params.get("max_symbols", 64),
-        )
-        mdp = envs.build_coding_mdp(spec)
-        space = MessageSpace.explicit(params.get("n_messages", 2))
-        return McgSpec(
-            mdp=mdp,
-            message_space=space,
-            prior=Belief.uniform(space),
-            priority=params.get("priority", 1.0),
-            noise_p=noise_p,
-        )
-    raise ValueError(f"unknown environment {name!r}")
-
-
 def _meme_cell(cfg: SweepConfig, mcg: McgSpec, beta: float, rng) -> tuple:
     q = exact_soft_vi(mcg.mdp, alpha=1.0 / beta)
     hits = np.zeros(cfg.rollouts)
@@ -130,10 +96,8 @@ def _meme_cell(cfg: SweepConfig, mcg: McgSpec, beta: float, rng) -> tuple:
         record = run_roundtrip(q, mcg, m, rng)
         hits[i] = 1.0 if record.decoded == m else 0.0
         rets[i] = trajectory_return(record.trajectory)
-        if mcg.message_space.factored:
-            hams[i] = hamming_distance(m, record.decoded)
-        else:
-            hams[i] = 0.0 if record.decoded == m else 1.0
+        factored = mcg.message_space.factored
+        hams[i] = hamming_distance(m, record.decoded) if factored else 1.0 - hits[i]
     return hits, rets, hams
 
 

@@ -1,5 +1,6 @@
 """End-to-end runs of the command-line file pipeline."""
 
+import hashlib
 import json
 
 import pytest
@@ -117,8 +118,17 @@ def test_sweep_writes_one_row_per_cell(tmp_path):
          "rollouts"),
         ({"env": "codegrid", "method": "rl_pr", "grid": [2.0], "seeds": [0],
           "method_params": {"learning_rate": 0.1}}, "method_params"),
+        ({"env": "codegrid", "method": "rl_pr", "grid": [2.0], "seeds": [0], "episodes": 0},
+         "episodes"),
+        ({"env": "codegrid", "method": "meme", "grid": [2.0], "seeds": [0],
+          "noise_p": [0.1, 0.6]}, "noise_p"),
+        ({"env": "codegrid", "method": "meme", "grid": [2.0], "seeds": [0],
+          "env_params": {"n_mesages": 4}}, "n_mesages"),
+        ({"env": "codegrid", "method": "meme", "grid": [2.0], "seeds": [0],
+          "env_params": {"n_messages": 4, "noise_p": 0.3}}, "noise_p"),
     ],
-    ids=["misspelt-key", "missing-env", "rollouts-0", "method-params"],
+    ids=["misspelt-key", "missing-env", "rollouts-0", "method-params", "episodes-0",
+         "noise-p-0.6", "env-params-typo", "env-params-noise"],
 )
 def test_sweep_rejects_a_bad_config_key(tmp_path, capsys, doc, key):
     config = tmp_path / "sweep.json"
@@ -127,6 +137,66 @@ def test_sweep_rejects_a_bad_config_key(tmp_path, capsys, doc, key):
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(key) in err
     assert not (tmp_path / "rows.csv").exists()
+
+
+# make-env command lines and the SHA-256 of the spec each writes. Every game's
+# defaults live in its builder; these digests were recorded when the defaults
+# were still restated on the command line and in the sweep, so a default that
+# moves shows here.
+SPEC_DIGESTS = (
+    ("toy",
+     "9e035aeb55c6a5bf3e1ee7135f9ad47309812326229ab6ea0282a43f7988f42c"),
+    ("codegrid",
+     "a92bbb2db85e5e717678eafea3a7bc8cbe66beff2d8732f68798bdc99cff3289"),
+    ("chain",
+     "671730415b7b636e4d8ee5bfe1c53738d5f6f61292be8111d83370004df99d87"),
+    ("coding",
+     "9be40279e72651aa1fde3c33b8d3b5cb42faa8270e35bfe7cddb6dfe7deaa8a6"),
+    ("toy --zeta 2.5 --noise-p 0.1",
+     "a7c3bcd418347694240277db8e5e737fecf05dc63699aebc026aabb4c065afb5"),
+    ("codegrid --zeta 3 --noise-p 0.2",
+     "59f5ab893258c27f3e6f401ba1730c49548d152ac33f1058021607f21ea3bb4d"),
+    ("chain --steps 30 --actions 3 --messages 16",
+     "05b8e63791a6decc2ad7d246bc85f8f3ab3e3b623558b7ccc6f38dfd876f1e9c"),
+    ("chain --steps 20 --image-pixels 8",
+     "b247331d582a74c1e5ffea7035dbee274dbb015b703f66a38ddee73ddb229b1c"),
+    ("chain --steps 20 --image-pixels 8 --block-pixels 2",
+     "8d10771568757e5e9e369b600d4fdcf0f2725908fb09db9356b22043afb992da"),
+    ("coding --variant length_limited --length-limit 5 --messages 4",
+     "d23edb64460515cda8d0dd18722a2dae1ff2a59ca366fd0702e77c37a5cf4ff9"),
+    ("coding --variant unequal_costs --alphabet 3 --symbol-costs 1 2 0.5",
+     "6b96c0b4c2f2f58c48cc38ddb97e0170877c8556add4a0632912fd5c1e029458"),
+    ("codegrid --messages 8",
+     "a9c03e40b80680545213d0278c719f9013afc31f76597f95cbad20b280c9a4dd"),
+    ("coding --alphabet 3 --max-symbols 10 --messages 3",
+     "2faaad5ea42353f58b4b5d307ed0306eb611dd83640b2e85ddeb64a09cf3c17e"),
+)
+
+
+@pytest.mark.parametrize("args, digest", SPEC_DIGESTS, ids=[a for a, _ in SPEC_DIGESTS])
+def test_make_env_writes_the_recorded_spec(tmp_path, args, digest):
+    spec = tmp_path / "env.json"
+    assert main(["make-env", *args.split(), "--out", str(spec)]) == 0
+    assert hashlib.sha256(spec.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "args, key",
+    [
+        ("toy --messages 8", "n_messages"),
+        ("codegrid --steps 5", "steps"),
+        ("chain --image-pixels 16 --messages 8", "n_messages"),
+        ("chain --image-pixels 0", "image_pixels"),
+        ("chain --messages 8 --block-pixels 2", "block_pixels"),
+    ],
+)
+def test_make_env_rejects_a_flag_the_game_does_not_use(tmp_path, capsys, args, key):
+    # Each of these used to write a spec that ignored the flag.
+    spec = tmp_path / "env.json"
+    assert main(["make-env", *args.split(), "--out", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(key) in err
+    assert not spec.exists()
 
 
 @pytest.mark.parametrize("fault", ["horizon-one-short", "cycle"])
@@ -156,23 +226,40 @@ BAD_SPECS = {
 }
 
 
-@pytest.mark.parametrize("fault", ["Q-table", "trajectory", *BAD_SPECS])
+# Edits to the lines of a valid Q-table file (its header, then one line per
+# (state, action) pair), and the text the error must contain. Apart from the
+# emptied file, each edited table used to load: a repeated pair overwrote the
+# first, a missing pair read 0, and a negative index wrapped round.
+BAD_QTABLES = {
+    "Q-table": (lambda lines: [], "Q-table"),
+    "qtable-repeated": (lambda lines: lines + [lines[1].rsplit(" ", 1)[0] + " 9.0"],
+                        "repeats state 0, action 0"),
+    "qtable-missing": (lambda lines: lines[:5] + lines[6:], "lacks 1 of"),
+    "qtable-negative": (lambda lines: lines + ["-1 0 9.0"], "negative index"),
+}
+
+
+@pytest.mark.parametrize("fault", ["trajectory", *BAD_SPECS, *BAD_QTABLES])
 def test_malformed_input_files_exit_cleanly(tmp_path, capsys, fault):
-    # An empty Q-table file, an empty trajectory file, and game specs that
+    # Faulty Q tables (above), an empty trajectory file, and game specs that
     # parse as JSON but have the wrong shape: an "mdp" object that lacks
     # every key, a list for the whole document, and a list for "mdp".
     spec, qtable = _codegrid_8(tmp_path)
-    empty, bad_spec = tmp_path / "empty.txt", tmp_path / "bad.json"
-    empty.write_text("")
-    document, expected = BAD_SPECS.get(fault, ({}, fault))
-    bad_spec.write_text(json.dumps(document))
-    argv = {
-        "Q-table": ["send", "--spec", str(spec), "--qtable", str(empty),
-                    "--message", "0", "--seed", "0", "--out", str(tmp_path / "z.txt")],
-        "trajectory": ["receive", "--spec", str(spec), "--qtable", str(qtable),
-                       "--traj", str(empty), "--out", str(tmp_path / "m.txt")],
-    }.get(fault, ["solve", "--spec", str(bad_spec), "--beta", "2",
-                  "--out", str(tmp_path / "q2.txt")])
+    bad = tmp_path / "bad.txt"
+    if fault in BAD_QTABLES:
+        edit, expected = BAD_QTABLES[fault]
+        bad.write_text("".join(f"{line}\n" for line in edit(qtable.read_text().splitlines())))
+        argv = ["send", "--spec", str(spec), "--qtable", str(bad),
+                "--message", "0", "--seed", "0", "--out", str(tmp_path / "z.txt")]
+    elif fault == "trajectory":
+        bad.write_text("")
+        expected = fault
+        argv = ["receive", "--spec", str(spec), "--qtable", str(qtable),
+                "--traj", str(bad), "--out", str(tmp_path / "m.txt")]
+    else:
+        document, expected = BAD_SPECS[fault]
+        bad.write_text(json.dumps(document))
+        argv = ["solve", "--spec", str(bad), "--beta", "2", "--out", str(tmp_path / "q2.txt")]
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err

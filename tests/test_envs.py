@@ -5,8 +5,11 @@ import pytest
 
 from trajcomm.coding import run_roundtrip
 from trajcomm.dist import Dist, entropy
+from trajcomm import envs
 from trajcomm.envs import (
+    GAMES,
     CodingMdpSpec,
+    build_env,
     build_channel_chain,
     build_codegrid,
     build_coding_mdp,
@@ -158,6 +161,11 @@ class TestCodingMdp:
             CodingMdpSpec(variant="length_limited")
         with pytest.raises(ValueError):
             CodingMdpSpec(variant="unequal_costs", alphabet_size=2, symbol_costs=(1.0,))
+        # A field the variant ignores is rejected, not silently dropped.
+        with pytest.raises(ValueError, match="'symbol_costs'"):
+            CodingMdpSpec(variant="standard", symbol_costs=(1.0, 2.0))
+        with pytest.raises(ValueError, match="'length_limit'"):
+            CodingMdpSpec(variant="unequal_costs", symbol_costs=(1.0, 2.0), length_limit=3)
 
 
 class TestChannelChain:
@@ -188,3 +196,42 @@ class TestChannelChain:
         chain = build_channel_chain(3, 2, rewards={1: 0.5})
         z = rollout(chain, lambda s: Dist.uniform(2), np.random.default_rng(0))
         assert trajectory_return(z) == 0.5
+
+
+class TestGameCatalogue:
+    @pytest.mark.parametrize("name", GAMES)
+    def test_every_parameter_has_a_default(self, name):
+        mcg = build_env(name, {}, noise_p=0.1)
+        assert mcg.noise_p == 0.1 and mcg.priority == 1.0
+
+    @pytest.mark.parametrize(
+        "name, params, key",
+        [
+            ("toy", {"n_messages": 4}, "n_messages"),
+            ("codegrid", {"steps": 5}, "steps"),
+            ("chain", {"noise_p": 0.2}, "noise_p"),
+            ("nope", {}, "nope"),
+        ],
+    )
+    def test_unknown_game_or_parameter_is_an_error(self, name, params, key):
+        with pytest.raises(ValueError, match=repr(key)):
+            build_env(name, params)
+
+    def test_chain_takes_json_reward_keys(self):
+        mcg = build_env("chain", {"steps": 5, "rewards": {"3": 1.0}})
+        assert mcg.mdp.rewards[3].tolist() == [1.0, 1.0]
+        assert mcg.mdp.rewards.sum() == 2.0
+
+    def test_builder_is_looked_up_at_call_time(self, monkeypatch):
+        # A wrapper installed on the module's name (as a tracer installs one)
+        # is the builder that build_env calls.
+        calls = []
+        original = envs.build_codegrid
+
+        def wrapped(*args, **kwargs):
+            calls.append(kwargs)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(envs, "build_codegrid", wrapped)
+        build_env("codegrid", {"n_messages": 4})
+        assert calls == [{"n_messages": 4, "noise_p": 0.0}]

@@ -11,10 +11,10 @@ from trajcomm.envs import (
     build_coding_mdp,
     build_toy_mcg,
     chain_mcg,
+    image_space,
 )
 from trajcomm.formats import (
     MCG_FORMAT_VERSION,
-    image_space,
     image_to_message,
     load_dist,
     load_mcg,
