@@ -26,11 +26,8 @@ from .dist import (
     entropy_nats,
 )
 from .envs import (
-    CodeGridSpec,
-    CodingMdpSpec,
     build_channel_chain,
     build_codegrid,
-    build_coding_mdp,
     build_env,
     build_toy_mcg,
     chain_mcg,

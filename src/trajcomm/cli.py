@@ -16,7 +16,7 @@ import numpy as np
 
 from .coding import receiver_decode, sender_episode
 from .dist import coupling_entropies
-from .envs import GAMES, build_env, image_space
+from .envs import GAMES, build_env, image_block_pixels
 from .formats import (
     image_to_message,
     load_dist,
@@ -42,7 +42,9 @@ def _add_make_env(sub):
         "make-env",
         help="emit a game spec document",
         description="Emit a game spec document. A game flag left out takes its "
-        "builder's default in trajcomm.envs; one the game does not take is an error.",
+        "builder's default in trajcomm.envs; one the game does not take is an error. "
+        "The coding game is standard source coding by default, length-limited "
+        "coding with --length-limit, and unequal-cost coding with --symbol-costs.",
         argument_default=argparse.SUPPRESS,
     )
     p.add_argument("env", choices=list(GAMES))
@@ -54,15 +56,13 @@ def _add_make_env(sub):
     g.add_argument("--messages", dest="n_messages", type=int, help="explicit message count")
     g = p.add_argument_group("chain")
     g.add_argument("--image-pixels", type=int, help="factored image space (chain only)")
-    g.add_argument("--block-pixels", type=int)
+    g.add_argument("--block-pixels", type=int, help="pixels per message block")
     g.add_argument("--steps", type=int, help="chain length")
     g.add_argument("--actions", dest="n_actions", type=int, help="chain action count")
     g = p.add_argument_group("coding")
-    g.add_argument("--variant", help="coding variant")
-    g.add_argument("--alphabet", dest="alphabet_size", type=int)
-    g.add_argument("--length-limit", type=int)
-    g.add_argument("--symbol-costs", type=float, nargs="+")
-    g.add_argument("--max-symbols", type=int)
+    g.add_argument("--alphabet", dest="alphabet_size", type=int, help="symbol count")
+    g.add_argument("--length-limit", type=int, help="most symbols an episode emits")
+    g.add_argument("--symbol-costs", type=float, nargs="+", help="one cost per symbol")
 
 
 def _cmd_make_env(args) -> int:
@@ -92,24 +92,23 @@ def _cmd_train(args) -> int:
 
 
 def _message_from_args(args, mcg):
-    if args.image is not None:
-        image = load_pbm(args.image)
-        space = image_space(image.size, args.block_pixels)
-        if space != mcg.message_space:
-            raise ValueError(
-                "image shape and block size do not match the spec's message space"
-            )
-        return image_to_message(image, args.block_pixels), image.shape
-    if args.message is None:
-        raise ValueError("provide --message or --image")
-    return args.message, None
+    if args.image is None:
+        return args.message
+    image = load_pbm(args.image)
+    block = image_block_pixels(mcg.message_space)
+    pixels = block * len(mcg.message_space.block_sizes)
+    if image.size != pixels:
+        raise ValueError(
+            f"the image has {image.size} pixels; the spec's message space carries {pixels}"
+        )
+    return image_to_message(image, block)
 
 
 def _cmd_send(args) -> int:
     mcg = load_mcg(args.spec)
     q = load_qtable(args.qtable)
     _check_qtable(mcg, q)
-    m, _ = _message_from_args(args, mcg)
+    m = _message_from_args(args, mcg)
     rng = np.random.default_rng(args.seed)
     record = sender_episode(q, mcg, m, rng)
     save_trajectory(record.trajectory, args.out)
@@ -126,8 +125,8 @@ def _cmd_receive(args) -> int:
     if mcg.message_space.factored:
         if args.image_shape is None:
             raise ValueError("factored decoding needs --image-shape H W")
-        h, w = args.image_shape
-        save_pbm(message_to_image(decoded, (h, w), args.block_pixels), args.out)
+        block = image_block_pixels(mcg.message_space)
+        save_pbm(message_to_image(decoded, args.image_shape, block), args.out)
     else:
         with open(args.out, "w") as f:
             f.write(f"{decoded}\n")
@@ -193,9 +192,9 @@ def main(argv=None) -> int:
     p = sub.add_parser("send", help="encode a message into one trajectory")
     p.add_argument("--spec", required=True)
     p.add_argument("--qtable", required=True)
-    p.add_argument("--message", type=int)
-    p.add_argument("--image", help="plain PBM file carrying the message")
-    p.add_argument("--block-pixels", type=int, default=1)
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--message", type=int)
+    g.add_argument("--image", help="plain PBM file carrying the message")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
 
@@ -204,7 +203,6 @@ def main(argv=None) -> int:
     p.add_argument("--qtable", required=True)
     p.add_argument("--traj", required=True)
     p.add_argument("--image-shape", type=int, nargs=2, metavar=("H", "W"))
-    p.add_argument("--block-pixels", type=int, default=1)
     p.add_argument("--entropy-csv", help="write the belief-entropy trace here")
     p.add_argument("--out", required=True)
 

@@ -1,10 +1,10 @@
 """Concrete environments and the game catalogue ``GAMES``: one builder per
 game, whose keyword parameters are the game's whole parameter set and whose
-defaults are the only place the game's defaults are written."""
+defaults are the only place the game's defaults are written. Every keyword is
+a plain value (a number, a list or a dict) that a sweep's JSON can give."""
 
 from __future__ import annotations
 
-import dataclasses
 import inspect
 
 import numpy as np
@@ -12,60 +12,6 @@ import numpy as np
 from .dist import Dist
 from .mcg import Belief, McgSpec, MessageSpace
 from .mdp import MdpSpec
-
-
-@dataclasses.dataclass(frozen=True)
-class CodeGridSpec:
-    """A square grid the agent must cross before a deadline.
-
-    Positions are 1-indexed; the state encodes (x, y, t). Bumping a wall
-    leaves the position unchanged but still consumes a timestep. Reaching the
-    goal ends the episode with reward 1; running out the clock pays 0.
-    """
-
-    width: int = 4
-    height: int = 4
-    start: tuple[int, int] = (1, 1)
-    goal: tuple[int, int] = (4, 4)
-    max_steps: int = 8
-
-
-@dataclasses.dataclass(frozen=True)
-class CodingMdpSpec:
-    """A source-coding task cast as an MDP.
-
-    The agent emits alphabet symbols (paying 1 each, or a per-symbol cost for
-    the ``unequal_costs`` variant) and stops with a free terminator action.
-    ``length_limit`` bounds the number of emitted symbols; the ``standard``
-    variant uses ``max_symbols`` as a generous cap so episodes stay finite.
-    """
-
-    variant: str = "standard"
-    alphabet_size: int = 2
-    length_limit: int | None = None
-    symbol_costs: tuple[float, ...] | None = None
-    max_symbols: int = 64
-
-    def __post_init__(self):
-        if self.variant not in ("standard", "length_limited", "unequal_costs"):
-            raise ValueError(f"unknown coding variant {self.variant!r}")
-        # A field the variant ignores is a mistake, not a setting.
-        if self.length_limit is not None and self.variant != "length_limited":
-            raise ValueError("'length_limit' applies only to the length_limited variant")
-        if self.symbol_costs is not None and self.variant != "unequal_costs":
-            raise ValueError("'symbol_costs' applies only to the unequal_costs variant")
-        if self.alphabet_size < 1:
-            raise ValueError("alphabet must have at least one symbol")
-        if self.variant == "length_limited":
-            if self.length_limit is None or self.length_limit < 1:
-                raise ValueError("length-limited coding needs a positive limit")
-        if self.variant == "unequal_costs":
-            if self.symbol_costs is None or len(self.symbol_costs) != self.alphabet_size:
-                raise ValueError("unequal-cost coding needs one cost per symbol")
-            if any(c < 0 for c in self.symbol_costs):
-                raise ValueError("symbol costs must be non-negative")
-        if self.max_symbols < 1:
-            raise ValueError("symbol cap must be positive")
 
 
 def build_toy_mcg(priority: float = 1.0, noise_p: float = 0.0) -> McgSpec:
@@ -90,13 +36,32 @@ def build_codegrid(
     n_messages: int = 2,
     priority: float = 1.0,
     noise_p: float = 0.0,
-    grid: CodeGridSpec = CodeGridSpec(),
+    width: int = 4,
+    height: int = 4,
+    start: tuple[int, int] = (1, 1),
+    goal: tuple[int, int] = (4, 4),
+    max_steps: int = 8,
 ) -> McgSpec:
-    """Gridworld coding game: reach the far corner within the deadline while
-    carrying one of ``n_messages`` equiprobable messages."""
-    w, h, t_max = grid.width, grid.height, grid.max_steps
-    gx, gy = grid.goal[0] - 1, grid.goal[1] - 1
-    sx, sy = grid.start[0] - 1, grid.start[1] - 1
+    """Gridworld coding game: carry one of ``n_messages`` equiprobable messages
+    from ``start`` to ``goal`` on a ``width`` x ``height`` grid within
+    ``max_steps`` moves.
+
+    Positions are 1-indexed (x, y) pairs; the state encodes (x, y, t). Bumping a
+    wall leaves the position unchanged but still consumes a timestep. Reaching
+    the goal ends the episode with reward 1; running out the clock pays 0. A
+    size or deadline below 1, or a start or goal off the grid, raises ValueError.
+    """
+    if min(width, height, max_steps) < 1:
+        raise ValueError(
+            "'width', 'height' and 'max_steps' must be at least 1, "
+            f"not {width}, {height} and {max_steps}"
+        )
+    for name, (px, py) in (("start", start), ("goal", goal)):
+        if not (1 <= px <= width and 1 <= py <= height):
+            raise ValueError(f"{name!r} ({px}, {py}) lies outside the {width} x {height} grid")
+    w, h, t_max = width, height, max_steps
+    gx, gy = goal[0] - 1, goal[1] - 1
+    sx, sy = start[0] - 1, start[1] - 1
 
     # State ids are (t * h + y) * w + x, so the arrays below are (t, y, x).
     t, y, x = np.meshgrid(np.arange(t_max + 1), np.arange(h), np.arange(w), indexing="ij")
@@ -121,30 +86,6 @@ def build_codegrid(
         prior=Belief.explicit(Dist.uniform(n_messages)),
         priority=priority,
         noise_p=noise_p,
-    )
-
-
-def build_coding_mdp(spec: CodingMdpSpec) -> MdpSpec:
-    """Source coding as an MDP: states count emitted symbols, alphabet actions
-    advance at their cost, and the final action stops for free."""
-    # A spec holds a limit or costs only for the variant that uses them.
-    limit = spec.length_limit or spec.max_symbols
-    k = spec.alphabet_size
-    costs = spec.symbol_costs or [1.0] * k
-    # States 0..limit are symbol counts; state limit+1 is the stopped sink.
-    n_states = limit + 2
-    sink = limit + 1
-    next_table = np.empty((n_states, k + 1), dtype=np.int64)
-    next_table[:, :k] = np.arange(1, n_states + 1)[:, None]
-    next_table[:, k] = sink
-    rewards = np.zeros((n_states, k + 1))
-    rewards[:limit, :k] = [-c for c in costs]
-    return MdpSpec.deterministic(
-        next_table=next_table,
-        rewards=rewards,
-        initial_state=0,
-        terminal_states=frozenset({limit, sink}),
-        horizon_bound=limit + 1,
     )
 
 
@@ -192,16 +133,44 @@ def chain_mcg(
 
 
 def build_coding_mcg(
-    variant: str = CodingMdpSpec.variant, alphabet_size: int = CodingMdpSpec.alphabet_size,
-    length_limit: int | None = None, symbol_costs: tuple[float, ...] | None = None,
-    max_symbols: int = CodingMdpSpec.max_symbols,
-    n_messages: int = 2, priority: float = 1.0, noise_p: float = 0.0,
+    alphabet_size: int = 2, symbol_costs: tuple[float, ...] | None = None,
+    length_limit: int = 64, n_messages: int = 2, priority: float = 1.0, noise_p: float = 0.0,
 ) -> McgSpec:
-    """Source-coding game: ``n_messages`` equiprobable messages carried by the
-    codeword emitted on the ``CodingMdpSpec`` the first five keywords give."""
-    costs = None if symbol_costs is None else tuple(symbol_costs)
-    spec = CodingMdpSpec(variant, alphabet_size, length_limit, costs, max_symbols)
-    return chain_mcg(build_coding_mdp(spec), MessageSpace.explicit(n_messages), priority, noise_p)
+    """Source-coding game: ``n_messages`` equiprobable messages carried by a
+    codeword over ``alphabet_size`` symbols.
+
+    States count emitted symbols. Each symbol action advances at a cost of 1,
+    or of its entry in ``symbol_costs``, and the last action stops for free; an
+    episode emits at most ``length_limit`` symbols. Standard coding is the
+    defaults (the limit of 64 only keeps episodes finite), length-limited coding
+    sets ``length_limit``, and unequal-cost coding sets ``symbol_costs``.
+    """
+    if alphabet_size < 1:
+        raise ValueError(f"'alphabet_size' must be at least 1, not {alphabet_size}")
+    if length_limit < 1:
+        raise ValueError(f"'length_limit' must be at least 1, not {length_limit}")
+    costs = [1.0] * alphabet_size if symbol_costs is None else list(symbol_costs)
+    if len(costs) != alphabet_size or any(c < 0 for c in costs):
+        raise ValueError(
+            f"'symbol_costs' must hold {alphabet_size} non-negative costs, not {costs}"
+        )
+    k, limit = alphabet_size, length_limit
+    # States 0..limit are symbol counts; state limit+1 is the stopped sink.
+    n_states = limit + 2
+    sink = limit + 1
+    next_table = np.empty((n_states, k + 1), dtype=np.int64)
+    next_table[:, :k] = np.arange(1, n_states + 1)[:, None]
+    next_table[:, k] = sink
+    rewards = np.zeros((n_states, k + 1))
+    rewards[:limit, :k] = [-c for c in costs]
+    mdp = MdpSpec.deterministic(
+        next_table=next_table,
+        rewards=rewards,
+        initial_state=0,
+        terminal_states=frozenset({limit, sink}),
+        horizon_bound=limit + 1,
+    )
+    return chain_mcg(mdp, MessageSpace.explicit(n_messages), priority, noise_p)
 
 
 def image_space(image_pixels: int, block_pixels: int) -> MessageSpace:
@@ -212,6 +181,20 @@ def image_space(image_pixels: int, block_pixels: int) -> MessageSpace:
             f"not {image_pixels} and {block_pixels}"
         )
     return MessageSpace.product([2**block_pixels] * (image_pixels // block_pixels))
+
+
+def image_block_pixels(space: MessageSpace) -> int:
+    """The ``block_pixels`` that ``image_space`` made ``space`` with. A space
+    whose blocks are not all one power-of-two size carries no image and raises
+    ValueError."""
+    size = space.block_sizes[0]
+    bits = size.bit_length() - 1
+    if not space.factored or size < 2 or size != 1 << bits or set(space.block_sizes) != {size}:
+        raise ValueError(
+            "the spec's message space carries no image, which needs blocks of one "
+            f"power-of-two size, not {list(space.block_sizes)}"
+        )
+    return bits
 
 
 def build_chain_mcg(

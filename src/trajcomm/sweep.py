@@ -48,6 +48,8 @@ class SweepConfig:
             raise ValueError("sweep grid must be non-empty")
         if not self.seeds:
             raise ValueError("sweep needs at least one seed")
+        if not self.noise_p:
+            raise ValueError("'noise_p' must hold at least one noise level")
         if self.method not in ("meme", "rl_pr"):
             raise ValueError(f"unknown method {self.method!r}")
         if self.rollouts < 1:

@@ -108,6 +108,18 @@ def test_sweep_writes_one_row_per_cell(tmp_path):
     assert rows[0].split(",")[-1] == ""
 
 
+def test_sweep_takes_the_grid_keywords(tmp_path):
+    config, out = tmp_path / "sweep.json", tmp_path / "rows.csv"
+    config.write_text(json.dumps({
+        "env": "codegrid", "method": "meme", "grid": [2.0], "seeds": [0], "rollouts": 2,
+        "env_params": {"n_messages": 4, "width": 3, "height": 3, "goal": [3, 3],
+                       "max_steps": 5},
+    }))
+    assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    [row] = out.read_text().splitlines()[1:]
+    assert row.split(",")[-1] == ""
+
+
 @pytest.mark.parametrize(
     "doc, key",
     [
@@ -126,9 +138,14 @@ def test_sweep_writes_one_row_per_cell(tmp_path):
           "env_params": {"n_mesages": 4}}, "n_mesages"),
         ({"env": "codegrid", "method": "meme", "grid": [2.0], "seeds": [0],
           "env_params": {"n_messages": 4, "noise_p": 0.3}}, "noise_p"),
+        ({"env": "toy", "method": "meme", "grid": [2.0], "seeds": [0], "noise_p": []},
+         "noise_p"),
+        ({"env": "codegrid", "method": "meme", "grid": [2.0], "seeds": [0],
+          "env_params": {"grid": {"width": 3}}}, "grid"),
     ],
     ids=["misspelt-key", "missing-env", "rollouts-0", "method-params", "episodes-0",
-         "noise-p-0.6", "env-params-typo", "env-params-noise"],
+         "noise-p-0.6", "env-params-typo", "env-params-noise", "noise-p-empty",
+         "env-params-grid"],
 )
 def test_sweep_rejects_a_bad_config_key(tmp_path, capsys, doc, key):
     config = tmp_path / "sweep.json"
@@ -141,8 +158,8 @@ def test_sweep_rejects_a_bad_config_key(tmp_path, capsys, doc, key):
 
 # make-env command lines and the SHA-256 of the spec each writes. Every game's
 # defaults live in its builder; these digests were recorded when the defaults
-# were still restated on the command line and in the sweep, so a default that
-# moves shows here.
+# were still restated on the command line and in the sweep, and the coding
+# lines when they still named a variant, so a default that moves shows here.
 SPEC_DIGESTS = (
     ("toy",
      "9e035aeb55c6a5bf3e1ee7135f9ad47309812326229ab6ea0282a43f7988f42c"),
@@ -162,13 +179,13 @@ SPEC_DIGESTS = (
      "b247331d582a74c1e5ffea7035dbee274dbb015b703f66a38ddee73ddb229b1c"),
     ("chain --steps 20 --image-pixels 8 --block-pixels 2",
      "8d10771568757e5e9e369b600d4fdcf0f2725908fb09db9356b22043afb992da"),
-    ("coding --variant length_limited --length-limit 5 --messages 4",
+    ("coding --length-limit 5 --messages 4",
      "d23edb64460515cda8d0dd18722a2dae1ff2a59ca366fd0702e77c37a5cf4ff9"),
-    ("coding --variant unequal_costs --alphabet 3 --symbol-costs 1 2 0.5",
+    ("coding --alphabet 3 --symbol-costs 1 2 0.5",
      "6b96c0b4c2f2f58c48cc38ddb97e0170877c8556add4a0632912fd5c1e029458"),
     ("codegrid --messages 8",
      "a9c03e40b80680545213d0278c719f9013afc31f76597f95cbad20b280c9a4dd"),
-    ("coding --alphabet 3 --max-symbols 10 --messages 3",
+    ("coding --alphabet 3 --length-limit 10 --messages 3",
      "2faaad5ea42353f58b4b5d307ed0306eb611dd83640b2e85ddeb64a09cf3c17e"),
 )
 
@@ -197,6 +214,68 @@ def test_make_env_rejects_a_flag_the_game_does_not_use(tmp_path, capsys, args, k
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(key) in err
     assert not spec.exists()
+
+
+@pytest.mark.parametrize(
+    "args", ["coding --variant standard", "coding --alphabet 3 --max-symbols 10"]
+)
+def test_make_env_has_no_coding_variant_flags(tmp_path, args):
+    spec = tmp_path / "env.json"
+    with pytest.raises(SystemExit) as exit_:
+        main(["make-env", *args.split(), "--out", str(spec)])
+    assert exit_.value.code == 2
+    assert not spec.exists()
+
+
+def test_image_round_trip_reads_the_block_size_off_the_spec(tmp_path):
+    spec, qtable, image = tmp_path / "env.json", tmp_path / "q.txt", tmp_path / "in.pbm"
+    traj, decoded = tmp_path / "z.txt", tmp_path / "out.pbm"
+    image.write_text("P1\n4 2\n1 0 0 1\n0 1 1 1\n")
+    assert main([
+        "make-env", "chain", "--steps", "24", "--image-pixels", "8", "--block-pixels", "2",
+        "--out", str(spec),
+    ]) == 0
+    assert main(["solve", "--spec", str(spec), "--beta", "1", "--out", str(qtable)]) == 0
+    assert main([
+        "send", "--spec", str(spec), "--qtable", str(qtable), "--image", str(image),
+        "--seed", "0", "--out", str(traj),
+    ]) == 0
+    assert main([
+        "receive", "--spec", str(spec), "--qtable", str(qtable), "--traj", str(traj),
+        "--image-shape", "2", "4", "--out", str(decoded),
+    ]) == 0
+    assert decoded.read_bytes() == image.read_bytes()
+
+
+@pytest.mark.parametrize("blocks", [[4, 2], [3, 3], [1, 1]])
+def test_send_rejects_an_image_for_a_space_that_carries_none(tmp_path, capsys, blocks):
+    # Blocks of 4 and 2 states, of 3 states, and of one state hold no
+    # equal-sized groups of pixels.
+    spec, qtable = _codegrid_8(tmp_path)
+    document = json.loads(spec.read_text())
+    document["message_space"] = {"factored": True, "block_sizes": blocks}
+    document["prior"] = [[1.0 / b] * b for b in blocks]
+    spec.write_text(json.dumps(document))
+    image = tmp_path / "in.pbm"
+    image.write_text("P1\n3 1\n1 0 1\n")
+    capsys.readouterr()
+    assert main([
+        "send", "--spec", str(spec), "--qtable", str(qtable), "--image", str(image),
+        "--seed", "0", "--out", str(tmp_path / "z.txt"),
+    ]) == 2
+    assert "carries no image" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("given", [[], ["--message", "3", "--image", "in.pbm"]])
+def test_send_takes_exactly_one_message_source(tmp_path, given):
+    # Given both, send used to drop the message and send the image.
+    spec, qtable = _codegrid_8(tmp_path)
+    traj = tmp_path / "z.txt"
+    with pytest.raises(SystemExit) as exit_:
+        main(["send", "--spec", str(spec), "--qtable", str(qtable), *given,
+              "--seed", "0", "--out", str(traj)])
+    assert exit_.value.code == 2
+    assert not traj.exists()
 
 
 @pytest.mark.parametrize("fault", ["horizon-one-short", "cycle"])

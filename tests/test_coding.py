@@ -21,7 +21,6 @@ from trajcomm.coding import (
 )
 from trajcomm.dist import Dist, SparseCoupling, coupling_entropies, entropy, sample_index
 from trajcomm.envs import (
-    CodeGridSpec,
     build_channel_chain,
     build_codegrid,
     build_toy_mcg,
@@ -735,8 +734,7 @@ class TestExactValueUnderNoise:
 
     @pytest.mark.parametrize("noise_p", [0.0, 0.1, 0.3])
     def test_codegrid_return_is_the_noise_mixed_policy_return(self, noise_p):
-        grid = CodeGridSpec(3, 3, (1, 1), (3, 3), 5)
-        mcg = dataclasses.replace(build_codegrid(8, grid=grid), noise_p=noise_p)
+        mcg = build_codegrid(8, noise_p=noise_p, width=3, height=3, goal=(3, 3), max_steps=5)
         q = exact_soft_vi(mcg.mdp, alpha=0.3)
         coded_return, _ = exact_coded_value(q, mcg)
         mixed = exact_policy_return(mcg.mdp, _noise_mixed(q, noise_p, mcg.mdp.n_actions))

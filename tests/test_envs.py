@@ -1,5 +1,7 @@
 """Environment-builder tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -8,14 +10,14 @@ from trajcomm.dist import Dist, entropy
 from trajcomm import envs
 from trajcomm.envs import (
     GAMES,
-    CodingMdpSpec,
     build_env,
     build_channel_chain,
     build_codegrid,
-    build_coding_mdp,
+    build_coding_mcg,
     build_toy_mcg,
     chain_mcg,
 )
+from trajcomm.formats import save_mcg
 from trajcomm.maxent import exact_soft_vi, expected_cumulative_entropy_bits, softmax_policy
 from trajcomm.mcg import MessageSpace, exact_mcg_value
 from trajcomm.mdp import (
@@ -122,11 +124,37 @@ class TestCodeGrid:
             z = rollout(mcg.mdp, lambda s: Dist.uniform(4), rng)
             assert trajectory_return(z) in (0.0, 1.0)
 
+    def test_grid_keywords_write_the_recorded_spec(self, tmp_path):
+        # The digest of the spec a 3 x 3 grid with goal (3, 3) and deadline 5
+        # wrote when its shape was one grid object.
+        path = tmp_path / "env.json"
+        save_mcg(build_codegrid(8, width=3, height=3, goal=(3, 3), max_steps=5), path)
+        digest = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert digest == "fcb9660018cba4f7fd88ed49548d8d6d4a92075128482620d30ae4b78188d650"
+
+    @pytest.mark.parametrize(
+        "params, key",
+        [
+            ({"start": (5, 1)}, "start"),
+            ({"start": (1, 0)}, "start"),
+            ({"goal": (9, 9)}, "goal"),
+            ({"width": 3}, "goal"),  # the default goal (4, 4) is off a 3-wide grid
+            ({"width": 0}, "width"),
+            ({"height": 0}, "height"),
+            ({"max_steps": 0}, "max_steps"),
+        ],
+    )
+    def test_rejects_a_position_off_the_grid_or_an_empty_size(self, params, key):
+        # Each used to build: an off-grid start began elsewhere, and an
+        # off-grid goal gave a game that never pays.
+        with pytest.raises(ValueError, match=repr(key)):
+            build_codegrid(**params)
+
 
 class TestCodingMdp:
     def test_standard_return_counts_symbols(self):
         # Emitting three symbols then the terminator pays -3.
-        mdp = build_coding_mdp(CodingMdpSpec(variant="standard", alphabet_size=2))
+        mdp = build_coding_mcg(alphabet_size=2).mdp
         s = mdp.initial_state
         total = 0.0
         for a in (0, 1, 0, 2):  # 2 is the terminator for a binary alphabet
@@ -136,9 +164,7 @@ class TestCodingMdp:
         assert mdp.is_terminal(s)
 
     def test_unequal_costs(self):
-        mdp = build_coding_mdp(
-            CodingMdpSpec(variant="unequal_costs", alphabet_size=2, symbol_costs=(1.0, 3.0))
-        )
+        mdp = build_coding_mcg(alphabet_size=2, symbol_costs=(1.0, 3.0)).mdp
         # cheap, cheap, stop
         assert mdp.rewards[0, 0] == -1.0
         assert mdp.rewards[0, 1] == -3.0
@@ -147,7 +173,7 @@ class TestCodingMdp:
         assert total == -2.0
 
     def test_length_limit_bounds_episodes(self):
-        mdp = build_coding_mdp(CodingMdpSpec(variant="length_limited", length_limit=4))
+        mdp = build_coding_mcg(length_limit=4).mdp
         rng = np.random.default_rng(3)
         for _ in range(100):
             z = rollout(mdp, lambda s: Dist.uniform(mdp.n_actions), rng)
@@ -155,17 +181,21 @@ class TestCodingMdp:
             assert symbols <= 4
 
     def test_variant_validation(self):
-        with pytest.raises(ValueError):
-            CodingMdpSpec(variant="nope")
-        with pytest.raises(ValueError):
-            CodingMdpSpec(variant="length_limited")
-        with pytest.raises(ValueError):
-            CodingMdpSpec(variant="unequal_costs", alphabet_size=2, symbol_costs=(1.0,))
-        # A field the variant ignores is rejected, not silently dropped.
+        # Every keyword applies to every variant, so only bad values are rejected.
         with pytest.raises(ValueError, match="'symbol_costs'"):
-            CodingMdpSpec(variant="standard", symbol_costs=(1.0, 2.0))
+            build_coding_mcg(alphabet_size=2, symbol_costs=(1.0,))
+        with pytest.raises(ValueError, match="'symbol_costs'"):
+            build_coding_mcg(symbol_costs=(1.0, -2.0))
         with pytest.raises(ValueError, match="'length_limit'"):
-            CodingMdpSpec(variant="unequal_costs", symbol_costs=(1.0, 2.0), length_limit=3)
+            build_coding_mcg(length_limit=0)
+        with pytest.raises(ValueError, match="'alphabet_size'"):
+            build_coding_mcg(alphabet_size=0)
+
+    def test_costs_and_limit_combine(self):
+        mdp = build_coding_mcg(alphabet_size=2, symbol_costs=(1.0, 3.0), length_limit=3).mdp
+        assert mdp.horizon_bound == 4
+        assert mdp.rewards[:3, :2].tolist() == [[-1.0, -3.0]] * 3
+        assert mdp.rewards[3:].tolist() == [[0.0] * 3] * 2
 
 
 class TestChannelChain:

@@ -5,10 +5,9 @@ import pytest
 
 from trajcomm.dist import Dist
 from trajcomm.envs import (
-    CodingMdpSpec,
     build_channel_chain,
     build_codegrid,
-    build_coding_mdp,
+    build_coding_mcg,
     build_toy_mcg,
     chain_mcg,
     image_space,
@@ -103,15 +102,8 @@ class TestMcgFiles:
             assert np.array_equal(a.probs, b.probs)
 
     def test_coding_mdp_survives(self, tmp_path):
-        mdp = build_coding_mdp(CodingMdpSpec(variant="length_limited", length_limit=4))
-        from trajcomm.mcg import Belief, McgSpec
-
-        mcg = McgSpec(
-            mdp=mdp,
-            message_space=MessageSpace.explicit(4),
-            prior=Belief.uniform(MessageSpace.explicit(4)),
-            priority=1.0,
-        )
+        mcg = build_coding_mcg(length_limit=4, n_messages=4)
+        mdp = mcg.mdp
         path = tmp_path / "env.json"
         save_mcg(mcg, path)
         loaded = load_mcg(path).mdp

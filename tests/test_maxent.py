@@ -8,10 +8,9 @@ import pytest
 
 from trajcomm.dist import Dist, entropy, entropy_nats, sample_index
 from trajcomm.envs import (
-    CodingMdpSpec,
     build_channel_chain,
     build_codegrid,
-    build_coding_mdp,
+    build_coding_mcg,
     build_toy_mcg,
 )
 from trajcomm.maxent import (
@@ -284,12 +283,10 @@ SOFT_VI_CASES = [
         (f"chain-200x4-alpha{alpha}", lambda: build_channel_chain(200, 4), alpha)
         for alpha in (1.0, 0.5, 0.25, 0.125)
     ],
-    ("coding-standard", lambda: build_coding_mdp(CodingMdpSpec()), 1.0),
+    ("coding-standard", lambda: build_coding_mcg().mdp, 1.0),
     (
         "coding-unequal",
-        lambda: build_coding_mdp(
-            CodingMdpSpec(variant="unequal_costs", alphabet_size=3, symbol_costs=(1.0, 2.0, 0.5))
-        ),
+        lambda: build_coding_mcg(alphabet_size=3, symbol_costs=(1.0, 2.0, 0.5)).mdp,
         0.3,
     ),
     ("stochastic", stochastic_mdp, 0.5),
