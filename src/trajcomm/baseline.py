@@ -8,7 +8,8 @@ shaped by ``mcg.priority * max_m b(m)`` before the update. Evaluation plays
 each message's greedy action; the receiver scores every executed action
 against all messages' greedy actions and guesses the posterior's MAP.
 Training and evaluation update the posterior with the same step,
-``_observe``.
+``_observe``, on the noise-aware likelihood ``noisy_likelihood``, so one
+flipped action lowers the true message's weight instead of ruling it out.
 
 Training builds one softmax block per visited state, over every message.
 That block is the behaviour policy and posterior column of the step taken
@@ -26,7 +27,7 @@ import numpy as np
 from .dist import sample_index
 from .maxent import softmax_parts
 from .mcg import McgSpec
-from .mdp import apply_actuator_noise, step
+from .mdp import apply_actuator_noise, noisy_likelihood, step
 
 MAX_BASELINE_MESSAGES = 128
 
@@ -61,7 +62,8 @@ def standard_error(x: np.ndarray) -> float:
 
 def _observe(b: np.ndarray, likelihood: np.ndarray) -> np.ndarray:
     """The perfect receiver's posterior after one executed action, given each
-    message's likelihood of it; a posterior that underflows resets to uniform."""
+    message's noise-aware likelihood of it; a posterior that underflows
+    resets to uniform."""
     b = b * likelihood
     total = b.sum()
     if total < 1e-300:
@@ -81,7 +83,7 @@ def train_rl_pr(
 
     Per episode: sample a message, roll out the Boltzmann policy for that
     message, keep the exact posterior over all messages updated with each
-    executed action against the full current policy, and add
+    executed action against the full current policy, noise included, and add
     ``mcg.priority * max_m b(m)`` to the terminal transition's reward before
     the final Q update. The temperature anneals geometrically from
     ``alpha_start`` to ``alpha_end``, and the learning rate from
@@ -112,7 +114,7 @@ def train_rl_pr(
         while True:
             a = sample_index(rows[m], rng)
             executed = apply_actuator_noise(a, mcg.noise_p, mdp.n_actions, rng)
-            b = _observe(b, rows[:, executed])
+            b = _observe(b, noisy_likelihood(rows[:, executed], mcg.noise_p, mdp.n_actions))
             nxt, reward = step(mdp, s, executed, rng)
             if mdp.is_terminal(nxt):
                 target = reward + mcg.priority * float(b.max())
@@ -137,8 +139,8 @@ def rollout_rl_pr(
     """One evaluation episode: returns (guessed message, MDP return).
 
     The sender plays the greedy policy for ``m``; the perfect receiver scores
-    each executed action against every message's greedy action and guesses
-    the argmax of its posterior.
+    each executed action against every message's greedy action, allowing for
+    actuator noise, and guesses the argmax of its posterior.
     """
     mdp = mcg.mdp
     b = mcg.prior.blocks[0].probs.copy()
@@ -147,7 +149,8 @@ def rollout_rl_pr(
     while not mdp.is_terminal(s):
         picks = q.values[s].argmax(axis=1)
         executed = apply_actuator_noise(int(picks[m]), mcg.noise_p, mdp.n_actions, rng)
-        b = _observe(b, (picks == executed).astype(float))
+        intended = (picks == executed).astype(float)
+        b = _observe(b, noisy_likelihood(intended, mcg.noise_p, mdp.n_actions))
         s, reward = step(mdp, s, executed, rng)
         ret += reward
     return int(np.argmax(b)), ret

@@ -26,22 +26,24 @@ policy, and no per-message distribution is built. The posterior is
 scattered back into a vector over the whole block before it is normalized,
 so its bytes are those of a dense update.
 
-Replay is deterministic, so a decision depends only on the bytes of the
-active block's belief and of the policy row (the noise level is fixed by the
-game). Each call of ``sender_episode``, ``receiver_decode`` and
-``exact_coded_value`` keeps one memo keyed by
-``(block.probs.tobytes(), policy.probs.tobytes())``. An entry holds the
-coupling built and checked for those bytes, the posterior already computed
-from it for each executed action, and the action row of each message played
-through it. A repeated decision reuses all three, so ``greedy_mec``,
-``check_mixture``, ``posterior_update`` and ``action_row`` run once per
-distinct input rather than once per step. The memo lives for one call: the
-sender and the receiver never share one, so every decode rebuilds its
-couplings from the observed trajectory alone.
+Each agent replays the construction through one ``_Replay`` object, which
+holds its belief, its block entropies and a memo; ``exact_coded_value``
+``branch``es it at every executed action. Replay is deterministic, so a
+decision depends only on the bytes of the active block's belief and of the
+policy row (the noise level is fixed by the game), and the memo is keyed by
+them. An entry holds the coupling built and checked for those bytes, the
+posterior already computed from it for each executed action, and the action
+row of each message played through it. A repeated decision reuses all
+three, so ``greedy_mec``, ``check_mixture``, ``posterior_update`` and
+``action_row`` run once per distinct input rather than once per step. A
+memo lives for one call of ``sender_episode``, ``receiver_decode`` or
+``exact_coded_value``: the sender and the receiver never share one, so every
+decode rebuilds its couplings from the observed trajectory alone.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import logging
 
@@ -49,7 +51,9 @@ import numpy as np
 
 from .dist import Dist, SUM_ATOL, SparseCoupling, entropy, sample_index
 from .mcg import Belief, McgSpec, message_prior_prob
-from .mdp import ObservedTrajectory, Step, Trajectory, apply_actuator_noise, step
+from .mdp import (
+    ObservedTrajectory, Step, Trajectory, apply_actuator_noise, noisy_likelihood, step,
+)
 from .maxent import QTable, softmax_policy
 from .mec import greedy_mec
 
@@ -125,13 +129,12 @@ def posterior_update(
 
     Message ``m`` intends action ``a`` with probability ``P(a|m)``, its row
     of the coupling, or ``policy[a]`` for a message that acts by the policy
-    (see ``action_row``). With actuator noise ``noise_p`` = ε the executed
-    action is a uniform draw over all actions with probability ε, so the
-    likelihood of executing ``a`` is ``(1-ε)·P(a|m) + ε/|A|``; a flipped
-    action lowers the true message's weight instead of ruling it out. The
-    stored rows' ``P(a|m)`` are computed on those rows alone and scattered
-    into a full-length vector of ``policy[a]``, so the weights and their sum
-    are those of the full belief. If the observed action carries zero
+    (see ``action_row``). With actuator noise ``noise_p`` the likelihood of
+    executing ``a`` is ``noisy_likelihood`` of ``P(a|m)``; a flipped action
+    lowers the true message's weight instead of ruling it out. The stored
+    rows' ``P(a|m)`` are computed on those rows alone and scattered into a
+    full-length vector of ``policy[a]``, so the weights and their sum are
+    those of the full belief. If the observed action carries zero
     likelihood under every live message (possible only without noise, on a
     corrupted trajectory), the belief resets to uniform and the desync is
     logged rather than silently propagated.
@@ -141,9 +144,7 @@ def posterior_update(
     intended[rows] = np.divide(
         joint[:, executed], row_mass, out=intended[rows], where=row_mass > 0.0
     )
-    # Exact at ε = 0: 1.0 * x + 0.0 == x for every x >= 0.
-    likelihood = (1.0 - noise_p) * intended + noise_p / coupling.n_cols
-    weights = b.probs * likelihood
+    weights = b.probs * noisy_likelihood(intended, noise_p, coupling.n_cols)
     total = float(weights.sum())
     if total < WIPEOUT_EPS:
         logger.warning(
@@ -153,97 +154,85 @@ def posterior_update(
     return Dist(weights / total)
 
 
-def _block_entropies(belief: Belief) -> np.ndarray | None:
-    """Entropy of every block of a belief; None for a belief with one block.
+class _Replay:
+    """One agent's replay of the coder: its belief, the entropy of each of
+    its blocks, its memo, and the decision at the current state."""
 
-    The coder keeps this array next to its belief and, after each update,
-    recomputes only the entry of the block that changed.
-    """
-    if len(belief.blocks) == 1:
-        return None
-    return np.array([entropy(block) for block in belief.blocks])
+    def __init__(self, q: QTable, mcg: McgSpec):
+        self.q = q
+        self.factored = mcg.message_space.factored
+        self.noise_p = mcg.noise_p
+        self.belief = mcg.prior
+        # Kept next to the belief; an update recomputes only the block it
+        # changed. None for a belief with one block.
+        blocks = mcg.prior.blocks
+        self.h = None if len(blocks) == 1 else np.array([entropy(b) for b in blocks])
+        # (block bytes, policy bytes) -> (coupling, posterior per executed
+        # action, action row per message).
+        self.memo: dict[tuple[bytes, bytes], tuple] = {}
 
+    def decide(self, s: int) -> None:
+        """Couple the active block with the policy at ``s``.
 
-def _active_block(h: np.ndarray | None) -> int:
-    """Index of the block to couple next: largest entropy, ties to the lowest.
+        The active block has the largest entropy, ties to the lowest index:
+        ``argmax`` returns the first maximum and entropies are compared
+        exactly, so sender and receiver, on bit-identical beliefs, never pick
+        differently. The coupling is built and checked only when the memo has
+        no entry for the block's and the policy's bytes.
+        """
+        self.policy = policy = softmax_policy(self.q, s)
+        self.block = 0 if self.h is None else int(self.h.argmax())
+        b = self.belief.blocks[self.block]
+        key = (b.probs.tobytes(), policy.probs.tobytes())
+        decision = self.memo.get(key)
+        if decision is None:
+            if len(b) > MAX_EXPLICIT_MESSAGES:
+                raise ValueError(
+                    f"belief support {len(b)} exceeds the per-coupling cap "
+                    f"{MAX_EXPLICIT_MESSAGES}; use a factored message space"
+                )
+            coupling = greedy_mec(b, policy)
+            check_mixture(coupling, b, policy)
+            decision = self.memo[key] = (coupling, {}, {})
+        self.coupling, self.posteriors, self.rows = decision
 
-    ``h`` holds the block entropies (None for a belief with one block).
-    ``argmax`` returns the first maximum, and entropies are compared
-    exactly; sender and receiver run this on bit-identical beliefs, so the
-    selection can never diverge. The array's own method skips the couple of
-    microseconds ``np.argmax`` spends dispatching, at every decision.
-    """
-    return 0 if h is None else int(h.argmax())
+    def row(self, m) -> np.ndarray:
+        """``action_row`` of message ``m``'s value in the active block."""
+        value = m[self.block] if self.factored else m
+        row = self.rows.get(value)
+        if row is None:
+            row = self.rows[value] = action_row(self.coupling, value, self.policy)
+        return row
 
+    def observe(self, executed: int) -> Belief:
+        """Update the belief, and its block entropy, with an executed action.
 
-# (block bytes, policy bytes) -> (coupling, posterior per executed action,
-# action row per message).
-_Memo = dict[
-    tuple[bytes, bytes], tuple[SparseCoupling, dict[int, Dist], dict[int, np.ndarray]]
-]
-
-
-def _plan(
-    belief: Belief, h: np.ndarray | None, policy: Dist, memo: _Memo
-) -> tuple[int, SparseCoupling, dict[int, Dist], dict[int, np.ndarray]]:
-    """The active block, its greedy coupling with ``policy``, and that
-    coupling's posteriors and action rows so far, keyed by executed action
-    and by message.
-
-    The coupling is built and checked only when ``memo`` has no entry for
-    the block's and the policy's bytes; the new entry starts with no
-    posteriors and no rows.
-    """
-    block = _active_block(h)
-    b = belief.blocks[block]
-    key = (b.probs.tobytes(), policy.probs.tobytes())
-    decision = memo.get(key)
-    if decision is None:
-        if len(b) > MAX_EXPLICIT_MESSAGES:
-            raise ValueError(
-                f"belief support {len(b)} exceeds the per-coupling cap "
-                f"{MAX_EXPLICIT_MESSAGES}; use a factored message space"
+        A posterior that reads exactly uniform is not memoized: a wipe-out
+        resets the block to uniform, and each wipe-out must log its own
+        warning.
+        """
+        post = self.posteriors.get(executed)
+        if post is None:
+            post = posterior_update(
+                self.belief.blocks[self.block], self.coupling, self.policy, executed, self.noise_p
             )
-        coupling = greedy_mec(b, policy)
-        check_mixture(coupling, b, policy)
-        decision = memo[key] = (coupling, {}, {})
-    return block, *decision
+            uniform = 1.0 / len(post)
+            # The first entry settles it for almost every posterior.
+            if post.probs[0] != uniform or not (post.probs == uniform).all():
+                self.posteriors[executed] = post
+        blocks = list(self.belief.blocks)
+        blocks[self.block] = post
+        if self.h is not None:
+            self.h[self.block] = entropy(post)
+        self.belief = Belief(tuple(blocks))
+        return self.belief
 
-
-def _row(
-    rows: dict[int, np.ndarray], coupling: SparseCoupling, m: int, policy: Dist
-) -> np.ndarray:
-    """``action_row`` of message ``m``, taken from ``rows`` when the coupling
-    has played ``m`` before, and stored there otherwise."""
-    row = rows.get(m)
-    if row is None:
-        row = rows[m] = action_row(coupling, m, policy)
-    return row
-
-
-def _apply(
-    belief: Belief, h: np.ndarray | None, block: int, coupling: SparseCoupling,
-    posteriors: dict[int, Dist], policy: Dist, executed: int, noise_p: float,
-) -> Belief:
-    """The updated belief; ``h``, if given, is updated in place to match it.
-
-    The block's posterior is taken from ``posteriors`` when the coupling has
-    seen ``executed`` before, and stored there otherwise. A posterior that
-    reads exactly uniform is not stored: a wipe-out resets the block to
-    uniform, and each wipe-out must log its own warning.
-    """
-    post = posteriors.get(executed)
-    if post is None:
-        post = posterior_update(belief.blocks[block], coupling, policy, executed, noise_p)
-        uniform = 1.0 / len(post)
-        # The first entry settles it for almost every posterior.
-        if post.probs[0] != uniform or not (post.probs == uniform).all():
-            posteriors[executed] = post
-    blocks = list(belief.blocks)
-    blocks[block] = post
-    if h is not None:
-        h[block] = entropy(post)
-    return Belief(tuple(blocks))
+    def branch(self) -> _Replay:
+        """A copy at the same decision that shares this one's memo."""
+        other = copy.copy(self)
+        if self.h is not None:
+            other.h = self.h.copy()
+        return other
 
 
 def sender_episode(
@@ -258,20 +247,15 @@ def sender_episode(
     """
     if not mcg.message_space.contains(m):
         raise ValueError(f"message {m!r} is not in the message space")
-    belief = mcg.prior
-    h = _block_entropies(belief)
-    memo: _Memo = {}
-    trace = [belief]
+    sender = _Replay(q, mcg)
+    trace = [sender.belief]
     steps = []
     s = mcg.mdp.initial_state
     while not mcg.mdp.is_terminal(s):
-        policy = softmax_policy(q, s)
-        block, coupling, posteriors, rows = _plan(belief, h, policy, memo)
-        value = m[block] if mcg.message_space.factored else m
-        intended = sample_index(_row(rows, coupling, value, policy), rng)
+        sender.decide(s)
+        intended = sample_index(sender.row(m), rng)
         executed = apply_actuator_noise(intended, mcg.noise_p, mcg.mdp.n_actions, rng)
-        belief = _apply(belief, h, block, coupling, posteriors, policy, executed, mcg.noise_p)
-        trace.append(belief)
+        trace.append(sender.observe(executed))
         nxt, reward = step(mcg.mdp, s, executed, rng)
         steps.append(Step(s, intended, executed, reward))
         s = nxt
@@ -297,16 +281,12 @@ def receiver_decode(
     then returns the MAP message and the full belief trace.
     """
     _validate_view(mcg, z)
-    belief = mcg.prior
-    h = _block_entropies(belief)
-    memo: _Memo = {}
-    trace = [belief]
+    receiver = _Replay(q, mcg)
+    trace = [receiver.belief]
     for s, executed in z.steps:
-        policy = softmax_policy(q, s)
-        block, coupling, posteriors, _ = _plan(belief, h, policy, memo)
-        belief = _apply(belief, h, block, coupling, posteriors, policy, executed, mcg.noise_p)
-        trace.append(belief)
-    return map_estimate(belief, mcg.message_space.factored), tuple(trace)
+        receiver.decide(s)
+        trace.append(receiver.observe(executed))
+    return map_estimate(receiver.belief, mcg.message_space.factored), tuple(trace)
 
 
 def _validate_view(mcg: McgSpec, z: ObservedTrajectory) -> None:
@@ -338,46 +318,41 @@ def exact_coded_value(q: QTable, mcg: McgSpec) -> tuple[float, float]:
     """Exact message-averaged expected return and decode accuracy.
 
     Walks every (message, trajectory) branch of the coded sender, replicating
-    the belief dynamics exactly. Under actuator noise ε the sender executes
-    action ``a`` with probability ``(1-ε)·P(a|m) + ε/|A|``, so the walk
-    branches on every executed action and applies the noise-aware update; at
-    ε = 0 the weight is ``P(a|m)`` exactly and impossible actions are pruned.
-    One memo serves the whole walk, over every message, so each distinct
-    decision is coupled once; the number of branches is still exponential in
-    the horizon, so the walk only suits small games.
+    the belief dynamics exactly. Under actuator noise the sender executes
+    each action with the probability ``noisy_likelihood`` gives its intended
+    row, so the walk branches on every executed action and applies the
+    noise-aware update; at ε = 0 the weight is ``P(a|m)`` exactly and
+    impossible actions are pruned. Every branch shares one memo, over every
+    message, so each distinct decision is coupled once; the number of
+    branches is still exponential in the horizon, so the walk only suits
+    small games.
     """
-    noise_p = mcg.noise_p
-    n_actions = mcg.mdp.n_actions
-    memo: _Memo = {}
+    mdp = mcg.mdp
     total_return = 0.0
     total_acc = 0.0
 
-    def walk(s, belief, h, m, prob, ret):
+    def walk(s, agent, m, prob, ret):
         nonlocal total_return, total_acc
-        if mcg.mdp.is_terminal(s):
+        if mdp.is_terminal(s):
             total_return += prob * ret
-            if map_estimate(belief, mcg.message_space.factored) == m:
+            if map_estimate(agent.belief, mcg.message_space.factored) == m:
                 total_acc += prob
             return
-        policy = softmax_policy(q, s)
-        block, coupling, posteriors, rows = _plan(belief, h, policy, memo)
-        value = m[block] if mcg.message_space.factored else m
-        row = _row(rows, coupling, value, policy)
-        for a in range(n_actions):
-            # Exact at ε = 0: 1.0 * x + 0.0 == x for every x >= 0.
-            pa = (1.0 - noise_p) * float(row[a]) + noise_p / n_actions
+        agent.decide(s)
+        probs = noisy_likelihood(agent.row(m), mcg.noise_p, mdp.n_actions)
+        for a, pa in enumerate(probs.tolist()):
             if pa == 0.0:
                 continue
-            nh = None if h is None else h.copy()
-            nb = _apply(belief, nh, block, coupling, posteriors, policy, a, noise_p)
-            reward = float(mcg.mdp.rewards[s, a])
-            for nxt, pt in mcg.mdp.successors(s, a):
+            child = agent.branch()
+            child.observe(a)
+            reward = float(mdp.rewards[s, a])
+            for nxt, pt in mdp.successors(s, a):
                 if pt > 0.0:
-                    walk(nxt, nb, nh, m, prob * pa * pt, ret + reward)
+                    walk(nxt, child, m, prob * pa * pt, ret + reward)
 
-    prior_h = _block_entropies(mcg.prior)
+    root = _Replay(q, mcg)
     for m in mcg.message_space.messages():
         pm = message_prior_prob(mcg, m)
         if pm > 0.0:
-            walk(mcg.mdp.initial_state, mcg.prior, prior_h, m, pm, 0.0)
+            walk(mdp.initial_state, root, m, pm, 0.0)
     return total_return, total_acc

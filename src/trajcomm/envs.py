@@ -49,7 +49,8 @@ def build_codegrid(
     Positions are 1-indexed (x, y) pairs; the state encodes (x, y, t). Bumping a
     wall leaves the position unchanged but still consumes a timestep. Reaching
     the goal ends the episode with reward 1; running out the clock pays 0. A
-    size or deadline below 1, or a start or goal off the grid, raises ValueError.
+    size or deadline below 1, a start or goal off the grid, or a start on the
+    goal (a game that ends before its first move) raises ValueError.
     """
     if min(width, height, max_steps) < 1:
         raise ValueError(
@@ -59,6 +60,8 @@ def build_codegrid(
     for name, (px, py) in (("start", start), ("goal", goal)):
         if not (1 <= px <= width and 1 <= py <= height):
             raise ValueError(f"{name!r} ({px}, {py}) lies outside the {width} x {height} grid")
+    if tuple(start) == tuple(goal):
+        raise ValueError(f"'start' and 'goal' are the same cell {tuple(start)}")
     w, h, t_max = width, height, max_steps
     gx, gy = goal[0] - 1, goal[1] - 1
     sx, sy = start[0] - 1, start[1] - 1

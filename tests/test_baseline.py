@@ -9,6 +9,7 @@ import pytest
 from trajcomm.baseline import (
     MessageConditionalQ,
     evaluation_rollouts,
+    rollout_rl_pr,
     standard_error,
     train_rl_pr,
 )
@@ -99,7 +100,9 @@ def self_loop_game(noise_p=0.0):
 
 def per_step_rl_pr(mcg, cfg, rng, alpha_start, alpha_end, lr_end):
     """Reference: the RL+PR trainer with a fresh softmax block for the behaviour
-    policy and a separate soft-value target at every step."""
+    policy and a separate soft-value target at every step. The receiver's
+    likelihood carries the actuator noise term written out here; at ε = 0 it
+    is exactly the behaviour policy's column."""
     mdp = mcg.mdp
     n_messages = mcg.message_space.cardinality
     q = np.zeros((mdp.n_states, n_messages, mdp.n_actions))
@@ -118,7 +121,8 @@ def per_step_rl_pr(mcg, cfg, rng, alpha_start, alpha_end, lr_end):
             rows = e / e.sum(axis=1, keepdims=True)
             a = sample_index(rows[m], rng)
             executed = apply_actuator_noise(a, mcg.noise_p, mdp.n_actions, rng)
-            b = b * rows[:, executed]
+            eps = mcg.noise_p
+            b = b * ((1.0 - eps) * rows[:, executed] + eps / mdp.n_actions)
             total = b.sum()
             if total < 1e-300:
                 b = np.full(n_messages, 1.0 / n_messages)
@@ -215,13 +219,14 @@ def posterior_from_scratch(q, mcg, steps, alpha):
     """Recompute the perfect receiver's posterior directly from a trajectory.
 
     Used to cross-check the incrementally maintained belief: the posterior is
-    proportional to prior(m) * prod_t pi(a_t | s_t, m) under the given
-    temperature.
+    proportional to prior(m) * prod_t lik_t(m) under the given temperature,
+    where lik_t(m) = (1-ε) pi(a_t | s_t, m) + ε/|A| under actuator noise ε.
     """
+    eps = mcg.noise_p
     b = mcg.prior.blocks[0].probs.copy()
     for s, executed in steps:
         rows = softmax_parts(q.values[s], alpha)[0]
-        b = b * rows[:, executed]
+        b = b * ((1.0 - eps) * rows[:, executed] + eps / rows.shape[1])
     total = b.sum()
     return b / total if total > 0 else np.full(len(b), 1.0 / len(b))
 
@@ -283,6 +288,38 @@ class TestPerfectReceiverPosterior:
         assert np.max(np.abs(posterior - scratch)) < 1e-9
 
 
+class _ScriptedNoise:
+    """Stands in for the generator of ``apply_actuator_noise``: ``random``
+    returns the scripted draws in turn, and every flip lands on ``flip_to``."""
+
+    def __init__(self, draws, flip_to):
+        self.draws = list(draws)
+        self.flip_to = flip_to
+
+    def random(self):
+        return self.draws.pop(0)
+
+    def integers(self, n):
+        return self.flip_to
+
+
+class TestNoiseAwareReceiver:
+    def test_one_flipped_action_does_not_reset_the_belief(self):
+        # Message 0 always picks action 0 and message 1 action 1; no message
+        # picks action 2. Message 1's first action goes through and its second
+        # is flipped to action 2. A noise-blind receiver gave both messages
+        # likelihood 0 there, reset to uniform and guessed message 0; the
+        # noise-aware one weighs both alike and keeps its lead for message 1.
+        chain = build_channel_chain(2, 3)
+        mcg = chain_mcg(chain, MessageSpace.explicit(2), noise_p=0.3)
+        values = np.zeros((chain.n_states, 2, 3))
+        values[:, 0, 0] = values[:, 1, 1] = 1.0
+        rng = _ScriptedNoise(draws=[0.9, 0.0], flip_to=2)
+        guess, _ = rollout_rl_pr(MessageConditionalQ(values=values), mcg, 1, rng)
+        assert rng.draws == []
+        assert guess == 1
+
+
 class TestPriorityZeroMatchesPlainSoftQ:
     def test_returns_converge_to_plain_soft_q(self):
         mcg = single_message_game()
@@ -296,17 +333,18 @@ class TestRlPrSweepRows:
     def test_rows_match_recorded_values(self):
         # Every float of a small RL+PR sweep, recorded from an earlier version
         # of the trainer and evaluator: a change to either that moves a single
-        # draw or update shows up here.
+        # draw or update shows up here. The two noisy rows were recorded again
+        # when the perfect receiver learned the actuator noise.
         cfg = SweepConfig(
             env="codegrid", env_params={"n_messages": 8}, method="rl_pr",
             grid=(0.1, 3.0), seeds=(2,), noise_p=(0.0, 0.1), episodes=600, rollouts=16,
         )
-        se_1, se_2 = 0.10077822185373188, 0.11180339887498948
+        se_1 = 0.10077822185373188
         assert [dataclasses.astuple(r) for r in run_sweep(cfg)] == [
             ("rl_pr", 0.1, 0.0, 2, 1.0, 0.0, 0.1875, se_1, 0.0, 0.0, 16, ""),
-            ("rl_pr", 0.1, 0.1, 2, 0.75, se_2, 0.0, 0.0, 0.25, se_2, 16, ""),
+            ("rl_pr", 0.1, 0.1, 2, 0.9375, 0.0625, 0.0, 0.0, 0.0625, 0.0625, 16, ""),
             ("rl_pr", 3.0, 0.0, 2, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 16, ""),
-            ("rl_pr", 3.0, 0.1, 2, 0.8125, se_1, 0.0, 0.0, 0.1875, se_1, 16, ""),
+            ("rl_pr", 3.0, 0.1, 2, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 16, ""),
         ]
 
     def test_negative_zeta_is_an_error_row(self):

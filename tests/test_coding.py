@@ -653,6 +653,33 @@ class TestNoisyChannel:
         assert correct / 300 >= 0.9
 
 
+class TestReceiverIsBatchBayes:
+    @pytest.mark.parametrize("noise_p", [0.0, 0.05, 0.2])
+    def test_belief_is_the_batch_posterior_at_every_step(self, noise_p):
+        # After t+1 steps the receiver's belief is prior x prod_{u<=t} lik_u,
+        # normalized once, with lik_u(m) = (1-ε) P(a_u|m) + ε/|A| read off the
+        # reference coupling of the belief the receiver held at step u.
+        chain = build_channel_chain(6, 2)
+        mcg = chain_mcg(chain, MessageSpace.explicit(16), noise_p=noise_p)
+        q = exact_soft_vi(chain, alpha=1.0)
+        prior = mcg.prior.blocks[0].probs
+        rng = np.random.default_rng(5)
+        flips = 0
+        for _ in range(50):
+            rec = run_roundtrip(q, mcg, sample_message(mcg, rng), rng)
+            trace = rec.receiver_belief_trace
+            likelihood = np.ones(16)
+            for t, st in enumerate(rec.trajectory.steps):
+                _, rows = _reference_plan(trace[t], softmax_policy(q, st.state))
+                a = st.executed_action
+                likelihood *= [(1.0 - noise_p) * row[a] + noise_p / 2 for row in rows]
+                batch = prior * likelihood
+                err = np.abs(trace[t + 1].blocks[0].probs - batch / batch.sum()).max()
+                assert err < 1e-12
+                flips += st.intended_action != a
+        assert (flips > 0) == (noise_p > 0)
+
+
 class TestGuarantees:
     def test_return_preserved_exactly_on_toy(self):
         mcg = build_toy_mcg(priority=2.0)

@@ -142,11 +142,14 @@ class TestCodeGrid:
             ({"width": 0}, "width"),
             ({"height": 0}, "height"),
             ({"max_steps": 0}, "max_steps"),
+            ({"start": (4, 4)}, "start"),  # on the default goal
+            ({"start": [2, 2], "goal": [2, 2]}, "goal"),  # as a sweep's JSON gives them
         ],
     )
     def test_rejects_a_position_off_the_grid_or_an_empty_size(self, params, key):
-        # Each used to build: an off-grid start began elsewhere, and an
-        # off-grid goal gave a game that never pays.
+        # Each used to build: an off-grid start began elsewhere, an off-grid
+        # goal gave a game that never pays, and a start on the goal gave a
+        # game that ends before its first move.
         with pytest.raises(ValueError, match=repr(key)):
             build_codegrid(**params)
 
