@@ -7,7 +7,8 @@ import pytest
 
 from trajcomm.cli import main
 from trajcomm.dist import Dist
-from trajcomm.formats import METRICS_COLUMNS, save_dist
+from trajcomm.formats import METRICS_COLUMNS, load_mcg, save_dist, save_qtable
+from trajcomm.maxent import TrainConfig, train_soft_q
 
 
 def _codegrid_8(tmp_path):
@@ -62,6 +63,32 @@ def test_noisy_chain_round_trips_decode_with_the_spec_noise(tmp_path):
             "send", "--spec", str(spec), "--qtable", str(qtable), "--message", "0",
             "--seed", "0", "--noise-p", "0.2", "--out", str(tmp_path / "z.txt"),
         ])
+
+
+def test_train_writes_the_sampled_table_that_send_and_receive_use(tmp_path):
+    spec, qtable = tmp_path / "env.json", tmp_path / "q.txt"
+    traj, decoded = tmp_path / "z.txt", tmp_path / "m.txt"
+    assert main([
+        "make-env", "chain", "--steps", "3", "--actions", "2", "--messages", "4",
+        "--out", str(spec),
+    ]) == 0
+    assert main([
+        "train", "--spec", str(spec), "--beta", "1", "--episodes", "2000", "--seed", "0",
+        "--out", str(qtable),
+    ]) == 0
+    want = tmp_path / "want.txt"
+    cfg = TrainConfig(episodes=2000, learning_rate=0.1, seed=0)
+    save_qtable(train_soft_q(load_mcg(spec).mdp, 1.0, cfg), want)
+    assert qtable.read_bytes() == want.read_bytes()
+    assert main([
+        "send", "--spec", str(spec), "--qtable", str(qtable),
+        "--message", "2", "--seed", "0", "--out", str(traj),
+    ]) == 0
+    assert main([
+        "receive", "--spec", str(spec), "--qtable", str(qtable),
+        "--traj", str(traj), "--out", str(decoded),
+    ]) == 0
+    assert decoded.read_text() == "2\n"
 
 
 def test_mec_prints_the_coupling_and_its_entropy(tmp_path, capsys):

@@ -38,6 +38,7 @@ from trajcomm.mdp import (
     trajectory_return,
 )
 from trajcomm.mec import exact_mec_oracle, greedy_mec
+from trajcomm.sweep import SweepConfig, run_sweep
 
 from test_mec import reference_greedy
 
@@ -766,3 +767,50 @@ class TestExactValueUnderNoise:
         coded_return, _ = exact_coded_value(q, mcg)
         mixed = exact_policy_return(mcg.mdp, _noise_mixed(q, noise_p, mcg.mdp.n_actions))
         assert coded_return == pytest.approx(mixed, abs=1e-12)
+
+
+class TestMemeSweepRows:
+    """The MEME twin of ``test_baseline.TestRlPrSweepRows``: every field of two
+    small coupling-coded sweeps, recorded from an earlier version of the sweep
+    loop, so a change that moves one draw of a cell shows up here."""
+
+    def test_codegrid_rows_match_recorded_values(self):
+        cfg = SweepConfig(
+            env="codegrid", env_params={"n_messages": 64}, method="meme",
+            grid=(1.0, 7.0), seeds=(2,), noise_p=(0.0, 0.1), rollouts=8,
+        )
+        se = 0.16366341767699427
+        assert [dataclasses.astuple(r) for r in run_sweep(cfg)] == [
+            ("meme", 1.0, 0.0, 2, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 8, ""),
+            ("meme", 1.0, 0.1, 2, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 8, ""),
+            ("meme", 7.0, 0.0, 2, 1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 8, ""),
+            ("meme", 7.0, 0.1, 2, 0.875, 0.125, 0.75, se, 0.125, 0.125, 8, ""),
+        ]
+
+    def test_image_rows_match_recorded_values(self):
+        # Eight 2-pixel blocks through a 6-step chain: too few steps to carry
+        # the image, so every rollout misses and the blocks' Hamming distance
+        # is what tells the noise levels apart.
+        cfg = SweepConfig(
+            env="chain", env_params={"steps": 6, "image_pixels": 16, "block_pixels": 2},
+            method="meme", grid=(1.0,), seeds=(5,), noise_p=(0.0, 0.1), rollouts=8,
+        )
+        assert [dataclasses.astuple(r) for r in run_sweep(cfg)] == [
+            ("meme", 1.0, 0.0, 5, 0.0, 0.0, 0.0, 0.0, 4.875, 0.479490056503484, 8, ""),
+            ("meme", 1.0, 0.1, 5, 0.0, 0.0, 0.0, 0.0, 3.875, 0.3980981573144277, 8, ""),
+        ]
+
+    @pytest.mark.parametrize("method", ["meme", "rl_pr"])
+    def test_explicit_rows_count_a_miss_as_distance_one(self, method):
+        # One block per message: the Hamming distance of a rollout is 1 on a
+        # miss and 0 on a hit, whichever method played it.
+        cfg = SweepConfig(
+            env="codegrid", env_params={"n_messages": 16}, method=method,
+            grid=(0.3, 7.0), seeds=(4,), noise_p=(0.2, 0.4), episodes=300, rollouts=16,
+        )
+        rows = run_sweep(cfg)
+        assert all(not r.error for r in rows)
+        assert any(r.decode_accuracy < 1.0 for r in rows)
+        for r in rows:
+            assert r.mean_hamming == 1.0 - r.decode_accuracy
+            assert r.hamming_se == r.accuracy_se
