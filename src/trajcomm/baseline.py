@@ -55,11 +55,6 @@ def _check_space(mcg: McgSpec) -> int:
     return n
 
 
-def standard_error(x: np.ndarray) -> float:
-    """Standard error of the mean of ``x``; 0 for fewer than two samples."""
-    return float(x.std(ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0
-
-
 def _observe(b: np.ndarray, likelihood: np.ndarray) -> np.ndarray:
     """The perfect receiver's posterior after one executed action, given each
     message's noise-aware likelihood of it; a posterior that underflows
@@ -155,21 +150,3 @@ def rollout_rl_pr(
         ret += reward
     return int(np.argmax(b)), ret
 
-
-def evaluation_rollouts(
-    q: MessageConditionalQ, mcg: McgSpec, episodes: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Play ``episodes`` evaluation episodes: per-episode decode hits and returns.
-
-    Each episode draws its message from the prior, then plays
-    ``rollout_rl_pr`` with the same generator.
-    """
-    prior = mcg.prior.blocks[0].probs
-    hits = np.zeros(episodes)
-    rets = np.zeros(episodes)
-    for i in range(episodes):
-        m = sample_index(prior, rng)
-        guess, ret = rollout_rl_pr(q, mcg, m, rng)
-        hits[i] = 1.0 if guess == m else 0.0
-        rets[i] = ret
-    return hits, rets

@@ -16,15 +16,13 @@ import numpy as np
 
 from .coding import receiver_decode, sender_episode
 from .dist import coupling_entropies
-from .envs import GAMES, build_env, image_block_pixels
+from .envs import GAMES, build_env, image_to_message, message_to_image
 from .formats import (
-    image_to_message,
     load_dist,
     load_mcg,
     load_pbm,
     load_qtable,
     load_trajectory,
-    message_to_image,
     save_entropy_trace_csv,
     save_mcg,
     save_metrics_csv,
@@ -94,14 +92,7 @@ def _cmd_train(args) -> int:
 def _message_from_args(args, mcg):
     if args.image is None:
         return args.message
-    image = load_pbm(args.image)
-    block = image_block_pixels(mcg.message_space)
-    pixels = block * len(mcg.message_space.block_sizes)
-    if image.size != pixels:
-        raise ValueError(
-            f"the image has {image.size} pixels; the spec's message space carries {pixels}"
-        )
-    return image_to_message(image, block)
+    return image_to_message(load_pbm(args.image), mcg.message_space)
 
 
 def _cmd_send(args) -> int:
@@ -125,8 +116,7 @@ def _cmd_receive(args) -> int:
     if mcg.message_space.factored:
         if args.image_shape is None:
             raise ValueError("factored decoding needs --image-shape H W")
-        block = image_block_pixels(mcg.message_space)
-        save_pbm(message_to_image(decoded, args.image_shape, block), args.out)
+        save_pbm(message_to_image(decoded, args.image_shape, mcg.message_space), args.out)
     else:
         with open(args.out, "w") as f:
             f.write(f"{decoded}\n")

@@ -50,7 +50,7 @@ import logging
 import numpy as np
 
 from .dist import Dist, SUM_ATOL, SparseCoupling, entropy, sample_index
-from .mcg import Belief, McgSpec, message_prior_prob
+from .mcg import Belief, McgSpec, MessageSpace, message_prior_prob
 from .mdp import (
     ObservedTrajectory, Step, Trajectory, apply_actuator_noise, noisy_likelihood, step,
 )
@@ -160,7 +160,7 @@ class _Replay:
 
     def __init__(self, q: QTable, mcg: McgSpec):
         self.q = q
-        self.factored = mcg.message_space.factored
+        self.space = mcg.message_space
         self.noise_p = mcg.noise_p
         self.belief = mcg.prior
         # Kept next to the belief; an update recomputes only the block it
@@ -198,7 +198,7 @@ class _Replay:
 
     def row(self, m) -> np.ndarray:
         """``action_row`` of message ``m``'s value in the active block."""
-        value = m[self.block] if self.factored else m
+        value = self.space.values(m)[self.block]
         row = self.rows.get(value)
         if row is None:
             row = self.rows[value] = action_row(self.coupling, value, self.policy)
@@ -265,10 +265,10 @@ def sender_episode(
     )
 
 
-def map_estimate(belief: Belief, factored: bool):
-    """Maximum a posteriori message; argmax per block, ties to the lowest index."""
-    picks = [int(b.probs.argmax()) for b in belief.blocks]
-    return tuple(picks) if factored else picks[0]
+def map_estimate(belief: Belief, space: MessageSpace):
+    """Maximum a posteriori message of ``space``; argmax per block, ties to
+    the lowest index."""
+    return space.message([int(b.probs.argmax()) for b in belief.blocks])
 
 
 def receiver_decode(
@@ -286,7 +286,7 @@ def receiver_decode(
     for s, executed in z.steps:
         receiver.decide(s)
         trace.append(receiver.observe(executed))
-    return map_estimate(receiver.belief, mcg.message_space.factored), tuple(trace)
+    return map_estimate(receiver.belief, mcg.message_space), tuple(trace)
 
 
 def _validate_view(mcg: McgSpec, z: ObservedTrajectory) -> None:
@@ -335,7 +335,7 @@ def exact_coded_value(q: QTable, mcg: McgSpec) -> tuple[float, float]:
         nonlocal total_return, total_acc
         if mdp.is_terminal(s):
             total_return += prob * ret
-            if map_estimate(agent.belief, mcg.message_space.factored) == m:
+            if map_estimate(agent.belief, mcg.message_space) == m:
                 total_acc += prob
             return
         agent.decide(s)

@@ -1,7 +1,9 @@
 """Concrete environments and the game catalogue ``GAMES``: one builder per
 game, whose keyword parameters are the game's whole parameter set and whose
 defaults are the only place the game's defaults are written. Every keyword is
-a plain value (a number, a list or a dict) that a sweep's JSON can give."""
+a plain value (a number, a list or a dict) that a sweep's JSON can give. An
+image space's codec, ``image_to_message`` and ``message_to_image``, is here
+too: it reads the block size off the space, so no caller derives it."""
 
 from __future__ import annotations
 
@@ -9,7 +11,6 @@ import inspect
 
 import numpy as np
 
-from .dist import Dist
 from .mcg import Belief, McgSpec, MessageSpace
 from .mdp import MdpSpec
 
@@ -83,13 +84,7 @@ def build_codegrid(
         terminal_states=frozenset(np.flatnonzero(terminal).tolist()),
         horizon_bound=t_max,
     )
-    return McgSpec(
-        mdp=mdp,
-        message_space=MessageSpace.explicit(n_messages),
-        prior=Belief.explicit(Dist.uniform(n_messages)),
-        priority=priority,
-        noise_p=noise_p,
-    )
+    return chain_mcg(mdp, MessageSpace.explicit(n_messages), priority, noise_p)
 
 
 def build_channel_chain(
@@ -177,7 +172,10 @@ def build_coding_mcg(
 
 
 def image_space(image_pixels: int, block_pixels: int) -> MessageSpace:
-    """Factored message space for a binary image, grouping pixels into blocks."""
+    """Factored message space for a binary image, grouping pixels into blocks.
+
+    ``image_to_message`` and ``message_to_image`` map between an image and a
+    message of this space, and read the block size back off the space."""
     if image_pixels < 1 or block_pixels < 1 or image_pixels % block_pixels:
         raise ValueError(
             "'image_pixels' must be a positive multiple of a positive 'block_pixels', "
@@ -186,18 +184,43 @@ def image_space(image_pixels: int, block_pixels: int) -> MessageSpace:
     return MessageSpace.product([2**block_pixels] * (image_pixels // block_pixels))
 
 
-def image_block_pixels(space: MessageSpace) -> int:
-    """The ``block_pixels`` that ``image_space`` made ``space`` with. A space
-    whose blocks are not all one power-of-two size carries no image and raises
-    ValueError."""
+def _image_block_pixels(space: MessageSpace, pixels: int) -> int:
+    """The ``block_pixels`` that ``image_space`` made ``space`` with. Raises
+    ValueError if ``space`` carries no image (its blocks are not all one
+    power-of-two size) or an image of other than ``pixels`` pixels."""
     size = space.block_sizes[0]
     bits = size.bit_length() - 1
     if not space.factored or size < 2 or size != 1 << bits or set(space.block_sizes) != {size}:
         raise ValueError(
-            "the spec's message space carries no image, which needs blocks of one "
+            "the message space carries no image, which needs blocks of one "
             f"power-of-two size, not {list(space.block_sizes)}"
         )
+    if pixels != bits * len(space.block_sizes):
+        raise ValueError(
+            f"the image has {pixels} pixels; the message space carries "
+            f"{bits * len(space.block_sizes)}"
+        )
     return bits
+
+
+def image_to_message(image, space: MessageSpace) -> tuple:
+    """The message of image ``space`` that carries the binary ``image``: its
+    row-major pixels in blocks of ``space``'s block size, each block's first
+    pixel its most significant bit."""
+    flat = np.asarray(image).reshape(-1)
+    block = _image_block_pixels(space, len(flat))
+    return tuple(
+        sum(int(b) << (block - 1 - k) for k, b in enumerate(flat[i : i + block]))
+        for i in range(0, len(flat), block)
+    )
+
+
+def message_to_image(m: tuple, shape: tuple[int, int], space: MessageSpace) -> np.ndarray:
+    """The binary image of ``shape`` (rows, columns) that message ``m`` of
+    image ``space`` carries; ``image_to_message``'s inverse."""
+    block = _image_block_pixels(space, shape[0] * shape[1])
+    bits = [(value >> (block - 1 - k)) & 1 for value in m for k in range(block)]
+    return np.array(bits, dtype=np.int64).reshape(shape)
 
 
 def build_chain_mcg(

@@ -1,8 +1,13 @@
-"""File formats: distributions, game specs, Q tables, trajectories, images,
-and metrics CSVs. All writers are deterministic byte-for-byte."""
+"""File formats: distributions, game specs, Q tables, trajectories, plain PBM
+images, and metrics CSVs. All writers are deterministic byte-for-byte.
+
+Each layout has one owner elsewhere: a metrics CSV's columns are
+``sweep.MetricsRow``'s fields, and an image's pixels map to a message of its
+image space through ``envs.image_to_message`` and ``message_to_image``."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -12,6 +17,7 @@ from .dist import Dist
 from .mcg import Belief, McgSpec, MessageSpace
 from .mdp import MdpSpec, ObservedTrajectory, Step, Trajectory
 from .maxent import QTable
+from .sweep import MetricsRow
 
 
 def _num(x: float) -> str:
@@ -223,13 +229,19 @@ def load_trajectory(path) -> Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# Plain PBM (P1) images and their factored-message encoding.
+# Plain PBM (P1) images; ``envs.image_to_message`` and ``message_to_image``
+# map them to and from the messages of an image space.
 # ---------------------------------------------------------------------------
 
 def load_pbm(path) -> np.ndarray:
-    tokens = []
-    for raw in Path(path).read_text().splitlines():
-        tokens.extend(raw.split("#", 1)[0].split())
+    """A plain PBM file as an (h, w) array of 0/1 values.
+
+    After the three header tokens (``P1``, width, height) every raster
+    character is one bit, so bits may run together or be separated by any
+    whitespace; ``#`` starts a comment to the end of its line anywhere.
+    """
+    text = "\n".join(raw.split("#", 1)[0] for raw in Path(path).read_text().splitlines())
+    tokens = text.split(maxsplit=3)
     if not tokens or tokens[0] != "P1":
         raise ValueError("expected a plain PBM (P1) file")
     if len(tokens) < 3:
@@ -238,7 +250,7 @@ def load_pbm(path) -> np.ndarray:
         w, h = int(tokens[1]), int(tokens[2])
     except ValueError as e:
         raise ValueError("PBM dimensions must be integers") from e
-    bits = tokens[3:]
+    bits = "".join("".join(tokens[3:]).split())  # the raster, whitespace dropped
     if len(bits) != w * h:
         raise ValueError(f"PBM expects {w * h} bits, found {len(bits)}")
     if any(b not in ("0", "1") for b in bits):
@@ -255,71 +267,21 @@ def save_pbm(image: np.ndarray, path) -> None:
     Path(path).write_text(f"P1\n{w} {h}\n" + "\n".join(rows) + "\n")
 
 
-def image_to_message(image: np.ndarray, block_pixels: int = 1) -> tuple:
-    """Row-major pixels grouped into blocks of ``block_pixels`` bits, MSB first."""
-    flat = np.asarray(image).reshape(-1)
-    if len(flat) % block_pixels != 0:
-        raise ValueError("block size must divide the pixel count")
-    out = []
-    for i in range(0, len(flat), block_pixels):
-        value = 0
-        for b in flat[i : i + block_pixels]:
-            value = (value << 1) | int(b)
-        out.append(value)
-    return tuple(out)
-
-
-def message_to_image(m: tuple, shape: tuple[int, int], block_pixels: int = 1) -> np.ndarray:
-    h, w = shape
-    bits = []
-    for value in m:
-        bits.extend((value >> (block_pixels - 1 - k)) & 1 for k in range(block_pixels))
-    if len(bits) != h * w:
-        raise ValueError("message does not match the image shape")
-    return np.array(bits, dtype=np.int64).reshape(h, w)
-
-
 # ---------------------------------------------------------------------------
 # Metrics CSV.
 # ---------------------------------------------------------------------------
 
-METRICS_COLUMNS = (
-    "method",
-    "beta_or_zeta",
-    "noise_p",
-    "seed",
-    "decode_accuracy",
-    "accuracy_se",
-    "mean_return",
-    "return_se",
-    "mean_hamming",
-    "hamming_se",
-    "rollouts",
-    "error",
-)
+def _cell(value) -> str:
+    """A CSV cell: text with ',' made ';', an int in full, a float by ``_num``."""
+    if isinstance(value, str):
+        return value.replace(",", ";")
+    return str(value) if isinstance(value, int) else _num(value)
 
 
 def metrics_to_csv(rows) -> str:
-    out = [",".join(METRICS_COLUMNS)]
-    for r in rows:
-        out.append(
-            ",".join(
-                [
-                    r.method,
-                    _num(r.param),
-                    _num(r.noise_p),
-                    str(r.seed),
-                    _num(r.decode_accuracy),
-                    _num(r.accuracy_se),
-                    _num(r.mean_return),
-                    _num(r.return_se),
-                    _num(r.mean_hamming),
-                    _num(r.hamming_se),
-                    str(r.rollouts),
-                    r.error.replace(",", ";"),
-                ]
-            )
-        )
+    """The rows as CSV text, one column per ``MetricsRow`` field."""
+    out = [",".join(f.name for f in dataclasses.fields(MetricsRow))]
+    out += [",".join(map(_cell, dataclasses.astuple(r))) for r in rows]
     return "\n".join(out) + "\n"
 
 

@@ -24,7 +24,10 @@ class MessageSpace:
 
     Explicit spaces use integer messages in ``range(cardinality)``. Factored
     spaces use tuples with one index per block; their cardinality is the
-    product of the block sizes.
+    product of the block sizes. ``values`` and ``message`` convert between a
+    message and its block values (one per block, so a 1-tuple for an
+    explicit message); code that walks blocks reads a message through them
+    and never asks which kind of space it has.
     """
 
     block_sizes: tuple[int, ...]
@@ -50,21 +53,25 @@ class MessageSpace:
         return int(np.prod([b for b in self.block_sizes], dtype=object))
 
     def contains(self, m) -> bool:
-        if self.factored:
-            return (
-                isinstance(m, tuple)
-                and len(m) == len(self.block_sizes)
-                and all(0 <= v < b for v, b in zip(m, self.block_sizes))
-            )
-        return isinstance(m, (int, np.integer)) and 0 <= m < self.block_sizes[0]
+        values, sizes = self.values(m), self.block_sizes
+        return isinstance(values, tuple) and len(values) == len(sizes) and all(
+            isinstance(v, (int, np.integer)) and 0 <= v < b for v, b in zip(values, sizes)
+        )
+
+    def values(self, m) -> tuple:
+        """Message ``m`` as its block values: ``m`` itself, or ``(m,)`` for an
+        explicit space."""
+        return m if self.factored else (m,)
+
+    def message(self, values):
+        """The message whose block values are ``values``; ``values``' inverse."""
+        return tuple(values) if self.factored else values[0]
 
     def messages(self):
         """Iterate the whole space (guarded; intended for small spaces only)."""
         if self.cardinality > 10**6:
             raise ValueError("message space too large to enumerate")
-        if self.factored:
-            return itertools.product(*(range(b) for b in self.block_sizes))
-        return range(self.block_sizes[0])
+        return map(self.message, itertools.product(*(range(b) for b in self.block_sizes)))
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -119,17 +126,13 @@ class McgSpec:
 
 
 def sample_message(mcg: McgSpec, rng: np.random.Generator):
-    """Draw a message from the prior."""
-    draws = [sample_index(d.probs, rng) for d in mcg.prior.blocks]
-    if mcg.message_space.factored:
-        return tuple(draws)
-    return draws[0]
+    """Draw a message from the prior, one draw per block in block order."""
+    return mcg.message_space.message([sample_index(d.probs, rng) for d in mcg.prior.blocks])
 
 
 def message_prior_prob(mcg: McgSpec, m) -> float:
-    if mcg.message_space.factored:
-        return float(np.prod([d[v] for d, v in zip(mcg.prior.blocks, m)]))
-    return mcg.prior.blocks[0][m]
+    values = mcg.message_space.values(m)
+    return float(np.prod([d[v] for d, v in zip(mcg.prior.blocks, values)]))
 
 
 def hamming_distance(m: tuple, m_hat: tuple) -> int:

@@ -1,19 +1,24 @@
 """Parameter sweeps: run (grid x noise x seed) cells and collect metrics rows.
 
 The grid axis is the inverse temperature (beta) for the coupling-coded
-sender, or the message priority (zeta) for the RL baseline. Each cell plays
-``rollouts`` evaluation episodes and reports means with standard errors.
-Cells are fully deterministic given the config, and per-cell failures are
-recorded in the row instead of aborting the sweep.
+sender, or the message priority (zeta) for the RL baseline. Each method
+turns a cell into a player of one message, ``(decoded, return)``; one loop
+then plays ``rollouts`` messages drawn from the prior and scores both
+methods alike over the message space's block values, so the Hamming
+distance of an explicit message is 1 on a miss. Cells are fully
+deterministic given the config, and per-cell failures are recorded in the
+row instead of aborting the sweep.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 
 import numpy as np
 
-from .baseline import evaluation_rollouts, standard_error, train_rl_pr
+from .baseline import rollout_rl_pr, train_rl_pr
 from .coding import run_roundtrip
 from .envs import build_env, check_game_params
 from .maxent import TrainConfig, exact_soft_vi
@@ -66,8 +71,10 @@ class SweepConfig:
 
 @dataclasses.dataclass(frozen=True)
 class MetricsRow:
+    """One cell's metrics; the field names are the metrics CSV's columns."""
+
     method: str
-    param: float
+    beta_or_zeta: float
     noise_p: float
     seed: int
     decode_accuracy: float
@@ -88,26 +95,40 @@ class MetricsRow:
             raise ValueError("hamming distance cannot be negative")
 
 
-def _meme_cell(cfg: SweepConfig, mcg: McgSpec, beta: float, rng) -> tuple:
+def standard_error(x: np.ndarray) -> float:
+    """Standard error of the mean of ``x``; 0 for fewer than two samples."""
+    return float(x.std(ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0
+
+
+def _meme_cell(cfg: SweepConfig, mcg: McgSpec, beta: float, rng):
+    """Plan at ``beta``; a message plays one coded round trip."""
     q = exact_soft_vi(mcg.mdp, alpha=1.0 / beta)
-    hits = np.zeros(cfg.rollouts)
-    rets = np.zeros(cfg.rollouts)
-    hams = np.zeros(cfg.rollouts)
-    for i in range(cfg.rollouts):
-        m = sample_message(mcg, rng)
+
+    def play(m, rng):
         record = run_roundtrip(q, mcg, m, rng)
-        hits[i] = 1.0 if record.decoded == m else 0.0
-        rets[i] = trajectory_return(record.trajectory)
-        factored = mcg.message_space.factored
-        hams[i] = hamming_distance(m, record.decoded) if factored else 1.0 - hits[i]
-    return hits, rets, hams
+        return record.decoded, trajectory_return(record.trajectory)
+
+    return play
 
 
-def _rl_pr_cell(cfg: SweepConfig, mcg: McgSpec, zeta: float, rng) -> tuple:
+def _rl_pr_cell(cfg: SweepConfig, mcg: McgSpec, zeta: float, rng):
+    """Train at priority ``zeta`` on ``rng``; a message plays one greedy episode."""
     mcg = dataclasses.replace(mcg, priority=zeta)
     q = train_rl_pr(mcg, TrainConfig(episodes=cfg.episodes, learning_rate=0.25), rng=rng)
-    hits, rets = evaluation_rollouts(q, mcg, cfg.rollouts, rng)
-    return hits, rets, 1.0 - hits
+    return functools.partial(rollout_rl_pr, q, mcg)
+
+
+def _score(cfg: SweepConfig, mcg: McgSpec, play, rng) -> list[float]:
+    """Mean and standard error of the hits, returns and Hamming distances of
+    ``cfg.rollouts`` messages drawn from the prior and played by ``play``."""
+    space = mcg.message_space
+    rets, hams = np.zeros((2, cfg.rollouts))
+    for i in range(cfg.rollouts):
+        m = sample_message(mcg, rng)
+        decoded, rets[i] = play(m, rng)
+        hams[i] = hamming_distance(space.values(m), space.values(decoded))
+    hits = (hams == 0.0).astype(float)
+    return [v for x in (hits, rets, hams) for v in (float(x.mean()), standard_error(x))]
 
 
 def run_sweep(cfg: SweepConfig) -> list[MetricsRow]:
@@ -122,11 +143,7 @@ def run_sweep(cfg: SweepConfig) -> list[MetricsRow]:
                 )
                 try:
                     mcg = build_env(cfg.env, cfg.env_params, noise_p=noise)
-                    # Mean and standard error of the hits, returns and distances.
-                    stats = [
-                        v for x in cell(cfg, mcg, param, rng)
-                        for v in (float(x.mean()), standard_error(x))
-                    ]
+                    stats = _score(cfg, mcg, cell(cfg, mcg, param, rng), rng)
                     row = MetricsRow(cfg.method, param, noise, seed, *stats, cfg.rollouts)
                 except Exception as e:  # per-cell failures stay in the row
                     row = MetricsRow(

@@ -6,13 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from trajcomm.baseline import (
-    MessageConditionalQ,
-    evaluation_rollouts,
-    rollout_rl_pr,
-    standard_error,
-    train_rl_pr,
-)
+from trajcomm.baseline import MessageConditionalQ, rollout_rl_pr, train_rl_pr
 from trajcomm.dist import Dist, sample_index
 from trajcomm.envs import build_channel_chain, build_codegrid, build_toy_mcg, chain_mcg
 from trajcomm.maxent import TrainConfig, exact_soft_vi, softmax_parts, train_soft_q
@@ -32,8 +26,15 @@ def single_message_game(priority=0.0):
 
 
 def evaluate(q, mcg, episodes):
-    """Decode hits and returns of ``episodes`` greedy evaluation episodes."""
-    return evaluation_rollouts(q, mcg, episodes, np.random.default_rng(0))
+    """Decode hits and returns of ``episodes`` greedy evaluation episodes, each
+    of a message drawn from the prior."""
+    rng = np.random.default_rng(0)
+    hits, rets = np.zeros(episodes), np.zeros(episodes)
+    for i in range(episodes):
+        m = sample_index(mcg.prior.blocks[0].probs, rng)
+        guess, rets[i] = rollout_rl_pr(q, mcg, m, rng)
+        hits[i] = guess == m
+    return hits, rets
 
 
 class TestTrainRlPr:
@@ -212,7 +213,8 @@ class TestEvaluateRlPr:
             values = rng.normal(scale=0.5, size=(chain.n_states, 4, 2))
             q = MessageConditionalQ(values=values)
             hits, _ = evaluate(q, mcg, 3000)
-            assert hits.mean() >= 0.25 - 3 * standard_error(hits) - 1e-9
+            standard_error = hits.std(ddof=1) / math.sqrt(len(hits))
+            assert hits.mean() >= 0.25 - 3 * standard_error - 1e-9
 
 
 def posterior_from_scratch(q, mcg, steps, alpha):

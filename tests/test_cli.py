@@ -7,7 +7,7 @@ import pytest
 
 from trajcomm.cli import main
 from trajcomm.dist import Dist
-from trajcomm.formats import METRICS_COLUMNS, load_mcg, save_dist, save_qtable
+from trajcomm.formats import load_mcg, save_dist, save_qtable
 from trajcomm.maxent import TrainConfig, train_soft_q
 
 
@@ -130,7 +130,10 @@ def test_sweep_writes_one_row_per_cell(tmp_path):
     }))
     assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
     header, *rows = out.read_text().splitlines()
-    assert header == ",".join(METRICS_COLUMNS)
+    assert header == (
+        "method,beta_or_zeta,noise_p,seed,decode_accuracy,accuracy_se,mean_return,"
+        "return_se,mean_hamming,hamming_se,rollouts,error"
+    )
     assert len(rows) == 1
     assert rows[0].split(",")[-1] == ""
 

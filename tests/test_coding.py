@@ -329,7 +329,7 @@ class TestSenderEpisode:
         m = tuple(int(v) for v in rng.integers(0, 2, size=64))
         rec = sender_episode(q, mcg, m, rng)
         assert rec.sender_belief_trace[-1].entropy_bits() == 0.0
-        assert map_estimate(rec.sender_belief_trace[-1], True) == m
+        assert map_estimate(rec.sender_belief_trace[-1], mcg.message_space) == m
 
     def test_rejects_message_outside_space(self):
         mcg = build_toy_mcg(priority=1.0)
@@ -501,7 +501,7 @@ def _reference_decode(q, mcg, z: ObservedTrajectory) -> tuple[object, list]:
         block, rows = _reference_plan(belief, policy)
         belief = _reference_apply(belief, block, rows, executed, mcg.noise_p)
         trace.append(belief)
-    return map_estimate(belief, mcg.message_space.factored), trace
+    return map_estimate(belief, mcg.message_space), trace
 
 
 def _assert_same_bytes(trace, ref):

@@ -11,10 +11,11 @@ from trajcomm.envs import (
     build_toy_mcg,
     chain_mcg,
     image_space,
+    image_to_message,
+    message_to_image,
 )
 from trajcomm.formats import (
     MCG_FORMAT_VERSION,
-    image_to_message,
     load_dist,
     load_mcg,
     load_pbm,
@@ -22,7 +23,6 @@ from trajcomm.formats import (
     load_trajectory,
     mcg_from_document,
     mcg_to_document,
-    message_to_image,
     metrics_to_csv,
     save_dist,
     save_mcg,
@@ -228,7 +228,7 @@ class TestPbm:
         path = tmp_path / "img.pbm"
         save_pbm(img, path)
         assert np.array_equal(load_pbm(path), img)
-        m = image_to_message(img)
+        m = image_to_message(img, image_space(64, 1))
         assert len(m) == 64 and all(v == 0 for v in m)
 
     def test_random_round_trip(self, tmp_path):
@@ -240,21 +240,44 @@ class TestPbm:
 
     def test_checkerboard_blocks(self):
         img = np.indices((8, 8)).sum(axis=0) % 2
-        m = image_to_message(img)
+        m = image_to_message(img, image_space(64, 1))
         assert m[:4] == (0, 1, 0, 1)
-        assert np.array_equal(message_to_image(m, (8, 8)), img)
+        assert np.array_equal(message_to_image(m, (8, 8), image_space(64, 1)), img)
 
     def test_block_grouping(self):
         img = np.array([[1, 0, 1, 1]])
-        m = image_to_message(img, block_pixels=2)
+        m = image_to_message(img, image_space(4, 2))
         assert m == (0b10, 0b11)
-        assert np.array_equal(message_to_image(m, (1, 4), block_pixels=2), img)
+        assert np.array_equal(message_to_image(m, (1, 4), image_space(4, 2)), img)
         assert image_space(4, 2) == MessageSpace.product([4, 4])
+
+    def test_codec_checks_the_pixel_count(self):
+        # The space carries 4 pixels in 2-pixel blocks.
+        with pytest.raises(ValueError, match="the image has 3 pixels; the message space carries 4"):
+            image_to_message(np.array([[1, 0, 1]]), image_space(4, 2))
+        with pytest.raises(ValueError, match="the image has 6 pixels; the message space carries 4"):
+            message_to_image((0b10, 0b11), (2, 3), image_space(4, 2))
 
     def test_comments_allowed(self, tmp_path):
         path = tmp_path / "img.pbm"
         path.write_text("P1\n# tiny\n2 2\n1 0\n0 1\n")
         assert np.array_equal(load_pbm(path), [[1, 0], [0, 1]])
+
+    @pytest.mark.parametrize(
+        "content",
+        [
+            "P1\n4 2\n0110\n1001\n",
+            "P1\n4 2\n01 1 0\n1\t00 1\n",
+            "P1\n4 2\n0110 # first row\n# between rows\n10\n01\n",
+        ],
+        ids=["unseparated-rows", "mixed-separation", "comment-in-raster"],
+    )
+    def test_raster_bits_need_no_separator(self, content, tmp_path):
+        # The plain format lets raster bits run together; common exporters
+        # write them so.
+        path = tmp_path / "img.pbm"
+        path.write_text(content)
+        assert np.array_equal(load_pbm(path), [[0, 1, 1, 0], [1, 0, 0, 1]])
 
     @pytest.mark.parametrize(
         "content",
@@ -272,7 +295,7 @@ class TestMetricsCsv:
     def test_fixed_columns_and_digits(self):
         row = MetricsRow(
             method="meme",
-            param=12.0,
+            beta_or_zeta=12.0,
             noise_p=0.05,
             seed=3,
             decode_accuracy=0.123456789123,
@@ -289,9 +312,19 @@ class TestMetricsCsv:
         assert "0.123456789" in line
         assert line.split(",")[0] == "meme"
 
+    def test_ints_written_in_full(self):
+        # Sweep seeds reach 2**31; nine significant digits would round them.
+        row = MetricsRow(
+            method="meme", beta_or_zeta=2.0, noise_p=0.0, seed=2**31 - 1,
+            decode_accuracy=1.0, accuracy_se=0.0, mean_return=0.0, return_se=0.0,
+            mean_hamming=0.0, hamming_se=0.0, rollouts=1234567890,
+        )
+        line = metrics_to_csv([row]).splitlines()[1]
+        assert line == "meme,2,0,2147483647,1,0,0,0,0,0,1234567890,"
+
     def test_error_row_roundtrip(self):
         row = MetricsRow(
-            method="rl_pr", param=1.0, noise_p=0.0, seed=0,
+            method="rl_pr", beta_or_zeta=1.0, noise_p=0.0, seed=0,
             decode_accuracy=0.0, accuracy_se=0.0, mean_return=0.0, return_se=0.0,
             mean_hamming=0.0, hamming_se=0.0, rollouts=0,
             error="ValueError: bad, cell",

@@ -267,6 +267,20 @@ class TestBeliefAndSpaces:
         assert not space.contains((1, 3))
         assert not space.contains(1)
 
+    def test_values_and_message_are_inverse(self):
+        # Every message of either kind of space round-trips through its block
+        # values, one per block; only integer block values make a message.
+        for space in (MessageSpace.explicit(3), MessageSpace.product([2, 3])):
+            messages = list(space.messages())
+            assert len(messages) == space.cardinality
+            for m in messages:
+                values = space.values(m)
+                assert isinstance(values, tuple) and len(values) == len(space.block_sizes)
+                assert space.message(values) == m and space.contains(m)
+        assert MessageSpace.explicit(3).values(2) == (2,)
+        assert not MessageSpace.explicit(3).contains(1.0)
+        assert not MessageSpace.product([2, 3]).contains((1.0, 2))
+
     def test_prior_shape_validated(self):
         mcg = build_toy_mcg(priority=1.0)
         with pytest.raises(ValueError):
