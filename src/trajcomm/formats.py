@@ -229,8 +229,7 @@ def load_trajectory(path) -> Trajectory:
 
 
 # ---------------------------------------------------------------------------
-# Plain PBM (P1) images; ``envs.image_to_message`` and ``message_to_image``
-# map them to and from the messages of an image space.
+# Plain PBM (P1) images.
 # ---------------------------------------------------------------------------
 
 def load_pbm(path) -> np.ndarray:
