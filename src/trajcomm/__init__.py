@@ -61,7 +61,7 @@ from .mdp import (
     step,
     trajectory_return,
 )
-from .mec import exact_mec_oracle, greedy_mec
+from .mec import greedy_mec
 from .sweep import MetricsRow, SweepConfig, run_sweep
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -72,18 +73,27 @@ def _cmd_make_env(args) -> int:
     return 0
 
 
+def _alpha(beta: float) -> float:
+    """The temperature 1/beta of a positive, finite ``--beta``."""
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"--beta must be positive and finite, got {beta}")
+    return 1.0 / beta
+
+
 def _cmd_solve(args) -> int:
+    alpha = _alpha(args.beta)
     mcg = load_mcg(args.spec)
-    q = exact_soft_vi(mcg.mdp, alpha=1.0 / args.beta)
+    q = exact_soft_vi(mcg.mdp, alpha=alpha)
     save_qtable(q, args.out)
     print(f"solved {args.spec} at beta={args.beta}; wrote {args.out}")
     return 0
 
 
 def _cmd_train(args) -> int:
+    alpha = _alpha(args.beta)
     mcg = load_mcg(args.spec)
     cfg = TrainConfig(episodes=args.episodes, learning_rate=args.lr, seed=args.seed)
-    q = train_soft_q(mcg.mdp, alpha=1.0 / args.beta, cfg=cfg)
+    q = train_soft_q(mcg.mdp, alpha=alpha, cfg=cfg)
     save_qtable(q, args.out)
     print(f"trained {args.episodes} episodes at beta={args.beta}; wrote {args.out}")
     return 0

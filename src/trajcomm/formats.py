@@ -102,8 +102,8 @@ def _dense_to_csr(dense: np.ndarray, terminal: frozenset) -> tuple:
 def mcg_from_document(doc: dict) -> McgSpec:
     """The game spec a document describes.
 
-    A missing key, or a document or ``"mdp"`` that is not a JSON object,
-    raises ValueError.
+    A missing key, a field of the wrong type, or a document or ``"mdp"``
+    that is not a JSON object raises ValueError.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"game spec must be a JSON object, not {type(doc).__name__}")
@@ -149,6 +149,8 @@ def mcg_from_document(doc: dict) -> McgSpec:
         )
     except KeyError as e:
         raise ValueError(f"game spec is missing the key {e.args[0]!r}") from e
+    except TypeError as e:
+        raise ValueError(f"game spec has a field of the wrong type: {e}") from e
 
 
 def save_mcg(mcg: McgSpec, path) -> None:
@@ -249,6 +251,8 @@ def load_pbm(path) -> np.ndarray:
         w, h = int(tokens[1]), int(tokens[2])
     except ValueError as e:
         raise ValueError("PBM dimensions must be integers") from e
+    if w < 1 or h < 1:
+        raise ValueError(f"PBM width and height must be positive, got {w} x {h}")
     bits = "".join("".join(tokens[3:]).split())  # the raster, whitespace dropped
     if len(bits) != w * h:
         raise ValueError(f"PBM expects {w * h} bits, found {len(bits)}")
@@ -261,6 +265,8 @@ def save_pbm(image: np.ndarray, path) -> None:
     image = np.asarray(image)
     if image.ndim != 2 or not np.isin(image, (0, 1)).all():
         raise ValueError("image must be a 2-D array of 0/1 values")
+    if image.size == 0:
+        raise ValueError(f"image must have at least one pixel, got shape {image.shape}")
     h, w = image.shape
     rows = [" ".join(str(int(v)) for v in row) for row in image]
     Path(path).write_text(f"P1\n{w} {h}\n" + "\n".join(rows) + "\n")

@@ -1,20 +1,13 @@
-"""Minimum entropy coupling: the classic greedy approximation and an exact
-small-instance solver used as a test oracle."""
+"""Minimum entropy coupling: the classic greedy coupler, the one coupling the
+sender and the receiver both build."""
 
 from __future__ import annotations
 
-import heapq
-import math
+from bisect import insort
 
 import numpy as np
 
 from .dist import Dist, SparseCoupling
-
-
-# A support of up to this many rows is sorted with Python lists; on a larger
-# one numpy's argsort wins despite its fixed cost of a few microseconds. On
-# 1024 rows against 4 columns the two cost the same at about 32 live rows.
-_PY_SORT_MAX = 32
 
 
 def greedy_mec(p: Dist, q: Dist) -> SparseCoupling:
@@ -22,27 +15,26 @@ def greedy_mec(p: Dist, q: Dist) -> SparseCoupling:
 
     The classic greedy of Kocaoglu et al. (2017), "Entropic Causal
     Inference": repeatedly take the largest remaining row mass and the largest
-    remaining column mass, place the smaller of the two on that cell, and keep
-    the other's residual for a later step. Compton et al. (2022) prove the
-    joint entropy is within log2(e)/e (about 0.53) bits of the optimum. Each
-    step uses up at least one row or column, so the coupling has at most
+    remaining column mass, place the smaller of the two on that cell, and put
+    the other's residual back for a later step. Compton et al. (2022) prove
+    the joint entropy is within log2(e)/e (about 0.53) bits of the optimum.
+    Each step uses up at least one row or column, so the coupling has at most
     ``|supp p| + |supp q| - 1`` positive cells, and both marginals are
     reproduced to within 1e-9 per entry. Each step fills a cell no earlier
     step touched, since one of its row and column is then used up.
 
-    Ties between equal masses go to the lower index, so identical inputs
-    always yield an identical table; sender and receiver rely on that to
-    reconstruct the same coupling independently.
+    Each side is one Python list sorted ascending by ``(mass, -index)``, so
+    its last entry is its largest mass, and ties between equal masses go to
+    the lower index. Identical inputs therefore always yield an identical
+    table; sender and receiver rely on that to reconstruct the same coupling
+    independently.
 
-    The rows are the costly side: a belief may weigh thousands of messages
-    against a handful of actions. Their support is sorted once in
-    ``(-mass, index)`` order, and only rows that keep a residual go on a
-    heap. A row keeps a residual only when the column it met is used up, and
-    a column is used up once, so that heap never holds more than
-    ``|supp q|`` rows. Taking the smaller of the sorted list's head and the
-    heap's top gives the same sequence of rows as one heap over all of them,
-    so the cells and their masses are those of the textbook greedy, bit for
-    bit, at the cost of one sort of the support and a loop over the steps.
+    Cost: one sort per side, near-linear on a belief made of a few plateaus
+    of equal masses, then one step per cell. A residual row goes back into
+    its list once per used-up column, and a residual column once per used-up
+    row, so the shifting done by ``bisect.insort`` is O(k * l) at worst for k
+    rows and l columns in the supports, the order of the dense k x l table
+    that holds the result.
 
     Args:
         p: Row marginal.
@@ -57,164 +49,26 @@ def greedy_mec(p: Dist, q: Dist) -> SparseCoupling:
             Dist construction).
     """
     p_norm = p.probs / p.probs.sum()
-    n_cols = len(q.probs)
+    q_norm = q.probs / q.probs.sum()
     support = p_norm.nonzero()[0]
-    # Rows are keyed (-mass, position in the support); positions ascend with
-    # the message index, so ties still go to the lower index. The list runs
-    # from the last row to the first, so each row is popped off its end and
-    # freed once it is placed.
-    if len(support) <= _PY_SORT_MAX:
-        order = sorted([(-m, k) for k, m in enumerate(p_norm[support].tolist())], reverse=True)
-    else:
-        keys = -p_norm[support]
-        at = np.argsort(keys, kind="stable")[::-1]
-        order = list(zip(keys[at].tolist(), at.tolist()))
-    n = len(support)
-    # Max-heap as (-mass, index) over the positive columns.
-    cols = [(-m, j) for j, m in enumerate((q.probs / q.probs.sum()).tolist()) if m > 0.0]
-    heapq.heapify(cols)
-    heappop, heappush = heapq.heappop, heapq.heappush
-    left = []  # rows with a residual, as (-residual, position)
+    live = q_norm.nonzero()[0]
+    n, n_cols = len(support), len(q_norm)
+    # Rows are keyed by their position in the support, which ascends with the
+    # message index; both sides store the negated index.
+    rows = sorted(zip(p_norm[support].tolist(), range(0, -n, -1)))
+    cols = sorted(zip(q_norm[live].tolist(), (-live).tolist()))
     joint = [0.0] * (n * n_cols)  # row-major, rows by position in the support
-    while cols:
-        if left and (not order or left[0] < order[-1]):
-            r, k = heappop(left)
-        elif order:
-            r, k = order.pop()
+    while rows and cols:
+        r, k = rows.pop()
+        c, j = cols.pop()
+        if r > c:
+            joint[-k * n_cols - j] = c
+            insort(rows, (r - c, k))
         else:
-            break
-        c, j = heappop(cols)
-        # Keys are negated masses, so the larger key is the smaller mass.
-        if r < c:
-            joint[k * n_cols + j] = -c
-            heappush(left, (r - c, k))
-        else:
-            joint[k * n_cols + j] = -r
-            if c < r:
-                heappush(cols, (c - r, j))
+            joint[-k * n_cols - j] = r
+            if r < c:
+                insort(cols, (c - r, j))
     # A rounding sliver left on one side once the other is used up is dropped.
     # Rebinding frees the list before the coupling copies the table.
     joint = np.array(joint).reshape(n, n_cols)
     return SparseCoupling(joint, support, len(p_norm))
-
-
-# ---------------------------------------------------------------------------
-# Exact oracle.
-# ---------------------------------------------------------------------------
-
-_ORACLE_MAX_SUPPORT = 6
-_SCALE = 10**12
-
-
-def _int_support(probs: np.ndarray):
-    """Positive entries as exact integers summing to _SCALE, with indices."""
-    idx = [int(i) for i in range(len(probs)) if probs[i] > 0.0]
-    masses = [round(float(probs[i]) * _SCALE) for i in idx]
-    pairs = [(i, m) for i, m in zip(idx, masses) if m > 0]
-    drift = _SCALE - sum(m for _, m in pairs)
-    if drift != 0:
-        top = max(range(len(pairs)), key=lambda k: pairs[k][1])
-        pairs[top] = (pairs[top][0], pairs[top][1] + drift)
-    return pairs
-
-
-def _subsets_with(low: int, rest: int):
-    """Every bitmask ``low | s`` for ``s`` a subset of ``rest``."""
-    sub = rest
-    while True:
-        yield sub | low
-        if not sub:
-            return
-        sub = (sub - 1) & rest
-
-
-def exact_mec_oracle(p: Dist, q: Dist) -> SparseCoupling:
-    """Exact minimum-entropy coupling for supports of at most 6 outcomes.
-
-    Joint entropy is concave over the transportation polytope with marginals
-    ``p`` and ``q``, so its minimum is attained at a vertex, whose support is
-    a forest on the lines (rows and columns) of balanced trees. In a rooted
-    tree the mass on the edge above a subtree is the subtree's imbalance (row
-    mass minus column mass): a subtree in surplus is rooted at a row below a
-    column, one in deficit at a column below a row. A dynamic program over
-    subsets of the at most 12 lines finds the cheapest forest in about 3^12
-    steps. Marginals are snapped to an exact integer grid of 1e-12, so every
-    imbalance is exact and the result deterministic.
-
-    Args:
-        p: Row marginal with at most 6 positive entries.
-        q: Column marginal with at most 6 positive entries.
-
-    Returns:
-        A minimum-entropy SparseCoupling of ``p`` and ``q``: each forest
-        edge's mass sits in the dense table at its (row, column) cell, and
-        every other cell is 0.
-
-    Raises:
-        ValueError: If either support exceeds 6 outcomes.
-    """
-    rows = _int_support(p.probs / p.probs.sum())
-    cols = _int_support(q.probs / q.probs.sum())
-    if len(rows) > _ORACLE_MAX_SUPPORT or len(cols) > _ORACLE_MAX_SUPPORT:
-        raise ValueError(
-            f"oracle supports at most {_ORACLE_MAX_SUPPORT} outcomes per side, "
-            f"got {len(rows)} x {len(cols)}"
-        )
-    # Lines are the rows, then the columns; bit k of a set stands for line k.
-    lines = rows + [(j, -m) for j, m in cols]
-    n_rows = len(rows)
-    size = 1 << len(lines)
-    imbalance = [0] * size
-    for x in range(1, size):
-        imbalance[x] = imbalance[x & (x - 1)] + lines[(x & -x).bit_length() - 1][1]
-
-    # hang[t][x]: least entropy of subtrees covering x, each with its edge to
-    # one parent line, a row (t=0) or a column (t=1). tree[x]: least entropy of
-    # a tree on x whose root can pass x's imbalance up one edge. forest[x]:
-    # least entropy of balanced trees covering x. *_arg keep the minimizers.
-    hang = ([0.0] + [math.inf] * (size - 1), [0.0] + [math.inf] * (size - 1))
-    hang_arg = ([0] * size, [0] * size)
-    tree = [math.inf] * size
-    tree_arg = [0] * size
-    forest = [0.0] + [math.inf] * (size - 1)
-    forest_arg = [0] * size
-    for x in range(1, size):
-        v = imbalance[x]
-        if v:
-            for w in range(n_rows) if v > 0 else range(n_rows, len(lines)):
-                if x >> w & 1 and hang[w >= n_rows][x ^ (1 << w)] < tree[x]:
-                    tree[x], tree_arg[x] = hang[w >= n_rows][x ^ (1 << w)], w
-        low = x & -x
-        low_kind = low >= (1 << n_rows)
-        for b in _subsets_with(low, x ^ low):
-            v = imbalance[b]
-            if v == 0:
-                cost = hang[low_kind][b ^ low] + forest[x ^ b]
-                if cost < forest[x]:
-                    forest[x], forest_arg[x] = cost, b
-                continue
-            # A block in surplus hangs below a column, one in deficit below a row.
-            t = v > 0
-            m = abs(v) / _SCALE
-            cost = tree[b] - m * math.log2(m) + hang[t][x ^ b]
-            if cost < hang[t][x]:
-                hang[t][x], hang_arg[t][x] = cost, b
-
-    joint = np.zeros((len(p), len(q)))
-
-    def rebuild(parent, x):
-        t = parent >= n_rows
-        while x:
-            b = hang_arg[t][x]
-            w = tree_arg[b]
-            r, c = (w, parent) if t else (parent, w)
-            joint[lines[r][0], lines[c][0]] = abs(imbalance[b]) / _SCALE
-            rebuild(w, b ^ (1 << w))
-            x ^= b
-
-    x = size - 1
-    while x:
-        b = forest_arg[x]
-        rebuild((b & -b).bit_length() - 1, b ^ (b & -b))
-        x ^= b
-    return SparseCoupling(joint)

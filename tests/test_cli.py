@@ -327,6 +327,33 @@ def test_solve_rejects_a_spec_that_breaks_its_horizon_bound(tmp_path, capsys, fa
     assert not qtable.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "train"])
+def test_beta_zero_exits_cleanly(tmp_path, capsys, command):
+    # 1 / beta used to raise ZeroDivisionError.
+    spec, out = tmp_path / "env.json", tmp_path / "q.txt"
+    assert main(["make-env", "chain", "--steps", "3", "--out", str(spec)]) == 0
+    extra = ["--episodes", "10", "--seed", "0"] if command == "train" else []
+    capsys.readouterr()
+    assert main([command, "--spec", str(spec), "--beta", "0", *extra, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--beta must be positive and finite, got 0.0" in err
+    assert not out.exists()
+
+
+def test_solve_rejects_a_spec_field_of_the_wrong_type(tmp_path, capsys):
+    # A number for the prior used to escape as a TypeError traceback, exit 1.
+    spec, qtable = tmp_path / "env.json", tmp_path / "q.txt"
+    assert main(["make-env", "toy", "--out", str(spec)]) == 0
+    document = json.loads(spec.read_text())
+    document["prior"] = 3
+    spec.write_text(json.dumps(document))
+    capsys.readouterr()
+    assert main(["solve", "--spec", str(spec), "--beta", "1", "--out", str(qtable)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "game spec has a field of the wrong type" in err
+    assert not qtable.exists()
+
+
 # Valid JSON that is no game spec, and the text the error must contain.
 BAD_SPECS = {
     "terminal_states": ({"mdp": {}}, "terminal_states"),

@@ -37,9 +37,10 @@ from trajcomm.mdp import (
     step,
     trajectory_return,
 )
-from trajcomm.mec import exact_mec_oracle, greedy_mec
+from trajcomm.mec import greedy_mec
 from trajcomm.sweep import SweepConfig, run_sweep
 
+from mec_oracle import exact_mec_oracle
 from test_mec import reference_greedy
 
 TOY_SOFTMAX = np.array([0.7213991842739685, 0.26538792877224193, 0.013212886953789414])

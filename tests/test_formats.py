@@ -160,6 +160,24 @@ class TestMcgDocumentVersions:
         with pytest.raises(ValueError, match="format version"):
             mcg_from_document(doc)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda doc: doc.update(message_space=[1]),
+            lambda doc: doc.update(prior=3),
+            lambda doc: doc["message_space"].update(block_sizes="ab"),
+            lambda doc: doc["mdp"].update(terminal_states=5),
+            lambda doc: doc.update(priority="x"),
+        ],
+        ids=["message-space-list", "prior-int", "block-sizes-str", "terminal-int", "priority-str"],
+    )
+    def test_field_of_the_wrong_type_rejected(self, edit):
+        # Each used to escape as a TypeError.
+        doc = mcg_to_document(build_toy_mcg(priority=1.0))
+        edit(doc)
+        with pytest.raises(ValueError, match="game spec has a field of the wrong type"):
+            mcg_from_document(doc)
+
 
 class TestQTableFiles:
     def test_round_trip_preserves_bits(self, tmp_path):
@@ -289,6 +307,28 @@ class TestPbm:
         path.write_text(content)
         with pytest.raises(ValueError):
             load_pbm(path)
+
+    @pytest.mark.parametrize(
+        "content, dims",
+        [
+            ("P1\n-2 -2\n1111\n", "-2 x -2"),
+            ("P1\n2 -2\n", "2 x -2"),
+            ("P1\n0 0\n", "0 x 0"),
+            ("P1\n0 3\n", "0 x 3"),
+        ],
+        ids=["negative", "negative-height", "zero", "zero-width"],
+    )
+    def test_non_positive_dimensions_rejected(self, content, dims, tmp_path):
+        path = tmp_path / "img.pbm"
+        path.write_text(content)
+        with pytest.raises(ValueError, match=f"must be positive, got {dims}"):
+            load_pbm(path)
+
+    def test_save_rejects_an_empty_image(self, tmp_path):
+        path = tmp_path / "img.pbm"
+        with pytest.raises(ValueError, match="at least one pixel"):
+            save_pbm(np.zeros((0, 3), dtype=int), path)
+        assert not path.exists()
 
 
 class TestMetricsCsv:
