@@ -99,11 +99,20 @@ def _dense_to_csr(dense: np.ndarray, terminal: frozenset) -> tuple:
     )
 
 
+def _integer(value, field: str):
+    """``value`` if it is an integer; a TypeError naming ``field`` for any
+    other value, a bool or a float such as 1.0 included."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{field} must be an integer, not {value!r}")
+    return value
+
+
 def mcg_from_document(doc: dict) -> McgSpec:
     """The game spec a document describes.
 
-    A missing key, a field of the wrong type, or a document or ``"mdp"``
-    that is not a JSON object raises ValueError.
+    A missing key, a field of the wrong type (a count, state or block size
+    that is not an integer, or a ``factored`` that is not a bool included),
+    or a document or ``"mdp"`` that is not a JSON object raises ValueError.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"game spec must be a JSON object, not {type(doc).__name__}")
@@ -111,11 +120,13 @@ def mcg_from_document(doc: dict) -> McgSpec:
         m = doc["mdp"]
         if not isinstance(m, dict):
             raise ValueError(f'game spec "mdp" must be a JSON object, not {type(m).__name__}')
-        terminal = frozenset(m["terminal_states"])
+        terminal = frozenset(_integer(s, "a terminal state") for s in m["terminal_states"])
+        n_states = _integer(m["n_states"], "n_states")
+        n_actions = _integer(m["n_actions"], "n_actions")
         version = doc.get("format_version", 1)
         if version == 1:
             dense = np.array(m["transitions"], dtype=np.float64)
-            if dense.shape != (m["n_states"], m["n_actions"], m["n_states"]):
+            if dense.shape != (n_states, n_actions, n_states):
                 raise ValueError(
                     "dense transitions must have shape (n_states, n_actions, n_states)"
                 )
@@ -125,19 +136,22 @@ def mcg_from_document(doc: dict) -> McgSpec:
         else:
             raise ValueError(f"unknown game-spec format version {version!r}")
         mdp = MdpSpec(
-            n_states=m["n_states"],
-            n_actions=m["n_actions"],
+            n_states=n_states,
+            n_actions=n_actions,
             row_offsets=row_offsets,
             next_state=next_state,
             prob=prob,
             rewards=np.array(m["rewards"]),
-            initial_state=m["initial_state"],
+            initial_state=_integer(m["initial_state"], "initial_state"),
             terminal_states=terminal,
-            horizon_bound=m["horizon_bound"],
+            horizon_bound=_integer(m["horizon_bound"], "horizon_bound"),
         )
+        factored = doc["message_space"]["factored"]
+        if not isinstance(factored, bool):
+            raise TypeError(f"factored must be true or false, not {factored!r}")
         space = MessageSpace(
-            tuple(doc["message_space"]["block_sizes"]),
-            factored=doc["message_space"]["factored"],
+            tuple(_integer(b, "a block size") for b in doc["message_space"]["block_sizes"]),
+            factored=factored,
         )
         prior = Belief(tuple(Dist(np.array(b)) for b in doc["prior"]))
         return McgSpec(

@@ -36,7 +36,8 @@ class SweepConfig:
     baseline; a baseline cell's zeta becomes its game's message priority,
     whatever ``env_params`` says. ``episodes`` is the per-cell training
     budget (used by the baseline; the coded sender plans exactly), and each
-    cell plays ``rollouts`` evaluation episodes; both are at least one.
+    cell plays ``rollouts`` evaluation episodes; both are integers of at
+    least one, and every seed is an integer.
     """
 
     env: str
@@ -57,6 +58,10 @@ class SweepConfig:
             raise ValueError("'noise_p' must hold at least one noise level")
         if self.method not in ("meme", "rl_pr"):
             raise ValueError(f"unknown method {self.method!r}")
+        counts = [("rollouts", self.rollouts), ("episodes", self.episodes)]
+        for name, value in counts + [("seeds", s) for s in self.seeds]:
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise ValueError(f"{name!r} takes integers only, not {value!r}")
         if self.rollouts < 1:
             raise ValueError(f"'rollouts' must be at least 1, not {self.rollouts}")
         if self.episodes < 1:

@@ -172,10 +172,19 @@ def test_sweep_takes_the_grid_keywords(tmp_path):
          "noise_p"),
         ({"env": "codegrid", "method": "meme", "grid": [2.0], "seeds": [0],
           "env_params": {"grid": {"width": 3}}}, "grid"),
+        ({"env": "toy", "method": "meme", "grid": [2.0], "seeds": [0], "rollouts": 2.5},
+         "rollouts"),
+        ({"env": "toy", "method": "meme", "grid": [2.0], "seeds": [0], "rollouts": True},
+         "rollouts"),
+        ({"env": "toy", "method": "rl_pr", "grid": [2.0], "seeds": [0], "episodes": 2.5,
+          "rollouts": 1}, "episodes"),
+        ({"env": "toy", "method": "meme", "grid": [2.0], "seeds": [1.5], "rollouts": 1},
+         "seeds"),
     ],
     ids=["misspelt-key", "missing-env", "rollouts-0", "method-params", "episodes-0",
          "noise-p-0.6", "env-params-typo", "env-params-noise", "noise-p-empty",
-         "env-params-grid"],
+         "env-params-grid", "rollouts-float", "rollouts-bool", "episodes-float",
+         "seed-float"],
 )
 def test_sweep_rejects_a_bad_config_key(tmp_path, capsys, doc, key):
     config = tmp_path / "sweep.json"

@@ -168,11 +168,38 @@ class TestMcgDocumentVersions:
             lambda doc: doc["message_space"].update(block_sizes="ab"),
             lambda doc: doc["mdp"].update(terminal_states=5),
             lambda doc: doc.update(priority="x"),
+            lambda doc: doc["mdp"].update(n_states=True),
+            lambda doc: doc["mdp"].update(n_actions=3.5),
+            lambda doc: doc["mdp"].update(initial_state=1.5),
+            lambda doc: doc["mdp"].update(initial_state=False),
+            lambda doc: doc["mdp"].update(horizon_bound=2.5),
+            lambda doc: doc["mdp"].update(terminal_states=[1.0]),
+            lambda doc: doc["message_space"].update(block_sizes=[2.5]),
+            lambda doc: doc["message_space"].update(block_sizes=[True]),
+            lambda doc: doc["message_space"].update(factored="yes"),
+            lambda doc: doc["message_space"].update(factored=0),
         ],
-        ids=["message-space-list", "prior-int", "block-sizes-str", "terminal-int", "priority-str"],
+        ids=[
+            "message-space-list",
+            "prior-int",
+            "block-sizes-str",
+            "terminal-int",
+            "priority-str",
+            "n-states-bool",
+            "n-actions-float",
+            "initial-state-float",
+            "initial-state-bool",
+            "horizon-float",
+            "terminal-state-float",
+            "block-size-float",
+            "block-size-bool",
+            "factored-str",
+            "factored-int",
+        ],
     )
     def test_field_of_the_wrong_type_rejected(self, edit):
-        # Each used to escape as a TypeError.
+        # The first five used to escape as a TypeError; the rest loaded, and
+        # some of them failed later in send or receive.
         doc = mcg_to_document(build_toy_mcg(priority=1.0))
         edit(doc)
         with pytest.raises(ValueError, match="game spec has a field of the wrong type"):

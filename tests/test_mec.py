@@ -1,11 +1,12 @@
 """Greedy coupling and exact-oracle tests.
 
 The greedy is checked on worked examples, cell for cell against the textbook
-heap greedy kept here as ``reference_greedy``, on properties of random pairs
-(exact marginals, determinism, sparsity) and against ``exact_mec_oracle`` from
-the ``mec_oracle`` helper module: never below it, within the proved
-log2(e)/e bits of it, and close to it on average. The oracle is checked
-against an unpruned enumeration of vertices.
+heap greedy kept here as ``reference_greedy`` (on random pairs and on
+plateau beliefs at the edges of its bulk placement of equal masses), on
+properties of random pairs (exact marginals, determinism, sparsity) and
+against ``exact_mec_oracle`` from the ``mec_oracle`` helper module: never
+below it, within the proved log2(e)/e bits of it, and close to it on
+average. The oracle is checked against an unpruned enumeration of vertices.
 """
 
 import heapq
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from trajcomm.dist import Dist, coupling_entropies, entropy
-from trajcomm.mec import greedy_mec
+from trajcomm.mec import RUN_MIN, greedy_mec
 
 from mec_oracle import exact_mec_oracle
 
@@ -95,20 +96,87 @@ def _reference_pairs(rng) -> list:
     return pairs
 
 
+def _plateau_pairs() -> dict:
+    """Plateau beliefs at the edges of ``greedy_mec``'s bulk placement of runs.
+
+    Masses are in units of 1/128 where exact ties matter, so every sum and
+    residual is exact.
+    """
+    u = 1.0 / 128
+    big = RUN_MIN + 20  # a run long enough to be placed in bulk
+    return {
+        # Equal residuals in several columns go to the lower column index.
+        "ties-across-columns": (Dist.uniform(big), Dist.uniform(4)),
+        "tied-columns-unequal-steps": (Dist.uniform(128), Dist([0.25, 0.5, 0.25])),
+        "zero-column": (Dist.uniform(big), Dist([0.5, 0.0, 0.25, 0.25])),
+        # The first row uses up five of six columns and leaves the last one
+        # about 2e-16; each run mass is below half an ulp of that, so c - m
+        # == c and every run row goes into that one column.
+        "sliver-run": (Dist([1.0] + [1e-40] * big), Dist.uniform(6)),
+        # Just above half an ulp: each step takes off a whole ulp, not m.
+        "near-sliver-run": (Dist([1.0] + [3e-32] * big), Dist.uniform(6)),
+        # The first run ends with 0.25 left in each column, and the second
+        # run starts in those residuals.
+        "run-ends-mid-column": (
+            Dist(np.r_[np.full(100, 0.005), np.full(200, 0.0025)]),
+            Dist([0.6, 0.4]),
+        ),
+        # Row 60 (3 units) fills a 2-unit column and keeps 1 unit, the run's
+        # mass, so it takes its turn among the run's rows by index.
+        "residual-ties-run-inside-it": (
+            Dist([u] * 60 + [3 * u] + [u] * 65),
+            Dist.uniform(64),
+        ),
+        # At index 0 the same residual goes before the whole run.
+        "residual-ties-run-before-it": (
+            Dist([3 * u] + [u] * 125),
+            Dist.uniform(64),
+        ),
+        "short-run-above-long-run": (
+            Dist(np.r_[np.full(3, 8 * u), np.full(big, 1.0)] / (24 * u + big)),
+            Dist([0.5, 0.3, 0.2]),
+        ),
+        "run-larger-than-every-column": (Dist.uniform(big), Dist.uniform(2 * big)),
+        "support-below-run-min": (Dist.uniform(RUN_MIN - 1), Dist([0.4, 0.3, 0.2, 0.1])),
+        "support-at-run-min": (Dist.uniform(RUN_MIN), Dist([0.4, 0.3, 0.2, 0.1])),
+    }
+
+
+def _run_lengths(p: Dist) -> list[int]:
+    """How many rows share each distinct positive mass of ``p``."""
+    masses = p.probs / p.probs.sum()
+    return np.unique(masses[masses > 0.0], return_counts=True)[1].tolist()
+
+
+def _assert_matches_reference(p: Dist, q: Dist) -> None:
+    c = greedy_mec(p, q)
+    ref = reference_greedy(p, q)
+    at = np.nonzero(ref)
+    assert c.entries == tuple(zip(ref[at].tolist(), *(a.tolist() for a in at)))
+    rows, cols = reference_marginals(ref)
+    assert c.row_marginal().probs.tobytes() == rows.tobytes()
+    assert c.col_marginal().probs.tobytes() == cols.tobytes()
+    assert c.rows.tolist() == np.flatnonzero(p.probs).tolist()
+
+
 class TestGreedyMatchesHeapReference:
     """``greedy_mec`` places the heap greedy's masses in the heap greedy's
     cells, and its marginals have the reference's bytes."""
 
     def test_entries_and_marginal_bytes(self):
-        for p, q in _reference_pairs(np.random.default_rng(21)):
-            c = greedy_mec(p, q)
-            ref = reference_greedy(p, q)
-            at = np.nonzero(ref)
-            assert c.entries == tuple(zip(ref[at].tolist(), *(a.tolist() for a in at)))
-            rows, cols = reference_marginals(ref)
-            assert c.row_marginal().probs.tobytes() == rows.tobytes()
-            assert c.col_marginal().probs.tobytes() == cols.tobytes()
-            assert c.rows.tolist() == np.flatnonzero(p.probs).tolist()
+        pairs = _reference_pairs(np.random.default_rng(21))
+        for p, q in pairs:
+            _assert_matches_reference(p, q)
+        # Supports on both sides of RUN_MIN, and in the large ones runs both
+        # long enough to place in bulk and too short for it.
+        supports = [int(np.count_nonzero(p.probs)) for p, _ in pairs]
+        assert min(supports) < RUN_MIN <= max(supports)
+        runs = [n for p, _ in pairs if sum(_run_lengths(p)) >= RUN_MIN for n in _run_lengths(p)]
+        assert min(runs) < RUN_MIN <= max(runs)
+
+    @pytest.mark.parametrize("case", sorted(_plateau_pairs()))
+    def test_plateau_edge_cases(self, case):
+        _assert_matches_reference(*_plateau_pairs()[case])
 
     def test_stores_only_the_live_rows(self):
         rng = np.random.default_rng(22)
