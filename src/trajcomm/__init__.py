@@ -45,7 +45,6 @@ from .mcg import (
     Belief,
     McgSpec,
     MessageSpace,
-    exact_mcg_value,
     hamming_distance,
     sample_message,
 )
@@ -55,9 +54,7 @@ from .mdp import (
     Step,
     Trajectory,
     apply_actuator_noise,
-    enumerate_trajectories,
     exact_policy_return,
-    rollout,
     step,
     trajectory_return,
 )

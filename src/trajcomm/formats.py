@@ -15,7 +15,7 @@ import numpy as np
 
 from .dist import Dist
 from .mcg import Belief, McgSpec, MessageSpace
-from .mdp import MdpSpec, ObservedTrajectory, Step, Trajectory
+from .mdp import MdpSpec, Step, Trajectory, heights
 from .maxent import QTable
 from .sweep import MetricsRow
 
@@ -49,14 +49,9 @@ def load_dist(path) -> Dist:
     return Dist(np.array(probs))
 
 
-def save_dist(d: Dist, path) -> None:
-    Path(path).write_text("".join(f"{_exact(p)}\n" for p in d.probs))
-
-
 # ---------------------------------------------------------------------------
-# Game specs as JSON documents. Version 2 stores the MDP's CSR transition
-# arrays; version 1 (no ``format_version`` field) stored a dense S x A x S
-# tensor and is still read.
+# Game specs as JSON documents of format version 2, which stores the MDP's
+# CSR transition arrays.
 # ---------------------------------------------------------------------------
 
 MCG_FORMAT_VERSION = 2
@@ -87,18 +82,6 @@ def mcg_to_document(mcg: McgSpec) -> dict:
     }
 
 
-def _dense_to_csr(dense: np.ndarray, terminal: frozenset) -> tuple:
-    """CSR arrays of a dense S x A x S tensor: each row's positive entries in
-    target order; terminal rows are dropped."""
-    positive = (dense > 0.0) & ~np.isin(np.arange(len(dense)), list(terminal))[:, None, None]
-    counts = positive.sum(axis=2).reshape(-1)
-    return (
-        np.concatenate(([0], np.cumsum(counts))),
-        np.nonzero(positive)[2],
-        dense[positive],
-    )
-
-
 def _integer(value, field: str):
     """``value`` if it is an integer; a TypeError naming ``field`` for any
     other value, a bool or a float such as 1.0 included."""
@@ -110,9 +93,12 @@ def _integer(value, field: str):
 def mcg_from_document(doc: dict) -> McgSpec:
     """The game spec a document describes.
 
-    A missing key, a field of the wrong type (a count, state or block size
-    that is not an integer, or a ``factored`` that is not a bool included),
-    or a document or ``"mdp"`` that is not a JSON object raises ValueError.
+    A document of another format version than ``MCG_FORMAT_VERSION`` (one
+    with no ``format_version`` is version 1), a missing key, a field of the
+    wrong type (a count, state or block size that is not an integer, or a
+    ``factored`` that is not a bool included), a document or ``"mdp"`` that
+    is not a JSON object, or an MDP that breaks its horizon bound raises
+    ValueError.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"game spec must be a JSON object, not {type(doc).__name__}")
@@ -123,29 +109,24 @@ def mcg_from_document(doc: dict) -> McgSpec:
         terminal = frozenset(_integer(s, "a terminal state") for s in m["terminal_states"])
         n_states = _integer(m["n_states"], "n_states")
         n_actions = _integer(m["n_actions"], "n_actions")
-        version = doc.get("format_version", 1)
-        if version == 1:
-            dense = np.array(m["transitions"], dtype=np.float64)
-            if dense.shape != (n_states, n_actions, n_states):
-                raise ValueError(
-                    "dense transitions must have shape (n_states, n_actions, n_states)"
-                )
-            row_offsets, next_state, prob = _dense_to_csr(dense, terminal)
-        elif version == MCG_FORMAT_VERSION:
-            row_offsets, next_state, prob = m["row_offsets"], m["next_state"], m["prob"]
-        else:
-            raise ValueError(f"unknown game-spec format version {version!r}")
+        version = doc.get("format_version", 1)  # version 1 wrote no such field
+        if version != MCG_FORMAT_VERSION:
+            raise ValueError(
+                f"unsupported game-spec format version {version!r}; "
+                f"only version {MCG_FORMAT_VERSION} is read"
+            )
         mdp = MdpSpec(
             n_states=n_states,
             n_actions=n_actions,
-            row_offsets=row_offsets,
-            next_state=next_state,
-            prob=prob,
+            row_offsets=m["row_offsets"],
+            next_state=m["next_state"],
+            prob=m["prob"],
             rewards=np.array(m["rewards"]),
             initial_state=_integer(m["initial_state"], "initial_state"),
             terminal_states=terminal,
             horizon_bound=_integer(m["horizon_bound"], "horizon_bound"),
         )
+        heights(mdp)  # on a spec that breaks its horizon bound, episodes may never end
         factored = doc["message_space"]["factored"]
         if not isinstance(factored, bool):
             raise TypeError(f"factored must be true or false, not {factored!r}")

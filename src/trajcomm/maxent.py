@@ -18,7 +18,7 @@ from typing import Callable
 import numpy as np
 
 from .dist import Dist, entropy, entropy_nats, sample_index
-from .mdp import MdpSpec, state_occupancy, step
+from .mdp import MdpSpec, heights, state_occupancy, step
 
 MAX_EXACT_ENTRIES = 10**6
 
@@ -134,11 +134,11 @@ def _soft_values(mdp: MdpSpec, alpha: float) -> np.ndarray:
     if not len(live):
         return v
     n_actions = mdp.n_actions
-    heights = _heights(mdp, live)
-    order = live[np.argsort(heights, kind="stable")]
+    height = heights(mdp)
+    order = live[np.argsort(height, kind="stable")]
     n_live = len(order)
     # Heights start at 1, so layer h is positions state_bounds[h - 1]:state_bounds[h].
-    layer_sizes = np.bincount(heights)
+    layer_sizes = np.bincount(height)
     state_bounds = np.cumsum(layer_sizes)
     first = mdp.row_offsets[order * n_actions]
     counts = mdp.row_offsets[(order + 1) * n_actions] - first
@@ -172,33 +172,6 @@ def _soft_values(mdp: MdpSpec, alpha: float) -> np.ndarray:
         ]
     v[order] = v_order[:n_live]
     return v
-
-
-def _heights(mdp: MdpSpec, live: np.ndarray) -> np.ndarray:
-    """Each live state's longest path to a terminal, over every stored entry.
-
-    Iterates h(s) = 1 + max of h over s's entries from h = 0, on all live
-    states at once: each live state's entries are contiguous, so one
-    ``maximum.reduceat`` takes every max. After k rounds h is the height
-    capped at k, so h is final after the first round k whose max is below
-    k; if round ``horizon_bound + 1`` is not, some height exceeds the bound.
-    """
-    n_live = len(live)
-    position = np.full(mdp.n_states, n_live)  # terminals read the last slot, 0
-    position[live] = np.arange(n_live)
-    nxt = position[mdp.next_state]
-    starts = mdp.row_offsets[live * mdp.n_actions]
-    h = np.zeros(n_live + 1, dtype=np.int64)
-    top = np.empty(n_live, dtype=np.int64)
-    for k in range(1, mdp.horizon_bound + 2):
-        np.maximum.reduceat(h[nxt], starts, out=top)
-        np.add(top, 1, out=h[:n_live])
-        if top.max() < k - 1:  # top is h - 1
-            return h[:n_live]
-    raise ValueError(
-        f"the MDP breaks its horizon bound: a state is more than {mdp.horizon_bound} "
-        "steps from a terminal, or on a cycle"
-    )
 
 
 def train_soft_q(

@@ -1,4 +1,4 @@
-"""Markov coding games: message spaces, beliefs, payoffs, and exact evaluators.
+"""Markov coding games: message spaces, beliefs, and message draws and distances.
 
 A Markov coding game wraps an MDP with a message space, a prior over
 messages, a priority weight on decode correctness, and an actuator-noise
@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from typing import Callable
 
 import numpy as np
 
 from .dist import Dist, entropy, sample_index
-from .mdp import MdpSpec, ObservedTrajectory, enumerate_trajectories, trajectory_return
+from .mdp import MdpSpec
 
 
 @dataclasses.dataclass(frozen=True)
@@ -86,10 +85,6 @@ class Belief:
         object.__setattr__(self, "blocks", tuple(self.blocks))
 
     @classmethod
-    def explicit(cls, d: Dist) -> "Belief":
-        return cls((d,))
-
-    @classmethod
     def uniform(cls, space: MessageSpace) -> "Belief":
         return cls(tuple(Dist.uniform(b) for b in space.block_sizes))
 
@@ -140,28 +135,3 @@ def hamming_distance(m: tuple, m_hat: tuple) -> int:
     if not isinstance(m, tuple) or not isinstance(m_hat, tuple) or len(m) != len(m_hat):
         raise ValueError("messages must be factored tuples of equal shape")
     return int(sum(1 for a, b in zip(m, m_hat) if a != b))
-
-
-def exact_mcg_value(
-    mcg: McgSpec,
-    sender_policy: Callable[[int, object], Dist],
-    receiver_guess: Callable[[ObservedTrajectory], Dist],
-) -> float:
-    """Exact expected payoff of a (sender, receiver) pair, noiseless.
-
-    ``sender_policy(s, m)`` gives the sender's action distribution;
-    ``receiver_guess(view)`` gives a distribution over guessed messages,
-    indexed in message-enumeration order. Enumeration is over every message
-    and every positive-probability trajectory, so this is only for small
-    games.
-    """
-    messages = list(mcg.message_space.messages())
-    total = 0.0
-    for mi, m in enumerate(messages):
-        pm = message_prior_prob(mcg, m)
-        if pm == 0.0:
-            continue
-        for z, pz in enumerate_trajectories(mcg.mdp, lambda s, _m=m: sender_policy(s, _m)):
-            guess = receiver_guess(z.receiver_view())
-            total += pm * pz * (trajectory_return(z) + mcg.priority * guess[mi])
-    return total

@@ -1,5 +1,5 @@
-"""Tabular episodic MDPs: CSR transition arrays, rollouts, trajectory enumeration
-and exact policy evaluation by state occupancy."""
+"""Tabular episodic MDPs: CSR transition arrays, the horizon contract, sampled
+steps and exact policy evaluation by state occupancy."""
 
 from __future__ import annotations
 
@@ -9,8 +9,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .dist import SUM_ATOL, Dist, sample_index
-
-ENUMERATION_LIMIT = 10**6
 
 
 class Step(NamedTuple):
@@ -60,9 +58,9 @@ class MdpSpec:
     and every array is read-only. Episodes are undiscounted and must
     terminate within ``horizon_bound`` steps, which builders guarantee by
     encoding time into the state where needed. Construction does not check
-    this; ``exact_soft_vi`` does, and raises ``ValueError`` if a stored
-    transition entry (zero-probability ones included) closes a cycle or any
-    state is more than ``horizon_bound`` steps from a terminal.
+    this, so a builder run once per sweep cell does not pay for it;
+    ``heights`` does, for ``exact_soft_vi`` and for every spec
+    ``formats.load_mcg`` reads.
     """
 
     n_states: int
@@ -188,6 +186,41 @@ def _frozen(values, dtype) -> np.ndarray:
     return arr
 
 
+def heights(mdp: MdpSpec) -> np.ndarray:
+    """Each live state's longest path to a terminal, over every stored entry.
+
+    One height per live state, in state order; an MDP with no live state has
+    none. Raises ``ValueError`` if the MDP breaks its horizon contract: a
+    stored transition entry (zero-probability ones included) closes a cycle,
+    or a state is more than ``horizon_bound`` steps from a terminal.
+
+    Iterates h(s) = 1 + max of h over s's entries from h = 0, on all live
+    states at once: each live state's entries are contiguous, so one
+    ``maximum.reduceat`` takes every max. After k rounds h is the height
+    capped at k, so h is final after the first round k whose max is below
+    k; if round ``horizon_bound + 1`` is not, some height exceeds the bound.
+    """
+    live = np.flatnonzero(~mdp.terminal_mask)
+    n_live = len(live)
+    if not n_live:
+        return np.zeros(0, dtype=np.int64)
+    position = np.full(mdp.n_states, n_live)  # terminals read the last slot, 0
+    position[live] = np.arange(n_live)
+    nxt = position[mdp.next_state]
+    starts = mdp.row_offsets[live * mdp.n_actions]
+    h = np.zeros(n_live + 1, dtype=np.int64)
+    top = np.empty(n_live, dtype=np.int64)
+    for k in range(1, mdp.horizon_bound + 2):
+        np.maximum.reduceat(h[nxt], starts, out=top)
+        np.add(top, 1, out=h[:n_live])
+        if top.max() < k - 1:  # top is h - 1
+            return h[:n_live]
+    raise ValueError(
+        f"the MDP breaks its horizon bound: a state is more than {mdp.horizon_bound} "
+        "steps from a terminal, or on a cycle"
+    )
+
+
 def step(mdp: MdpSpec, s: int, a: int, rng: np.random.Generator) -> tuple[int, float]:
     """Sample one environment transition; the reward is R(s, a)."""
     if mdp.is_terminal(s):
@@ -232,79 +265,6 @@ def noisy_likelihood(intended: np.ndarray, noise_p: float, n_actions: int) -> np
 def trajectory_return(z: Trajectory) -> float:
     """Undiscounted sum of step rewards."""
     return float(sum(s.reward for s in z.steps))
-
-
-def rollout(
-    mdp: MdpSpec,
-    policy: Callable[[int], Dist],
-    rng: np.random.Generator,
-    noise_p: float = 0.0,
-) -> Trajectory:
-    """Play one episode following ``policy``, with optional actuator noise."""
-    s = mdp.initial_state
-    steps = []
-    while not mdp.is_terminal(s):
-        if len(steps) >= mdp.horizon_bound:
-            raise RuntimeError("episode exceeded the declared horizon bound")
-        intended = sample_index(policy(s).probs, rng)
-        executed = apply_actuator_noise(intended, noise_p, mdp.n_actions, rng)
-        nxt, reward = step(mdp, s, executed, rng)
-        steps.append(Step(s, intended, executed, reward))
-        s = nxt
-    return Trajectory(steps=tuple(steps), final_state=s)
-
-
-def enumerate_trajectories(
-    mdp: MdpSpec, policy: Callable[[int], Dist]
-) -> list[tuple[Trajectory, float]]:
-    """Every positive-probability trajectory of a (noiseless) policy.
-
-    Probabilities multiply policy and transition branches and sum to 1 within
-    tolerance. A backward pass first counts the trajectories, and raises if
-    there are more than ``ENUMERATION_LIMIT``, before any is built.
-    """
-    action_probs: dict[int, np.ndarray] = {}
-    counts: dict[int, int] = {}
-
-    def count(s: int) -> int:
-        if mdp.is_terminal(s):
-            return 1
-        if s not in counts:
-            probs = action_probs[s] = policy(s).probs
-            counts[s] = sum(
-                count(nxt)
-                for a in range(mdp.n_actions)
-                if probs[a] != 0.0
-                for nxt, pt in mdp.successors(s, a)
-                if pt != 0.0
-            )
-        return counts[s]
-
-    if count(mdp.initial_state) > ENUMERATION_LIMIT:
-        raise ValueError("trajectory enumeration exceeded its size guard")
-
-    out: list[tuple[Trajectory, float]] = []
-    prefix: list[Step] = []
-
-    def walk(s: int, prob: float):
-        if mdp.is_terminal(s):
-            out.append((Trajectory(steps=tuple(prefix), final_state=s), prob))
-            return
-        probs = action_probs[s]
-        for a in range(mdp.n_actions):
-            pa = float(probs[a])
-            if pa == 0.0:
-                continue
-            reward = float(mdp.rewards[s, a])
-            for nxt, pt in mdp.successors(s, a):
-                if pt == 0.0:
-                    continue
-                prefix.append(Step(s, a, a, reward))
-                walk(nxt, prob * pa * pt)
-                prefix.pop()
-
-    walk(mdp.initial_state, 1.0)
-    return out
 
 
 def state_occupancy(

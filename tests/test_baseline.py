@@ -11,8 +11,10 @@ from trajcomm.dist import Dist, sample_index
 from trajcomm.envs import build_channel_chain, build_codegrid, build_toy_mcg, chain_mcg
 from trajcomm.maxent import TrainConfig, exact_soft_vi, softmax_parts, train_soft_q
 from trajcomm.mcg import Belief, McgSpec, MessageSpace
-from trajcomm.mdp import MdpSpec, apply_actuator_noise, enumerate_trajectories, step
+from trajcomm.mdp import MdpSpec, apply_actuator_noise, step
 from trajcomm.sweep import SweepConfig, run_sweep
+
+from mdp_oracle import enumerate_trajectories
 
 
 def single_message_game(priority=0.0):
@@ -20,7 +22,7 @@ def single_message_game(priority=0.0):
     return McgSpec(
         mdp=mcg.mdp,
         message_space=MessageSpace.explicit(1),
-        prior=Belief.explicit(Dist([1.0])),
+        prior=Belief((Dist([1.0]),)),
         priority=priority,
     )
 
@@ -93,7 +95,7 @@ def self_loop_game(noise_p=0.0):
     return McgSpec(
         mdp=mdp,
         message_space=MessageSpace.explicit(3),
-        prior=Belief.explicit(Dist([0.5, 0.3, 0.2])),
+        prior=Belief((Dist([0.5, 0.3, 0.2]),)),
         priority=1.0,
         noise_p=noise_p,
     )

@@ -6,8 +6,7 @@ import json
 import pytest
 
 from trajcomm.cli import main
-from trajcomm.dist import Dist
-from trajcomm.formats import load_mcg, save_dist, save_qtable
+from trajcomm.formats import load_mcg, save_qtable
 from trajcomm.maxent import TrainConfig, train_soft_q
 
 
@@ -93,8 +92,8 @@ def test_train_writes_the_sampled_table_that_send_and_receive_use(tmp_path):
 
 def test_mec_prints_the_coupling_and_its_entropy(tmp_path, capsys):
     p, q = tmp_path / "p.txt", tmp_path / "q.txt"
-    save_dist(Dist([0.5, 0.5]), p)
-    save_dist(Dist([0.5, 0.25, 0.25]), q)
+    p.write_text("0.5\n0.5\n")
+    q.write_text("0.5\n0.25\n0.25\n")
     assert main(["mec", "--p", str(p), "--q", str(q)]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[:3] == ["0.5 0 0", "0.25 1 1", "0.25 1 2"]
@@ -317,18 +316,59 @@ def test_send_takes_exactly_one_message_source(tmp_path, given):
     assert not traj.exists()
 
 
-@pytest.mark.parametrize("fault", ["horizon-one-short", "cycle"])
-def test_solve_rejects_a_spec_that_breaks_its_horizon_bound(tmp_path, capsys, fault):
-    # A 5-step chain declared with horizon_bound 4, or with state 1's first
-    # action sent back to state 0. Both used to solve to a truncated table.
-    spec, qtable = tmp_path / "env.json", tmp_path / "q.txt"
-    assert main(["make-env", "chain", "--steps", "5", "--actions", "2", "--out", str(spec)]) == 0
+def _break_horizon_bound(spec, fault):
+    """Break a 5-step, 2-action chain spec: declare horizon_bound 4, or send
+    state 1's first action back to state 0."""
     document = json.loads(spec.read_text())
     if fault == "cycle":
         document["mdp"]["next_state"][2] = 0
     else:
         document["mdp"]["horizon_bound"] = 4
     spec.write_text(json.dumps(document))
+
+
+@pytest.mark.parametrize("fault", ["horizon-one-short", "cycle"])
+def test_load_rejects_a_spec_that_breaks_its_horizon_bound(tmp_path, fault):
+    # Every command loads its spec through load_mcg. On the cycle, train and
+    # send used to loop for ever.
+    spec = tmp_path / "env.json"
+    assert main(["make-env", "chain", "--steps", "5", "--actions", "2", "--out", str(spec)]) == 0
+    _break_horizon_bound(spec, fault)
+    with pytest.raises(ValueError, match="breaks its horizon bound"):
+        load_mcg(spec)
+
+
+@pytest.mark.parametrize("command", ["train", "send", "receive"])
+def test_commands_reject_a_spec_that_breaks_its_horizon_bound(tmp_path, capsys, command):
+    # The horizon-one-short fault: on it, a command that missed the check
+    # would still end, and fail this test instead of hanging it.
+    spec, qtable, traj = tmp_path / "env.json", tmp_path / "q.txt", tmp_path / "z.txt"
+    assert main(["make-env", "chain", "--steps", "5", "--actions", "2", "--out", str(spec)]) == 0
+    assert main(["solve", "--spec", str(spec), "--beta", "1", "--out", str(qtable)]) == 0
+    assert main([
+        "send", "--spec", str(spec), "--qtable", str(qtable), "--message", "1",
+        "--seed", "0", "--out", str(traj),
+    ]) == 0
+    _break_horizon_bound(spec, "horizon-one-short")
+    out = tmp_path / "out.txt"
+    args = {
+        "train": ["--beta", "1", "--episodes", "10", "--seed", "0"],
+        "send": ["--qtable", str(qtable), "--message", "1", "--seed", "0"],
+        "receive": ["--qtable", str(qtable), "--traj", str(traj)],
+    }[command]
+    capsys.readouterr()
+    assert main([command, "--spec", str(spec), *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "horizon bound" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fault", ["horizon-one-short", "cycle"])
+def test_solve_rejects_a_spec_that_breaks_its_horizon_bound(tmp_path, capsys, fault):
+    # Both faults used to solve to a truncated table.
+    spec, qtable = tmp_path / "env.json", tmp_path / "q.txt"
+    assert main(["make-env", "chain", "--steps", "5", "--actions", "2", "--out", str(spec)]) == 0
+    _break_horizon_bound(spec, fault)
     capsys.readouterr()
     assert main(["solve", "--spec", str(spec), "--beta", "1", "--out", str(qtable)]) == 2
     err = capsys.readouterr().err

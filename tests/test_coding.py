@@ -289,7 +289,7 @@ class TestSenderEpisode:
         single = McgSpec(
             mdp=mcg.mdp,
             message_space=MessageSpace.explicit(1),
-            prior=Belief.explicit(Dist([1.0])),
+            prior=Belief((Dist([1.0]),)),
             priority=0.0,
         )
         q = exact_soft_vi(single.mdp, alpha=1.0)
@@ -364,7 +364,7 @@ class TestReceiverDecode:
         single = McgSpec(
             mdp=mcg.mdp,
             message_space=MessageSpace.explicit(1),
-            prior=Belief.explicit(Dist([1.0])),
+            prior=Belief((Dist([1.0]),)),
             priority=0.0,
         )
         q = exact_soft_vi(single.mdp, alpha=1.0)

@@ -19,14 +19,10 @@ from trajcomm.envs import (
 )
 from trajcomm.formats import save_mcg
 from trajcomm.maxent import exact_soft_vi, expected_cumulative_entropy_bits, softmax_policy
-from trajcomm.mcg import MessageSpace, exact_mcg_value
-from trajcomm.mdp import (
-    Trajectory,
-    enumerate_trajectories,
-    exact_policy_return,
-    rollout,
-    trajectory_return,
-)
+from trajcomm.mcg import MessageSpace
+from trajcomm.mdp import exact_policy_return, trajectory_return
+
+from mdp_oracle import enumerate_trajectories, exact_mcg_value, rollout
 
 
 def cold_sender(mcg):

@@ -24,7 +24,6 @@ from trajcomm.formats import (
     mcg_from_document,
     mcg_to_document,
     metrics_to_csv,
-    save_dist,
     save_mcg,
     save_pbm,
     save_qtable,
@@ -32,15 +31,17 @@ from trajcomm.formats import (
 )
 from trajcomm.maxent import QTable, exact_soft_vi
 from trajcomm.mcg import Belief, McgSpec, MessageSpace
-from trajcomm.mdp import MdpSpec, Step, Trajectory, rollout
+from trajcomm.mdp import MdpSpec, Step, Trajectory
 from trajcomm.sweep import MetricsRow
+
+from mdp_oracle import rollout
 
 
 class TestDistFiles:
     def test_round_trip(self, tmp_path):
         d = Dist([0.5, 0.25, 0.25])
         path = tmp_path / "d.txt"
-        save_dist(d, path)
+        path.write_text("".join(f"{p!r}\n" for p in d.probs.tolist()))
         assert np.array_equal(load_dist(path).probs, d.probs)
 
     def test_comments_and_blanks(self, tmp_path):
@@ -72,6 +73,24 @@ def branching_mcg():
     return McgSpec(mdp=mdp, message_space=space, prior=Belief.uniform(space), priority=1.0)
 
 
+def no_live_state_mcg():
+    """One state, terminal from the start: no episode takes a step, so the
+    horizon contract holds."""
+    mdp = MdpSpec(
+        n_states=1,
+        n_actions=1,
+        row_offsets=[0, 0],
+        next_state=[],
+        prob=[],
+        rewards=np.zeros((1, 1)),
+        initial_state=0,
+        terminal_states=frozenset({0}),
+        horizon_bound=1,
+    )
+    space = MessageSpace.explicit(2)
+    return McgSpec(mdp=mdp, message_space=space, prior=Belief.uniform(space), priority=1.0)
+
+
 class TestMcgFiles:
     @pytest.mark.parametrize(
         "mcg",
@@ -80,8 +99,9 @@ class TestMcgFiles:
             build_codegrid(8, noise_p=0.1),
             chain_mcg(build_channel_chain(5, 2, rewards={2: 0.5}), MessageSpace.product([2] * 4)),
             branching_mcg(),
+            no_live_state_mcg(),
         ],
-        ids=["toy", "codegrid", "chain", "branching"],
+        ids=["toy", "codegrid", "chain", "branching", "no-live-state"],
     )
     def test_round_trip(self, mcg, tmp_path):
         path = tmp_path / "env.json"
@@ -112,42 +132,12 @@ class TestMcgFiles:
         assert np.array_equal(loaded.prob, mdp.prob)
 
 
-def assert_same_transitions(a, b):
-    for name in ("row_offsets", "next_state", "prob", "rewards"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    assert a.terminal_states == b.terminal_states
-
-
-def dense_document(mcg):
-    """A version-1 document: the dense S x A x S tensor and no format_version."""
-    doc = mcg_to_document(mcg)
-    mdp = mcg.mdp
-    dense = np.zeros((mdp.n_states, mdp.n_actions, mdp.n_states))
-    for s in range(mdp.n_states):
-        for a in range(mdp.n_actions):
-            for nxt, prob in mdp.successors(s, a):
-                dense[s, a, nxt] += prob
-    del doc["format_version"]
-    for key in ("row_offsets", "next_state", "prob"):
-        del doc["mdp"][key]
-    doc["mdp"]["transitions"] = dense.tolist()
-    return doc
-
-
 class TestMcgDocumentVersions:
     def test_document_is_versioned_and_sparse(self):
         doc = mcg_to_document(branching_mcg())
         assert doc["format_version"] == MCG_FORMAT_VERSION
         assert "transitions" not in doc["mdp"]
         assert doc["mdp"]["next_state"] == [1, 2, 2]
-
-    @pytest.mark.parametrize(
-        "mcg",
-        [build_toy_mcg(priority=2.0), build_codegrid(8), branching_mcg()],
-        ids=["toy", "codegrid", "branching"],
-    )
-    def test_dense_document_loads(self, mcg):
-        assert_same_transitions(mcg_from_document(dense_document(mcg)).mdp, mcg.mdp)
 
     def test_sparse_codegrid_spec_is_small(self, tmp_path):
         path = tmp_path / "env.json"
@@ -158,6 +148,17 @@ class TestMcgDocumentVersions:
         doc = mcg_to_document(build_toy_mcg(priority=1.0))
         doc["format_version"] = 99
         with pytest.raises(ValueError, match="format version"):
+            mcg_from_document(doc)
+
+    def test_version_one_document_rejected(self):
+        # Version 1 stored a dense S x A x S tensor and wrote no
+        # format_version; either way the version is named, not a missing key.
+        doc = mcg_to_document(build_toy_mcg(priority=1.0))
+        doc["format_version"] = 1
+        with pytest.raises(ValueError, match="format version 1;"):
+            mcg_from_document(doc)
+        del doc["format_version"]
+        with pytest.raises(ValueError, match="format version 1;"):
             mcg_from_document(doc)
 
     @pytest.mark.parametrize(

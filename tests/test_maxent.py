@@ -23,13 +23,9 @@ from trajcomm.maxent import (
     softmax_policy,
     train_soft_q,
 )
-from trajcomm.mdp import (
-    MdpSpec,
-    enumerate_trajectories,
-    exact_policy_return,
-    step,
-    trajectory_return,
-)
+from trajcomm.mdp import MdpSpec, exact_policy_return, step, trajectory_return
+
+from mdp_oracle import enumerate_trajectories
 
 TOY_SOFTMAX = (0.7213991842739685, 0.26538792877224193, 0.013212886953789414)
 TOY_SOFT_VALUE = 4.32656264126747

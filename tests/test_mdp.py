@@ -20,12 +20,12 @@ from trajcomm.mdp import (
     Step,
     Trajectory,
     apply_actuator_noise,
-    enumerate_trajectories,
     exact_policy_return,
-    rollout,
     step,
     trajectory_return,
 )
+
+from mdp_oracle import enumerate_trajectories, rollout
 
 TOY_SOFTMAX = (0.7213991842739685, 0.26538792877224193, 0.013212886953789414)
 
@@ -287,7 +287,7 @@ class TestBeliefAndSpaces:
             McgSpec(
                 mdp=mcg.mdp,
                 message_space=MessageSpace.explicit(3),
-                prior=Belief.explicit(Dist([0.5, 0.5])),
+                prior=Belief((Dist([0.5, 0.5]),)),
                 priority=1.0,
             )
 
