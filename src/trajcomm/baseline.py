@@ -27,9 +27,14 @@ import numpy as np
 from .dist import sample_index
 from .maxent import softmax_parts
 from .mcg import McgSpec
-from .mdp import apply_actuator_noise, noisy_likelihood, step
+from .mdp import apply_actuator_noise, heights, noisy_likelihood, step
 
 MAX_BASELINE_MESSAGES = 128
+
+# The training schedule: temperature and learning rate each anneal
+# geometrically from start to end over a run's episodes.
+ALPHA_START, ALPHA_END = 0.25, 0.015
+LR_START, LR_END = 0.25, 0.02
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -57,56 +62,48 @@ def _check_space(mcg: McgSpec) -> int:
 
 def _observe(b: np.ndarray, likelihood: np.ndarray) -> np.ndarray:
     """The perfect receiver's posterior after one executed action, given each
-    message's noise-aware likelihood of it; a posterior that underflows
-    resets to uniform."""
+    message's noise-aware likelihood of it; a posterior of total 0, which no
+    message could have produced, resets to uniform."""
     b = b * likelihood
     total = b.sum()
-    if total < 1e-300:
+    if total == 0.0:
         return np.full(len(b), 1.0 / len(b))
     return b / total
 
 
-def train_rl_pr(
-    mcg: McgSpec,
-    cfg,
-    rng: np.random.Generator | None = None,
-    alpha_start: float = 0.25,
-    alpha_end: float = 0.015,
-    lr_end: float = 0.02,
-) -> MessageConditionalQ:
+def train_rl_pr(mcg: McgSpec, episodes: int, rng: np.random.Generator) -> MessageConditionalQ:
     """Train the message-conditional sender with perfect-receiver shaping.
 
     Per episode: sample a message, roll out the Boltzmann policy for that
     message, keep the exact posterior over all messages updated with each
     executed action against the full current policy, noise included, and add
     ``mcg.priority * max_m b(m)`` to the terminal transition's reward before
-    the final Q update. The temperature anneals geometrically from
-    ``alpha_start`` to ``alpha_end``, and the learning rate from
-    ``cfg.learning_rate`` to ``lr_end``; pass ``lr_end=cfg.learning_rate``
-    for a constant rate.
+    the final Q update. Over the episodes the temperature anneals
+    geometrically from ``ALPHA_START`` to ``ALPHA_END``, and the learning
+    rate from ``LR_START`` to ``LR_END``.
 
     One softmax block per visited state serves two steps: row ``m``'s max
     and exp-sum give the soft-value target of the step that enters the
     state, and the block is the behaviour policy and posterior column of the
-    step taken from it. It is rebuilt after the update only on a self-loop,
-    where the update changed it.
+    step taken from it. Raises ``ValueError`` if the MDP breaks its horizon
+    bound.
     """
     n_messages = _check_space(mcg)
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+    if episodes < 1:
+        raise ValueError("episode count must be at least 1")
     mdp = mcg.mdp
+    heights(mdp)  # on a cycle, an episode might never end
     q = np.zeros((mdp.n_states, n_messages, mdp.n_actions))
-    lr = cfg.learning_rate
     prior = mcg.prior.blocks[0].probs
-    decay = (alpha_end / alpha_start) ** (1.0 / max(1, cfg.episodes - 1))
-    lr_decay = (lr_end / lr) ** (1.0 / max(1, cfg.episodes - 1))
-    alpha = alpha_start
-    for _ in range(cfg.episodes):
+    decay = (ALPHA_END / ALPHA_START) ** (1.0 / max(1, episodes - 1))
+    lr_decay = (LR_END / LR_START) ** (1.0 / max(1, episodes - 1))
+    alpha, lr = ALPHA_START, LR_START
+    for _ in range(episodes):
         m = sample_index(prior, rng)
         b = prior.copy()
         s = mdp.initial_state
         rows, mx, sums = softmax_parts(q[s], alpha)
-        while True:
+        while not mdp.is_terminal(s):
             a = sample_index(rows[m], rng)
             executed = apply_actuator_noise(a, mcg.noise_p, mdp.n_actions, rng)
             b = _observe(b, noisy_likelihood(rows[:, executed], mcg.noise_p, mdp.n_actions))
@@ -114,16 +111,11 @@ def train_rl_pr(
             if mdp.is_terminal(nxt):
                 target = reward + mcg.priority * float(b.max())
             else:
-                if nxt != s:
-                    rows, mx, sums = softmax_parts(q[nxt], alpha)
+                rows, mx, sums = softmax_parts(q[nxt], alpha)
                 target = reward + alpha * (mx[m, 0] + math.log(sums[m, 0]))
             q[s, m, executed] += lr * (target - q[s, m, executed])
-            if mdp.is_terminal(nxt):
-                break
-            if nxt == s:
-                rows, mx, sums = softmax_parts(q[s], alpha)
             s = nxt
-        alpha = max(alpha_end, alpha * decay)
+        alpha = max(ALPHA_END, alpha * decay)
         lr *= lr_decay
     return MessageConditionalQ(values=q)
 

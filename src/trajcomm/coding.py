@@ -66,10 +66,6 @@ logger = logging.getLogger(__name__)
 # has k = N, and every posterior is a vector of all N.
 MAX_EXPLICIT_MESSAGES = 4096
 
-# Belief mass below this after an update means the observed action was
-# impossible under the replayed coupling; the belief resets to uniform.
-WIPEOUT_EPS = 1e-12
-
 
 @dataclasses.dataclass(eq=False)
 class EpisodeRecord:
@@ -136,10 +132,11 @@ def posterior_update(
     lowers the true message's weight instead of ruling it out. The stored
     rows' ``P(a|m)`` are computed on those rows alone and scattered into a
     full-length vector of ``policy[a]``, so the weights and their sum are
-    those of the full belief. If the observed action carries zero
-    likelihood under every live message (possible only without noise, on a
-    corrupted trajectory), the belief resets to uniform and the desync is
-    logged rather than silently propagated.
+    those of the full belief. If the update's total is exactly 0, because
+    the observed action carries zero likelihood under every live message
+    (possible only without noise, on a corrupted trajectory), the belief
+    resets to uniform and the desync is logged rather than silently
+    propagated.
     """
     rows, joint, row_mass = coupling.rows, coupling.joint, coupling.row_mass
     intended = np.full(coupling.n_rows, policy.probs[executed])
@@ -148,7 +145,7 @@ def posterior_update(
     )
     weights = b.probs * noisy_likelihood(intended, noise_p, coupling.n_cols)
     total = float(weights.sum())
-    if total < WIPEOUT_EPS:
+    if total == 0.0:
         logger.warning(
             "belief mass wiped out by action %d; resetting block to uniform", executed
         )

@@ -28,8 +28,7 @@ def build_toy_mcg(priority: float = 1.0, noise_p: float = 0.0) -> McgSpec:
     return chain_mcg(mdp, MessageSpace.explicit(2), priority, noise_p)
 
 
-# Grid actions, in index order.
-GRID_ACTIONS = ("left", "right", "up", "down")
+# The (dx, dy) of each grid action, in index order.
 _GRID_MOVES = ((-1, 0), (1, 0), (0, 1), (0, -1))
 
 
@@ -47,7 +46,8 @@ def build_codegrid(
     from ``start`` to ``goal`` on a ``width`` x ``height`` grid within
     ``max_steps`` moves.
 
-    Positions are 1-indexed (x, y) pairs; the state encodes (x, y, t). Bumping a
+    Positions are 1-indexed (x, y) pairs; the state encodes (x, y, t). Actions
+    0, 1, 2 and 3 move left, right, up (y + 1) and down (y - 1). Bumping a
     wall leaves the position unchanged but still consumes a timestep. Reaching
     the goal ends the episode with reward 1; running out the clock pays 0. A
     size or deadline below 1, a start or goal off the grid, or a start on the

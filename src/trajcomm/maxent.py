@@ -4,8 +4,8 @@ The entropy-regularized objective E[sum_t R + alpha * H(A_t | S_t)] is
 maximized, for a tabular MDP, by a softmax-of-Q policy with log-sum-exp state
 values. ``exact_soft_vi`` computes that optimum by backward induction, in one
 pass over the MDP's layers of states with equal height (longest path to a
-terminal), and rejects an MDP that breaks its horizon bound; ``train_soft_q``
-learns the optimum from sampled episodes. Entropy inside the backups uses
+terminal); ``train_soft_q`` learns the optimum from sampled episodes. Both
+reject an MDP that breaks its horizon bound. Entropy inside the backups uses
 natural log to match exp/softmax; reporting functions convert to bits.
 """
 
@@ -187,11 +187,12 @@ def train_soft_q(
     learning rate, undiscounted episodes.
 
     One softmax per visited state: the row built for the next state gives the
-    step's target and is the policy the next step samples from. It is rebuilt
-    after the update only on a self-loop, where the update changed it.
+    step's target and is the policy the next step samples from. Raises
+    ``ValueError`` if the MDP breaks its horizon bound.
     """
     if alpha <= 0.0:
         raise ValueError("temperature must be positive")
+    heights(mdp)  # on a cycle, an episode might never end
     if rng is None:
         rng = np.random.default_rng(cfg.seed)
     q = np.zeros((mdp.n_states, mdp.n_actions))
@@ -205,12 +206,9 @@ def train_soft_q(
             if mdp.is_terminal(nxt):
                 target = reward
             else:
-                if nxt != s:
-                    probs, mx, sums = softmax_parts(q[nxt], alpha)
+                probs, mx, sums = softmax_parts(q[nxt], alpha)
                 target = reward + alpha * (mx[0] + math.log(sums[0]))
             q[s, a] += lr * (target - q[s, a])
-            if nxt == s:
-                probs, mx, sums = softmax_parts(q[s], alpha)
             s = nxt
     return QTable(values=q, alpha=alpha)
 

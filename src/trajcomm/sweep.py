@@ -21,7 +21,7 @@ import numpy as np
 from .baseline import rollout_rl_pr, train_rl_pr
 from .coding import run_roundtrip
 from .envs import build_env, check_game_params
-from .maxent import TrainConfig, exact_soft_vi
+from .maxent import exact_soft_vi
 from .mcg import McgSpec, hamming_distance, sample_message
 from .mdp import trajectory_return
 
@@ -119,7 +119,7 @@ def _meme_cell(cfg: SweepConfig, mcg: McgSpec, beta: float, rng):
 def _rl_pr_cell(cfg: SweepConfig, mcg: McgSpec, zeta: float, rng):
     """Train at priority ``zeta`` on ``rng``; a message plays one greedy episode."""
     mcg = dataclasses.replace(mcg, priority=zeta)
-    q = train_rl_pr(mcg, TrainConfig(episodes=cfg.episodes, learning_rate=0.25), rng=rng)
+    q = train_rl_pr(mcg, cfg.episodes, rng)
     return functools.partial(rollout_rl_pr, q, mcg)
 
 

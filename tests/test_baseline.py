@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from trajcomm import baseline
 from trajcomm.baseline import MessageConditionalQ, rollout_rl_pr, train_rl_pr
 from trajcomm.dist import Dist, sample_index
 from trajcomm.envs import build_channel_chain, build_codegrid, build_toy_mcg, chain_mcg
@@ -27,6 +28,14 @@ def single_message_game(priority=0.0):
     )
 
 
+def set_schedule(monkeypatch, alpha_start, alpha_end, lr_start, lr_end):
+    """Give ``train_rl_pr`` another temperature and learning-rate schedule."""
+    monkeypatch.setattr(baseline, "ALPHA_START", alpha_start)
+    monkeypatch.setattr(baseline, "ALPHA_END", alpha_end)
+    monkeypatch.setattr(baseline, "LR_START", lr_start)
+    monkeypatch.setattr(baseline, "LR_END", lr_end)
+
+
 def evaluate(q, mcg, episodes):
     """Decode hits and returns of ``episodes`` greedy evaluation episodes, each
     of a message drawn from the prior."""
@@ -44,42 +53,46 @@ class TestTrainRlPr:
         chain = build_channel_chain(4, 2)
         mcg = chain_mcg(chain, MessageSpace.product([2, 2]))
         with pytest.raises(ValueError):
-            train_rl_pr(mcg, TrainConfig(episodes=10, seed=0))
+            train_rl_pr(mcg, 10, np.random.default_rng(0))
 
     def test_message_space_cap(self):
         chain = build_channel_chain(4, 2)
         mcg = chain_mcg(chain, MessageSpace.explicit(200))
         with pytest.raises(ValueError):
-            train_rl_pr(mcg, TrainConfig(episodes=10, seed=0))
+            train_rl_pr(mcg, 10, np.random.default_rng(0))
 
-    def test_single_message_reduces_to_soft_q_plus_shift(self):
+    def test_rejects_no_episodes(self):
+        with pytest.raises(ValueError, match="episode count"):
+            train_rl_pr(build_toy_mcg(), 0, np.random.default_rng(0))
+
+    def test_rejects_a_cycle(self):
+        with pytest.raises(ValueError, match="horizon bound"):
+            train_rl_pr(self_loop_game(), 10, np.random.default_rng(0))
+
+    def test_single_message_reduces_to_soft_q_plus_shift(self, monkeypatch):
         # With one message the posterior is always the point mass, so the
         # shaped terminal reward is a constant priority bonus: training on an
         # MDP whose terminal rewards carry that bonus gives the same values.
         zeta = 2.0
         mcg = single_message_game(priority=zeta)
-        q = train_rl_pr(
-            mcg, TrainConfig(episodes=20_000, learning_rate=0.05, seed=3),
-            alpha_start=1.0, alpha_end=1.0, lr_end=0.05,
-        )
+        set_schedule(monkeypatch, 1.0, 1.0, 0.05, 0.05)
+        q = train_rl_pr(mcg, 20_000, np.random.default_rng(3))
         shifted = exact_soft_vi(mcg.mdp, alpha=1.0)
         assert np.max(np.abs(q.values[0, 0] - (shifted.values[0] + zeta))) < 0.05
 
-    def test_toy_large_priority_separates_messages(self):
+    def test_toy_large_priority_separates_messages(self, monkeypatch):
         mcg = build_toy_mcg(priority=10.0)
-        q = train_rl_pr(
-            mcg, TrainConfig(episodes=200_000, learning_rate=0.03, seed=0),
-            alpha_start=1.0, alpha_end=0.15, lr_end=0.03,
-        )
+        set_schedule(monkeypatch, 1.0, 0.15, 0.03, 0.03)
+        q = train_rl_pr(mcg, 200_000, np.random.default_rng(0))
         hits, rets = evaluate(q, mcg, 1000)
         assert hits.mean() >= 0.95
         # Message-separated play keeps high return: best two actions.
         assert rets.mean() >= 3.0
 
 
-def self_loop_game(noise_p=0.0):
+def self_loop_game():
     """Three messages over a stochastic MDP whose states 0 and 1 each have an
-    action that stays put half the time."""
+    action that stays put half the time, which breaks its horizon bound."""
     mdp = MdpSpec(
         n_states=3,
         n_actions=2,
@@ -97,24 +110,49 @@ def self_loop_game(noise_p=0.0):
         message_space=MessageSpace.explicit(3),
         prior=Belief((Dist([0.5, 0.3, 0.2]),)),
         priority=1.0,
+    )
+
+
+def stochastic_game(noise_p=0.0):
+    """Three messages over an acyclic MDP whose states 0 and 1 each have an
+    action with two successors."""
+    mdp = MdpSpec(
+        n_states=4,
+        n_actions=2,
+        # Rows (0,0) -> 1 or 2, (0,1) -> 1, (1,0) -> 3, (1,1) -> 2 or 3, (2,*) -> 3.
+        row_offsets=[0, 2, 3, 4, 6, 7, 8, 8, 8],
+        next_state=[1, 2, 1, 3, 2, 3, 3, 3],
+        prob=[0.5, 0.5, 1.0, 1.0, 0.5, 0.5, 1.0, 1.0],
+        rewards=np.array([[0.3, -0.2], [0.5, 0.1], [0.2, 0.4], [0.0, 0.0]]),
+        initial_state=0,
+        terminal_states=frozenset({3}),
+        horizon_bound=3,
+    )
+    return McgSpec(
+        mdp=mdp,
+        message_space=MessageSpace.explicit(3),
+        prior=Belief((Dist([0.5, 0.3, 0.2]),)),
+        priority=1.0,
         noise_p=noise_p,
     )
 
 
-def per_step_rl_pr(mcg, cfg, rng, alpha_start, alpha_end, lr_end):
+def per_step_rl_pr(mcg, episodes, rng):
     """Reference: the RL+PR trainer with a fresh softmax block for the behaviour
-    policy and a separate soft-value target at every step. The receiver's
-    likelihood carries the actuator noise term written out here; at ε = 0 it
-    is exactly the behaviour policy's column."""
+    policy and a separate soft-value target at every step, on the schedule
+    the sweep runs: temperature 0.25 -> 0.015, rate 0.25 -> 0.02. The
+    receiver's likelihood carries the actuator noise term written out here;
+    at ε = 0 it is exactly the behaviour policy's column."""
+    alpha_start, alpha_end, lr_start, lr_end = 0.25, 0.015, 0.25, 0.02
     mdp = mcg.mdp
     n_messages = mcg.message_space.cardinality
     q = np.zeros((mdp.n_states, n_messages, mdp.n_actions))
-    lr = cfg.learning_rate
+    lr = lr_start
     prior = mcg.prior.blocks[0].probs
-    decay = (alpha_end / alpha_start) ** (1.0 / max(1, cfg.episodes - 1))
-    lr_decay = (lr_end / lr) ** (1.0 / max(1, cfg.episodes - 1))
+    decay = (alpha_end / alpha_start) ** (1.0 / max(1, episodes - 1))
+    lr_decay = (lr_end / lr) ** (1.0 / max(1, episodes - 1))
     alpha = alpha_start
-    for _ in range(cfg.episodes):
+    for _ in range(episodes):
         m = sample_index(prior, rng)
         b = prior.copy()
         s = mdp.initial_state
@@ -127,7 +165,7 @@ def per_step_rl_pr(mcg, cfg, rng, alpha_start, alpha_end, lr_end):
             eps = mcg.noise_p
             b = b * ((1.0 - eps) * rows[:, executed] + eps / mdp.n_actions)
             total = b.sum()
-            if total < 1e-300:
+            if total == 0.0:
                 b = np.full(n_messages, 1.0 / n_messages)
             else:
                 b = b / total
@@ -156,24 +194,20 @@ class TestTrainRlPrReference:
             (lambda: build_codegrid(8, priority=0.3, noise_p=0.1), 0.3, 500),
             (lambda: build_codegrid(8, priority=3.0, noise_p=0.1), 3.0, 500),
             (lambda: build_toy_mcg(priority=10.0), 10.0, 2000),
-            (self_loop_game, 1.0, 2000),
-            (lambda: self_loop_game(noise_p=0.1), 1.0, 2000),
+            (stochastic_game, 1.0, 2000),
+            (lambda: stochastic_game(noise_p=0.1), 1.0, 2000),
         ],
         ids=[
             "codegrid-8-zeta0.3", "codegrid-8-zeta3", "codegrid-8-zeta0.3-eps0.1",
-            "codegrid-8-zeta3-eps0.1", "toy", "self-loop", "self-loop-eps0.1",
+            "codegrid-8-zeta3-eps0.1", "toy", "stochastic", "stochastic-eps0.1",
         ],
     )
     def test_values_match_per_step_loop_bytes(self, game, zeta, episodes):
-        # The trainer's default schedule, which the sweep runs: temperature
-        # 0.25 -> 0.015, rate 0.25 -> 0.02. The game carries the shaping zeta.
+        # The game carries the shaping zeta.
         mcg = game()
         assert mcg.priority == zeta
-        cfg = TrainConfig(episodes=episodes, learning_rate=0.25, seed=0)
-        q = train_rl_pr(mcg, cfg, rng=np.random.default_rng(7))
-        reference = per_step_rl_pr(
-            mcg, cfg, np.random.default_rng(7), alpha_start=0.25, alpha_end=0.015, lr_end=0.02
-        )
+        q = train_rl_pr(mcg, episodes, np.random.default_rng(7))
+        reference = per_step_rl_pr(mcg, episodes, np.random.default_rng(7))
         assert q.values.tobytes() == reference.tobytes()
 
 
@@ -325,10 +359,11 @@ class TestNoiseAwareReceiver:
 
 
 class TestPriorityZeroMatchesPlainSoftQ:
-    def test_returns_converge_to_plain_soft_q(self):
+    def test_returns_converge_to_plain_soft_q(self, monkeypatch):
         mcg = single_message_game()
+        set_schedule(monkeypatch, 0.5, 0.5, 0.05, 0.05)
+        q_baseline = train_rl_pr(mcg, 20_000, np.random.default_rng(5))
         cfg = TrainConfig(episodes=20_000, learning_rate=0.05, seed=5)
-        q_baseline = train_rl_pr(mcg, cfg, alpha_start=0.5, alpha_end=0.5, lr_end=0.05)
         q_plain = train_soft_q(mcg.mdp, alpha=0.5, cfg=cfg)
         assert np.max(np.abs(q_baseline.values[:, 0, :] - q_plain.values)) < 0.1
 

@@ -136,13 +136,13 @@ def _reference_rows(joint: np.ndarray, fallback: Dist) -> list:
 
 def _reference_posterior(b: Dist, rows: list, executed: int, noise_p: float) -> np.ndarray:
     """Bayes update with the likelihood gathered row by row into a list; a
-    wiped-out belief resets to uniform."""
+    belief whose update totals exactly 0 resets to uniform."""
     likelihood = np.array(
         [(1.0 - noise_p) * row[executed] + noise_p / len(row) for row in rows]
     )
     weights = b.probs * likelihood
     total = float(weights.sum())
-    if total < coding.WIPEOUT_EPS:
+    if total == 0.0:
         return np.full(len(rows), 1.0 / len(rows))
     return weights / total
 
@@ -635,6 +635,21 @@ class TestWipeoutWarnings:
         assert sum("wiped out" in r.message for r in caplog.records) == 3
         assert all(b.blocks[0].probs.tolist() == [0.5, 0.5] for b in trace)
         assert decoded == 0
+
+    def test_tiny_legitimate_actions_do_not_wipe_the_belief_out(self, caplog):
+        # At beta = 32, 58 policy entries lie below 1e-12. The exact walk
+        # follows those actions, and an update whose total is such a tiny
+        # mass is still a proper posterior, not a desync.
+        mcg = build_codegrid(8)
+        q = exact_soft_vi(mcg.mdp, alpha=1 / 32)
+        live = [s for s in range(mcg.mdp.n_states) if not mcg.mdp.is_terminal(s)]
+        probs = np.concatenate([softmax_policy(q, s).probs for s in live])
+        assert probs[probs > 0.0].min() < 1e-12
+        with caplog.at_level(logging.WARNING, logger="trajcomm.coding"):
+            coded_return, accuracy = exact_coded_value(q, mcg)
+        assert not any("wiped out" in r.message for r in caplog.records)
+        assert coded_return == pytest.approx(1.0, abs=1e-9)
+        assert accuracy == pytest.approx(1.0, abs=1e-9)
 
 
 class TestNoisyChannel:

@@ -240,10 +240,9 @@ class TestTrainSoftQReference:
         "mdp, alpha",
         [
             (stochastic_mdp(), 0.5),
-            (self_loop_mdp(), 0.5),
             (build_channel_chain(6, 3), 0.2),
         ],
-        ids=["stochastic", "self-loop", "chain-6x3"],
+        ids=["stochastic", "chain-6x3"],
     )
     def test_values_match_per_step_loop_bytes(self, mdp, alpha):
         cfg = TrainConfig(episodes=2000, learning_rate=0.1, seed=4)
@@ -375,6 +374,10 @@ class TestHorizonContract:
         # The same MDP as test_baseline's self_loop_game: states 0 and 1 can stay put.
         with pytest.raises(ValueError, match="horizon bound"):
             exact_soft_vi(self_loop_mdp(), 0.5)
+
+    def test_train_soft_q_rejects_a_cycle(self):
+        with pytest.raises(ValueError, match="horizon bound"):
+            train_soft_q(self_loop_mdp(), 0.5, TrainConfig(episodes=10))
 
     def test_horizon_one_short_of_the_chain_raises(self):
         chain = build_channel_chain(5, 2)
