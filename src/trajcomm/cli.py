@@ -15,7 +15,7 @@ import sys
 
 import numpy as np
 
-from .coding import receiver_decode, sender_episode
+from .coding import check_mixture, receiver_decode, sender_episode
 from .dist import coupling_entropies
 from .envs import GAMES, build_env, image_to_message, message_to_image
 from .formats import (
@@ -150,6 +150,7 @@ def _cmd_mec(args) -> int:
     p = load_dist(args.p)
     q = load_dist(args.q)
     coupling = greedy_mec(p, q)
+    check_mixture(coupling, p, q)
     for mass, r, c in coupling.entries:
         print(f"{mass:.9g} {r} {c}")
     e = coupling_entropies(coupling)

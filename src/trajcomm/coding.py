@@ -19,10 +19,12 @@ does not rule the true message out.
 
 The coupling is the decision rule. It stores one row per message in the
 belief's support, so after a few steps a block of thousands of messages is
-coupled, checked and updated through a table of a few rows. Message ``m``
-acts by its stored row divided by the row's total, and the receiver reads
-its likelihoods off one column; a message outside the support acts by the
-policy, and no per-message distribution is built. The posterior is
+coupled, checked and updated through a table of a few rows. ``greedy_mec``
+builds each coupling without checks, and the coder validates it once, where
+it uses it, against its own belief and policy (``check_mixture``). Message
+``m`` acts by its stored row divided by the row's total, and the receiver
+reads its likelihoods off one column; a message outside the support acts by
+the policy, and no per-message distribution is built. The posterior is
 scattered back into a vector over the whole block before it is normalized,
 so its bytes are those of a dense update.
 
@@ -46,6 +48,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import logging
+from itertools import chain
 
 import numpy as np
 
@@ -65,6 +68,11 @@ logger = logging.getLogger(__name__)
 # with one Python step, and fills a dense k x |A| table. The uniform prior
 # has k = N, and every posterior is a vector of all N.
 MAX_EXPLICIT_MESSAGES = 4096
+
+# A block of fewer messages than this is updated on Python floats. numpy sums
+# a vector of fewer than 8 entries one at a time, in order, and pairwise from
+# 8 on, so only below 8 does a Python left fold give its bytes.
+_PY_BLOCK_BELOW = 8
 
 
 @dataclasses.dataclass(eq=False)
@@ -94,26 +102,41 @@ def action_row(coupling: SparseCoupling, m: int, policy: Dist) -> np.ndarray:
 
 
 def check_mixture(coupling: SparseCoupling, b: Dist, policy: Dist) -> None:
-    """Assert that the coupling has the belief and the policy as marginals.
+    """Assert that a coupling is a joint distribution of the belief and the policy.
 
     The coupling must have one row per message of ``b`` and one column per
-    action of ``policy``; its column sums must equal the policy, and its row
-    totals the belief, with 0 for a row it leaves out, to within 1e-9 per
-    entry. Then the belief-weighted mixture of the rows is the policy. A
-    violation means sender and receiver would drift apart, so it raises
-    immediately.
+    action of ``policy``; every cell must be non-negative and finite, and
+    the total within ``SUM_ATOL`` of 1; each column sum must be within
+    ``SUM_ATOL`` of the policy, and each row total within ``SUM_ATOL`` of
+    the belief, with 0 for a row it leaves out. Then the belief-weighted
+    mixture of the rows is the policy. Every comparison is written so that
+    NaN fails it. A violation means sender and receiver would drift apart,
+    so it raises ``RuntimeError`` at once.
+
+    This is the one validation of a coupling ``greedy_mec`` builds; the rest
+    of what ``SparseCoupling``'s public constructor checks holds by
+    construction there (see ``greedy_mec``).
     """
     rows, joint = coupling.rows, coupling.joint
     shape, want = (coupling.n_rows, joint.shape[1]), (len(b.probs), len(policy.probs))
     if shape != want:
         raise RuntimeError(f"coupling shape {shape}, not {want}")
-    col_err = float(abs(joint.sum(axis=0) - policy.probs).max())
+    if not joint.min() >= 0.0:  # a NaN cell fails this too
+        raise RuntimeError("coupling masses must be non-negative and finite")
+    col_sums = joint.sum(axis=0)
+    # A +inf cell makes the total +inf.
+    total = float(col_sums.sum())
+    if not abs(total - 1.0) <= SUM_ATOL:
+        if not np.isfinite(joint).all():
+            raise RuntimeError("coupling masses must be non-negative and finite")
+        raise RuntimeError(f"coupling mass sums to {total!r}, not 1")
+    col_err = float(abs(col_sums - policy.probs).max())
     # The belief less the row marginal, row by row: a row left out keeps its
     # whole belief mass.
     drift = b.probs.copy()
     drift[rows] -= coupling.row_mass
     row_err = float(abs(drift).max())
-    if col_err > SUM_ATOL or row_err > SUM_ATOL:
+    if not (col_err <= SUM_ATOL and row_err <= SUM_ATOL):
         raise RuntimeError(
             f"coupling drifted from the policy by {col_err!r} "
             f"and from the belief by {row_err!r}"
@@ -137,20 +160,37 @@ def posterior_update(
     (possible only without noise, on a corrupted trajectory), the belief
     resets to uniform and the desync is logged rather than silently
     propagated.
+
+    A block of fewer than ``_PY_BLOCK_BELOW`` messages takes the same steps
+    on Python floats, in numpy's order, so its posterior has the same bytes
+    at less fixed cost; most decisions of a factored image are 2 x 2.
     """
     rows, joint, row_mass = coupling.rows, coupling.joint, coupling.row_mass
-    intended = np.full(coupling.n_rows, policy.probs[executed])
-    intended[rows] = np.divide(
-        joint[:, executed], row_mass, out=intended[rows], where=row_mass > 0.0
-    )
-    weights = b.probs * noisy_likelihood(intended, noise_p, coupling.n_cols)
-    total = float(weights.sum())
+    if coupling.n_rows < _PY_BLOCK_BELOW:
+        intended = [policy.probs.item(executed)] * coupling.n_rows
+        for r, cell, mass in zip(rows.tolist(), joint[:, executed].tolist(), row_mass.tolist()):
+            if mass > 0.0:
+                intended[r] = cell / mass
+        weights = [
+            p * noisy_likelihood(x, noise_p, coupling.n_cols)
+            for p, x in zip(b.probs.tolist(), intended)
+        ]
+        total = 0.0
+        for w in weights:  # not sum(), which compensates from Python 3.12 on
+            total += w
+    else:
+        intended = np.full(coupling.n_rows, policy.probs[executed])
+        intended[rows] = np.divide(
+            joint[:, executed], row_mass, out=intended[rows], where=row_mass > 0.0
+        )
+        weights = b.probs * noisy_likelihood(intended, noise_p, coupling.n_cols)
+        total = float(weights.sum())
     if total == 0.0:
         logger.warning(
             "belief mass wiped out by action %d; resetting block to uniform", executed
         )
         return Dist.uniform(len(b))
-    return Dist(weights / total)
+    return Dist(np.divide(weights, total))
 
 
 class _Replay:
@@ -289,17 +329,49 @@ def receiver_decode(
 
 
 def _validate_view(mcg: McgSpec, z: ObservedTrajectory) -> None:
+    """Raise ``ValueError`` on the first fault of a view the MDP cannot give.
+
+    The view must start at the initial state; then, step by step, no step
+    may leave a terminal state, each executed action must be in range, and
+    the next state must be a stored successor with positive probability;
+    last, the final state must be terminal. All steps are checked at once
+    on the MDP's arrays, and the first faulty step is reported, its first
+    fault in that order.
+    """
     mdp = mcg.mdp
-    states = [s for s, _ in z.steps] + [z.final_state]
+    steps = (*z.steps, (z.final_state, 0))  # one row per step, then the final state
+    try:
+        view = np.fromiter(chain.from_iterable(steps), dtype=np.int64).reshape(-1, 2)
+    except OverflowError:  # an index past 64 bits is out of range like any other
+        view = np.clip(np.array(steps, dtype=object), -1, mdp.n_states + mdp.n_actions)
+        view = view.astype(np.int64)
+    states, actions = view[:, 0], view[:-1, 1]
     if states[0] != mdp.initial_state:
         raise ValueError("trajectory does not start at the MDP's initial state")
-    for (s, a), nxt in zip(z.steps, states[1:]):
-        if mdp.is_terminal(s):
+    # Indices out of range are read modulo the range. A state out of range
+    # is no stored successor, so the step into it is reported before the
+    # step that reads it; an action out of range is reported before its
+    # transition.
+    source = states[:-1] % mdp.n_states
+    from_terminal = mdp.terminal_mask[source]
+    bad_action = (actions < 0) | (actions >= mdp.n_actions)
+    rows = source * mdp.n_actions + actions % mdp.n_actions
+    # The stored entries of each step's row, one after another.
+    lo = mdp.row_offsets[rows]
+    count = mdp.row_offsets[rows + 1] - lo
+    owner = np.repeat(np.arange(len(rows)), count)
+    entry = np.arange(len(owner)) + np.repeat(lo - (np.cumsum(count) - count), count)
+    hit = (mdp.next_state[entry] == states[1:][owner]) & (mdp.prob[entry] > 0.0)
+    impossible = np.bincount(owner[hit], minlength=len(rows)) == 0
+    faults = (from_terminal | bad_action | impossible).nonzero()[0]
+    if len(faults):
+        i = int(faults[0])
+        (s, a), nxt = steps[i], steps[i + 1][0]
+        if from_terminal[i]:
             raise ValueError(f"trajectory steps from terminal state {s}")
-        if not (0 <= a < mdp.n_actions):
+        if bad_action[i]:
             raise ValueError(f"executed action {a} out of range")
-        if all(t != nxt or p == 0.0 for t, p in mdp.successors(s, a)):
-            raise ValueError(f"transition {s} -[{a}]-> {nxt} impossible under the MDP")
+        raise ValueError(f"transition {s} -[{a}]-> {nxt} impossible under the MDP")
     if not mdp.is_terminal(z.final_state):
         raise ValueError("trajectory does not end in a terminal state")
 

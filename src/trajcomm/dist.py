@@ -71,7 +71,9 @@ def entropy(d: Dist) -> float:
     cached = getattr(d, "_entropy_bits", None)
     if cached is None:
         p = d.probs[d.probs > 0.0]
-        cached = float(max(0.0, -np.sum(p * np.log2(p))))
+        # The method is np.sum's reduction without its dispatch, which costs
+        # more than the sum on the coder's 2-entry blocks.
+        cached = float(max(0.0, -(p * np.log2(p)).sum()))
         object.__setattr__(d, "_entropy_bits", cached)
     return cached
 
@@ -121,7 +123,10 @@ class SparseCoupling:
     of thousands gives a table of a few rows. ``joint`` is a table of at least 1x1 with
     non-negative finite masses that sum to 1 within ``SUM_ATOL``; it and
     ``rows`` are copied and marked read-only at construction, as ``Dist``
-    does.
+    does. The public constructor is for tables built by hand, and checks all
+    of this; ``greedy_mec`` hands over the table it has just built through
+    ``_owning``, which neither copies nor checks, and its user validates
+    the coupling once, against its marginals (``coding.check_mixture``).
 
     ``entries`` derives the ``(mass, row, col)`` triples of the positive
     cells in row-major order, with global row indices. Both marginals add
@@ -166,6 +171,21 @@ class SparseCoupling:
         row_mass = _running_total(joint, axis=1)
         row_mass.setflags(write=False)
         object.__setattr__(self, "row_mass", row_mass)
+
+    @classmethod
+    def _owning(cls, joint: np.ndarray, rows: np.ndarray, n_rows: int) -> "SparseCoupling":
+        """A coupling that takes ``joint`` and ``rows`` as they are, unchecked.
+
+        The caller gives up both arrays, which are marked read-only, and
+        answers for what the public constructor would check.
+        """
+        coupling = object.__new__(cls)
+        row_mass = _running_total(joint, axis=1)
+        for name, value in (("joint", joint), ("rows", rows), ("row_mass", row_mass)):
+            value.setflags(write=False)
+            object.__setattr__(coupling, name, value)
+        object.__setattr__(coupling, "n_rows", n_rows)
+        return coupling
 
     @property
     def n_cols(self) -> int:

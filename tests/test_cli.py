@@ -100,6 +100,19 @@ def test_mec_prints_the_coupling_and_its_entropy(tmp_path, capsys):
     assert "joint_bits 1.5" in lines
 
 
+def test_mec_checks_the_coupling_against_its_inputs(tmp_path, monkeypatch):
+    from trajcomm import cli
+    from trajcomm.dist import Dist
+
+    p, q = tmp_path / "p.txt", tmp_path / "q.txt"
+    p.write_text("0.5\n0.5\n")
+    q.write_text("0.5\n0.5\n")
+    original = cli.greedy_mec
+    monkeypatch.setattr(cli, "greedy_mec", lambda a, b: original(a, Dist.point_mass(0, len(b))))
+    with pytest.raises(RuntimeError, match="drifted from the policy"):
+        main(["mec", "--p", str(p), "--q", str(q)])
+
+
 def test_receive_writes_the_belief_entropy_trace(tmp_path):
     spec, qtable = _codegrid_8(tmp_path)
     traj, decoded, csv = tmp_path / "z.txt", tmp_path / "m.txt", tmp_path / "h.csv"

@@ -29,6 +29,7 @@ from trajcomm.envs import (
 from trajcomm.maxent import QTable, exact_soft_vi, softmax_policy
 from trajcomm.mcg import Belief, McgSpec, MessageSpace, sample_message
 from trajcomm.mdp import (
+    MdpSpec,
     ObservedTrajectory,
     Step,
     Trajectory,
@@ -197,6 +198,46 @@ class TestReferenceEquivalence:
             self._assert_matches(c, Dist.uniform(1024), a)
 
 
+class TestSmallBlockPosterior:
+    """Blocks of fewer than 8 messages are updated on Python floats; their
+    posteriors keep the bytes of the array update, on both sides of 8."""
+
+    def test_bytes_match_the_reference_across_the_crossover(self):
+        rng = np.random.default_rng(33)
+        seen = {"zero-mass row": 0, "left-out row": 0}
+        for n_rows in range(1, 10):
+            for _ in range(40):
+                c = _random_coupling(rng, n_rows, int(rng.integers(1, 5)))
+                seen["zero-mass row"] += n_rows < 8 and (c.row_mass == 0.0).any()
+                seen["left-out row"] += n_rows < 8 and len(c.rows) < n_rows
+                policy = c.col_marginal()
+                ref = _reference_rows(_dense(c), policy)
+                for b in (c.row_marginal(), Dist.uniform(n_rows)):
+                    for a in np.flatnonzero(policy.probs).tolist():
+                        for noise_p in (0.0, 0.05, 0.2):
+                            post = posterior_update(b, c, policy, a, noise_p).probs
+                            want = _reference_posterior(b, ref, a, noise_p)
+                            assert post.tobytes() == want.tobytes()
+        assert min(seen.values()) > 0
+
+    @pytest.mark.parametrize("n_rows", [3, 9])
+    def test_a_total_of_zero_warns_and_resets(self, n_rows, caplog):
+        # Both live messages intend action 0; the message the coupling
+        # leaves out has no belief mass. Action 1 has likelihood 0 under all.
+        c = SparseCoupling([[0.5, 0.0], [0.5, 0.0]], rows=[0, n_rows - 1], n_rows=n_rows)
+        b = Dist(np.r_[0.5, np.zeros(n_rows - 2), 0.5])
+        with caplog.at_level(logging.WARNING, logger="trajcomm.coding"):
+            post = posterior_update(b, c, Dist([1.0, 0.0]), 1)
+        assert "wiped out" in caplog.text
+        assert post.probs.tobytes() == Dist.uniform(n_rows).probs.tobytes()
+
+
+def _unchecked(joint) -> SparseCoupling:
+    """A coupling of a table that the public constructor would refuse."""
+    joint = np.array(joint, dtype=np.float64)
+    return SparseCoupling._owning(joint, np.arange(len(joint)), len(joint))
+
+
 class TestCheckMixture:
     def test_coupled_rule_passes(self):
         b, policy = Dist([0.25, 0.25, 0.5]), Dist([0.5, 0.3, 0.2])
@@ -237,6 +278,25 @@ class TestCheckMixture:
             check_mixture(c, Dist([0.5, 0.5]), Dist([0.5, 0.5]))
 
     @pytest.mark.parametrize(
+        "joint, message",
+        [
+            pytest.param([[np.nan, 0.25], [0.25, 0.25]], "non-negative and finite", id="nan"),
+            pytest.param([[np.inf, 0.25], [0.25, 0.25]], "non-negative and finite", id="inf"),
+            pytest.param([[0.75, -0.25], [-0.25, 0.75]], "non-negative and finite", id="negative"),
+            pytest.param([[0.25 + 2e-9, 0.25 - 2e-9], [0.25, 0.25]], "drifted", id="column"),
+            pytest.param([[0.25 + 2e-9, 0.25], [0.25 - 2e-9, 0.25]], "drifted", id="row"),
+            # Each column and each row is 8e-10 over, within tolerance; the
+            # total is 1.6e-9 over.
+            pytest.param([[0.5 + 8e-10, 0.0], [0.0, 0.5 + 8e-10]], "sums to", id="total"),
+        ],
+    )
+    def test_corrupted_couplings_raise(self, joint, message):
+        b, policy = Dist([0.5, 0.5]), Dist([0.5, 0.5])
+        check_mixture(_unchecked([[0.25, 0.25], [0.25, 0.25]]), b, policy)
+        with pytest.raises(RuntimeError, match=message):
+            check_mixture(_unchecked(joint), b, policy)
+
+    @pytest.mark.parametrize(
         "b, policy",
         [
             pytest.param(Dist([1.0]), Dist([0.5, 0.5]), id="extra-action"),
@@ -247,6 +307,22 @@ class TestCheckMixture:
         c = SparseCoupling([[1.0]])
         with pytest.raises(RuntimeError, match="shape"):
             check_mixture(c, b, policy)
+
+    def test_the_coder_checks_each_coupling_against_its_own_marginals(self, monkeypatch):
+        mcg = build_toy_mcg(priority=0.0)
+        q = exact_soft_vi(mcg.mdp, alpha=1.0)
+        z = sender_episode(q, mcg, 0, np.random.default_rng(0)).trajectory.receiver_view()
+        original = coding.greedy_mec
+
+        # A valid coupling of the belief with a point mass, not with the policy.
+        def skewed(p, policy):
+            return original(p, Dist.point_mass(0, len(policy)))
+
+        monkeypatch.setattr(coding, "greedy_mec", skewed)
+        with pytest.raises(RuntimeError, match="drifted from the policy"):
+            sender_episode(q, mcg, 0, np.random.default_rng(0))
+        with pytest.raises(RuntimeError, match="drifted from the policy"):
+            receiver_decode(q, mcg, z)
 
 
 class TestPosteriorUpdate:
@@ -384,14 +460,111 @@ class TestReceiverDecode:
         mcg = build_toy_mcg(priority=0.0)
         q = exact_soft_vi(mcg.mdp, alpha=1.0)
         bad = ObservedTrajectory(steps=((1, 0),), final_state=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="does not start at"):
             receiver_decode(q, mcg, bad)
         bad_action = ObservedTrajectory(steps=((0, 9),), final_state=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^executed action 9 out of range$"):
             receiver_decode(q, mcg, bad_action)
         not_terminal = ObservedTrajectory(steps=(), final_state=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="does not end in a terminal state"):
             receiver_decode(q, mcg, not_terminal)
+
+
+def _forked_game() -> McgSpec:
+    """Four states, two actions. From state 0, action 0 forks to state 1 or
+    2 at 1/2 each, and action 1 goes to state 1, with a stored entry of
+    probability 0 to state 2. States 1 and 2 step to terminal state 3."""
+    mdp = MdpSpec(
+        n_states=4,
+        n_actions=2,
+        row_offsets=[0, 2, 4, 5, 6, 7, 8, 8, 8],
+        next_state=[1, 2, 1, 2, 3, 3, 3, 3],
+        prob=[0.5, 0.5, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0],
+        rewards=np.zeros((4, 2)),
+        initial_state=0,
+        terminal_states=frozenset({3}),
+        horizon_bound=2,
+    )
+    return chain_mcg(mdp, MessageSpace.explicit(2))
+
+
+class TestValidateView:
+    """The receiver names the first fault of a view it cannot have seen."""
+
+    @pytest.fixture(scope="class")
+    def game(self):
+        mcg = _forked_game()
+        return exact_soft_vi(mcg.mdp, alpha=1.0), mcg
+
+    def _raises(self, game, steps, final_state, message):
+        q, mcg = game
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            receiver_decode(q, mcg, ObservedTrajectory(steps=steps, final_state=final_state))
+
+    def test_every_branch_decodes(self, game):
+        q, mcg = game
+        for steps in (((0, 0), (1, 1)), ((0, 0), (2, 0)), ((0, 1), (1, 0))):
+            receiver_decode(q, mcg, ObservedTrajectory(steps=steps, final_state=3))
+
+    @pytest.mark.parametrize(
+        "steps, final_state",
+        [((), 3), ((), 1), (((1, 0),), 3), (((3, 0),), 3)],
+    )
+    def test_wrong_start_state(self, game, steps, final_state):
+        self._raises(game, steps, final_state, "trajectory does not start at the MDP's initial state")
+
+    def test_step_from_a_terminal_state(self, game):
+        self._raises(
+            game, ((0, 0), (1, 0), (3, 1)), 3, r"trajectory steps from terminal state 3"
+        )
+
+    @pytest.mark.parametrize("action", [2, -1, 2**70])
+    def test_action_out_of_range(self, game, action):
+        self._raises(game, ((0, 0), (1, action)), 3, rf"executed action {action} out of range")
+
+    @pytest.mark.parametrize(
+        "steps, final_state, transition",
+        [
+            pytest.param(((0, 1), (2, 0)), 3, r"0 -\[1\]-> 2", id="stored-with-probability-0"),
+            pytest.param(((0, 0), (1, 0)), 2, r"1 -\[0\]-> 2", id="not-stored"),
+            pytest.param(((0, 0), (1, 1)), 0, r"1 -\[1\]-> 0", id="back-to-the-start"),
+            pytest.param(((0, 0), (9, 0)), 3, r"0 -\[0\]-> 9", id="to-a-state-past-the-last"),
+            pytest.param(((0, 0), (-1, 0)), 3, r"0 -\[0\]-> -1", id="to-a-negative-state"),
+            pytest.param(((0, 0),), 2**70, rf"0 -\[0\]-> {2**70}", id="to-a-huge-state"),
+        ],
+    )
+    def test_impossible_transition(self, game, steps, final_state, transition):
+        self._raises(
+            game, steps, final_state, rf"transition {transition} impossible under the MDP"
+        )
+
+    @pytest.mark.parametrize("steps, final_state", [(((0, 0),), 1), (((0, 1),), 1), ((), 0)])
+    def test_final_state_not_terminal(self, game, steps, final_state):
+        self._raises(game, steps, final_state, "trajectory does not end in a terminal state")
+
+    @pytest.mark.parametrize(
+        "steps, final_state, message",
+        [
+            pytest.param(
+                ((0, 1), (2, 5), (3, 0)), 1, r"transition 0 -\[1\]-> 2 impossible under the MDP",
+                id="impossible-then-action-then-terminal",
+            ),
+            pytest.param(
+                ((0, 0), (2, 5), (7, 0)), 1, r"executed action 5 out of range",
+                id="action-before-its-impossible-transition",
+            ),
+            pytest.param(
+                ((0, 0), (1, 0), (3, 9), (3, 0)), 1, r"trajectory steps from terminal state 3",
+                id="terminal-before-its-action",
+            ),
+            pytest.param(
+                ((1, 9), (3, 0)), 1, r"trajectory does not start at the MDP's initial state",
+                id="start-before-every-step",
+            ),
+        ],
+    )
+    def test_the_first_fault_is_reported(self, game, steps, final_state, message):
+        self._raises(game, steps, final_state, message)
 
 
 def _reference_active_block(belief: Belief) -> int:
