@@ -41,6 +41,18 @@ class Dist:
         arr.setflags(write=False)
         object.__setattr__(self, "probs", arr)
 
+    @classmethod
+    def _owning(cls, probs: np.ndarray) -> "Dist":
+        """A distribution that takes ``probs`` as it is, unchecked.
+
+        The caller gives up the vector, which is marked read-only, and
+        answers for what the public constructor would check.
+        """
+        d = object.__new__(cls)
+        probs.setflags(write=False)
+        object.__setattr__(d, "probs", probs)
+        return d
+
     def __len__(self) -> int:
         return int(self.probs.size)
 

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dist import Dist, entropy, entropy_nats, sample_index
+from .dist import SUM_ATOL, Dist, entropy, entropy_nats, sample_index
 from .mdp import MdpSpec, heights, state_occupancy, step
 
 MAX_EXACT_ENTRIES = 10**6
@@ -40,8 +40,12 @@ class QTable:
             raise ValueError("temperature must be positive")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        # softmax_policy's per-state cache.
+        # softmax_policy's per-state cache, and the whole table's softmax
+        # with each row's verdict under Dist's checks, built on the first
+        # call: a table that is planned but never asked for a policy does
+        # not pay for it.
         object.__setattr__(self, "_policy_rows", {})
+        object.__setattr__(self, "_policy_batch", None)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -77,12 +81,32 @@ def softmax_policy(q: QTable, s: int) -> Dist:
     """Boltzmann policy pi(a|s) proportional to exp(Q(s,a)/alpha).
 
     Cached per state on the (immutable) Q table: sender and receiver ask for
-    the same rows at every decision, so each row is built and validated once.
+    the same rows at every decision, so each row is built once. The first
+    call softmaxes the whole table in one batch and checks every row at
+    once with ``Dist``'s two tests; a row that passes is handed out as a
+    read-only view of the batch, bytes equal to its own ``softmax_parts``.
+    A row that fails is rebuilt alone as a ``Dist``, which raises its error
+    (and numpy its warning) only when that state is asked for.
     """
     d = q._policy_rows.get(s)
     if d is None:
-        d = q._policy_rows[s] = Dist(softmax_parts(q.values[s], q.alpha)[0])
+        probs, valid = q._policy_batch or _policy_batch(q)
+        if valid[s]:
+            d = Dist._owning(probs[s])
+        else:
+            d = Dist(softmax_parts(q.values[s], q.alpha)[0])
+        q._policy_rows[s] = d
     return d
+
+
+def _policy_batch(q: QTable) -> tuple[np.ndarray, np.ndarray]:
+    """Every row's softmax, and whether each passes ``Dist``'s two tests; kept on ``q``."""
+    with np.errstate(all="ignore"):
+        probs = softmax_parts(q.values, q.alpha)[0]
+        valid = (probs.min(axis=1) >= 0.0) & (np.abs(probs.sum(axis=1) - 1.0) <= SUM_ATOL)
+    probs.setflags(write=False)
+    object.__setattr__(q, "_policy_batch", (probs, valid))
+    return probs, valid
 
 
 def exact_soft_vi(mdp: MdpSpec, alpha: float) -> QTable:
@@ -93,12 +117,13 @@ def exact_soft_vi(mdp: MdpSpec, alpha: float) -> QTable:
     entropy-regularized objective.
 
     A state's height is the longest path from it to a terminal over every
-    stored transition entry, zero-probability ones included. The live
-    states are ordered by height, and each layer of equal height gets its
-    final V from the layers below it: ``bincount`` of
-    ``prob * V[next_state]`` over the layer's rows gives E[V(s')], then a
-    log-sum-exp per state gives V. Q is then built from the final V over
-    every row at once.
+    stored transition entry, zero-probability ones included; ``heights``
+    finds them all in one pass in topological order, in time linear in
+    states plus entries. The live states are ordered by height, and each
+    layer of equal height gets its final V from the layers below it:
+    ``bincount`` of ``prob * V[next_state]`` over the layer's rows gives
+    E[V(s')], then a log-sum-exp per state gives V. Q is then built from the
+    final V over every row at once.
 
     This is exactly what ``horizon_bound`` Jacobi sweeps from V = 0 give:
     after k sweeps, a state's V is final once its height is at most k, and

@@ -1,5 +1,6 @@
 """Sampled and enumerated trajectories of small games, the oracles the exact
-evaluators and the coder are measured against in the tests."""
+evaluators and the coder are measured against in the tests, and the
+round-by-round height iteration ``mdp.heights`` is measured against."""
 
 from __future__ import annotations
 
@@ -20,6 +21,36 @@ from trajcomm.mdp import (
 )
 
 ENUMERATION_LIMIT = 10**6
+
+
+def heights_by_rounds(mdp: MdpSpec) -> np.ndarray:
+    """Reference for ``mdp.heights``: the same heights and the same error.
+
+    Iterates h(s) = 1 + max of h over s's entries from h = 0, on all live
+    states at once: each live state's entries are contiguous, so one
+    ``maximum.reduceat`` takes every max. After k rounds h is the height
+    capped at k, so h is final after the first round k whose max is below
+    k; if round ``horizon_bound + 1`` is not, some height exceeds the bound.
+    """
+    live = np.flatnonzero(~mdp.terminal_mask)
+    n_live = len(live)
+    if not n_live:
+        return np.zeros(0, dtype=np.int64)
+    position = np.full(mdp.n_states, n_live)  # terminals read the last slot, 0
+    position[live] = np.arange(n_live)
+    nxt = position[mdp.next_state]
+    starts = mdp.row_offsets[live * mdp.n_actions]
+    h = np.zeros(n_live + 1, dtype=np.int64)
+    top = np.empty(n_live, dtype=np.int64)
+    for k in range(1, mdp.horizon_bound + 2):
+        np.maximum.reduceat(h[nxt], starts, out=top)
+        np.add(top, 1, out=h[:n_live])
+        if top.max() < k - 1:  # top is h - 1
+            return h[:n_live]
+    raise ValueError(
+        f"the MDP breaks its horizon bound: a state is more than {mdp.horizon_bound} "
+        "steps from a terminal, or on a cycle"
+    )
 
 
 def rollout(

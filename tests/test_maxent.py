@@ -51,22 +51,48 @@ def stochastic_mdp():
     )
 
 
+def random_qtable(alpha, n_states=300, n_actions=12, seed=3):
+    values = np.random.default_rng(seed).normal(scale=5.0, size=(n_states, n_actions))
+    return QTable(values=values, alpha=alpha)
+
+
+POLICY_TABLES = [
+    ("toy", lambda: exact_soft_vi(build_toy_mcg(priority=0.0).mdp, 1.0)),
+    ("codegrid-1024-beta7", lambda: exact_soft_vi(build_codegrid(1024).mdp, 1.0 / 7.0)),
+    ("chain-200x2", lambda: exact_soft_vi(build_channel_chain(200, 2), 1.0)),
+    # Nine actions: each row's sums run past numpy's eight-entry pairwise block.
+    ("branching-dag", lambda: exact_soft_vi(branching_dag_mdp(), 0.8)),
+    ("random-300x12-a1", lambda: random_qtable(1.0)),
+    ("random-300x12-a1/7", lambda: random_qtable(1.0 / 7.0)),
+    ("random-300x12-a0.01", lambda: random_qtable(0.01)),
+]
+
+
 class TestSoftmaxPolicy:
     @pytest.mark.parametrize(
-        "mdp, alpha",
-        [
-            (build_toy_mcg(priority=0.0).mdp, 1.0),
-            (build_codegrid(1024).mdp, 1.0 / 7.0),
-            (build_channel_chain(200, 2), 1.0),
-        ],
-        ids=["toy", "codegrid-1024-beta7", "chain-200x2"],
+        "build", [c[1] for c in POLICY_TABLES], ids=[c[0] for c in POLICY_TABLES]
     )
-    def test_cached_rows_are_softmax_bytes(self, mdp, alpha):
-        q = exact_soft_vi(mdp, alpha)
-        for s in range(mdp.n_states):
+    def test_cached_rows_are_softmax_bytes(self, build):
+        q = build()
+        for s in range(q.values.shape[0]):
             pol = softmax_policy(q, s)
             assert pol.probs.tobytes() == softmax_parts(q.values[s], q.alpha)[0].tobytes()
+            assert not pol.probs.flags.writeable
             assert softmax_policy(q, s) is pol
+
+    def test_overflowing_row_fails_alone_when_asked_for(self):
+        values = np.random.default_rng(5).normal(size=(6, 3)) * 1e-10
+        values[2, 1] = 1e300  # 1e300 / 1e-10 overflows to inf
+        q = QTable(values=values, alpha=1e-10)
+        for s in (0, 1, 3, 4, 5):
+            pol = softmax_policy(q, s)
+            assert pol.probs.tobytes() == softmax_parts(q.values[s], q.alpha)[0].tobytes()
+        with pytest.warns(RuntimeWarning) as expected, pytest.raises(ValueError) as error:
+            Dist(softmax_parts(q.values[2], q.alpha)[0])
+        with pytest.warns(RuntimeWarning) as got, pytest.raises(ValueError) as got_error:
+            softmax_policy(q, 2)
+        assert str(got_error.value) == str(error.value) == "distribution entries must be finite"
+        assert [str(w.message) for w in got] == [str(w.message) for w in expected]
 
     def test_reference_row(self):
         pol = softmax_policy(toy_qtable(), 0)

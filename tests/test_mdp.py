@@ -1,12 +1,19 @@
 """MDP stepping, noise, trajectory enumeration, and game-payoff tests."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from trajcomm.dist import Dist
-from trajcomm.envs import build_channel_chain, build_toy_mcg
+from trajcomm.envs import (
+    build_chain_mcg,
+    build_channel_chain,
+    build_codegrid,
+    build_coding_mcg,
+    build_toy_mcg,
+)
 from trajcomm.maxent import exact_soft_vi, softmax_policy
 from trajcomm.mcg import (
     Belief,
@@ -21,11 +28,19 @@ from trajcomm.mdp import (
     Trajectory,
     apply_actuator_noise,
     exact_policy_return,
+    heights,
     step,
     trajectory_return,
 )
 
-from mdp_oracle import enumerate_trajectories, rollout
+from mdp_oracle import enumerate_trajectories, heights_by_rounds, rollout
+from test_maxent import (
+    branching_dag_mdp,
+    fan_mdp,
+    layered_stochastic_mdp,
+    self_loop_mdp,
+    skip_chain_mdp,
+)
 
 TOY_SOFTMAX = (0.7213991842739685, 0.26538792877224193, 0.013212886953789414)
 
@@ -173,6 +188,124 @@ class TestRollout:
     def test_episode_of_exactly_horizon_bound_steps(self):
         z = rollout(two_step_chain(), lambda s: Dist.uniform(1), np.random.default_rng(0))
         assert len(z.steps) == 2 and z.final_state == 2
+
+
+def random_dag_mdp(seed):
+    """A random DAG MDP: states lead only to states later in a random order,
+    rows draw their successors with replacement (so some repeat) and zero
+    some probabilities, the last one to three states in the order are
+    terminal, and the initial state is not the first, so at least that live
+    state cannot be reached."""
+    rng = np.random.default_rng(seed)
+    n_states = int(rng.integers(5, 40))
+    n_actions = int(rng.integers(1, 5))
+    n_live = n_states - int(rng.integers(1, 4))
+    order = rng.permutation(n_states)
+    rank = np.argsort(order)
+    offsets, next_state, prob = [0], [], []
+    for s in range(n_states):
+        for _ in range(n_actions):
+            if rank[s] < n_live:
+                k = int(rng.integers(1, 5))
+                targets = rng.choice(order[rank[s] + 1 :], k)
+                p = rng.dirichlet(np.ones(k))
+                p[rng.random(k) < 0.3] = 0.0
+                p = p / p.sum() if p.sum() > 0.0 else np.eye(k)[0]
+                next_state.extend(targets.tolist())
+                prob.extend(p.tolist())
+            offsets.append(len(next_state))
+    return MdpSpec(
+        n_states=n_states,
+        n_actions=n_actions,
+        row_offsets=offsets,
+        next_state=next_state,
+        prob=prob,
+        rewards=np.zeros((n_states, n_actions)),
+        initial_state=int(order[rng.integers(1, n_live)]),
+        terminal_states=frozenset(order[n_live:].tolist()),
+        horizon_bound=n_states,
+    )
+
+
+def unreachable_cycle_mdp():
+    """State 0 moves straight to the terminal 4; only state 1, which nothing
+    leads to, enters the cycle 2 -> 3 -> 2, which state 3 leaves half the time."""
+    return MdpSpec(
+        n_states=5,
+        n_actions=1,
+        row_offsets=[0, 1, 2, 3, 5, 5],
+        next_state=[4, 2, 3, 2, 4],
+        prob=[1.0, 1.0, 1.0, 0.5, 0.5],
+        rewards=np.zeros((5, 1)),
+        initial_state=0,
+        terminal_states=frozenset({4}),
+        horizon_bound=10,
+    )
+
+
+HEIGHT_CASES = [
+    ("toy", lambda: build_toy_mcg().mdp),
+    ("codegrid", lambda: build_codegrid().mdp),
+    ("chain", lambda: build_chain_mcg().mdp),
+    ("coding", lambda: build_coding_mcg().mdp),
+    ("skip-chain", skip_chain_mdp),
+    ("branching-dag", branching_dag_mdp),
+    ("layered-stochastic", layered_stochastic_mdp),
+    ("fan", fan_mdp),
+]
+
+
+class TestHeights:
+    """The one-pass heights against the round-by-round oracle."""
+
+    @pytest.mark.parametrize(
+        "build", [c[1] for c in HEIGHT_CASES], ids=[c[0] for c in HEIGHT_CASES]
+    )
+    def test_builders_match_rounds(self, build):
+        mdp = build()
+        assert heights(mdp).tobytes() == heights_by_rounds(mdp).tobytes()
+
+    def test_random_dags_match_rounds(self):
+        for seed in range(50):
+            mdp = random_dag_mdp(seed)
+            expected = heights_by_rounds(mdp)
+            assert heights(mdp).tobytes() == expected.tobytes()
+            # A bound equal to the depth passes; one step short raises.
+            depth = int(expected.max())
+            tight = dataclasses.replace(mdp, horizon_bound=depth)
+            assert heights(tight).tobytes() == expected.tobytes()
+            if depth > 1:
+                short = dataclasses.replace(mdp, horizon_bound=depth - 1)
+                for fn in (heights, heights_by_rounds):
+                    with pytest.raises(ValueError, match="horizon bound"):
+                        fn(short)
+
+    def test_random_dags_cover_the_awkward_entries(self):
+        mdps = [random_dag_mdp(seed) for seed in range(50)]
+        assert sum(0.0 in mdp.prob for mdp in mdps) > 25
+        assert sum(len(mdp.terminal_states) > 1 for mdp in mdps) > 25
+        repeats = 0
+        for mdp in mdps:
+            rows = np.split(mdp.next_state, mdp.row_offsets[1:-1])
+            repeats += any(len(set(r.tolist())) < len(r) for r in rows)
+        assert repeats > 25
+
+    @pytest.mark.parametrize("fn", [heights, heights_by_rounds], ids=["kahn", "rounds"])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            self_loop_mdp,
+            unreachable_cycle_mdp,
+            lambda: dataclasses.replace(build_channel_chain(5, 2), horizon_bound=4),
+        ],
+        ids=["self-loop", "unreachable-2-cycle", "chain-one-step-short"],
+    )
+    def test_broken_contract_raises(self, fn, build):
+        with pytest.raises(ValueError, match="horizon bound"):
+            fn(build())
+
+    def test_bound_equal_to_the_depth_passes(self):
+        assert heights(build_channel_chain(5, 2)).tolist() == [5, 4, 3, 2, 1]
 
 
 class TestTrajectoryReturn:
