@@ -92,8 +92,8 @@ def _cmd_solve(args) -> int:
 def _cmd_train(args) -> int:
     alpha = _alpha(args.beta)
     mcg = load_mcg(args.spec)
-    cfg = TrainConfig(episodes=args.episodes, learning_rate=args.lr, seed=args.seed)
-    q = train_soft_q(mcg.mdp, alpha=alpha, cfg=cfg)
+    cfg = TrainConfig(episodes=args.episodes, learning_rate=args.lr)
+    q = train_soft_q(mcg.mdp, alpha, cfg, np.random.default_rng(args.seed))
     save_qtable(q, args.out)
     print(f"trained {args.episodes} episodes at beta={args.beta}; wrote {args.out}")
     return 0

@@ -19,12 +19,13 @@ does not rule the true message out.
 
 The coupling is the decision rule. It stores one row per message in the
 belief's support, so after a few steps a block of thousands of messages is
-coupled, checked and updated through a table of a few rows. ``greedy_mec``
-builds each coupling without checks, and the coder validates it once, where
-it uses it, against its own belief and policy (``check_mixture``). Message
-``m`` acts by its stored row divided by the row's total, and the receiver
-reads its likelihoods off one column; a message outside the support acts by
-the policy, and no per-message distribution is built. The posterior is
+coupled, checked and updated through a table of a few rows. Neither
+``greedy_mec`` nor ``SparseCoupling`` checks a coupling; the coder validates
+each one once, where it uses it, against its own belief and policy
+(``check_mixture``), the one check a coupling gets. Message ``m`` acts by
+its stored row divided by the row's total, and the receiver reads its
+likelihoods off one column; a message outside the support acts by the
+policy, and no per-message distribution is built. The posterior is
 scattered back into a vector over the whole block before it is normalized,
 so its bytes are those of a dense update.
 
@@ -113,9 +114,9 @@ def check_mixture(coupling: SparseCoupling, b: Dist, policy: Dist) -> None:
     NaN fails it. A violation means sender and receiver would drift apart,
     so it raises ``RuntimeError`` at once.
 
-    This is the one validation of a coupling ``greedy_mec`` builds; the rest
-    of what ``SparseCoupling``'s public constructor checks holds by
-    construction there (see ``greedy_mec``).
+    This is the one validation of a coupling: ``SparseCoupling`` checks
+    nothing, and what this leaves out, new arrays and rows ascending below
+    ``n_rows``, holds by construction in ``greedy_mec``.
     """
     rows, joint = coupling.rows, coupling.joint
     shape, want = (coupling.n_rows, joint.shape[1]), (len(b.probs), len(policy.probs))

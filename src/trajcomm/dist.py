@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 from bisect import bisect_right
 from itertools import accumulate
+from typing import NamedTuple
 
 import numpy as np
 
@@ -127,77 +128,38 @@ class SparseCoupling:
     """A joint distribution over (row, col) index pairs, stored by its rows.
 
     Only the rows that carry mass need be stored: ``rows`` holds their
-    global indices in ascending order, and ``joint[k, c]`` is the mass on
-    cell ``(rows[k], c)``. ``rows`` defaults to every row of ``joint``, and
-    ``n_rows``, the number of global rows, to the number of stored rows;
-    any row not in ``rows`` has no mass. The greedy coupling of a belief
-    stores the belief's support, so a belief with a few live messages out
-    of thousands gives a table of a few rows. ``joint`` is a table of at least 1x1 with
-    non-negative finite masses that sum to 1 within ``SUM_ATOL``; it and
-    ``rows`` are copied and marked read-only at construction, as ``Dist``
-    does. The public constructor is for tables built by hand, and checks all
-    of this; ``greedy_mec`` hands over the table it has just built through
-    ``_owning``, which neither copies nor checks, and its user validates
-    the coupling once, against its marginals (``coding.check_mixture``).
+    global indices in ascending order, ``joint[k, c]`` is the mass on cell
+    ``(rows[k], c)``, and ``n_rows`` is the number of global rows; any row
+    not in ``rows`` has no mass. The greedy coupling of a belief stores the
+    belief's support, so a belief with a few live messages out of thousands
+    gives a table of a few rows.
+
+    The constructor takes a float64 ``joint`` and an intp ``rows`` as they
+    are: it neither copies nor converts them, marks both read-only, and
+    checks nothing. Its caller gives both arrays up. A coupling is validated
+    once, by its user, against the marginals it is meant to have
+    (``coding.check_mixture``).
 
     ``entries`` derives the ``(mass, row, col)`` triples of the positive
     cells in row-major order, with global row indices. Both marginals add
     those masses in that order, one at a time (``np.add.accumulate``; a
     pairwise ``joint.sum(axis=...)`` can differ in the last bit): the stored
-    rows' totals ``row_mass`` (one per entry of ``rows``) at construction,
-    the column marginal on first read. ``row_marginal()`` is ``row_mass``
-    placed at ``rows`` in a vector of ``n_rows`` entries, validated as a
-    ``Dist``; both marginals are cached.
+    rows' totals ``row_mass`` (one per entry of ``rows``, read-only) at
+    construction, the column marginal on each call of ``col_marginal()``.
+    ``row_marginal()`` is ``row_mass`` placed at ``rows`` in a vector of
+    ``n_rows`` entries. Both marginals are validated as ``Dist``.
     """
 
     joint: np.ndarray
-    rows: np.ndarray | None = None
-    n_rows: int | None = None
+    rows: np.ndarray
+    n_rows: int
     row_mass: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
-        joint = np.array(self.joint, dtype=np.float64, copy=True)
-        if joint.ndim != 2 or joint.size == 0:
-            raise ValueError("coupling must be a 2-D table of at least 1x1")
-        # As in Dist: a min and a sum for a valid table, and checks that
-        # name the fault for one that fails.
-        if not (joint.min() >= 0.0 and abs(float(joint.sum()) - 1.0) <= SUM_ATOL):
-            if not (np.all(np.isfinite(joint)) and joint.min() >= 0.0):
-                raise ValueError("coupling masses must be non-negative and finite")
-            raise ValueError(f"coupling mass sums to {float(joint.sum())!r}, not 1")
-        joint.setflags(write=False)
-        object.__setattr__(self, "joint", joint)
-        n_stored = joint.shape[0]
-        n_rows = n_stored if self.n_rows is None else int(self.n_rows)
-        if self.rows is None:
-            rows = np.arange(n_stored)
-        else:
-            rows = np.array(self.rows, dtype=np.intp, copy=True)
-            if rows.shape != (n_stored,) or rows[0] < 0 or (rows[1:] <= rows[:-1]).any():
-                raise ValueError(f"coupling rows must be {n_stored} ascending indices")
-        rows.setflags(write=False)
-        if rows[-1] >= n_rows:
-            raise ValueError(f"coupling row {int(rows[-1])} out of range for {n_rows} rows")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "n_rows", n_rows)
-        row_mass = _running_total(joint, axis=1)
-        row_mass.setflags(write=False)
+        row_mass = _running_total(self.joint, axis=1)
+        for arr in (self.joint, self.rows, row_mass):
+            arr.setflags(write=False)
         object.__setattr__(self, "row_mass", row_mass)
-
-    @classmethod
-    def _owning(cls, joint: np.ndarray, rows: np.ndarray, n_rows: int) -> "SparseCoupling":
-        """A coupling that takes ``joint`` and ``rows`` as they are, unchecked.
-
-        The caller gives up both arrays, which are marked read-only, and
-        answers for what the public constructor would check.
-        """
-        coupling = object.__new__(cls)
-        row_mass = _running_total(joint, axis=1)
-        for name, value in (("joint", joint), ("rows", rows), ("row_mass", row_mass)):
-            value.setflags(write=False)
-            object.__setattr__(coupling, name, value)
-        object.__setattr__(coupling, "n_rows", n_rows)
-        return coupling
 
     @property
     def n_cols(self) -> int:
@@ -211,37 +173,21 @@ class SparseCoupling:
         return tuple(zip(masses.tolist(), self.rows[local].tolist(), cols.tolist()))
 
     def row_marginal(self) -> Dist:
-        marginal = getattr(self, "_row_marginal", None)
-        if marginal is None:
-            probs = np.zeros(self.n_rows)
-            probs[self.rows] = self.row_mass
-            marginal = Dist(probs)
-            object.__setattr__(self, "_row_marginal", marginal)
-        return marginal
+        probs = np.zeros(self.n_rows)
+        probs[self.rows] = self.row_mass
+        return Dist(probs)
 
     def col_marginal(self) -> Dist:
-        marginal = getattr(self, "_col_marginal", None)
-        if marginal is None:
-            marginal = Dist(_running_total(self.joint, axis=0))
-            object.__setattr__(self, "_col_marginal", marginal)
-        return marginal
+        return Dist(_running_total(self.joint, axis=0))
 
 
-@dataclasses.dataclass(frozen=True)
-class CouplingEntropies:
+class CouplingEntropies(NamedTuple):
     """Joint and marginal entropies of a coupling, in bits."""
 
     joint_bits: float
     row_marginal_bits: float
     col_marginal_bits: float
     mutual_info_bits: float
-
-    def __post_init__(self):
-        identity = self.row_marginal_bits + self.col_marginal_bits - self.joint_bits
-        if abs(identity - self.mutual_info_bits) > SUM_ATOL:
-            raise ValueError("mutual information does not match H(X)+H(Y)-H(X,Y)")
-        if self.joint_bits < max(self.row_marginal_bits, self.col_marginal_bits) - SUM_ATOL:
-            raise ValueError("joint entropy below max marginal entropy")
 
 
 def coupling_entropies(c: SparseCoupling) -> CouplingEntropies:
@@ -250,10 +196,5 @@ def coupling_entropies(c: SparseCoupling) -> CouplingEntropies:
     joint = float(max(0.0, -np.sum(masses * np.log2(masses))))
     hr = entropy(c.row_marginal())
     hc = entropy(c.col_marginal())
-    return CouplingEntropies(
-        joint_bits=joint,
-        row_marginal_bits=hr,
-        col_marginal_bits=hc,
-        mutual_info_bits=hr + hc - joint,
-    )
+    return CouplingEntropies(joint, hr, hc, hr + hc - joint)
 

@@ -52,7 +52,6 @@ class QTable:
 class TrainConfig:
     episodes: int
     learning_rate: float = 0.1
-    seed: int = 0
 
     def __post_init__(self):
         if self.episodes < 1:
@@ -199,17 +198,12 @@ def _soft_values(mdp: MdpSpec, alpha: float) -> np.ndarray:
     return v
 
 
-def train_soft_q(
-    mdp: MdpSpec,
-    alpha: float,
-    cfg: TrainConfig,
-    rng: np.random.Generator | None = None,
-) -> QTable:
+def train_soft_q(mdp: MdpSpec, alpha: float, cfg: TrainConfig, rng: np.random.Generator) -> QTable:
     """Tabular soft Q-learning with Boltzmann exploration.
 
     Behavior is the softmax policy of the current table; targets bootstrap
     through the soft value of the next state (zero at terminals). Constant
-    learning rate, undiscounted episodes.
+    learning rate, undiscounted episodes; every draw comes from ``rng``.
 
     One softmax per visited state: the row built for the next state gives the
     step's target and is the policy the next step samples from. Raises
@@ -218,8 +212,6 @@ def train_soft_q(
     if alpha <= 0.0:
         raise ValueError("temperature must be positive")
     heights(mdp)  # on a cycle, an episode might never end
-    if rng is None:
-        rng = np.random.default_rng(cfg.seed)
     q = np.zeros((mdp.n_states, mdp.n_actions))
     lr = cfg.learning_rate
     for _ in range(cfg.episodes):

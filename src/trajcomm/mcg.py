@@ -101,8 +101,9 @@ class Belief:
 class McgSpec:
     """An MDP plus message space, prior, message priority, and actuator noise.
 
-    ``priority`` weighs decode correctness against the MDP's return; the RL
-    baseline (``baseline.train_rl_pr``) shapes its terminal reward with it.
+    ``priority``, finite and non-negative, weighs decode correctness against
+    the MDP's return; the RL baseline (``baseline.train_rl_pr``) shapes its
+    terminal reward with it.
     """
 
     mdp: MdpSpec
@@ -114,6 +115,8 @@ class McgSpec:
     def __post_init__(self):
         if self.priority < 0.0:
             raise ValueError("message priority must be non-negative")
+        if not self.priority < float("inf"):  # NaN fails this too
+            raise ValueError("message priority must be finite")
         if not 0.0 <= self.noise_p <= 0.5:
             raise ValueError("actuator noise must lie in [0, 0.5]")
         if not self.prior.matches(self.message_space):

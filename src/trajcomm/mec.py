@@ -13,10 +13,10 @@ from .dist import Dist, SparseCoupling
 # Rows of equal mass are placed in bulk from runs of this many on, and a
 # support of fewer rows takes the plain loop. Placing a run costs about 25
 # numpy calls. Against three 4-column policies on a shared 2-vCPU x86 host
-# (two timeit runs of greedy_mec alone, which builds through _owning and
-# checks nothing), a uniform belief took 0.88-1.05x the plain loop's time in
-# bulk at 64 rows, 0.82-0.93x at 72, 0.79-0.89x at 80 and 0.68-0.80x at 96;
-# this leaves a margin over that crossover.
+# (two timeit runs of greedy_mec alone, which checks nothing), a uniform
+# belief took 0.88-1.05x the plain loop's time in bulk at 64 rows,
+# 0.82-0.93x at 72, 0.79-0.89x at 80 and 0.68-0.80x at 96; this leaves a
+# margin over that crossover.
 RUN_MIN = 96
 
 
@@ -64,15 +64,10 @@ def greedy_mec(p: Dist, q: Dist) -> SparseCoupling:
 
     Returns:
         SparseCoupling over the rows in the support of ``p``, each step's
-        mass in the cell it filled and every other cell 0. It is built
-        without the public constructor's copy and checks and is not
-        validated here: its user checks it once against the marginals it
-        expects (``coding.check_mixture``), which also covers the cells and
-        the total. The rest holds by construction. The table is 2-D with a
-        row per support entry and a column per entry of ``q``, at least
-        1 x 1 since ``p`` has mass; it is new, and nothing else holds it.
-        The rows come from ``nonzero()``, so they ascend from 0 and stay
-        below ``len(p)``.
+        mass in the cell it filled and every other cell 0. Its arrays are
+        new, and its rows, from ``nonzero()``, ascend below ``len(p)``. It
+        is not validated here: its user checks it once against the
+        marginals it expects (``coding.check_mixture``).
 
     Raises:
         ValueError: If either input is not a valid distribution (raised at
@@ -123,7 +118,7 @@ def greedy_mec(p: Dist, q: Dist) -> SparseCoupling:
             if r < c:
                 insort(cols, (c - r, j))
     # A rounding sliver left on one side once the other is used up is dropped.
-    return SparseCoupling._owning(joint, support, len(p_norm))
+    return SparseCoupling(joint, support, len(p_norm))
 
 
 def _place_run(joint: np.ndarray, run: np.ndarray, m: float, cols: list) -> tuple[int, list]:

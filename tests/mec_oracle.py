@@ -13,6 +13,12 @@ _ORACLE_MAX_SUPPORT = 6
 _SCALE = 10**12
 
 
+def full_coupling(joint) -> SparseCoupling:
+    """A coupling that stores every row of ``joint``, as float64 masses."""
+    joint = np.array(joint, dtype=np.float64)
+    return SparseCoupling(joint, np.arange(len(joint)), len(joint))
+
+
 def _int_support(probs: np.ndarray):
     """Positive entries as exact integers summing to _SCALE, with indices."""
     idx = [int(i) for i in range(len(probs)) if probs[i] > 0.0]
@@ -124,4 +130,4 @@ def exact_mec_oracle(p: Dist, q: Dist) -> SparseCoupling:
         b = forest_arg[x]
         rebuild((b & -b).bit_length() - 1, b ^ (b & -b))
         x ^= b
-    return SparseCoupling(joint)
+    return full_coupling(joint)

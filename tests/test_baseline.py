@@ -363,8 +363,8 @@ class TestPriorityZeroMatchesPlainSoftQ:
         mcg = single_message_game()
         set_schedule(monkeypatch, 0.5, 0.5, 0.05, 0.05)
         q_baseline = train_rl_pr(mcg, 20_000, np.random.default_rng(5))
-        cfg = TrainConfig(episodes=20_000, learning_rate=0.05, seed=5)
-        q_plain = train_soft_q(mcg.mdp, alpha=0.5, cfg=cfg)
+        cfg = TrainConfig(episodes=20_000, learning_rate=0.05)
+        q_plain = train_soft_q(mcg.mdp, 0.5, cfg, np.random.default_rng(5))
         assert np.max(np.abs(q_baseline.values[:, 0, :] - q_plain.values)) < 0.1
 
 
@@ -395,3 +395,14 @@ class TestRlPrSweepRows:
         (row,) = run_sweep(cfg)
         assert row.error == "ValueError: message priority must be non-negative"
         assert row.rollouts == 0
+
+    def test_nan_zeta_is_an_error_row(self):
+        # This cell used to train a table of NaN and report every message
+        # decoded, with no error.
+        cfg = SweepConfig(
+            env="codegrid", env_params={"n_messages": 8}, method="rl_pr",
+            grid=(float("nan"),), seeds=(0,), episodes=300, rollouts=5,
+        )
+        (row,) = run_sweep(cfg)
+        assert row.error == "ValueError: message priority must be finite"
+        assert (row.rollouts, row.decode_accuracy) == (0, 0.0)

@@ -3,6 +3,7 @@
 import hashlib
 import json
 
+import numpy as np
 import pytest
 
 from trajcomm.cli import main
@@ -76,8 +77,8 @@ def test_train_writes_the_sampled_table_that_send_and_receive_use(tmp_path):
         "--out", str(qtable),
     ]) == 0
     want = tmp_path / "want.txt"
-    cfg = TrainConfig(episodes=2000, learning_rate=0.1, seed=0)
-    save_qtable(train_soft_q(load_mcg(spec).mdp, 1.0, cfg), want)
+    cfg = TrainConfig(episodes=2000, learning_rate=0.1)
+    save_qtable(train_soft_q(load_mcg(spec).mdp, 1.0, cfg, np.random.default_rng(0)), want)
     assert qtable.read_bytes() == want.read_bytes()
     assert main([
         "send", "--spec", str(spec), "--qtable", str(qtable),
@@ -265,6 +266,32 @@ def test_make_env_rejects_a_flag_the_game_does_not_use(tmp_path, capsys, args, k
     err = capsys.readouterr().err
     assert err.startswith("error:") and repr(key) in err
     assert not spec.exists()
+
+
+@pytest.mark.parametrize("zeta", ["nan", "inf"])
+def test_make_env_rejects_a_priority_that_is_not_finite(tmp_path, capsys, zeta):
+    # Each used to write a spec holding "priority": NaN or Infinity, which
+    # is not standard JSON.
+    spec = tmp_path / "env.json"
+    assert main(["make-env", "codegrid", "--zeta", zeta, "--out", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "message priority must be finite" in err
+    assert not spec.exists()
+
+
+def test_commands_reject_a_spec_with_a_nan_priority(tmp_path, capsys):
+    # load_mcg used to read such a spec back.
+    spec, qtable = tmp_path / "env.json", tmp_path / "q.txt"
+    assert main(["make-env", "codegrid", "--out", str(spec)]) == 0
+    document = json.loads(spec.read_text())
+    document["priority"] = float("nan")
+    spec.write_text(json.dumps(document))
+    assert '"priority": NaN' in spec.read_text()
+    capsys.readouterr()
+    assert main(["solve", "--spec", str(spec), "--beta", "1", "--out", str(qtable)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "message priority must be finite" in err
+    assert not qtable.exists()
 
 
 @pytest.mark.parametrize(

@@ -19,7 +19,7 @@ from trajcomm.envs import (
 )
 from trajcomm.formats import save_mcg
 from trajcomm.maxent import exact_soft_vi, expected_cumulative_entropy_bits, softmax_policy
-from trajcomm.mcg import MessageSpace
+from trajcomm.mcg import McgSpec, MessageSpace
 from trajcomm.mdp import exact_policy_return, trajectory_return
 
 from mdp_oracle import enumerate_trajectories, exact_mcg_value, rollout
@@ -245,6 +245,14 @@ class TestGameCatalogue:
     def test_unknown_game_or_parameter_is_an_error(self, name, params, key):
         with pytest.raises(ValueError, match=repr(key)):
             build_env(name, params)
+
+    @pytest.mark.parametrize("priority", [float("nan"), float("inf")])
+    def test_priority_must_be_finite(self, priority):
+        mcg = build_env("codegrid", {})
+        with pytest.raises(ValueError, match="message priority must be finite"):
+            McgSpec(mcg.mdp, mcg.message_space, mcg.prior, priority)
+        with pytest.raises(ValueError, match="message priority must be finite"):
+            build_env("codegrid", {"priority": priority})
 
     def test_chain_takes_json_reward_keys(self):
         mcg = build_env("chain", {"steps": 5, "rewards": {"3": 1.0}})

@@ -199,15 +199,14 @@ class TestExactSoftVi:
 class TestTrainSoftQ:
     def test_single_state_converges_to_rewards(self):
         mcg = build_toy_mcg(priority=0.0)
-        q = train_soft_q(mcg.mdp, alpha=1.0, cfg=TrainConfig(episodes=10_000, seed=0))
+        q = train_soft_q(mcg.mdp, 1.0, TrainConfig(episodes=10_000), np.random.default_rng(0))
         assert np.max(np.abs(q.values[0] - [4.0, 3.0, 0.0])) < 0.05
 
     def test_zero_reward_chain_matches_entropy_to_go(self):
         chain = build_channel_chain(2, 2)
         exact = exact_soft_vi(chain, alpha=1.0)
-        learned = train_soft_q(
-            chain, alpha=1.0, cfg=TrainConfig(episodes=20_000, learning_rate=0.05, seed=1)
-        )
+        cfg = TrainConfig(episodes=20_000, learning_rate=0.05)
+        learned = train_soft_q(chain, 1.0, cfg, np.random.default_rng(1))
         mask = [s for s in range(chain.n_states) if not chain.is_terminal(s)]
         assert np.max(np.abs(learned.values[mask] - exact.values[mask])) < 0.05
         assert np.allclose(softmax_policy(learned, 0).probs, 0.5, atol=0.02)
@@ -215,9 +214,8 @@ class TestTrainSoftQ:
     def test_converges_on_stochastic_mdp(self):
         mdp = stochastic_mdp()
         exact = exact_soft_vi(mdp, alpha=0.5)
-        learned = train_soft_q(
-            mdp, alpha=0.5, cfg=TrainConfig(episodes=60_000, learning_rate=0.02, seed=2)
-        )
+        cfg = TrainConfig(episodes=60_000, learning_rate=0.02)
+        learned = train_soft_q(mdp, 0.5, cfg, np.random.default_rng(2))
         mask = [s for s in range(mdp.n_states) if not mdp.is_terminal(s)]
         assert np.max(np.abs(learned.values[mask] - exact.values[mask])) < 0.05
 
@@ -271,8 +269,8 @@ class TestTrainSoftQReference:
         ids=["stochastic", "chain-6x3"],
     )
     def test_values_match_per_step_loop_bytes(self, mdp, alpha):
-        cfg = TrainConfig(episodes=2000, learning_rate=0.1, seed=4)
-        learned = train_soft_q(mdp, alpha, cfg, rng=np.random.default_rng(9))
+        cfg = TrainConfig(episodes=2000, learning_rate=0.1)
+        learned = train_soft_q(mdp, alpha, cfg, np.random.default_rng(9))
         reference = per_step_soft_q(mdp, alpha, cfg, np.random.default_rng(9))
         assert learned.values.tobytes() == reference.tobytes()
 
@@ -403,7 +401,7 @@ class TestHorizonContract:
 
     def test_train_soft_q_rejects_a_cycle(self):
         with pytest.raises(ValueError, match="horizon bound"):
-            train_soft_q(self_loop_mdp(), 0.5, TrainConfig(episodes=10))
+            train_soft_q(self_loop_mdp(), 0.5, TrainConfig(episodes=10), np.random.default_rng(0))
 
     def test_horizon_one_short_of_the_chain_raises(self):
         chain = build_channel_chain(5, 2)

@@ -15,13 +15,21 @@ import math
 import numpy as np
 import pytest
 
-from trajcomm.dist import Dist, coupling_entropies, entropy
+from trajcomm.coding import check_mixture
+from trajcomm.dist import Dist, SparseCoupling, coupling_entropies, entropy
 from trajcomm.mec import RUN_MIN, greedy_mec
 
 from mec_oracle import exact_mec_oracle
 
 # Compton et al. (2022): the greedy is within log2(e)/e bits of optimal.
 GREEDY_GAP_BOUND = math.log2(math.e) / math.e
+
+
+def checked_oracle(p: Dist, q: Dist) -> SparseCoupling:
+    """``exact_mec_oracle(p, q)``, checked as a coupling of ``p`` and ``q``."""
+    c = exact_mec_oracle(p, q)
+    check_mixture(c, p, q)
+    return c
 
 
 def random_dist(rng, max_size=64, min_size=2, spiky=True) -> Dist:
@@ -272,17 +280,17 @@ class TestGreedyMecProperties:
 
 class TestExactOracle:
     def test_fair_coins(self):
-        c = exact_mec_oracle(Dist([0.5, 0.5]), Dist([0.5, 0.5]))
+        c = checked_oracle(Dist([0.5, 0.5]), Dist([0.5, 0.5]))
         assert coupling_entropies(c).joint_bits == pytest.approx(1.0, abs=1e-9)
 
     def test_vertex_enumeration_example(self):
-        c = exact_mec_oracle(Dist([0.5, 0.5]), Dist([0.5, 0.25, 0.25]))
+        c = checked_oracle(Dist([0.5, 0.5]), Dist([0.5, 0.25, 0.25]))
         assert coupling_entropies(c).joint_bits == pytest.approx(1.5, abs=1e-9)
 
     def test_two_by_two_diagonal(self):
         # One free parameter; entropy is concave in it, so the optimum sits at
         # an endpoint, here the diagonal coupling.
-        c = exact_mec_oracle(Dist([0.6, 0.4]), Dist([0.6, 0.4]))
+        c = checked_oracle(Dist([0.6, 0.4]), Dist([0.6, 0.4]))
         assert set(c.entries) == {(0.6, 0, 0), (0.4, 1, 1)}
         assert coupling_entropies(c).joint_bits == pytest.approx(
             0.9709505944546686, abs=1e-9
@@ -336,7 +344,7 @@ class TestExactOracle:
             (Dist([0.2, 0.3, 0.5]), Dist([0.5, 0.3, 0.2])),
         ]
         for p, q in pairs:
-            ours = coupling_entropies(exact_mec_oracle(p, q)).joint_bits
+            ours = coupling_entropies(checked_oracle(p, q)).joint_bits
             assert ours == pytest.approx(brute(p, q), abs=1e-9)
 
     def test_oracle_at_or_below_greedy(self):
@@ -345,7 +353,7 @@ class TestExactOracle:
             p = random_dist(rng, max_size=5)
             q = random_dist(rng, max_size=5)
             hg = coupling_entropies(greedy_mec(p, q)).joint_bits
-            ho = coupling_entropies(exact_mec_oracle(p, q)).joint_bits
+            ho = coupling_entropies(checked_oracle(p, q)).joint_bits
             assert ho <= hg + 1e-9
             assert hg <= ho + GREEDY_GAP_BOUND
             assert ho >= max(entropy(p), entropy(q)) - 1e-9
@@ -357,6 +365,6 @@ class TestExactOracle:
             p = Dist(rng.dirichlet(np.ones(int(rng.integers(2, 7)))))
             q = Dist(rng.dirichlet(np.ones(int(rng.integers(2, 7)))))
             hg = coupling_entropies(greedy_mec(p, q)).joint_bits
-            ho = coupling_entropies(exact_mec_oracle(p, q)).joint_bits
+            ho = coupling_entropies(checked_oracle(p, q)).joint_bits
             gaps.append(hg - ho)
         assert np.mean(gaps) < 0.05
