@@ -7,9 +7,10 @@ sender's live behavior policy, and the terminal transition's reward is
 shaped by ``mcg.priority * max_m b(m)`` before the update. Evaluation plays
 each message's greedy action; the receiver scores every executed action
 against all messages' greedy actions and guesses the posterior's MAP.
-Training and evaluation update the posterior with the same step,
-``_observe``, on the noise-aware likelihood ``noisy_likelihood``, so one
-flipped action lowers the true message's weight instead of ruling it out.
+Training and evaluation update the posterior with the coder's Bayes step,
+``coding.bayes_update``, on the noise-aware likelihood ``noisy_likelihood``,
+so one flipped action lowers the true message's weight instead of ruling it
+out, and a posterior of total 0 resets to uniform with the coder's warning.
 
 Training builds one softmax block per visited state, over every message.
 That block is the behaviour policy and posterior column of the step taken
@@ -24,6 +25,7 @@ import math
 
 import numpy as np
 
+from .coding import bayes_update
 from .dist import sample_index
 from .maxent import softmax_parts
 from .mcg import McgSpec
@@ -58,17 +60,6 @@ def _check_space(mcg: McgSpec) -> int:
     if n > MAX_BASELINE_MESSAGES:
         raise ValueError(f"baseline message spaces are capped at {MAX_BASELINE_MESSAGES}")
     return n
-
-
-def _observe(b: np.ndarray, likelihood: np.ndarray) -> np.ndarray:
-    """The perfect receiver's posterior after one executed action, given each
-    message's noise-aware likelihood of it; a posterior of total 0, which no
-    message could have produced, resets to uniform."""
-    b = b * likelihood
-    total = b.sum()
-    if total == 0.0:
-        return np.full(len(b), 1.0 / len(b))
-    return b / total
 
 
 def train_rl_pr(mcg: McgSpec, episodes: int, rng: np.random.Generator) -> MessageConditionalQ:
@@ -106,7 +97,7 @@ def train_rl_pr(mcg: McgSpec, episodes: int, rng: np.random.Generator) -> Messag
         while not mdp.is_terminal(s):
             a = sample_index(rows[m], rng)
             executed = apply_actuator_noise(a, mcg.noise_p, mdp.n_actions, rng)
-            b = _observe(b, noisy_likelihood(rows[:, executed], mcg.noise_p, mdp.n_actions))
+            b = bayes_update(b, noisy_likelihood(rows[:, executed], mcg.noise_p, mdp.n_actions))
             nxt, reward = step(mdp, s, executed, rng)
             if mdp.is_terminal(nxt):
                 target = reward + mcg.priority * float(b.max())
@@ -137,7 +128,7 @@ def rollout_rl_pr(
         picks = q.values[s].argmax(axis=1)
         executed = apply_actuator_noise(int(picks[m]), mcg.noise_p, mdp.n_actions, rng)
         intended = (picks == executed).astype(float)
-        b = _observe(b, noisy_likelihood(intended, mcg.noise_p, mdp.n_actions))
+        b = bayes_update(b, noisy_likelihood(intended, mcg.noise_p, mdp.n_actions))
         s, reward = step(mdp, s, executed, rng)
         ret += reward
     return int(np.argmax(b)), ret

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 import numpy as np
@@ -31,7 +30,7 @@ from .formats import (
     save_qtable,
     save_trajectory,
 )
-from .maxent import TrainConfig, exact_soft_vi, train_soft_q
+from .maxent import TrainConfig, exact_soft_vi, temperature, train_soft_q
 from .mec import greedy_mec
 from .sweep import run_sweep, sweep_config_from_document
 
@@ -73,15 +72,8 @@ def _cmd_make_env(args) -> int:
     return 0
 
 
-def _alpha(beta: float) -> float:
-    """The temperature 1/beta of a positive, finite ``--beta``."""
-    if not 0.0 < beta < math.inf:
-        raise ValueError(f"--beta must be positive and finite, got {beta}")
-    return 1.0 / beta
-
-
 def _cmd_solve(args) -> int:
-    alpha = _alpha(args.beta)
+    alpha = temperature(args.beta, "--beta")
     mcg = load_mcg(args.spec)
     q = exact_soft_vi(mcg.mdp, alpha=alpha)
     save_qtable(q, args.out)
@@ -90,7 +82,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    alpha = _alpha(args.beta)
+    alpha = temperature(args.beta, "--beta")
     mcg = load_mcg(args.spec)
     cfg = TrainConfig(episodes=args.episodes, learning_rate=args.lr)
     q = train_soft_q(mcg.mdp, alpha, cfg, np.random.default_rng(args.seed))

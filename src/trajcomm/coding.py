@@ -15,7 +15,9 @@ the sender cannot transmit its intention, so mirroring the executed action is
 the only choice that keeps the two belief traces synchronized. The update is
 noise-aware: both agents know the noise level ε, and weigh message ``m`` by
 ``(1-ε)·P(a|m) + ε/|A|`` for executed action ``a``, so one flipped action
-does not rule the true message out.
+does not rule the true message out. ``bayes_update`` is the one Bayes step,
+shared with the RL+PR baseline's perfect receiver: it weighs the belief by
+the likelihoods, normalizes, and resets a belief whose total is exactly 0.
 
 The coupling is the decision rule. It stores one row per message in the
 belief's support, so after a few steps a block of thousands of messages is
@@ -69,11 +71,6 @@ logger = logging.getLogger(__name__)
 # with one Python step, and fills a dense k x |A| table. The uniform prior
 # has k = N, and every posterior is a vector of all N.
 MAX_EXPLICIT_MESSAGES = 4096
-
-# A block of fewer messages than this is updated on Python floats. numpy sums
-# a vector of fewer than 8 entries one at a time, in order, and pairwise from
-# 8 on, so only below 8 does a Python left fold give its bytes.
-_PY_BLOCK_BELOW = 8
 
 
 @dataclasses.dataclass(eq=False)
@@ -144,6 +141,25 @@ def check_mixture(coupling: SparseCoupling, b: Dist, policy: Dist) -> None:
         )
 
 
+def bayes_update(b: np.ndarray, likelihood: np.ndarray) -> np.ndarray:
+    """The posterior of belief ``b`` given each message's likelihood of an
+    observed action: the one Bayes step of the coder and of the RL+PR
+    baseline's perfect receiver.
+
+    The weights are ``b * likelihood`` and the posterior is the weights
+    divided by their total. If the total is exactly 0, because the action
+    carries zero likelihood under every live message (possible only without
+    noise, on a corrupted trajectory), the belief resets to uniform and the
+    desync is logged rather than silently propagated. Returns a new vector.
+    """
+    weights = b * likelihood
+    total = float(weights.sum())
+    if total == 0.0:
+        logger.warning("belief mass wiped out by the executed action; resetting to uniform")
+        return np.full(len(b), 1.0 / len(b))
+    return np.divide(weights, total)
+
+
 def posterior_update(
     b: Dist, coupling: SparseCoupling, policy: Dist, executed: int, noise_p: float = 0.0
 ) -> Dist:
@@ -156,42 +172,17 @@ def posterior_update(
     lowers the true message's weight instead of ruling it out. The stored
     rows' ``P(a|m)`` are computed on those rows alone and scattered into a
     full-length vector of ``policy[a]``, so the weights and their sum are
-    those of the full belief. If the update's total is exactly 0, because
-    the observed action carries zero likelihood under every live message
-    (possible only without noise, on a corrupted trajectory), the belief
-    resets to uniform and the desync is logged rather than silently
-    propagated.
-
-    A block of fewer than ``_PY_BLOCK_BELOW`` messages takes the same steps
-    on Python floats, in numpy's order, so its posterior has the same bytes
-    at less fixed cost; most decisions of a factored image are 2 x 2.
+    those of the full belief. ``bayes_update`` takes the step, wipe-out rule
+    included, and its fresh vector, a distribution by construction, becomes
+    the posterior without a copy or a second check.
     """
     rows, joint, row_mass = coupling.rows, coupling.joint, coupling.row_mass
-    if coupling.n_rows < _PY_BLOCK_BELOW:
-        intended = [policy.probs.item(executed)] * coupling.n_rows
-        for r, cell, mass in zip(rows.tolist(), joint[:, executed].tolist(), row_mass.tolist()):
-            if mass > 0.0:
-                intended[r] = cell / mass
-        weights = [
-            p * noisy_likelihood(x, noise_p, coupling.n_cols)
-            for p, x in zip(b.probs.tolist(), intended)
-        ]
-        total = 0.0
-        for w in weights:  # not sum(), which compensates from Python 3.12 on
-            total += w
-    else:
-        intended = np.full(coupling.n_rows, policy.probs[executed])
-        intended[rows] = np.divide(
-            joint[:, executed], row_mass, out=intended[rows], where=row_mass > 0.0
-        )
-        weights = b.probs * noisy_likelihood(intended, noise_p, coupling.n_cols)
-        total = float(weights.sum())
-    if total == 0.0:
-        logger.warning(
-            "belief mass wiped out by action %d; resetting block to uniform", executed
-        )
-        return Dist.uniform(len(b))
-    return Dist(np.divide(weights, total))
+    intended = np.full(coupling.n_rows, policy.probs[executed])
+    intended[rows] = np.divide(
+        joint[:, executed], row_mass, out=intended[rows], where=row_mass > 0.0
+    )
+    likelihood = noisy_likelihood(intended, noise_p, coupling.n_cols)
+    return Dist._owning(bayes_update(b.probs, likelihood))
 
 
 class _Replay:

@@ -48,6 +48,14 @@ class QTable:
         object.__setattr__(self, "_policy_batch", None)
 
 
+def temperature(beta: float, name: str = "beta") -> float:
+    """The temperature 1/beta of an inverse temperature that must be positive
+    and finite; a ``ValueError`` names ``beta`` as ``name``."""
+    if not 0.0 < beta < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {beta}")
+    return 1.0 / beta
+
+
 @dataclasses.dataclass(frozen=True)
 class TrainConfig:
     episodes: int
@@ -136,7 +144,7 @@ def exact_soft_vi(mdp: MdpSpec, alpha: float) -> QTable:
     """
     if mdp.n_states * mdp.n_actions > MAX_EXACT_ENTRIES:
         raise ValueError("MDP too large for exact soft value iteration")
-    if alpha <= 0.0:
+    if not alpha > 0.0:  # NaN fails this too
         raise ValueError("temperature must be positive")
     n_states, n_actions = mdp.n_states, mdp.n_actions
     v = _soft_values(mdp, alpha)
@@ -209,7 +217,7 @@ def train_soft_q(mdp: MdpSpec, alpha: float, cfg: TrainConfig, rng: np.random.Ge
     step's target and is the policy the next step samples from. Raises
     ``ValueError`` if the MDP breaks its horizon bound.
     """
-    if alpha <= 0.0:
+    if not alpha > 0.0:  # NaN fails this too
         raise ValueError("temperature must be positive")
     heights(mdp)  # on a cycle, an episode might never end
     q = np.zeros((mdp.n_states, mdp.n_actions))

@@ -256,17 +256,14 @@ def apply_actuator_noise(a: int, noise_p: float, n_actions: int, rng: np.random.
     return a
 
 
-def noisy_likelihood(
-    intended: np.ndarray | float, noise_p: float, n_actions: int
-) -> np.ndarray | float:
+def noisy_likelihood(intended: np.ndarray, noise_p: float, n_actions: int) -> np.ndarray:
     """Probabilities of executing actions, given those of intending them.
 
     Under ``apply_actuator_noise`` an action intended with probability ``x``
     is executed with probability ``(1-ε)·x + ε/|A|``, for ε = ``noise_p`` and
-    ``|A|`` = ``n_actions``. ``intended`` may hold one message's
-    distribution over actions, or each message's probability of one action,
-    or be one such probability as a Python float, which gives the bytes of
-    its entry in an array. At ε = 0 it is returned unchanged.
+    ``|A|`` = ``n_actions``. ``intended`` holds one message's distribution
+    over actions, or each message's probability of one action. At ε = 0 it
+    is returned unchanged.
     """
     if noise_p == 0.0:
         return intended

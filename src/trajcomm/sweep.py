@@ -15,13 +15,14 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import numbers
 
 import numpy as np
 
 from .baseline import rollout_rl_pr, train_rl_pr
 from .coding import run_roundtrip
 from .envs import build_env, check_game_params
-from .maxent import exact_soft_vi
+from .maxent import exact_soft_vi, temperature
 from .mcg import McgSpec, hamming_distance, sample_message
 from .mdp import trajectory_return
 
@@ -37,7 +38,9 @@ class SweepConfig:
     whatever ``env_params`` says. ``episodes`` is the per-cell training
     budget (used by the baseline; the coded sender plans exactly), and each
     cell plays ``rollouts`` evaluation episodes; both are integers of at
-    least one, and every seed is an integer.
+    least one. ``grid``, ``seeds`` and ``noise_p`` are lists: every seed is
+    an integer, and every grid value and noise level a number, not a string
+    or a bool.
     """
 
     env: str
@@ -50,6 +53,10 @@ class SweepConfig:
     noise_p: tuple[float, ...] = (0.0,)
 
     def __post_init__(self):
+        for name in ("grid", "seeds", "noise_p"):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{name!r} takes a list, not {value!r}")
         if not self.grid:
             raise ValueError("sweep grid must be non-empty")
         if not self.seeds:
@@ -60,8 +67,12 @@ class SweepConfig:
             raise ValueError(f"unknown method {self.method!r}")
         counts = [("rollouts", self.rollouts), ("episodes", self.episodes)]
         for name, value in counts + [("seeds", s) for s in self.seeds]:
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name!r} takes integers only, not {value!r}")
+        for name in ("grid", "noise_p"):
+            for value in getattr(self, name):
+                if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                    raise ValueError(f"{name!r} takes numbers only, not {value!r}")
         if self.rollouts < 1:
             raise ValueError(f"'rollouts' must be at least 1, not {self.rollouts}")
         if self.episodes < 1:
@@ -107,7 +118,7 @@ def standard_error(x: np.ndarray) -> float:
 
 def _meme_cell(cfg: SweepConfig, mcg: McgSpec, beta: float, rng):
     """Plan at ``beta``; a message plays one coded round trip."""
-    q = exact_soft_vi(mcg.mdp, alpha=1.0 / beta)
+    q = exact_soft_vi(mcg.mdp, alpha=temperature(beta))
 
     def play(m, rng):
         record = run_roundtrip(q, mcg, m, rng)

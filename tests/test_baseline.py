@@ -1,6 +1,7 @@
 """Message-conditional Q-learning baseline tests."""
 
 import dataclasses
+import logging
 import math
 
 import numpy as np
@@ -339,6 +340,19 @@ class _ScriptedNoise:
 
     def integers(self, n):
         return self.flip_to
+
+
+class TestSharedBayesStep:
+    @pytest.mark.parametrize("noise_p", [0.0, 0.1])
+    def test_codegrid_8_logs_no_wipeout(self, noise_p, caplog):
+        # Training and evaluation take the coder's Bayes step, which logs a
+        # belief that no message could have produced; none arises here.
+        mcg = build_codegrid(8, noise_p=noise_p)
+        with caplog.at_level(logging.WARNING, logger="trajcomm.coding"):
+            q = train_rl_pr(mcg, 600, np.random.default_rng(3))
+            hits, _ = evaluate(q, mcg, 64)
+        assert not any("wiped out" in r.message for r in caplog.records)
+        assert hits.mean() > 0.0
 
 
 class TestNoiseAwareReceiver:

@@ -193,11 +193,27 @@ def test_sweep_takes_the_grid_keywords(tmp_path):
           "rollouts": 1}, "episodes"),
         ({"env": "toy", "method": "meme", "grid": [2.0], "seeds": [1.5], "rollouts": 1},
          "seeds"),
+        # Each grid value and noise level was run through float(): "17" ran
+        # beta = 1 and beta = 7, ["7", true] ran (7.0, 1.0), and "0" ran (0.0,).
+        ({"env": "toy", "method": "meme", "grid": "17", "seeds": [0]}, "grid"),
+        ({"env": "toy", "method": "meme", "grid": ["7", 2.0], "seeds": [0]}, "grid"),
+        ({"env": "toy", "method": "meme", "grid": [7.0, True], "seeds": [0]}, "grid"),
+        ({"env": "toy", "method": "meme", "grid": [None], "seeds": [0]}, "grid"),
+        ({"env": "toy", "method": "meme", "grid": [2.0], "seeds": [0], "noise_p": "0"},
+         "noise_p"),
+        ({"env": "toy", "method": "meme", "grid": [2.0], "seeds": [0], "noise_p": ["0"]},
+         "noise_p"),
+        ({"env": "toy", "method": "meme", "grid": [2.0], "seeds": [0], "noise_p": [False]},
+         "noise_p"),
+        ({"env": "toy", "method": "meme", "grid": [2.0], "seeds": [0], "noise_p": [[0.1]]},
+         "noise_p"),
     ],
     ids=["misspelt-key", "missing-env", "rollouts-0", "method-params", "episodes-0",
          "noise-p-0.6", "env-params-typo", "env-params-noise", "noise-p-empty",
          "env-params-grid", "rollouts-float", "rollouts-bool", "episodes-float",
-         "seed-float"],
+         "seed-float", "grid-string", "grid-string-item", "grid-bool-item",
+         "grid-null-item", "noise-p-string", "noise-p-string-item", "noise-p-bool-item",
+         "noise-p-list-item"],
 )
 def test_sweep_rejects_a_bad_config_key(tmp_path, capsys, doc, key):
     config = tmp_path / "sweep.json"

@@ -11,6 +11,7 @@ import pytest
 from trajcomm import coding
 from trajcomm.coding import (
     action_row,
+    bayes_update,
     check_mixture,
     exact_coded_value,
     map_estimate,
@@ -35,6 +36,7 @@ from trajcomm.mdp import (
     Trajectory,
     apply_actuator_noise,
     exact_policy_return,
+    noisy_likelihood,
     step,
     trajectory_return,
 )
@@ -199,8 +201,8 @@ class TestReferenceEquivalence:
 
 
 class TestSmallBlockPosterior:
-    """Blocks of fewer than 8 messages are updated on Python floats; their
-    posteriors keep the bytes of the array update, on both sides of 8."""
+    """Posteriors of blocks on both sides of 8 messages, where numpy's sum
+    turns from a left fold to pairwise, keep the bytes of the reference."""
 
     def test_bytes_match_the_reference_across_the_crossover(self):
         rng = np.random.default_rng(33)
@@ -231,6 +233,42 @@ class TestSmallBlockPosterior:
             post = posterior_update(b, c, Dist([1.0, 0.0]), 1)
         assert "wiped out" in caplog.text
         assert post.probs.tobytes() == Dist.uniform(n_rows).probs.tobytes()
+
+
+class TestBayesUpdate:
+    """``bayes_update``, the one Bayes step of the coder and of the RL+PR
+    baseline's perfect receiver."""
+
+    def test_bytes_match_the_quotient(self):
+        rng = np.random.default_rng(34)
+        seen = {"zero belief": 0, "zero likelihood": 0}
+        for n in range(1, 41):
+            for _ in range(10):
+                b = rng.random(n) * (rng.random(n) < 0.7)
+                b[int(rng.integers(n))] += 0.5  # at least one live message
+                b /= b.sum()
+                intended = rng.random(n) * (rng.random(n) < 0.8)
+                seen["zero belief"] += (b == 0.0).any()
+                seen["zero likelihood"] += (intended == 0.0).any()
+                n_actions = int(rng.integers(2, 6))
+                for noise_p in (0.0, 0.05, 0.2):
+                    likelihood = noisy_likelihood(intended, noise_p, n_actions)
+                    weights = b * likelihood
+                    if float(weights.sum()) == 0.0:
+                        continue
+                    post = bayes_update(b, likelihood)
+                    assert post.tobytes() == (weights / float(weights.sum())).tobytes()
+        assert min(seen.values()) > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 7, 8, 40])
+    def test_a_total_of_zero_gives_uniform_and_one_warning_per_call(self, n, caplog):
+        b = np.r_[1.0, np.zeros(n - 1)]
+        likelihood = np.r_[0.0, np.ones(n - 1)]
+        with caplog.at_level(logging.WARNING, logger="trajcomm.coding"):
+            for calls in (1, 2, 3):
+                post = bayes_update(b, likelihood)
+                assert post.tobytes() == np.full(n, 1.0 / n).tobytes()
+                assert sum("wiped out" in r.message for r in caplog.records) == calls
 
 
 class TestCheckMixture:
@@ -998,3 +1036,18 @@ class TestMemeSweepRows:
         for r in rows:
             assert r.mean_hamming == 1.0 - r.decode_accuracy
             assert r.hamming_se == r.accuracy_se
+
+
+class TestMemeSweepBeta:
+    @pytest.mark.parametrize("beta", [0.0, math.inf, math.nan])
+    def test_a_beta_that_is_not_positive_and_finite_is_an_error_row_naming_it(self, beta):
+        # These cells used to read "ZeroDivisionError: float division by
+        # zero", "ValueError: temperature must be positive" and "ValueError:
+        # Q values must be finite".
+        cfg = SweepConfig(
+            env="codegrid", env_params={"n_messages": 8}, method="meme",
+            grid=(beta,), seeds=(0,), rollouts=2,
+        )
+        (row,) = run_sweep(cfg)
+        assert row.error == f"ValueError: beta must be positive and finite, got {beta}"
+        assert (row.rollouts, row.decode_accuracy) == (0, 0.0)

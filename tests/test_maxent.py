@@ -185,6 +185,13 @@ class TestExactSoftVi:
             value = exact_policy_objective(chain, lambda s: table[s], alpha)
             assert value <= best + 1e-9
 
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan])
+    def test_a_temperature_that_is_not_positive_is_rejected(self, alpha):
+        # A NaN temperature used to pass the check and fail later, as a table
+        # of NaN, with a message that did not name the temperature.
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            exact_soft_vi(build_channel_chain(3, 2), alpha)
+
     def test_entropy_monotone_in_temperature(self):
         mcg = build_toy_mcg(priority=0.0)
         entropies = []
@@ -201,6 +208,14 @@ class TestTrainSoftQ:
         mcg = build_toy_mcg(priority=0.0)
         q = train_soft_q(mcg.mdp, 1.0, TrainConfig(episodes=10_000), np.random.default_rng(0))
         assert np.max(np.abs(q.values[0] - [4.0, 3.0, 0.0])) < 0.05
+
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan])
+    def test_a_temperature_that_is_not_positive_is_rejected(self, alpha):
+        with pytest.raises(ValueError, match="temperature must be positive"):
+            train_soft_q(
+                build_channel_chain(3, 2), alpha, TrainConfig(episodes=5),
+                np.random.default_rng(0),
+            )
 
     def test_zero_reward_chain_matches_entropy_to_go(self):
         chain = build_channel_chain(2, 2)
