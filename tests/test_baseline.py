@@ -186,6 +186,12 @@ def per_step_rl_pr(mcg, episodes, rng):
     return q
 
 
+def long_chain_game(noise_p):
+    """16 messages over a 50-step chain of 4 actions: every episode is 50
+    steps long."""
+    return chain_mcg(build_channel_chain(50, 4), MessageSpace.explicit(16), noise_p=noise_p)
+
+
 class TestTrainRlPrReference:
     @pytest.mark.parametrize(
         "game, zeta, episodes",
@@ -197,10 +203,15 @@ class TestTrainRlPrReference:
             (lambda: build_toy_mcg(priority=10.0), 10.0, 2000),
             (stochastic_game, 1.0, 2000),
             (lambda: stochastic_game(noise_p=0.1), 1.0, 2000),
+            (lambda: long_chain_game(0.0), 1.0, 60),
+            (lambda: long_chain_game(0.2), 1.0, 60),
+            (lambda: build_codegrid(8, width=6, height=6, goal=(6, 6), max_steps=12), 1.0, 300),
+            (lambda: build_codegrid(128), 1.0, 100),
         ],
         ids=[
             "codegrid-8-zeta0.3", "codegrid-8-zeta3", "codegrid-8-zeta0.3-eps0.1",
             "codegrid-8-zeta3-eps0.1", "toy", "stochastic", "stochastic-eps0.1",
+            "chain-50-eps0", "chain-50-eps0.2", "codegrid-6x6-deadline", "codegrid-128",
         ],
     )
     def test_values_match_per_step_loop_bytes(self, game, zeta, episodes):
@@ -210,6 +221,70 @@ class TestTrainRlPrReference:
         q = train_rl_pr(mcg, episodes, np.random.default_rng(7))
         reference = per_step_rl_pr(mcg, episodes, np.random.default_rng(7))
         assert q.values.tobytes() == reference.tobytes()
+
+
+def terminal_start_game():
+    """Three messages over the toy MDP entered at its terminal state."""
+    mdp = MdpSpec.deterministic(
+        next_table=np.ones((2, 3), dtype=np.int64),
+        rewards=np.array([[4.0, 3.0, 0.0], [0.0, 0.0, 0.0]]),
+        initial_state=1,
+        terminal_states=frozenset({1}),
+        horizon_bound=1,
+    )
+    return McgSpec(
+        mdp=mdp,
+        message_space=MessageSpace.explicit(3),
+        prior=Belief((Dist([0.5, 0.3, 0.2]),)),
+        priority=1.0,
+    )
+
+
+class TestTrainRlPrEpisodeShape:
+    def test_terminal_initial_state_draws_messages_and_learns_nothing(self):
+        # Each episode draws its message and takes no step; the generator ends
+        # where that many draws from the prior leave it.
+        mcg = terminal_start_game()
+        rng, expected = np.random.default_rng(5), np.random.default_rng(5)
+        q = train_rl_pr(mcg, 40, rng)
+        for _ in range(40):
+            sample_index(mcg.prior.blocks[0].probs, expected)
+        assert q.values.tobytes() == np.zeros((2, 3, 3)).tobytes()
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+    @pytest.mark.parametrize(
+        "game, episodes, per_episode",
+        [
+            # One-step episodes: the initial block serves the whole episode.
+            (build_toy_mcg, 50, (1, 1)),
+            # Every episode goes on: the initial block, message m's row at every
+            # state, and the later blocks, once each.
+            (lambda: chain_mcg(build_channel_chain(20, 2), MessageSpace.explicit(4)), 50, (3, 3)),
+            (lambda: build_codegrid(8), 200, (1, 3)),
+        ],
+        ids=["toy", "chain-20", "codegrid-8"],
+    )
+    def test_softmax_calls_per_episode(self, monkeypatch, game, episodes, per_episode):
+        calls = 0
+
+        def counted(q, alpha):
+            nonlocal calls
+            calls += 1
+            return softmax_parts(q, alpha)
+
+        monkeypatch.setattr(baseline, "softmax_parts", counted)
+        train_rl_pr(game(), episodes, np.random.default_rng(0))
+        lo, hi = per_episode
+        assert lo * episodes <= calls <= hi * episodes
+
+
+class TestMessageConditionalQ:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_values(self, bad):
+        values = np.zeros((3, 2, 2))
+        values[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            MessageConditionalQ(values=values)
 
 
 class TestEvaluateRlPr:
@@ -419,4 +494,18 @@ class TestRlPrSweepRows:
         )
         (row,) = run_sweep(cfg)
         assert row.error == "ValueError: message priority must be finite"
+        assert (row.rollouts, row.decode_accuracy) == (0, 0.0)
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_huge_finite_zeta_is_an_error_row(self):
+        # At zeta = 1e308, Q / alpha overflows and training leaves NaN in the
+        # table; this cell used to report every message decoded, with no
+        # error. Warnings are ignored here as the command line ignores them,
+        # so the table itself must be refused.
+        cfg = SweepConfig(
+            env="codegrid", env_params={"n_messages": 8}, method="rl_pr",
+            grid=(1e308,), seeds=(0,), episodes=300, rollouts=5,
+        )
+        (row,) = run_sweep(cfg)
+        assert row.error == "ValueError: Q values must be finite"
         assert (row.rollouts, row.decode_accuracy) == (0, 0.0)
