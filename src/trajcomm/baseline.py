@@ -81,6 +81,7 @@ def _check_space(mcg: McgSpec) -> int:
     return n
 
 
+@np.errstate(over="raise", invalid="raise")
 def train_rl_pr(mcg: McgSpec, episodes: int, rng: np.random.Generator) -> MessageConditionalQ:
     """Train the message-conditional sender with perfect-receiver shaping.
 
@@ -92,7 +93,10 @@ def train_rl_pr(mcg: McgSpec, episodes: int, rng: np.random.Generator) -> Messag
     geometrically from ``ALPHA_START`` to ``ALPHA_END``, and the learning
     rate from ``LR_START`` to ``LR_END``. A game whose initial state is
     terminal draws each episode's message and learns nothing: its table
-    stays zero. Raises ``ValueError`` if the MDP breaks its horizon bound.
+    stays zero. Raises ``ValueError`` if the MDP breaks its horizon bound,
+    and numpy's ``FloatingPointError``, with no warning, at the first
+    overflow or invalid value: a priority near the float64 limit makes
+    Q / alpha overflow, and the table would fill with NaN.
 
     An episode never revisits a state, so every Q value it reads is the
     value the episode started with, and its Q updates, one per visited

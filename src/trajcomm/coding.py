@@ -35,13 +35,18 @@ Each agent replays the construction through one ``_Replay`` object, which
 holds its belief, its block entropies and a memo; ``exact_coded_value``
 ``branch``es it at every executed action. Replay is deterministic, so a
 decision depends only on the bytes of the active block's belief and of the
-policy row (the noise level is fixed by the game), and the memo is keyed by
-them. An entry holds the coupling built and checked for those bytes, the
-posterior already computed from it for each executed action, and the action
-row of each message played through it. A repeated decision reuses all
-three, so ``greedy_mec``, ``check_mixture``, ``posterior_update`` and
-``action_row`` run once per distinct input rather than once per step. A
-memo lives for one call of ``sender_episode``, ``receiver_decode`` or
+policy row (the noise level is fixed by the game). Equal bytes mean the same
+object: a replay keeps one ``Dist`` per distinct block, which every prior
+block and every posterior passes through, and ``softmax_policy`` hands out
+one ``Dist`` per distinct row of a Q table. So the memo is keyed by the pair
+of objects, and finding a decision reads no bytes. An entry holds the
+coupling built and checked for that pair, the posterior already computed
+from it for each executed action, and the action row of each message played
+through it. A repeated decision reuses all three, so ``greedy_mec``,
+``check_mixture``, ``posterior_update`` and ``action_row`` run once per
+distinct input rather than once per step, and a posterior that is the block
+it replaces, as a point mass stays a point mass, leaves the ``Belief`` as it
+is. A memo lives for one call of ``sender_episode``, ``receiver_decode`` or
 ``exact_coded_value``: the sender and the receiver never share one, so every
 decode rebuilds its couplings from the observed trajectory alone.
 """
@@ -187,20 +192,33 @@ def posterior_update(
 
 class _Replay:
     """One agent's replay of the coder: its belief, the entropy of each of
-    its blocks, its memo, and the decision at the current state."""
+    its blocks, its memo, and the decision at the current state.
+
+    Equal bytes mean the same object: the replay keeps one ``Dist`` per
+    distinct block of bytes, shared with its branches, and every block it
+    holds, from the prior or from a posterior, wipe-out resets included, is
+    that one object. With ``softmax_policy``'s one object per distinct row,
+    a decision is keyed by its two objects, and a repeated decision costs
+    dict lookups only.
+    """
 
     def __init__(self, q: QTable, mcg: McgSpec):
         self.q = q
         self.space = mcg.message_space
         self.noise_p = mcg.noise_p
-        self.belief = mcg.prior
+        # Block bytes -> the one Dist of this replay with those bytes.
+        self.canon: dict[bytes, Dist] = {}
+        blocks = tuple(self._canonical(b) for b in mcg.prior.blocks)
+        self.belief = Belief(blocks)
         # Kept next to the belief; an update recomputes only the block it
         # changed. None for a belief with one block.
-        blocks = mcg.prior.blocks
         self.h = None if len(blocks) == 1 else np.array([entropy(b) for b in blocks])
-        # (block bytes, policy bytes) -> (coupling, posterior per executed
-        # action, action row per message).
-        self.memo: dict[tuple[bytes, bytes], tuple] = {}
+        # (block, policy) -> (coupling, posterior per executed action, action
+        # row per message).
+        self.memo: dict[tuple[Dist, Dist], tuple] = {}
+
+    def _canonical(self, d: Dist) -> Dist:
+        return self.canon.setdefault(d.probs.tobytes(), d)
 
     def decide(self, s: int) -> None:
         """Couple the active block with the policy at ``s``.
@@ -209,13 +227,12 @@ class _Replay:
         ``argmax`` returns the first maximum and entropies are compared
         exactly, so sender and receiver, on bit-identical beliefs, never pick
         differently. The coupling is built and checked only when the memo has
-        no entry for the block's and the policy's bytes.
+        no entry for the block and the policy.
         """
         self.policy = policy = softmax_policy(self.q, s)
         self.block = 0 if self.h is None else int(self.h.argmax())
         b = self.belief.blocks[self.block]
-        key = (b.probs.tobytes(), policy.probs.tobytes())
-        decision = self.memo.get(key)
+        decision = self.memo.get((b, policy))
         if decision is None:
             if len(b) > MAX_EXPLICIT_MESSAGES:
                 raise ValueError(
@@ -224,7 +241,7 @@ class _Replay:
                 )
             coupling = greedy_mec(b, policy)
             check_mixture(coupling, b, policy)
-            decision = self.memo[key] = (coupling, {}, {})
+            decision = self.memo[b, policy] = (coupling, {}, {})
         self.coupling, self.posteriors, self.rows = decision
 
     def row(self, m) -> np.ndarray:
@@ -238,20 +255,24 @@ class _Replay:
     def observe(self, executed: int) -> Belief:
         """Update the belief, and its block entropy, with an executed action.
 
-        A posterior that reads exactly uniform is not memoized: a wipe-out
-        resets the block to uniform, and each wipe-out must log its own
-        warning.
+        A posterior that is the active block itself leaves the belief as it
+        is, and the same ``Belief`` is returned. A posterior that reads
+        exactly uniform is not memoized: a wipe-out resets the block to
+        uniform, and each wipe-out must log its own warning.
         """
         post = self.posteriors.get(executed)
         if post is None:
-            post = posterior_update(
-                self.belief.blocks[self.block], self.coupling, self.policy, executed, self.noise_p
-            )
+            b = self.belief.blocks[self.block]
+            post = posterior_update(b, self.coupling, self.policy, executed, self.noise_p)
+            post = self._canonical(post)
             uniform = 1.0 / len(post)
             # The first entry settles it for almost every posterior.
             if post.probs[0] != uniform or not (post.probs == uniform).all():
                 self.posteriors[executed] = post
-        blocks = list(self.belief.blocks)
+        blocks = self.belief.blocks
+        if post is blocks[self.block]:
+            return self.belief
+        blocks = list(blocks)
         blocks[self.block] = post
         if self.h is not None:
             self.h[self.block] = entropy(post)

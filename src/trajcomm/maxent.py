@@ -40,11 +40,12 @@ class QTable:
             raise ValueError("temperature must be positive")
         values.setflags(write=False)
         object.__setattr__(self, "values", values)
-        # softmax_policy's per-state cache, and the whole table's softmax
-        # with each row's verdict under Dist's checks, built on the first
-        # call: a table that is planned but never asked for a policy does
-        # not pay for it.
+        # softmax_policy's per-state cache, its one Dist per distinct row
+        # bytes, and the whole table's softmax with each row's verdict under
+        # Dist's checks, built on the first call: a table that is planned but
+        # never asked for a policy does not pay for it.
         object.__setattr__(self, "_policy_rows", {})
+        object.__setattr__(self, "_policy_canon", {})
         object.__setattr__(self, "_policy_batch", None)
 
 
@@ -93,7 +94,12 @@ def softmax_policy(q: QTable, s: int) -> Dist:
     once with ``Dist``'s two tests; a row that passes is handed out as a
     read-only view of the batch, bytes equal to its own ``softmax_parts``.
     A row that fails is rebuilt alone as a ``Dist``, which raises its error
-    (and numpy its warning) only when that state is asked for.
+    (and numpy its warning) each time that state is asked for.
+
+    Equal bytes mean the same object: rows with equal bytes, at any states
+    of one table, are handed out as one ``Dist``, the first one built. The
+    coder keys its memo by the policy object, so a decision repeated at
+    another state with the same row is found without reading its bytes.
     """
     d = q._policy_rows.get(s)
     if d is None:
@@ -102,7 +108,7 @@ def softmax_policy(q: QTable, s: int) -> Dist:
             d = Dist._owning(probs[s])
         else:
             d = Dist(softmax_parts(q.values[s], q.alpha)[0])
-        q._policy_rows[s] = d
+        d = q._policy_rows[s] = q._policy_canon.setdefault(d.probs.tobytes(), d)
     return d
 
 

@@ -130,7 +130,10 @@ def _meme_cell(cfg: SweepConfig, mcg: McgSpec, beta: float, rng):
 def _rl_pr_cell(cfg: SweepConfig, mcg: McgSpec, zeta: float, rng):
     """Train at priority ``zeta`` on ``rng``; a message plays one greedy episode."""
     mcg = dataclasses.replace(mcg, priority=zeta)
-    q = train_rl_pr(mcg, cfg.episodes, rng)
+    try:
+        q = train_rl_pr(mcg, cfg.episodes, rng)
+    except FloatingPointError:
+        raise ValueError(f"zeta must keep Q / alpha finite, got {zeta}") from None
     return functools.partial(rollout_rl_pr, q, mcg)
 
 

@@ -498,8 +498,8 @@ class TestRlPrSweepRows:
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_huge_finite_zeta_is_an_error_row(self):
-        # At zeta = 1e308, Q / alpha overflows and training leaves NaN in the
-        # table; this cell used to report every message decoded, with no
+        # At zeta = 1e308, Q / alpha overflows and training would leave NaN in
+        # the table; this cell used to report every message decoded, with no
         # error. Warnings are ignored here as the command line ignores them,
         # so the table itself must be refused.
         cfg = SweepConfig(
@@ -507,5 +507,22 @@ class TestRlPrSweepRows:
             grid=(1e308,), seeds=(0,), episodes=300, rollouts=5,
         )
         (row,) = run_sweep(cfg)
-        assert row.error == "ValueError: Q values must be finite"
+        assert row.error == "ValueError: zeta must keep Q / alpha finite, got 1e+308"
         assert (row.rollouts, row.decode_accuracy) == (0, 0.0)
+
+    def test_huge_finite_zeta_warns_nothing(self):
+        # Without a filterwarnings mark, the suite turns any RuntimeWarning
+        # into a failure: training stops at the first overflow, before numpy
+        # warns, and the row names zeta.
+        cfg = SweepConfig(
+            env="codegrid", env_params={"n_messages": 8}, method="rl_pr",
+            grid=(1e308, 1.0), seeds=(0,), episodes=300, rollouts=5,
+        )
+        huge, fine = run_sweep(cfg)
+        assert huge.error == "ValueError: zeta must keep Q / alpha finite, got 1e+308"
+        assert (fine.error, fine.rollouts, fine.decode_accuracy) == ("", 5, 1.0)
+
+    def test_training_raises_at_the_first_overflow(self):
+        mcg = dataclasses.replace(build_codegrid(8), priority=1e308)
+        with pytest.raises(FloatingPointError, match="overflow"):
+            train_rl_pr(mcg, 300, np.random.default_rng(0))

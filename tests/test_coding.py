@@ -27,7 +27,7 @@ from trajcomm.envs import (
     build_toy_mcg,
     chain_mcg,
 )
-from trajcomm.maxent import QTable, exact_soft_vi, softmax_policy
+from trajcomm.maxent import QTable, exact_soft_vi, softmax_parts, softmax_policy
 from trajcomm.mcg import Belief, McgSpec, MessageSpace, sample_message
 from trajcomm.mdp import (
     MdpSpec,
@@ -825,6 +825,97 @@ class TestMemoScope:
         receiver_decode(q, mcg, z)
         assert first > 0
         assert counts["greedy_mec"] == 2 * first
+
+
+def _one_object_per_bytes(dists) -> int:
+    """Assert that equal bytes mean the same object; returns the distinct count."""
+    by_bytes = {}
+    for d in dists:
+        assert by_bytes.setdefault(d.probs.tobytes(), d) is d
+    assert len({id(d) for d in dists}) == len(by_bytes)
+    return len(by_bytes)
+
+
+class TestCanonicalObjects:
+    """Within one replay, and within one Q table's policy rows, equal bytes
+    mean the same object, so the memo is keyed by objects."""
+
+    def test_a_factored_prior_holds_one_object_per_distinct_block(self):
+        blocks = [Dist([0.3, 0.7]), Dist([0.3, 0.7]), Dist([0.5, 0.5]), Dist([0.7, 0.3])]
+        blocks += [Dist([0.5, 0.5]), Dist([0.2, 0.3, 0.5]), Dist([0.2, 0.3, 0.5])]
+        mcg = McgSpec(
+            mdp=build_channel_chain(40, 3),
+            message_space=MessageSpace.product([2, 2, 2, 2, 2, 3, 3]),
+            prior=Belief(tuple(blocks)),
+            priority=1.0,
+            noise_p=0.1,
+        )
+        q = exact_soft_vi(mcg.mdp, 1.0)
+        rng = np.random.default_rng(3)
+        rec = run_roundtrip(q, mcg, sample_message(mcg, rng), rng)
+        for trace in (rec.sender_belief_trace, rec.receiver_belief_trace):
+            assert _one_object_per_bytes(trace[0].blocks) == 4
+            _assert_same_bytes(trace[:1], (mcg.prior,))
+            # Every block of every belief along the way, too.
+            _one_object_per_bytes([d for belief in trace for d in belief.blocks])
+
+    def test_a_uniform_image_prior_is_one_object(self):
+        mcg = _noisy_image_game()
+        q = exact_soft_vi(mcg.mdp, 1.0)
+        rng = np.random.default_rng(4)
+        rec = sender_episode(q, mcg, sample_message(mcg, rng), rng)
+        assert _one_object_per_bytes(rec.sender_belief_trace[0].blocks) == 1
+
+    @pytest.mark.parametrize("beta", [1.0, 2.0, 4.0, 8.0])
+    def test_every_state_of_the_chain_shares_one_policy_row(self, beta):
+        q = exact_soft_vi(build_channel_chain(200, 4), 1.0 / beta)
+        rows = [softmax_policy(q, s) for s in range(200)]
+        assert _one_object_per_bytes(rows) == 1
+        assert rows[0].probs.tolist() == [0.25] * 4
+        for s, row in enumerate(rows):
+            assert row.probs.tobytes() == softmax_parts(q.values[s], q.alpha)[0].tobytes()
+
+    def test_a_collapsed_belief_is_kept_as_it_is(self):
+        mcg = chain_mcg(build_channel_chain(200, 4), MessageSpace.explicit(64))
+        q = exact_soft_vi(mcg.mdp, 1.0)
+        rec = run_roundtrip(q, mcg, 17, np.random.default_rng(0))
+        ref_trajectory, ref_sent = _reference_sender(q, mcg, 17, np.random.default_rng(0))
+        assert rec.trajectory.steps == ref_trajectory.steps
+        ref_decoded, ref_received = _reference_decode(q, mcg, rec.trajectory.receiver_view())
+        assert rec.decoded == ref_decoded == 17
+        for trace, ref in (
+            (rec.sender_belief_trace, ref_sent),
+            (rec.receiver_belief_trace, ref_received),
+        ):
+            _assert_same_bytes(trace, ref)
+            collapse = next(t for t, b in enumerate(trace) if b.entropy_bits() == 0.0)
+            assert collapse < 20
+            assert all(b is trace[collapse] for b in trace[collapse:])
+            # Before the collapse every step moves the belief.
+            assert all(a is not b for a, b in zip(trace[:collapse], trace[1 : collapse + 1]))
+
+    def test_the_exact_walk_couples_each_distinct_decision_once(self, monkeypatch):
+        # Branches share the memo and the canonical blocks, so a decision
+        # reached on many branches is coupled once.
+        coupled, visited = [], set()
+        original_mec, original_decide = coding.greedy_mec, coding._Replay.decide
+
+        def counted_mec(b, policy):
+            coupled.append((b.probs.tobytes(), policy.probs.tobytes()))
+            return original_mec(b, policy)
+
+        def recorded_decide(self, s):
+            original_decide(self, s)
+            b = self.belief.blocks[self.block]
+            visited.add((b.probs.tobytes(), self.policy.probs.tobytes()))
+
+        monkeypatch.setattr(coding, "greedy_mec", counted_mec)
+        monkeypatch.setattr(coding._Replay, "decide", recorded_decide)
+        mcg = build_codegrid(8)
+        q = exact_soft_vi(mcg.mdp, alpha=1 / 2)
+        assert exact_coded_value(q, mcg) == (0.07967486029358133, 0.9999778581481396)
+        assert len(coupled) == len(set(coupled)) == len(visited)
+        assert set(coupled) == visited
 
 
 class TestWipeoutWarnings:

@@ -80,6 +80,27 @@ class TestSoftmaxPolicy:
             assert not pol.probs.flags.writeable
             assert softmax_policy(q, s) is pol
 
+    @pytest.mark.parametrize(
+        "build", [c[1] for c in POLICY_TABLES], ids=[c[0] for c in POLICY_TABLES]
+    )
+    def test_equal_rows_are_one_object(self, build):
+        q = build()
+        by_bytes = {}
+        for s in range(q.values.shape[0]):
+            pol = softmax_policy(q, s)
+            assert by_bytes.setdefault(pol.probs.tobytes(), pol) is pol
+        distinct = {softmax_parts(row, q.alpha)[0].tobytes() for row in q.values}
+        assert len(by_bytes) == len(distinct)
+
+    def test_a_failing_row_raises_each_time_it_is_asked_for(self):
+        values = np.zeros((3, 2))
+        values[1, 0] = 1e300
+        q = QTable(values=values, alpha=1e-10)
+        assert softmax_policy(q, 0) is softmax_policy(q, 2)
+        for _ in range(2):
+            with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="finite"):
+                softmax_policy(q, 1)
+
     def test_overflowing_row_fails_alone_when_asked_for(self):
         values = np.random.default_rng(5).normal(size=(6, 3)) * 1e-10
         values[2, 1] = 1e300  # 1e300 / 1e-10 overflows to inf
