@@ -34,7 +34,6 @@ from .envs import (
 )
 from .maxent import (
     QTable,
-    TrainConfig,
     exact_policy_objective,
     exact_soft_vi,
     expected_cumulative_entropy_bits,

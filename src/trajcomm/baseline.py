@@ -11,6 +11,7 @@ Training and evaluation update the posterior with the coder's Bayes step,
 ``coding.bayes_update``, on the noise-aware likelihood ``noisy_likelihood``,
 so one flipped action lowers the true message's weight instead of ruling it
 out, and a posterior of total 0 resets to uniform with the coder's warning.
+``MessageConditionalQ`` checks its values as ``QTable`` does (``frozen_q_values``).
 
 Training takes at most three softmaxes per episode, not one per step
 (``train_rl_pr`` lists them). An episode never revisits a state
@@ -44,7 +45,7 @@ import numpy as np
 
 from .coding import bayes_update
 from .dist import sample_index
-from .maxent import softmax_parts
+from .maxent import frozen_q_values, softmax_parts
 from .mcg import McgSpec
 from .mdp import apply_actuator_noise, heights, noisy_likelihood, step
 
@@ -63,13 +64,8 @@ class MessageConditionalQ:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64)
-        if values.ndim != 3:
-            raise ValueError("message-conditional Q must be (states, messages, actions)")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("Q values must be finite")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        axes = ("states", "messages", "actions")
+        object.__setattr__(self, "values", frozen_q_values(self.values, axes))
 
 
 def _check_space(mcg: McgSpec) -> int:

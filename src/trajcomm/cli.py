@@ -30,7 +30,7 @@ from .formats import (
     save_qtable,
     save_trajectory,
 )
-from .maxent import TrainConfig, exact_soft_vi, temperature, train_soft_q
+from .maxent import exact_soft_vi, temperature, train_soft_q
 from .mec import greedy_mec
 from .sweep import run_sweep, sweep_config_from_document
 
@@ -84,8 +84,7 @@ def _cmd_solve(args) -> int:
 def _cmd_train(args) -> int:
     alpha = temperature(args.beta, "--beta")
     mcg = load_mcg(args.spec)
-    cfg = TrainConfig(episodes=args.episodes, learning_rate=args.lr)
-    q = train_soft_q(mcg.mdp, alpha, cfg, np.random.default_rng(args.seed))
+    q = train_soft_q(mcg.mdp, alpha, args.episodes, args.lr, np.random.default_rng(args.seed))
     save_qtable(q, args.out)
     print(f"trained {args.episodes} episodes at beta={args.beta}; wrote {args.out}")
     return 0
@@ -100,7 +99,6 @@ def _message_from_args(args, mcg):
 def _cmd_send(args) -> int:
     mcg = load_mcg(args.spec)
     q = load_qtable(args.qtable)
-    _check_qtable(mcg, q)
     m = _message_from_args(args, mcg)
     rng = np.random.default_rng(args.seed)
     record = sender_episode(q, mcg, m, rng)
@@ -112,7 +110,6 @@ def _cmd_send(args) -> int:
 def _cmd_receive(args) -> int:
     mcg = load_mcg(args.spec)
     q = load_qtable(args.qtable)
-    _check_qtable(mcg, q)
     z = load_trajectory(args.traj).receiver_view()
     decoded, trace = receiver_decode(q, mcg, z)
     if mcg.message_space.factored:
@@ -151,14 +148,6 @@ def _cmd_mec(args) -> int:
     print(f"col_marginal_bits {e.col_marginal_bits:.9g}")
     print(f"mutual_info_bits {e.mutual_info_bits:.9g}")
     return 0
-
-
-def _check_qtable(mcg, q) -> None:
-    if q.values.shape != (mcg.mdp.n_states, mcg.mdp.n_actions):
-        raise ValueError(
-            f"Q table shape {q.values.shape} does not match the spec's MDP "
-            f"({mcg.mdp.n_states} states x {mcg.mdp.n_actions} actions)"
-        )
 
 
 def main(argv=None) -> int:

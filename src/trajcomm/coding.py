@@ -49,6 +49,7 @@ it replaces, as a point mass stays a point mass, leaves the ``Belief`` as it
 is. A memo lives for one call of ``sender_episode``, ``receiver_decode`` or
 ``exact_coded_value``: the sender and the receiver never share one, so every
 decode rebuilds its couplings from the observed trajectory alone.
+Each call's ``_Replay`` refuses a Q table whose shape is not the game's MDP's.
 """
 
 from __future__ import annotations
@@ -199,10 +200,15 @@ class _Replay:
     holds, from the prior or from a posterior, wipe-out resets included, is
     that one object. With ``softmax_policy``'s one object per distinct row,
     a decision is keyed by its two objects, and a repeated decision costs
-    dict lookups only.
+    dict lookups only. It refuses a Q table whose shape is not the MDP's.
     """
 
     def __init__(self, q: QTable, mcg: McgSpec):
+        if q.values.shape != (mcg.mdp.n_states, mcg.mdp.n_actions):
+            raise ValueError(
+                f"Q table shape {q.values.shape} does not match the spec's MDP "
+                f"({mcg.mdp.n_states} states x {mcg.mdp.n_actions} actions)"
+            )
         self.q = q
         self.space = mcg.message_space
         self.noise_p = mcg.noise_p

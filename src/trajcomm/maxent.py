@@ -7,6 +7,11 @@ pass over the MDP's layers of states with equal height (longest path to a
 terminal); ``train_soft_q`` learns the optimum from sampled episodes. Both
 reject an MDP that breaks its horizon bound. Entropy inside the backups uses
 natural log to match exp/softmax; reporting functions convert to bits.
+
+One check per fact: ``check_temperature`` (positive and finite) serves every
+temperature, ``temperature``'s 1/beta included, and ``frozen_q_values`` (a
+read-only float64 copy, its axes, finite values) serves ``QTable`` and the
+baseline's ``MessageConditionalQ``. The coder checks a table's shape.
 """
 
 from __future__ import annotations
@@ -31,15 +36,8 @@ class QTable:
     alpha: float
 
     def __post_init__(self):
-        values = np.array(self.values, dtype=np.float64)
-        if values.ndim != 2:
-            raise ValueError("Q table must be 2-D (states x actions)")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("Q values must be finite")
-        if not self.alpha > 0.0:
-            raise ValueError("temperature must be positive")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "values", frozen_q_values(self.values, ("states", "actions")))
+        check_temperature(self.alpha)
         # softmax_policy's per-state cache, its one Dist per distinct row
         # bytes, and the whole table's softmax with each row's verdict under
         # Dist's checks, built on the first call: a table that is planned but
@@ -49,24 +47,29 @@ class QTable:
         object.__setattr__(self, "_policy_batch", None)
 
 
+def frozen_q_values(values, axes: tuple[str, ...]) -> np.ndarray:
+    """A read-only float64 copy of Q values, one axis per name in ``axes``, all finite."""
+    values = np.array(values, dtype=np.float64)
+    if values.ndim != len(axes):
+        raise ValueError(f"Q table must be {' x '.join(axes)}, not {values.ndim}-D")
+    if not np.isfinite(values).all():
+        raise ValueError("Q values must be finite")
+    values.setflags(write=False)
+    return values
+
+
+def check_temperature(alpha: float, name: str = "temperature") -> float:
+    """``alpha`` if positive and finite (NaN is not); else a ``ValueError`` naming ``name``."""
+    if not 0.0 < alpha < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {alpha}")
+    return alpha
+
+
 def temperature(beta: float, name: str = "beta") -> float:
-    """The temperature 1/beta of an inverse temperature that must be positive
-    and finite; a ``ValueError`` names ``beta`` as ``name``."""
-    if not 0.0 < beta < math.inf:
-        raise ValueError(f"{name} must be positive and finite, got {beta}")
-    return 1.0 / beta
-
-
-@dataclasses.dataclass(frozen=True)
-class TrainConfig:
-    episodes: int
-    learning_rate: float = 0.1
-
-    def __post_init__(self):
-        if self.episodes < 1:
-            raise ValueError("episode count must be at least 1")
-        if not 0.0 < self.learning_rate <= 1.0:
-            raise ValueError("learning rate must lie in (0, 1]")
+    """The temperature 1/beta; a ``ValueError`` names ``beta`` as ``name`` unless both
+    are positive and finite (1/beta overflows for a subnormal beta)."""
+    check_temperature(beta, name)
+    return check_temperature(1.0 / beta, f"the temperature 1 / {name}")
 
 
 def softmax_parts(q: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -150,8 +153,7 @@ def exact_soft_vi(mdp: MdpSpec, alpha: float) -> QTable:
     """
     if mdp.n_states * mdp.n_actions > MAX_EXACT_ENTRIES:
         raise ValueError("MDP too large for exact soft value iteration")
-    if not alpha > 0.0:  # NaN fails this too
-        raise ValueError("temperature must be positive")
+    check_temperature(alpha)
     n_states, n_actions = mdp.n_states, mdp.n_actions
     v = _soft_values(mdp, alpha)
     ev = np.bincount(
@@ -212,23 +214,27 @@ def _soft_values(mdp: MdpSpec, alpha: float) -> np.ndarray:
     return v
 
 
-def train_soft_q(mdp: MdpSpec, alpha: float, cfg: TrainConfig, rng: np.random.Generator) -> QTable:
+def train_soft_q(
+    mdp: MdpSpec, alpha: float, episodes: int, learning_rate: float, rng: np.random.Generator
+) -> QTable:
     """Tabular soft Q-learning with Boltzmann exploration.
 
     Behavior is the softmax policy of the current table; targets bootstrap
     through the soft value of the next state (zero at terminals). Constant
-    learning rate, undiscounted episodes; every draw comes from ``rng``.
-
-    One softmax per visited state: the row built for the next state gives the
-    step's target and is the policy the next step samples from. Raises
-    ``ValueError`` if the MDP breaks its horizon bound.
+    ``learning_rate`` in (0, 1], ``episodes`` >= 1 undiscounted episodes;
+    every draw comes from ``rng``. One softmax per visited state: the row
+    built for the next state gives the step's target and is the policy the
+    next step samples from. Raises ``ValueError`` on an argument out of
+    range or an MDP that breaks its horizon bound.
     """
-    if not alpha > 0.0:  # NaN fails this too
-        raise ValueError("temperature must be positive")
+    check_temperature(alpha)
+    if episodes < 1:
+        raise ValueError("episode count must be at least 1")
+    if not 0.0 < learning_rate <= 1.0:  # NaN fails this too
+        raise ValueError("learning rate must lie in (0, 1]")
     heights(mdp)  # on a cycle, an episode might never end
     q = np.zeros((mdp.n_states, mdp.n_actions))
-    lr = cfg.learning_rate
-    for _ in range(cfg.episodes):
+    for _ in range(episodes):
         s = mdp.initial_state
         probs, mx, sums = softmax_parts(q[s], alpha)
         while not mdp.is_terminal(s):
@@ -239,7 +245,7 @@ def train_soft_q(mdp: MdpSpec, alpha: float, cfg: TrainConfig, rng: np.random.Ge
             else:
                 probs, mx, sums = softmax_parts(q[nxt], alpha)
                 target = reward + alpha * (mx[0] + math.log(sums[0]))
-            q[s, a] += lr * (target - q[s, a])
+            q[s, a] += learning_rate * (target - q[s, a])
             s = nxt
     return QTable(values=q, alpha=alpha)
 

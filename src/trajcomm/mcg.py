@@ -52,9 +52,11 @@ class MessageSpace:
         return int(np.prod([b for b in self.block_sizes], dtype=object))
 
     def contains(self, m) -> bool:
+        """One in-range integer per block; a bool is none (as in ``formats._integer``)."""
         values, sizes = self.values(m), self.block_sizes
         return isinstance(values, tuple) and len(values) == len(sizes) and all(
-            isinstance(v, (int, np.integer)) and 0 <= v < b for v, b in zip(values, sizes)
+            isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < b
+            for v, b in zip(values, sizes)
         )
 
     def values(self, m) -> tuple:

@@ -11,7 +11,7 @@ from trajcomm import baseline
 from trajcomm.baseline import MessageConditionalQ, rollout_rl_pr, train_rl_pr
 from trajcomm.dist import Dist, sample_index
 from trajcomm.envs import build_channel_chain, build_codegrid, build_toy_mcg, chain_mcg
-from trajcomm.maxent import TrainConfig, exact_soft_vi, softmax_parts, train_soft_q
+from trajcomm.maxent import exact_soft_vi, softmax_parts, train_soft_q
 from trajcomm.mcg import Belief, McgSpec, MessageSpace
 from trajcomm.mdp import MdpSpec, apply_actuator_noise, step
 from trajcomm.sweep import SweepConfig, run_sweep
@@ -452,8 +452,7 @@ class TestPriorityZeroMatchesPlainSoftQ:
         mcg = single_message_game()
         set_schedule(monkeypatch, 0.5, 0.5, 0.05, 0.05)
         q_baseline = train_rl_pr(mcg, 20_000, np.random.default_rng(5))
-        cfg = TrainConfig(episodes=20_000, learning_rate=0.05)
-        q_plain = train_soft_q(mcg.mdp, 0.5, cfg, np.random.default_rng(5))
+        q_plain = train_soft_q(mcg.mdp, 0.5, 20_000, 0.05, np.random.default_rng(5))
         assert np.max(np.abs(q_baseline.values[:, 0, :] - q_plain.values)) < 0.1
 
 

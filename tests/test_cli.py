@@ -2,13 +2,14 @@
 
 import hashlib
 import json
+import warnings
 
 import numpy as np
 import pytest
 
 from trajcomm.cli import main
 from trajcomm.formats import load_mcg, save_qtable
-from trajcomm.maxent import TrainConfig, train_soft_q
+from trajcomm.maxent import train_soft_q
 
 
 def _codegrid_8(tmp_path):
@@ -77,8 +78,7 @@ def test_train_writes_the_sampled_table_that_send_and_receive_use(tmp_path):
         "--out", str(qtable),
     ]) == 0
     want = tmp_path / "want.txt"
-    cfg = TrainConfig(episodes=2000, learning_rate=0.1)
-    save_qtable(train_soft_q(load_mcg(spec).mdp, 1.0, cfg, np.random.default_rng(0)), want)
+    save_qtable(train_soft_q(load_mcg(spec).mdp, 1.0, 2000, 0.1, np.random.default_rng(0)), want)
     assert qtable.read_bytes() == want.read_bytes()
     assert main([
         "send", "--spec", str(spec), "--qtable", str(qtable),
@@ -505,3 +505,244 @@ def test_malformed_input_files_exit_cleanly(tmp_path, capsys, fault):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and expected in err
+
+
+def _send_receive_argv(tmp_path, command, spec, qtable):
+    """A send or receive command line whose output is ``tmp_path / "out.txt"``;
+    receive reads a trajectory sent with the spec's own solved table."""
+    if command == "send":
+        return ["send", "--spec", str(spec), "--qtable", str(qtable),
+                "--message", "1", "--seed", "0", "--out", str(tmp_path / "out.txt")]
+    good, traj = tmp_path / "good.txt", tmp_path / "z.txt"
+    assert main(["solve", "--spec", str(spec), "--beta", "2", "--out", str(good)]) == 0
+    assert main(["send", "--spec", str(spec), "--qtable", str(good), "--message", "1",
+                 "--seed", "0", "--out", str(traj)]) == 0
+    return ["receive", "--spec", str(spec), "--qtable", str(qtable), "--traj", str(traj),
+            "--out", str(tmp_path / "out.txt")]
+
+
+@pytest.mark.parametrize("command", ["send", "receive"])
+def test_send_and_receive_refuse_a_table_at_an_infinite_temperature(tmp_path, capsys, command):
+    # A header of "alpha inf" used to load, and the message went out and came
+    # back through the uniform policy with exit 0.
+    spec, qtable = _codegrid_8(tmp_path)
+    lines = qtable.read_text().splitlines()
+    qtable.write_text("\n".join(["alpha inf", *lines[1:]]) + "\n")
+    argv = _send_receive_argv(tmp_path, command, spec, qtable)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: temperature must be positive and finite, got inf\n"
+    )
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["send", "receive"])
+def test_send_and_receive_refuse_a_table_of_another_game(tmp_path, capsys, command):
+    spec, _ = _codegrid_8(tmp_path)
+    other, qtable = tmp_path / "chain.json", tmp_path / "qchain.txt"
+    assert main(["make-env", "chain", "--steps", "3", "--out", str(other)]) == 0
+    assert main(["solve", "--spec", str(other), "--beta", "1", "--out", str(qtable)]) == 0
+    argv = _send_receive_argv(tmp_path, command, spec, qtable)
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: Q table shape (4, 2) does not match the spec's MDP "
+        "(144 states x 4 actions)\n"
+    )
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, error",
+    [
+        (["--episodes", "0"], "episode count must be at least 1"),
+        (["--lr", "0"], "learning rate must lie in (0, 1]"),
+        (["--lr", "1.5"], "learning rate must lie in (0, 1]"),
+        (["--lr", "nan"], "learning rate must lie in (0, 1]"),
+    ],
+    ids=["episodes-0", "lr-0", "lr-1.5", "lr-nan"],
+)
+def test_train_refuses_a_budget_out_of_range(tmp_path, capsys, flags, error):
+    spec, out = tmp_path / "env.json", tmp_path / "q.txt"
+    assert main(["make-env", "chain", "--steps", "3", "--out", str(spec)]) == 0
+    capsys.readouterr()
+    argv = ["train", "--spec", str(spec), "--beta", "1", "--episodes", "10", "--seed", "0"]
+    assert main([*argv, *flags, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {error}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "train"])
+def test_a_beta_whose_temperature_overflows_exits_cleanly(tmp_path, capsys, command):
+    # 1 / 1e-320 is inf: solve used to print numpy's "invalid value
+    # encountered in divide" and then "error: Q values must be finite".
+    spec, out = tmp_path / "env.json", tmp_path / "q.txt"
+    assert main(["make-env", "chain", "--steps", "3", "--out", str(spec)]) == 0
+    extra = ["--episodes", "10", "--seed", "0"] if command == "train" else []
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status = main([command, "--spec", str(spec), "--beta", "1e-320", *extra,
+                       "--out", str(out)])
+    assert status == 2 and caught == []
+    assert capsys.readouterr().err == (
+        "error: the temperature 1 / --beta must be positive and finite, got inf\n"
+    )
+    assert not out.exists()
+
+
+# The pins below are the command-line checks of the CI workflow
+# (.github/workflows/tier1.yml), run in-process with the same arguments and
+# the same expected bytes.
+
+def _digest(path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "pixels, block, image, shape, digest",
+    [
+        (8, 2, "P1\n4 2\n1 0 0 1\n0 1 1 1\n", ("2", "4"),
+         "10ca1bc313c6f3d10afb2bf84fdeeb05f7bc6b09985d80a77690e5a3145e33b8"),
+        (6, 3, "P1\n3 2\n1 0 1\n0 1 1\n", ("2", "3"),
+         "c8679a527d8cf4b5db6bf0e6e43ba51788bddf59920daedbeb3bcbcb4ec2cbdc"),
+    ],
+    ids=["znoisy", "znoisy3"],
+)
+def test_noisy_image_round_trip_writes_the_recorded_trajectory(
+    tmp_path, pixels, block, image, shape, digest
+):
+    # 5% actuator noise over 24 steps: seed 0 flips at least one action, and
+    # the noise-aware receiver still decodes the image.
+    spec, qtable, pbm = tmp_path / "noisy.json", tmp_path / "q.txt", tmp_path / "in.pbm"
+    traj, decoded = tmp_path / "z.txt", tmp_path / "out.pbm"
+    pbm.write_text(image)
+    assert main([
+        "make-env", "chain", "--steps", "24", "--image-pixels", str(pixels),
+        "--block-pixels", str(block), "--noise-p", "0.05", "--out", str(spec),
+    ]) == 0
+    assert main(["solve", "--spec", str(spec), "--beta", "1", "--out", str(qtable)]) == 0
+    assert main(["send", "--spec", str(spec), "--qtable", str(qtable), "--image", str(pbm),
+                 "--seed", "0", "--out", str(traj)]) == 0
+    assert main(["receive", "--spec", str(spec), "--qtable", str(qtable), "--traj", str(traj),
+                 "--image-shape", *shape, "--out", str(decoded)]) == 0
+    assert decoded.read_bytes() == pbm.read_bytes()
+    steps = [line.split() for line in traj.read_text().splitlines()[1:]]
+    assert any(intended != executed for _, intended, executed, _ in steps)
+    assert _digest(traj) == digest
+
+
+def test_chain_of_200_steps_writes_the_recorded_trajectory_and_entropy_trace(tmp_path):
+    spec, qtable = tmp_path / "chain64.json", tmp_path / "q64.txt"
+    traj, csv, decoded = tmp_path / "z64.txt", tmp_path / "h64.csv", tmp_path / "m64.txt"
+    assert main(["make-env", "chain", "--steps", "200", "--actions", "4", "--messages", "64",
+                 "--out", str(spec)]) == 0
+    assert main(["solve", "--spec", str(spec), "--beta", "1", "--out", str(qtable)]) == 0
+    assert main(["send", "--spec", str(spec), "--qtable", str(qtable), "--message", "17",
+                 "--seed", "0", "--out", str(traj)]) == 0
+    assert main(["receive", "--spec", str(spec), "--qtable", str(qtable), "--traj", str(traj),
+                 "--entropy-csv", str(csv), "--out", str(decoded)]) == 0
+    assert decoded.read_text() == "17\n"
+    assert _digest(traj) == "7ae6560ef54c8fe5d9a7ede5e236be07cf5feb8cf06301ec5a29ab7b99f03fba"
+    assert _digest(csv) == "73a6798c23bf479bc5e179f30d773fd4e40a80b9e931b214975d08dbd86e1491"
+
+
+SWEEP_HEADER = (
+    "method,beta_or_zeta,noise_p,seed,decode_accuracy,accuracy_se,mean_return,return_se,"
+    "mean_hamming,hamming_se,rollouts,error"
+)
+
+# Sweep configs of the CI workflow and the rows each writes.
+SWEEP_PINS = {
+    "rl_pr": (
+        {"env": "codegrid", "env_params": {"n_messages": 4}, "method": "rl_pr",
+         "grid": [0.3, 3.0], "seeds": [2], "noise_p": [0.1], "episodes": 200, "rollouts": 8},
+        ["rl_pr,0.3,0.1,2,1,0,0,0,0,0,8,", "rl_pr,3,0.1,2,1,0,0,0,0,0,8,"],
+    ),
+    "zeta-1e308": (
+        {"env": "codegrid", "env_params": {"n_messages": 8}, "method": "rl_pr",
+         "grid": [1e308, 1.0], "seeds": [0], "episodes": 300, "rollouts": 5},
+        ["rl_pr,1e+308,0,0,0,0,0,0,0,0,0,"
+         "ValueError: zeta must keep Q / alpha finite; got 1e+308",
+         "rl_pr,1,0,0,1,0,0,0,0,0,5,"],
+    ),
+    "meme": (
+        {"env": "codegrid", "env_params": {"n_messages": 64}, "method": "meme",
+         "grid": [1.0, 7.0], "seeds": [2], "noise_p": [0.1], "rollouts": 8},
+        ["meme,1,0.1,2,1,0,0.125,0.125,0,0,8,",
+         "meme,7,0.1,2,0.625,0.182981264,0.875,0.125,0.375,0.182981264,8,"],
+    ),
+    "beta-0": (
+        {"env": "codegrid", "env_params": {"n_messages": 8}, "method": "meme",
+         "grid": [0.0, 1.0], "seeds": [3], "noise_p": [0.1], "rollouts": 8},
+        ["meme,0,0.1,3,0,0,0,0,0,0,0,ValueError: beta must be positive and finite; got 0.0",
+         "meme,1,0.1,3,1,0,0.125,0.125,0,0,8,"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(SWEEP_PINS))
+def test_sweep_writes_the_recorded_rows(tmp_path, capsys, name):
+    # No numpy warning either: at zeta = 1e308 training stops at the first
+    # overflow, before numpy would warn.
+    doc, rows = SWEEP_PINS[name]
+    config, out = tmp_path / "sweep.json", tmp_path / "rows.csv"
+    config.write_text(json.dumps(doc))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
+    assert caught == [] and capsys.readouterr().err == ""
+    assert out.read_text() == "\n".join([SWEEP_HEADER, *rows]) + "\n"
+
+
+def test_solve_writes_the_three_step_chain_soft_values(tmp_path):
+    # Exact soft value iteration: V(t) = (3 - t) ln 2 on a 2-action chain.
+    spec, qtable = tmp_path / "chain.json", tmp_path / "q.txt"
+    assert main(["make-env", "chain", "--steps", "3", "--actions", "2", "--out", str(spec)]) == 0
+    assert main(["solve", "--spec", str(spec), "--beta", "1", "--out", str(qtable)]) == 0
+    assert qtable.read_text() == "\n".join([
+        "alpha 1.0", "0 0 1.3862943611198906", "0 1 1.3862943611198906",
+        "1 0 0.6931471805599453", "1 1 0.6931471805599453", "2 0 0.0", "2 1 0.0",
+        "3 0 0.0", "3 1 0.0",
+    ]) + "\n"
+
+
+# mec inputs of the CI workflow and the lines each prints.
+MEC_PINS = {
+    "two-rows": ("0.5\n0.5\n", "0.25\n0.75\n", [
+        "0.5 0 1", "0.25 1 0", "0.25 1 1", "joint_bits 1.5", "row_marginal_bits 1",
+        "col_marginal_bits 0.811278124", "mutual_info_bits 0.311278124",
+    ]),
+    "zero-rows": ("0\n0.5\n0\n0.5\n", "0.25\n0.75\n", [
+        "0.5 1 1", "0.25 3 0", "0.25 3 1", "joint_bits 1.5", "row_marginal_bits 1",
+        "col_marginal_bits 0.811278124", "mutual_info_bits 0.311278124",
+    ]),
+    "ties-residual-zero-column": ("0.5\n0.25\n0.125\n0.125\n", "0.25\n0\n0.25\n0.25\n0.25\n", [
+        "0.25 0 0", "0.25 0 2", "0.25 1 3", "0.125 2 4", "0.125 3 4", "joint_bits 2.25",
+        "row_marginal_bits 1.75", "col_marginal_bits 2", "mutual_info_bits 1.5",
+    ]),
+}
+
+
+@pytest.mark.parametrize("name", list(MEC_PINS))
+def test_mec_prints_the_recorded_coupling(tmp_path, capsys, name):
+    p_text, q_text, lines = MEC_PINS[name]
+    p, q = tmp_path / "p.txt", tmp_path / "q.txt"
+    p.write_text(p_text)
+    q.write_text(q_text)
+    assert main(["mec", "--p", str(p), "--q", str(q)]) == 0
+    assert capsys.readouterr().out == "\n".join(lines) + "\n"
+
+
+def test_mec_prints_the_recorded_run_of_100_equal_rows(tmp_path, capsys):
+    # 100 rows of 0.01 are one run of equal masses, placed in bulk; the
+    # digest is of what the one-step-at-a-time coupler printed.
+    p, q = tmp_path / "p.txt", tmp_path / "q.txt"
+    p.write_text("0.01\n" * 100)
+    q.write_text("0.5\n0.3\n0.2\n")
+    assert main(["mec", "--p", str(p), "--q", str(q)]) == 0
+    out = capsys.readouterr().out.encode()
+    assert hashlib.sha256(out).hexdigest() == (
+        "fe2307228ec6a0c83911e4628cad37049a12c2a0c83a729b5b42e6be41f98f56"
+    )

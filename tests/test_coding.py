@@ -4,6 +4,7 @@ round trips, and the information-theoretic guarantees."""
 import dataclasses
 import logging
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -447,6 +448,13 @@ class TestSenderEpisode:
         with pytest.raises(ValueError):
             sender_episode(q, mcg, 5, np.random.default_rng(0))
 
+    def test_rejects_a_bool_message(self):
+        # True used to pass as message 1.
+        mcg = build_toy_mcg(priority=1.0)
+        q = exact_soft_vi(mcg.mdp, alpha=1.0)
+        with pytest.raises(ValueError, match="not in the message space"):
+            sender_episode(q, mcg, True, np.random.default_rng(0))
+
     def test_explicit_space_size_cap(self):
         chain = build_channel_chain(3, 2)
         mcg = chain_mcg(chain, MessageSpace.explicit(5000))
@@ -501,6 +509,34 @@ class TestReceiverDecode:
         not_terminal = ObservedTrajectory(steps=(), final_state=0)
         with pytest.raises(ValueError, match="does not end in a terminal state"):
             receiver_decode(q, mcg, not_terminal)
+
+
+class TestTableShape:
+    """Every entry point of the coder refuses a Q table of another game's shape.
+
+    The check used to run only in the command line's send and receive;
+    called directly, a table with too few states failed on an index, and
+    one with extra states or too few actions was read as it was.
+    """
+
+    @pytest.mark.parametrize("shape", [(3, 3), (2, 2), (2, 4)])
+    @pytest.mark.parametrize("entry", ["sender_episode", "receiver_decode", "exact_coded_value"])
+    def test_a_table_of_the_wrong_shape_is_refused(self, entry, shape):
+        mcg = build_toy_mcg(priority=1.0)  # 2 states x 3 actions
+        q = QTable(values=np.zeros(shape), alpha=1.0)
+        calls = {
+            "sender_episode": lambda: sender_episode(q, mcg, 1, np.random.default_rng(0)),
+            "receiver_decode": lambda: receiver_decode(
+                q, mcg, ObservedTrajectory(steps=((0, 1),), final_state=1)
+            ),
+            "exact_coded_value": lambda: exact_coded_value(q, mcg),
+        }
+        want = (
+            f"Q table shape {shape} does not match the spec's MDP (2 states x 3 actions)"
+        )
+        with pytest.raises(ValueError) as error:
+            calls[entry]()
+        assert str(error.value) == want
 
 
 def _forked_game() -> McgSpec:
@@ -1141,4 +1177,20 @@ class TestMemeSweepBeta:
         )
         (row,) = run_sweep(cfg)
         assert row.error == f"ValueError: beta must be positive and finite, got {beta}"
+        assert (row.rollouts, row.decode_accuracy) == (0, 0.0)
+
+    def test_a_beta_whose_temperature_overflows_is_an_error_row_naming_it(self):
+        # 1 / 1e-320 is inf. The cell used to plan at an infinite
+        # temperature, warn "invalid value encountered in divide", and read
+        # "ValueError: Q values must be finite".
+        cfg = SweepConfig(
+            env="codegrid", env_params={"n_messages": 8}, method="meme",
+            grid=(1e-320,), seeds=(0,), rollouts=2,
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (row,) = run_sweep(cfg)
+        assert row.error == (
+            "ValueError: the temperature 1 / beta must be positive and finite, got inf"
+        )
         assert (row.rollouts, row.decode_accuracy) == (0, 0.0)

@@ -15,12 +15,12 @@ from trajcomm.envs import (
 )
 from trajcomm.maxent import (
     QTable,
-    TrainConfig,
     softmax_parts,
     exact_policy_objective,
     exact_soft_vi,
     expected_cumulative_entropy_bits,
     softmax_policy,
+    temperature,
     train_soft_q,
 )
 from trajcomm.mdp import MdpSpec, exact_policy_return, step, trajectory_return
@@ -66,6 +66,34 @@ POLICY_TABLES = [
     ("random-300x12-a1/7", lambda: random_qtable(1.0 / 7.0)),
     ("random-300x12-a0.01", lambda: random_qtable(0.01)),
 ]
+
+
+class TestQTable:
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
+    def test_a_table_at_a_temperature_that_is_not_positive_and_finite_is_rejected(self, alpha):
+        # A table file whose header read "alpha inf" used to load, and its
+        # policy was uniform at every state.
+        with pytest.raises(ValueError, match="temperature must be positive and finite"):
+            toy_qtable(alpha=alpha)
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3, 1)])
+    def test_a_table_of_other_than_two_axes_is_rejected(self, shape):
+        with pytest.raises(ValueError, match="Q table must be states x actions"):
+            QTable(values=np.zeros(shape), alpha=1.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_table_with_a_value_that_is_not_finite_is_rejected(self, bad):
+        values = np.zeros((2, 3))
+        values[1, 2] = bad
+        with pytest.raises(ValueError, match="Q values must be finite"):
+            QTable(values=values, alpha=1.0)
+
+    def test_a_table_is_a_read_only_float64_copy(self):
+        values = np.array([[1, 2], [3, 4]])
+        q = QTable(values=values, alpha=1.0)
+        values[0, 0] = 9
+        assert q.values.dtype == np.float64 and q.values[0, 0] == 1.0
+        assert not q.values.flags.writeable
 
 
 class TestSoftmaxPolicy:
@@ -206,10 +234,11 @@ class TestExactSoftVi:
             value = exact_policy_objective(chain, lambda s: table[s], alpha)
             assert value <= best + 1e-9
 
-    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
     def test_a_temperature_that_is_not_positive_is_rejected(self, alpha):
         # A NaN temperature used to pass the check and fail later, as a table
-        # of NaN, with a message that did not name the temperature.
+        # of NaN, with a message that did not name the temperature. An
+        # infinite one planned the uniform policy.
         with pytest.raises(ValueError, match="temperature must be positive"):
             exact_soft_vi(build_channel_chain(3, 2), alpha)
 
@@ -224,25 +253,51 @@ class TestExactSoftVi:
         assert all(a <= b + 1e-12 for a, b in zip(entropies, entropies[1:]))
 
 
+class TestTemperature:
+    def test_a_subnormal_beta_whose_temperature_overflows_is_named(self):
+        # 1 / 1e-320 is inf: the table was solved at an infinite temperature
+        # and failed later, after numpy warned, as "Q values must be finite".
+        with pytest.raises(ValueError) as error:
+            temperature(1e-320)
+        assert str(error.value) == "the temperature 1 / beta must be positive and finite, got inf"
+
+
 class TestTrainSoftQ:
     def test_single_state_converges_to_rewards(self):
         mcg = build_toy_mcg(priority=0.0)
-        q = train_soft_q(mcg.mdp, 1.0, TrainConfig(episodes=10_000), np.random.default_rng(0))
+        q = train_soft_q(mcg.mdp, 1.0, 10_000, 0.1, np.random.default_rng(0))
         assert np.max(np.abs(q.values[0] - [4.0, 3.0, 0.0])) < 0.05
 
-    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("alpha", [0.0, -1.0, math.nan, math.inf])
     def test_a_temperature_that_is_not_positive_is_rejected(self, alpha):
         with pytest.raises(ValueError, match="temperature must be positive"):
+            train_soft_q(build_channel_chain(3, 2), alpha, 5, 0.1, np.random.default_rng(0))
+
+    @pytest.mark.parametrize(
+        "episodes, learning_rate, error",
+        [
+            (0, 0.1, "episode count must be at least 1"),
+            (5, 0.0, "learning rate must lie in"),
+            (5, 1.5, "learning rate must lie in"),
+            (5, math.nan, "learning rate must lie in"),
+        ],
+        ids=["episodes-0", "lr-0", "lr-1.5", "lr-nan"],
+    )
+    def test_a_budget_out_of_range_is_rejected(self, episodes, learning_rate, error):
+        with pytest.raises(ValueError, match=error):
             train_soft_q(
-                build_channel_chain(3, 2), alpha, TrainConfig(episodes=5),
+                build_channel_chain(3, 2), 1.0, episodes, learning_rate,
                 np.random.default_rng(0),
             )
+
+    def test_a_learning_rate_of_one_is_taken(self):
+        q = train_soft_q(build_channel_chain(3, 2), 1.0, 5, 1.0, np.random.default_rng(0))
+        assert q.values.shape == (4, 2)
 
     def test_zero_reward_chain_matches_entropy_to_go(self):
         chain = build_channel_chain(2, 2)
         exact = exact_soft_vi(chain, alpha=1.0)
-        cfg = TrainConfig(episodes=20_000, learning_rate=0.05)
-        learned = train_soft_q(chain, 1.0, cfg, np.random.default_rng(1))
+        learned = train_soft_q(chain, 1.0, 20_000, 0.05, np.random.default_rng(1))
         mask = [s for s in range(chain.n_states) if not chain.is_terminal(s)]
         assert np.max(np.abs(learned.values[mask] - exact.values[mask])) < 0.05
         assert np.allclose(softmax_policy(learned, 0).probs, 0.5, atol=0.02)
@@ -250,8 +305,7 @@ class TestTrainSoftQ:
     def test_converges_on_stochastic_mdp(self):
         mdp = stochastic_mdp()
         exact = exact_soft_vi(mdp, alpha=0.5)
-        cfg = TrainConfig(episodes=60_000, learning_rate=0.02)
-        learned = train_soft_q(mdp, 0.5, cfg, np.random.default_rng(2))
+        learned = train_soft_q(mdp, 0.5, 60_000, 0.02, np.random.default_rng(2))
         mask = [s for s in range(mdp.n_states) if not mdp.is_terminal(s)]
         assert np.max(np.abs(learned.values[mask] - exact.values[mask])) < 0.05
 
@@ -273,11 +327,11 @@ def self_loop_mdp():
     )
 
 
-def per_step_soft_q(mdp, alpha, cfg, rng):
+def per_step_soft_q(mdp, alpha, episodes, learning_rate, rng):
     """Reference: soft Q-learning with a fresh softmax and a separate soft-value
     target at every step."""
     q = np.zeros((mdp.n_states, mdp.n_actions))
-    for _ in range(cfg.episodes):
+    for _ in range(episodes):
         s = mdp.initial_state
         while not mdp.is_terminal(s):
             x = q[s] / alpha
@@ -290,7 +344,7 @@ def per_step_soft_q(mdp, alpha, cfg, rng):
                 x = q[nxt] / alpha
                 m = x.max()
                 target = reward + alpha * (m + math.log(float(np.exp(x - m).sum())))
-            q[s, a] += cfg.learning_rate * (target - q[s, a])
+            q[s, a] += learning_rate * (target - q[s, a])
             s = nxt
     return q
 
@@ -305,9 +359,8 @@ class TestTrainSoftQReference:
         ids=["stochastic", "chain-6x3"],
     )
     def test_values_match_per_step_loop_bytes(self, mdp, alpha):
-        cfg = TrainConfig(episodes=2000, learning_rate=0.1)
-        learned = train_soft_q(mdp, alpha, cfg, np.random.default_rng(9))
-        reference = per_step_soft_q(mdp, alpha, cfg, np.random.default_rng(9))
+        learned = train_soft_q(mdp, alpha, 2000, 0.1, np.random.default_rng(9))
+        reference = per_step_soft_q(mdp, alpha, 2000, 0.1, np.random.default_rng(9))
         assert learned.values.tobytes() == reference.tobytes()
 
 
@@ -437,7 +490,7 @@ class TestHorizonContract:
 
     def test_train_soft_q_rejects_a_cycle(self):
         with pytest.raises(ValueError, match="horizon bound"):
-            train_soft_q(self_loop_mdp(), 0.5, TrainConfig(episodes=10), np.random.default_rng(0))
+            train_soft_q(self_loop_mdp(), 0.5, 10, 0.1, np.random.default_rng(0))
 
     def test_horizon_one_short_of_the_chain_raises(self):
         chain = build_channel_chain(5, 2)

@@ -399,6 +399,12 @@ class TestBeliefAndSpaces:
         assert space.contains((1, 2))
         assert not space.contains((1, 3))
         assert not space.contains(1)
+        # A bool is an int to Python, and sender_episode sent True as message 1.
+        assert not space.contains((True, 2))
+        assert not MessageSpace.explicit(2).contains(True)
+        assert not MessageSpace.product([2, 2]).contains((True, False))
+        assert not MessageSpace.explicit(2).contains(np.True_)
+        assert MessageSpace.explicit(2).contains(np.int64(1))
 
     def test_values_and_message_are_inverse(self):
         # Every message of either kind of space round-trips through its block
