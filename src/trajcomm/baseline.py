@@ -13,7 +13,7 @@ so one flipped action lowers the true message's weight instead of ruling it
 out, and a posterior of total 0 resets to uniform with the coder's warning.
 ``MessageConditionalQ`` checks its values as ``QTable`` does (``frozen_q_values``).
 
-Training takes at most three softmaxes per episode, not one per step
+Training takes one or two softmaxes per episode, not one per step
 (``train_rl_pr`` lists them). An episode never revisits a state
 (``mdp.heights`` rejects a cycle), so every Q value it reads is the one it
 started with, and its writes, one per visited state to distinct cells, can
@@ -21,19 +21,26 @@ wait until the walk ends. Every draw, float operation and byte of the table
 is the per-step loop's.
 
 The cost is numpy's per-call overhead more than arithmetic. On a 2-vCPU x86
-host an 8x4 block's softmax took about 7 us, and the softmax of one
-message's row at every state about 23 us at codegrid-8's 144 states,
-growing by 0.1-0.15 us a state. A one-step episode costs what it did. A
-longer one saves a block softmax per step after the first and pays once
-for that row softmax and for the later blocks' softmax, so the trade turns
-on a game's states per episode step.
-Against the per-step loop, training took about 0.9 of its time on
-codegrid-8 (18 states per step), 0.58 on a 20-step chain and 0.46 on the
-200-step chain (1 per step), but 1.1 on an 8x8 codegrid (1,088 states,
-16-step episodes: 68 per step), 1.8 on 12x12 (150 per step) and 3.7 on
-20x20 (410 per step). The boundary lies near 50 states per step: games with
-wide layers lose. No registered game at its defaults and no benchmark
-workload is that wide, so the trainer keeps this one path.
+host (``timeit`` minima) an 8x4 block's softmax took about 7 us. The first
+softmax of a codegrid-8 episode, its initial block stacked on 77 enterable
+states and gathered column-major, took about 12 us, growing by about
+0.05 us an enterable state; the message's row alone at all 144 states took
+about 23 us, its row max being one inner-loop call per row. An episode that
+goes on saves a block softmax per step after the first and pays once for
+the stacked softmax and for the later blocks' softmax, so the trade turns
+on a game's enterable states per episode step. An episode after one that
+stopped at its first step softmaxes the block alone, as the per-step loop
+does, and pays for a stacked softmax on top only if it goes on.
+Training CPU time (medians of 5 alternating runs, each the best of 3)
+against the per-step loop was about 0.72 on codegrid-8 (10 enterable states
+per step), 0.55 on a 20-step chain and 0.48 on the 200-step chain (1 per
+step), 0.76 on an 8x8 codegrid (573 enterable states, 16-step episodes:
+36 per step) and 0.97 on 12x12 (78 per step), but 1.72 on 20x20 (210 per
+step). The boundary lies near 80 enterable states per step. The toy and
+the coding game, whose episodes mostly stop at the first step (the coding
+game in 99.5% at its defaults), read 0.98 and 1.08, against 0.98 and 1.03
+for the trainer that never stacked. No benchmark workload is that wide, so
+the trainer stacks at every width.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from .coding import bayes_update
 from .dist import sample_index
 from .maxent import frozen_q_values, softmax_parts
 from .mcg import McgSpec
-from .mdp import apply_actuator_noise, heights, noisy_likelihood, step
+from .mdp import apply_actuator_noise, enterable_states, heights, noisy_likelihood, step
 
 MAX_BASELINE_MESSAGES = 128
 
@@ -90,27 +97,38 @@ def train_rl_pr(mcg: McgSpec, episodes: int, rng: np.random.Generator) -> Messag
     rate from ``LR_START`` to ``LR_END``. A game whose initial state is
     terminal draws each episode's message and learns nothing: its table
     stays zero. Raises ``ValueError`` if the MDP breaks its horizon bound,
-    and numpy's ``FloatingPointError``, with no warning, at the first
-    overflow or invalid value: a priority near the float64 limit makes
-    Q / alpha overflow, and the table would fill with NaN.
+    and numpy's ``FloatingPointError``, with no warning, where Q / alpha
+    overflows: a priority near the float64 limit makes it overflow, and the
+    table would fill with NaN.
 
     An episode never revisits a state, so every Q value it reads is the
     value the episode started with, and its Q updates, one per visited
     state, hit distinct cells. Each episode therefore walks first and
-    writes after, with at most three ``softmax_parts`` calls, all of the
-    table as the episode found it: (1) the initial state's block over every
-    message gives the first draw and the first posterior column; (2) if the
-    episode goes on, message ``m``'s row at every state gives every later
-    draw and the soft-value target of every step that enters a live state;
-    (3) after the walk, the blocks of the states visited after the first
-    give the executed actions' columns, which update the posterior in step
-    order. The non-terminal updates follow, and the terminal one, shaped by
-    the final posterior, comes last. The draws (action, actuator noise,
+    writes after, with ``softmax_parts`` calls of the table as the episode
+    found it. (1) One table stacks the initial state's block over every
+    message on message ``m``'s row at every state an episode can enter
+    after its first step (``mdp.enterable_states``, found once per call),
+    gathered column-major so that ``softmax_parts`` takes its row max by
+    column. It gives every draw, the first posterior column and the
+    soft-value target of every step that enters a live state. (2) After the
+    walk, the blocks of the states visited after the first give the
+    executed actions' columns, which update the posterior in step order.
+    The non-terminal updates follow, and the terminal one, shaped by the
+    final posterior, comes last. The draws (action, actuator noise,
     transition) come in the per-step loop's order, and the table is
     byte-identical to a softmax per step with each update made as soon as
-    its step is taken. A one-step episode takes softmax (1) alone; softmax
-    (2) covers every state, so games with wide layers pay more than they
-    save (see the module docstring).
+    its step is taken.
+
+    An episode that stops at its first step reads only the initial block.
+    The episode after it softmaxes that block alone, a view of the table,
+    and stacks softmax (1) only if it goes on; the first episode, and one
+    after an episode that went on, stacks at once. A game that mostly stops
+    at its first step (the toy, the coding game) thus takes one block
+    softmax an episode and one that mostly goes on two softmaxes; no two
+    episodes in a row take more than four. A state outside the enterable
+    set raises ``KeyError`` instead of reading another row. Softmax (1)
+    covers every enterable state, so games with wide layers pay more than
+    they save (see the module docstring).
     """
     n_messages = _check_space(mcg)
     if episodes < 1:
@@ -127,25 +145,42 @@ def train_rl_pr(mcg: McgSpec, episodes: int, rng: np.random.Generator) -> Messag
     decay = (ALPHA_END / ALPHA_START) ** (1.0 / max(1, episodes - 1))
     lr_decay = (LR_END / LR_START) ** (1.0 / max(1, episodes - 1))
     alpha, lr = ALPHA_START, LR_START
+    enterable = enterable_states(mdp)
+    row_of = {t: n_messages + i for i, t in enumerate(enterable)}
+    # Flat positions in q of each message's stacked table, one row per
+    # action: the initial block over every message, then message m's row at
+    # each enterable state.
+    column = np.arange(n_actions)[:, None]
+    block_at = (start * n_messages + np.arange(n_messages)) * n_actions + column
+    rows_at = np.array(enterable, dtype=np.intp) * (n_messages * n_actions) + column
+    where = [np.hstack((block_at, rows_at + m * n_actions)) for m in range(n_messages)]
+    went_on = True  # whether the last episode went on past its first step
     for _ in range(episodes):
         m = sample_index(prior, rng)
         s = start
-        # Softmax 1: the initial state's block, for the first step.
-        first = softmax_parts(q[s], alpha)[0]
-        executed = apply_actuator_noise(sample_index(first[m], rng), noise_p, n_actions, rng)
-        b = bayes_update(prior, noisy_likelihood(first[:, executed], noise_p, n_actions))
+        # Softmax 1: the initial block alone if the last episode stopped at
+        # its first step, and stacked after this one's first step if it goes on.
+        stacked = went_on
+        if stacked:
+            rows, mx, sums = softmax_parts(q.take(where[m]).T, alpha)
+        else:
+            rows = softmax_parts(q[s], alpha)[0]
+        executed = apply_actuator_noise(sample_index(rows[m], rng), noise_p, n_actions, rng)
+        b = bayes_update(prior, noisy_likelihood(rows[:n_messages, executed], noise_p, n_actions))
         nxt, reward = step(mdp, s, executed, rng)
-        if not mdp.is_terminal(nxt):
-            # Softmax 2: message m's row at every state, for the rest of the walk.
-            rows, mx, sums = softmax_parts(q[:, m], alpha)
+        went_on = not mdp.is_terminal(nxt)
+        if went_on:
+            if not stacked:
+                rows, mx, sums = softmax_parts(q.take(where[m]).T, alpha)
             path, targets = [(s, executed)], []
             while not mdp.is_terminal(nxt):
-                targets.append(reward + alpha * (mx[nxt, 0] + math.log(sums[nxt, 0])))
+                i = row_of[nxt]
+                targets.append(reward + alpha * (mx[i, 0] + math.log(sums[i, 0])))
                 s = nxt
-                executed = apply_actuator_noise(sample_index(rows[s], rng), noise_p, n_actions, rng)
+                executed = apply_actuator_noise(sample_index(rows[i], rng), noise_p, n_actions, rng)
                 nxt, reward = step(mdp, s, executed, rng)
                 path.append((s, executed))
-            # Softmax 3: the later blocks, for the posterior in step order.
+            # The later blocks, for the posterior in step order.
             later, actions = zip(*path[1:])
             for block, a in zip(softmax_parts(q.take(later, axis=0), alpha)[0], actions):
                 b = bayes_update(b, noisy_likelihood(block[:, a], noise_p, n_actions))

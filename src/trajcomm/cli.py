@@ -30,7 +30,7 @@ from .formats import (
     save_qtable,
     save_trajectory,
 )
-from .maxent import exact_soft_vi, temperature, train_soft_q
+from .maxent import exact_soft_vi, named_overflow, temperature, train_soft_q
 from .mec import greedy_mec
 from .sweep import run_sweep, sweep_config_from_document
 
@@ -75,7 +75,8 @@ def _cmd_make_env(args) -> int:
 def _cmd_solve(args) -> int:
     alpha = temperature(args.beta, "--beta")
     mcg = load_mcg(args.spec)
-    q = exact_soft_vi(mcg.mdp, alpha=alpha)
+    with named_overflow("--beta", args.beta):
+        q = exact_soft_vi(mcg.mdp, alpha=alpha)
     save_qtable(q, args.out)
     print(f"solved {args.spec} at beta={args.beta}; wrote {args.out}")
     return 0
@@ -84,7 +85,9 @@ def _cmd_solve(args) -> int:
 def _cmd_train(args) -> int:
     alpha = temperature(args.beta, "--beta")
     mcg = load_mcg(args.spec)
-    q = train_soft_q(mcg.mdp, alpha, args.episodes, args.lr, np.random.default_rng(args.seed))
+    rng = np.random.default_rng(args.seed)
+    with named_overflow("--beta", args.beta):
+        q = train_soft_q(mcg.mdp, alpha, args.episodes, args.lr, rng)
     save_qtable(q, args.out)
     print(f"trained {args.episodes} episodes at beta={args.beta}; wrote {args.out}")
     return 0

@@ -11,18 +11,25 @@ natural log to match exp/softmax; reporting functions convert to bits.
 One check per fact: ``check_temperature`` (positive and finite) serves every
 temperature, ``temperature``'s 1/beta included, and ``frozen_q_values`` (a
 read-only float64 copy, its axes, finite values) serves ``QTable`` and the
-baseline's ``MessageConditionalQ``. The coder checks a table's shape.
+baseline's ``MessageConditionalQ``. ``QTable`` also refuses values whose
+Q / alpha overflows, so every row of its policy is a distribution. The
+planner and both trainers stop where Q / alpha overflows, with numpy's
+``FloatingPointError`` before numpy can warn, and ``named_overflow`` turns
+that into a ``ValueError`` naming the parameter that caused it. A row whose
+spread alone passes the float64 range is no overflow to either check: its
+low entries weigh exp(-inf) = 0. The coder checks a table's shape.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import math
 from typing import Callable
 
 import numpy as np
 
-from .dist import SUM_ATOL, Dist, entropy, entropy_nats, sample_index
+from .dist import Dist, entropy, entropy_nats, sample_index
 from .mdp import MdpSpec, heights, state_occupancy, step
 
 MAX_EXACT_ENTRIES = 10**6
@@ -36,12 +43,18 @@ class QTable:
     alpha: float
 
     def __post_init__(self):
-        object.__setattr__(self, "values", frozen_q_values(self.values, ("states", "actions")))
+        values = frozen_q_values(self.values, ("states", "actions"))
+        object.__setattr__(self, "values", values)
         check_temperature(self.alpha)
+        # Python floats: the quotient overflows to inf, and numpy does not warn.
+        largest = float(np.abs(values).max(initial=0.0))
+        if not math.isfinite(largest / self.alpha):
+            raise ValueError(
+                f"Q / alpha must be finite, but |Q| reaches {largest} at temperature {self.alpha}"
+            )
         # softmax_policy's per-state cache, its one Dist per distinct row
-        # bytes, and the whole table's softmax with each row's verdict under
-        # Dist's checks, built on the first call: a table that is planned but
-        # never asked for a policy does not pay for it.
+        # bytes, and the whole table's softmax, built on the first call: a
+        # table that is planned but never asked for a policy does not pay for it.
         object.__setattr__(self, "_policy_rows", {})
         object.__setattr__(self, "_policy_canon", {})
         object.__setattr__(self, "_policy_batch", None)
@@ -72,6 +85,16 @@ def temperature(beta: float, name: str = "beta") -> float:
     return check_temperature(1.0 / beta, f"the temperature 1 / {name}")
 
 
+@contextlib.contextmanager
+def named_overflow(name: str, value: float):
+    """Turn the ``FloatingPointError`` that the planner and the trainers raise
+    where Q / alpha overflows into a ``ValueError`` naming ``name`` = ``value``."""
+    try:
+        yield
+    except FloatingPointError:
+        raise ValueError(f"{name} must keep Q / alpha finite, got {value}") from None
+
+
 def softmax_parts(q: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Softmax of ``q / alpha`` along the last axis, with the parts it was built from.
 
@@ -80,12 +103,33 @@ def softmax_parts(q: np.ndarray, alpha: float) -> tuple[np.ndarray, np.ndarray, 
     kept at size 1. A row's soft value is ``alpha * (mx + log(sums))``, so
     the trainers read a state's soft-value target off the same block their
     behaviour policy samples from.
+
+    The row max is taken in ``q``'s own layout: on a column-major table of
+    short rows numpy compares whole columns, not each row in its own
+    inner-loop call. exp, the row sum and the divide are always formed
+    row-major, so the bytes do not depend on the layout: a column-major sum
+    adds the entries in another order than numpy's pairwise row sum, which
+    differs in the last bit from eight entries a row on.
     """
     x = q / alpha
     mx = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - mx)
+    e = np.exp(_shifted(x, mx))
     sums = e.sum(axis=-1, keepdims=True)
     return e / sums, mx, sums
+
+
+def _shifted(x: np.ndarray, mx: np.ndarray) -> np.ndarray:
+    """``x - mx``, row-major, where ``mx`` is each row's max.
+
+    A row whose spread passes the float64 range overflows here to -inf, and
+    exp(-inf) = 0 is that entry's weight, so this overflow is no fault, also
+    under a caller that raises on overflow: only Q / alpha itself is checked.
+    """
+    try:
+        return np.subtract(x, mx, order="C")
+    except FloatingPointError:
+        with np.errstate(over="ignore"):
+            return np.subtract(x, mx, order="C")
 
 
 def softmax_policy(q: QTable, s: int) -> Dist:
@@ -93,11 +137,10 @@ def softmax_policy(q: QTable, s: int) -> Dist:
 
     Cached per state on the (immutable) Q table: sender and receiver ask for
     the same rows at every decision, so each row is built once. The first
-    call softmaxes the whole table in one batch and checks every row at
-    once with ``Dist``'s two tests; a row that passes is handed out as a
-    read-only view of the batch, bytes equal to its own ``softmax_parts``.
-    A row that fails is rebuilt alone as a ``Dist``, which raises its error
-    (and numpy its warning) each time that state is asked for.
+    call softmaxes the whole table in one batch, and each row is handed out
+    as a read-only view of the batch, bytes equal to its own
+    ``softmax_parts``. ``QTable`` keeps Q / alpha finite, so every row is a
+    distribution: its largest term is exp(0) = 1, and the others lie in [0, 1].
 
     Equal bytes mean the same object: rows with equal bytes, at any states
     of one table, are handed out as one ``Dist``, the first one built. The
@@ -106,25 +149,24 @@ def softmax_policy(q: QTable, s: int) -> Dist:
     """
     d = q._policy_rows.get(s)
     if d is None:
-        probs, valid = q._policy_batch or _policy_batch(q)
-        if valid[s]:
-            d = Dist._owning(probs[s])
-        else:
-            d = Dist(softmax_parts(q.values[s], q.alpha)[0])
+        probs = q._policy_batch if q._policy_batch is not None else _policy_batch(q)
+        d = Dist._owning(probs[s])
         d = q._policy_rows[s] = q._policy_canon.setdefault(d.probs.tobytes(), d)
     return d
 
 
-def _policy_batch(q: QTable) -> tuple[np.ndarray, np.ndarray]:
-    """Every row's softmax, and whether each passes ``Dist``'s two tests; kept on ``q``."""
-    with np.errstate(all="ignore"):
+def _policy_batch(q: QTable) -> np.ndarray:
+    """Every row's softmax, read-only; kept on ``q``."""
+    # Q / alpha is finite, but a row's spread can pass the float64 range: its
+    # low entries then come to exp(-inf) = 0, which numpy need not warn of.
+    with np.errstate(over="ignore"):
         probs = softmax_parts(q.values, q.alpha)[0]
-        valid = (probs.min(axis=1) >= 0.0) & (np.abs(probs.sum(axis=1) - 1.0) <= SUM_ATOL)
     probs.setflags(write=False)
-    object.__setattr__(q, "_policy_batch", (probs, valid))
-    return probs, valid
+    object.__setattr__(q, "_policy_batch", probs)
+    return probs
 
 
+@np.errstate(over="raise", invalid="raise")
 def exact_soft_vi(mdp: MdpSpec, alpha: float) -> QTable:
     """Exact finite-horizon soft value iteration, by one backward pass.
 
@@ -149,7 +191,10 @@ def exact_soft_vi(mdp: MdpSpec, alpha: float) -> QTable:
     loop over the branches. Terminal rows of Q stay zero.
 
     Raises ``ValueError`` if the MDP breaks ``MdpSpec``'s horizon contract:
-    a cycle among its stored entries, or a height above ``horizon_bound``.
+    a cycle among its stored entries, or a height above ``horizon_bound``,
+    and numpy's ``FloatingPointError``, with no warning, where Q / alpha
+    overflows at a tiny temperature. A row whose spread passes the float64
+    range is no overflow (``softmax_parts``).
     """
     if mdp.n_states * mdp.n_actions > MAX_EXACT_ENTRIES:
         raise ValueError("MDP too large for exact soft value iteration")
@@ -204,7 +249,7 @@ def _soft_values(mdp: MdpSpec, alpha: float) -> np.ndarray:
         )
         x = (rewards[p0:p1] + ev.reshape(p1 - p0, n_actions)) / alpha
         m = x.max(axis=1, keepdims=True)
-        sums = np.exp(x - m).sum(axis=1)
+        sums = np.exp(_shifted(x, m)).sum(axis=1)
         # math.log, not np.log: numpy's SIMD log can differ in the last bit.
         # Python float arithmetic rounds as numpy's does.
         v_order[p0:p1] = [
@@ -214,6 +259,7 @@ def _soft_values(mdp: MdpSpec, alpha: float) -> np.ndarray:
     return v
 
 
+@np.errstate(over="raise", invalid="raise")
 def train_soft_q(
     mdp: MdpSpec, alpha: float, episodes: int, learning_rate: float, rng: np.random.Generator
 ) -> QTable:
@@ -225,7 +271,9 @@ def train_soft_q(
     every draw comes from ``rng``. One softmax per visited state: the row
     built for the next state gives the step's target and is the policy the
     next step samples from. Raises ``ValueError`` on an argument out of
-    range or an MDP that breaks its horizon bound.
+    range or an MDP that breaks its horizon bound, and numpy's
+    ``FloatingPointError``, with no warning, where Q / alpha overflows, as
+    ``exact_soft_vi`` does.
     """
     check_temperature(alpha)
     if episodes < 1:

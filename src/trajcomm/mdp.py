@@ -229,6 +229,23 @@ def heights(mdp: MdpSpec) -> np.ndarray:
     return np.array(h, dtype=np.int64)[~terminal]
 
 
+def enterable_states(mdp: MdpSpec) -> list[int]:
+    """The live states an episode can enter after its first step, in state order.
+
+    A closure from the initial state over every stored entry, zero-probability
+    ones included, as ``heights`` reads them.
+    """
+    n_actions, offsets, successors = mdp.n_actions, mdp._offsets, mdp._next
+    terminal, found, frontier = mdp.terminal_states, set(), [mdp.initial_state]
+    while frontier:
+        r = frontier.pop() * n_actions
+        for t in successors[offsets[r] : offsets[r + n_actions]]:
+            if t not in found and t not in terminal:
+                found.add(t)
+                frontier.append(t)
+    return sorted(found)
+
+
 def step(mdp: MdpSpec, s: int, a: int, rng: np.random.Generator) -> tuple[int, float]:
     """Sample one environment transition; the reward is R(s, a)."""
     if mdp.is_terminal(s):

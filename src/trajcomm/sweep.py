@@ -22,7 +22,7 @@ import numpy as np
 from .baseline import rollout_rl_pr, train_rl_pr
 from .coding import run_roundtrip
 from .envs import build_env, check_game_params
-from .maxent import exact_soft_vi, temperature
+from .maxent import exact_soft_vi, named_overflow, temperature
 from .mcg import McgSpec, hamming_distance, sample_message
 from .mdp import trajectory_return
 
@@ -118,7 +118,8 @@ def standard_error(x: np.ndarray) -> float:
 
 def _meme_cell(cfg: SweepConfig, mcg: McgSpec, beta: float, rng):
     """Plan at ``beta``; a message plays one coded round trip."""
-    q = exact_soft_vi(mcg.mdp, alpha=temperature(beta))
+    with named_overflow("beta", beta):
+        q = exact_soft_vi(mcg.mdp, alpha=temperature(beta))
 
     def play(m, rng):
         record = run_roundtrip(q, mcg, m, rng)
@@ -130,10 +131,8 @@ def _meme_cell(cfg: SweepConfig, mcg: McgSpec, beta: float, rng):
 def _rl_pr_cell(cfg: SweepConfig, mcg: McgSpec, zeta: float, rng):
     """Train at priority ``zeta`` on ``rng``; a message plays one greedy episode."""
     mcg = dataclasses.replace(mcg, priority=zeta)
-    try:
+    with named_overflow("zeta", zeta):
         q = train_rl_pr(mcg, cfg.episodes, rng)
-    except FloatingPointError:
-        raise ValueError(f"zeta must keep Q / alpha finite, got {zeta}") from None
     return functools.partial(rollout_rl_pr, q, mcg)
 
 

@@ -10,10 +10,18 @@ import pytest
 from trajcomm import baseline
 from trajcomm.baseline import MessageConditionalQ, rollout_rl_pr, train_rl_pr
 from trajcomm.dist import Dist, sample_index
-from trajcomm.envs import build_channel_chain, build_codegrid, build_toy_mcg, chain_mcg
+from trajcomm.envs import (
+    GAMES,
+    build_channel_chain,
+    build_codegrid,
+    build_coding_mcg,
+    build_env,
+    build_toy_mcg,
+    chain_mcg,
+)
 from trajcomm.maxent import exact_soft_vi, softmax_parts, train_soft_q
 from trajcomm.mcg import Belief, McgSpec, MessageSpace
-from trajcomm.mdp import MdpSpec, apply_actuator_noise, step
+from trajcomm.mdp import MdpSpec, apply_actuator_noise, enterable_states, step
 from trajcomm.sweep import SweepConfig, run_sweep
 
 from mdp_oracle import enumerate_trajectories
@@ -138,6 +146,38 @@ def stochastic_game(noise_p=0.0):
     )
 
 
+def zero_probability_game(noise_p=0.0):
+    """Three messages over an acyclic MDP whose state 3 is entered only
+    through a stored entry of probability 0: no episode visits it, but it is
+    one of the states an episode can enter after its first step."""
+    mdp = MdpSpec(
+        n_states=5,
+        n_actions=2,
+        # Rows (0,0) -> 1 or 2, (0,1) -> 1 or 3 (probability 0), (1,0) -> 4,
+        # (1,1) -> 2, (2,*) -> 4, (3,*) -> 4.
+        row_offsets=[0, 2, 4, 5, 6, 7, 8, 9, 10, 10, 10],
+        next_state=[1, 2, 1, 3, 4, 2, 4, 4, 4, 4],
+        prob=[0.5, 0.5, 1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+        rewards=np.array([[0.3, -0.2], [0.5, 0.1], [0.2, 0.4], [1.0, 1.0], [0.0, 0.0]]),
+        initial_state=0,
+        terminal_states=frozenset({4}),
+        horizon_bound=3,
+    )
+    return McgSpec(
+        mdp=mdp,
+        message_space=MessageSpace.explicit(3),
+        prior=Belief((Dist([0.5, 0.3, 0.2]),)),
+        priority=1.0,
+        noise_p=noise_p,
+    )
+
+
+def wide_codegrid():
+    """The 8x8 codegrid with a 16-step deadline: 1,008 live states, 573 of
+    them enterable after the first step."""
+    return build_codegrid(8, width=8, height=8, goal=(8, 8), max_steps=16)
+
+
 def per_step_rl_pr(mcg, episodes, rng):
     """Reference: the RL+PR trainer with a fresh softmax block for the behaviour
     policy and a separate soft-value target at every step, on the schedule
@@ -207,11 +247,17 @@ class TestTrainRlPrReference:
             (lambda: long_chain_game(0.2), 1.0, 60),
             (lambda: build_codegrid(8, width=6, height=6, goal=(6, 6), max_steps=12), 1.0, 300),
             (lambda: build_codegrid(128), 1.0, 100),
+            (wide_codegrid, 1.0, 200),
+            (zero_probability_game, 1.0, 2000),
+            (lambda: zero_probability_game(noise_p=0.2), 1.0, 2000),
+            (build_coding_mcg, 1.0, 1000),
         ],
         ids=[
             "codegrid-8-zeta0.3", "codegrid-8-zeta3", "codegrid-8-zeta0.3-eps0.1",
             "codegrid-8-zeta3-eps0.1", "toy", "stochastic", "stochastic-eps0.1",
             "chain-50-eps0", "chain-50-eps0.2", "codegrid-6x6-deadline", "codegrid-128",
+            "codegrid-8x8-deadline16", "zero-probability-entry", "zero-probability-entry-eps0.2",
+            "coding",
         ],
     )
     def test_values_match_per_step_loop_bytes(self, game, zeta, episodes):
@@ -240,6 +286,60 @@ def terminal_start_game():
     )
 
 
+def enterable_by_layers(mdp):
+    """Brute force: the live states entered in exactly k steps, for k = 1 up
+    to the horizon bound, over every branch ``successors`` lists."""
+    layer, entered = {mdp.initial_state}, set()
+    for _ in range(mdp.horizon_bound):
+        layer = {
+            t
+            for s in layer
+            if not mdp.is_terminal(s)
+            for a in range(mdp.n_actions)
+            for t, _ in mdp.successors(s, a)
+        }
+        entered |= layer
+    return sorted(t for t in entered if not mdp.is_terminal(t))
+
+
+ENTERABLE_GAMES = [(name, lambda name=name: build_env(name, {})) for name in GAMES] + [
+    ("stochastic", stochastic_game),
+    ("zero-probability-entry", zero_probability_game),
+    ("terminal-start", terminal_start_game),
+    ("chain-50", lambda: long_chain_game(0.0)),
+    ("codegrid-6x6-deadline",
+     lambda: build_codegrid(8, width=6, height=6, goal=(6, 6), max_steps=12)),
+    ("codegrid-8x8-deadline16", wide_codegrid),
+]
+
+
+class TestEnterableStates:
+    @pytest.mark.parametrize(
+        "game", [g for _, g in ENTERABLE_GAMES], ids=[name for name, _ in ENTERABLE_GAMES]
+    )
+    def test_matches_a_brute_force_closure(self, game):
+        mdp = game().mdp
+        assert enterable_states(mdp) == enterable_by_layers(mdp)
+
+    def test_counts(self):
+        assert len(enterable_states(build_toy_mcg().mdp)) == 0
+        assert len(enterable_states(build_codegrid(8).mdp)) == 77
+        mdp = wide_codegrid().mdp
+        assert mdp.n_states - len(mdp.terminal_states) == 1008
+        assert len(enterable_states(mdp)) == 573
+
+    def test_a_state_entered_with_probability_zero_is_in_the_set(self):
+        assert enterable_states(zero_probability_game().mdp) == [1, 2, 3]
+
+    def test_a_state_outside_the_set_raises_instead_of_reading_another_row(self, monkeypatch):
+        # Every episode of the chain enters its last live state.
+        mcg = chain_mcg(build_channel_chain(20, 2), MessageSpace.explicit(4))
+        enterable = enterable_states(mcg.mdp)
+        monkeypatch.setattr(baseline, "enterable_states", lambda mdp: enterable[:-1])
+        with pytest.raises(KeyError):
+            train_rl_pr(mcg, 5, np.random.default_rng(0))
+
+
 class TestTrainRlPrEpisodeShape:
     def test_terminal_initial_state_draws_messages_and_learns_nothing(self):
         # Each episode draws its message and takes no step; the generator ends
@@ -255,12 +355,16 @@ class TestTrainRlPrEpisodeShape:
     @pytest.mark.parametrize(
         "game, episodes, per_episode",
         [
-            # One-step episodes: the initial block serves the whole episode.
+            # No state can be entered after the first step: the initial block
+            # serves the whole episode.
             (build_toy_mcg, 50, (1, 1)),
-            # Every episode goes on: the initial block, message m's row at every
-            # state, and the later blocks, once each.
-            (lambda: chain_mcg(build_channel_chain(20, 2), MessageSpace.explicit(4)), 50, (3, 3)),
-            (lambda: build_codegrid(8), 200, (1, 3)),
+            # Every episode goes on: the initial block stacked on message m's
+            # row at every enterable state, then the later blocks.
+            (lambda: chain_mcg(build_channel_chain(20, 2), MessageSpace.explicit(4)), 50, (2, 2)),
+            # An episode that ends at its first step takes one softmax. One that
+            # goes on after it takes three, the initial block alone and then
+            # stacked, so no two episodes in a row take more than four.
+            (lambda: build_codegrid(8), 200, (1, 2)),
         ],
         ids=["toy", "chain-20", "codegrid-8"],
     )
@@ -276,6 +380,23 @@ class TestTrainRlPrEpisodeShape:
         train_rl_pr(game(), episodes, np.random.default_rng(0))
         lo, hi = per_episode
         assert lo * episodes <= calls <= hi * episodes
+
+
+    def test_an_episode_after_one_that_stopped_softmaxes_the_block_alone(self, monkeypatch):
+        # The coding game mostly stops at its first step, so most episodes
+        # softmax the initial block alone (2 messages), not stacked on its 63
+        # enterable states. The first episode is stacked.
+        rows = []
+
+        def counted(q, alpha):
+            rows.append(len(q))
+            return softmax_parts(q, alpha)
+
+        monkeypatch.setattr(baseline, "softmax_parts", counted)
+        train_rl_pr(build_coding_mcg(), 500, np.random.default_rng(0))
+        assert rows[0] == 65
+        assert rows.count(2) >= 450 and 0 < rows.count(65) <= 25
+        assert len(rows) <= 2 * 500
 
 
 class TestMessageConditionalQ:

@@ -8,8 +8,11 @@ import numpy as np
 import pytest
 
 from trajcomm.cli import main
-from trajcomm.formats import load_mcg, save_qtable
+from trajcomm.envs import chain_mcg
+from trajcomm.formats import load_mcg, load_qtable, save_mcg, save_qtable
 from trajcomm.maxent import train_soft_q
+from trajcomm.mcg import MessageSpace
+from trajcomm.mdp import MdpSpec
 
 
 def _codegrid_8(tmp_path):
@@ -592,6 +595,68 @@ def test_a_beta_whose_temperature_overflows_exits_cleanly(tmp_path, capsys, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["solve", "train"])
+def test_a_beta_whose_q_over_alpha_overflows_exits_cleanly(tmp_path, capsys, command):
+    # At beta = 1e308 the toy's rewards 4 and 3 over alpha overflow. solve and
+    # train used to print numpy's "overflow encountered in divide" and
+    # "invalid value encountered in subtract", exit 0 and write the table.
+    spec, out = tmp_path / "toy.json", tmp_path / "q.txt"
+    assert main(["make-env", "toy", "--out", str(spec)]) == 0
+    extra = ["--episodes", "1000", "--seed", "0"] if command == "train" else []
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status = main([command, "--spec", str(spec), "--beta", "1e308", *extra,
+                       "--out", str(out)])
+    assert status == 2 and caught == []
+    assert capsys.readouterr().err == "error: --beta must keep Q / alpha finite, got 1e+308\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "train"])
+def test_a_beta_whose_rows_spread_passes_the_float_range_writes_the_table(
+    tmp_path, capsys, command
+):
+    # Rewards +1 and -1 at beta = 1e308: Q / alpha is finite, but the row's
+    # spread is not. That is no overflow of Q / alpha, and the table is taken.
+    spec, out = tmp_path / "pm.json", tmp_path / "q.txt"
+    mdp = MdpSpec.deterministic(
+        next_table=np.ones((2, 2), dtype=np.int64),
+        rewards=np.array([[1.0, -1.0], [0.0, 0.0]]),
+        initial_state=0,
+        terminal_states=frozenset({1}),
+        horizon_bound=1,
+    )
+    save_mcg(chain_mcg(mdp, MessageSpace.explicit(2)), spec)
+    extra = ["--episodes", "5", "--lr", "1", "--seed", "0"] if command == "train" else []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        status = main([command, "--spec", str(spec), "--beta", "1e308", *extra,
+                       "--out", str(out)])
+    assert status == 0 and caught == []
+    assert capsys.readouterr().err == ""
+    assert load_qtable(out).values.tolist() == [[1.0, -1.0], [0.0, 0.0]]
+
+
+@pytest.mark.parametrize("command", ["send", "receive"])
+def test_send_and_receive_refuse_a_table_whose_q_over_alpha_overflows(tmp_path, capsys, command):
+    # The table solve used to write at beta = 1e308: send failed with
+    # "distribution entries must be finite", after numpy's two warnings.
+    spec, qtable = tmp_path / "toy.json", tmp_path / "qhot.txt"
+    assert main(["make-env", "toy", "--out", str(spec)]) == 0
+    qtable.write_text("alpha 1e-308\n0 0 4.0\n0 1 3.0\n0 2 0.0\n1 0 0.0\n1 1 0.0\n1 2 0.0\n")
+    argv = _send_receive_argv(tmp_path, command, spec, qtable)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(argv) == 2
+    assert caught == []
+    assert capsys.readouterr().err == (
+        "error: Q / alpha must be finite, but |Q| reaches 4.0 at temperature 1e-308\n"
+    )
+    assert not (tmp_path / "out.txt").exists()
+
+
 # The pins below are the command-line checks of the CI workflow
 # (.github/workflows/tier1.yml), run in-process with the same arguments and
 # the same expected bytes.
@@ -667,6 +732,14 @@ SWEEP_PINS = {
          "ValueError: zeta must keep Q / alpha finite; got 1e+308",
          "rl_pr,1,0,0,1,0,0,0,0,0,5,"],
     ),
+    "codegrid-8x8": (
+        {"env": "codegrid", "method": "rl_pr", "env_params": {"n_messages": 8, "width": 8,
+         "height": 8, "goal": [8, 8], "max_steps": 16}, "grid": [0.3, 3.0], "seeds": [1],
+         "noise_p": [0.3, 0.5], "episodes": 600, "rollouts": 16},
+        ["rl_pr,0.3,0.3,1,1,0,0,0,0,0,16,", "rl_pr,0.3,0.5,1,0.9375,0.0625,0,0,0.0625,0.0625,16,",
+         "rl_pr,3,0.3,1,0.9375,0.0625,0,0,0.0625,0.0625,16,",
+         "rl_pr,3,0.5,1,0.9375,0.0625,0,0,0.0625,0.0625,16,"],
+    ),
     "meme": (
         {"env": "codegrid", "env_params": {"n_messages": 64}, "method": "meme",
          "grid": [1.0, 7.0], "seeds": [2], "noise_p": [0.1], "rollouts": 8},
@@ -678,6 +751,11 @@ SWEEP_PINS = {
          "grid": [0.0, 1.0], "seeds": [3], "noise_p": [0.1], "rollouts": 8},
         ["meme,0,0.1,3,0,0,0,0,0,0,0,ValueError: beta must be positive and finite; got 0.0",
          "meme,1,0.1,3,1,0,0.125,0.125,0,0,8,"],
+    ),
+    "beta-1e308": (
+        {"env": "toy", "method": "meme", "grid": [1e308, 1.0], "seeds": [0], "rollouts": 4},
+        ["meme,1e+308,0,0,0,0,0,0,0,0,0,ValueError: beta must keep Q / alpha finite; got 1e+308",
+         "meme,1,0,0,1,0,3.5,0.288675135,0,0,4,"],
     ),
 }
 

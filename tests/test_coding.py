@@ -1194,3 +1194,15 @@ class TestMemeSweepBeta:
             "ValueError: the temperature 1 / beta must be positive and finite, got inf"
         )
         assert (row.rollouts, row.decode_accuracy) == (0, 0.0)
+
+    def test_a_beta_whose_q_over_alpha_overflows_is_an_error_row_naming_it(self):
+        # At beta = 1e308 the toy's rewards over alpha overflow. The cell used
+        # to warn twice and read "ValueError: distribution entries must be
+        # finite"; planning now stops at the first overflow.
+        cfg = SweepConfig(env="toy", method="meme", grid=(1e308, 1.0), seeds=(0,), rollouts=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            huge, fine = run_sweep(cfg)
+        assert huge.error == "ValueError: beta must keep Q / alpha finite, got 1e+308"
+        assert (huge.rollouts, huge.decode_accuracy) == (0, 0.0)
+        assert (fine.error, fine.rollouts, fine.decode_accuracy) == ("", 4, 1.0)

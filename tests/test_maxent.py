@@ -35,6 +35,17 @@ def toy_qtable(alpha=1.0):
     return QTable(values=np.array([[4.0, 3.0, 0.0], [0.0, 0.0, 0.0]]), alpha=alpha)
 
 
+def plus_minus_mdp():
+    """One live state whose two actions end the episode with rewards +1 and -1."""
+    return MdpSpec.deterministic(
+        next_table=np.ones((2, 2), dtype=np.int64),
+        rewards=np.array([[1.0, -1.0], [0.0, 0.0]]),
+        initial_state=0,
+        terminal_states=frozenset({1}),
+        horizon_bound=1,
+    )
+
+
 def stochastic_mdp():
     """Four states, two actions; action 0 in state 0 branches to 1 or 2."""
     return MdpSpec(
@@ -81,6 +92,23 @@ class TestQTable:
         with pytest.raises(ValueError, match="Q table must be states x actions"):
             QTable(values=np.zeros(shape), alpha=1.0)
 
+    @pytest.mark.parametrize("big", [1e300, -1e300])
+    def test_a_table_whose_q_over_alpha_overflows_is_rejected(self, big):
+        # Every value is finite, but 1e300 / 1e-10 is not: its row's softmax
+        # used to fail with "distribution entries must be finite", after
+        # numpy warned, each time a coder asked for it, while the other rows
+        # served. The table is refused instead, and that per-row fallback of
+        # softmax_policy is gone.
+        values = np.zeros((3, 2))
+        values[1, 0] = big
+        with pytest.raises(ValueError) as error:
+            QTable(values=values, alpha=1e-10)
+        assert str(error.value) == (
+            "Q / alpha must be finite, but |Q| reaches 1e+300 at temperature 1e-10"
+        )
+        # At the edge of the float64 range the table is taken.
+        assert QTable(values=np.full((1, 2), 1.0), alpha=1e-308).alpha == 1e-308
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_a_table_with_a_value_that_is_not_finite_is_rejected(self, bad):
         values = np.zeros((2, 3))
@@ -120,28 +148,43 @@ class TestSoftmaxPolicy:
         distinct = {softmax_parts(row, q.alpha)[0].tobytes() for row in q.values}
         assert len(by_bytes) == len(distinct)
 
-    def test_a_failing_row_raises_each_time_it_is_asked_for(self):
-        values = np.zeros((3, 2))
-        values[1, 0] = 1e300
-        q = QTable(values=values, alpha=1e-10)
-        assert softmax_policy(q, 0) is softmax_policy(q, 2)
-        for _ in range(2):
-            with pytest.warns(RuntimeWarning), pytest.raises(ValueError, match="finite"):
-                softmax_policy(q, 1)
+    def test_a_row_whose_spread_passes_the_float_range_is_a_distribution(self):
+        # Q / alpha is finite, but 1.7e308 - (-1.7e308) is not: that entry
+        # comes to exp(-inf) = 0, with no warning, and the row is still a
+        # distribution. Equal rows are still one object.
+        values = np.array([[1.7e308, -1.7e308, 0.0], [0.0, 0.0, 0.0], [1.7e308, -1.7e308, 0.0]])
+        q = QTable(values=values, alpha=1.0)
+        assert softmax_policy(q, 0).probs.tolist() == [1.0, 0.0, 0.0]
+        assert softmax_policy(q, 2) is softmax_policy(q, 0)
+        with np.errstate(over="ignore"):
+            assert softmax_policy(q, 0).probs.tobytes() == softmax_parts(values[0], 1.0)[0].tobytes()
+        assert np.max(np.abs(softmax_policy(q, 1).probs - 1.0 / 3.0)) < 1e-15
 
-    def test_overflowing_row_fails_alone_when_asked_for(self):
-        values = np.random.default_rng(5).normal(size=(6, 3)) * 1e-10
-        values[2, 1] = 1e300  # 1e300 / 1e-10 overflows to inf
-        q = QTable(values=values, alpha=1e-10)
-        for s in (0, 1, 3, 4, 5):
-            pol = softmax_policy(q, s)
-            assert pol.probs.tobytes() == softmax_parts(q.values[s], q.alpha)[0].tobytes()
-        with pytest.warns(RuntimeWarning) as expected, pytest.raises(ValueError) as error:
-            Dist(softmax_parts(q.values[2], q.alpha)[0])
-        with pytest.warns(RuntimeWarning) as got, pytest.raises(ValueError) as got_error:
-            softmax_policy(q, 2)
-        assert str(got_error.value) == str(error.value) == "distribution entries must be finite"
-        assert [str(w.message) for w in got] == [str(w.message) for w in expected]
+
+class TestSoftmaxPartsLayout:
+    @pytest.mark.parametrize("width", range(2, 13))
+    def test_a_column_major_copy_gives_the_same_bytes(self, width):
+        # The row max is taken in the input's layout; exp, the row sum and
+        # the divide are always row-major: a column-major sum differs from
+        # numpy's pairwise row sum in the last bit from eight entries on.
+        rng = np.random.default_rng(width)
+        for shape in [(41, width), (3, 7, width)]:
+            for scale in (0.1, 3.0, 30.0):
+                rows = rng.normal(size=shape) * scale
+                columns = np.asfortranarray(rows)
+                assert columns.flags.f_contiguous and not columns.flags.c_contiguous
+                for alpha in (0.015, 0.25, 1.0):
+                    # Written out on the row-major copy: numpy's pairwise row sum.
+                    x = rows / alpha
+                    mx = x.max(axis=-1, keepdims=True)
+                    e = np.exp(x - mx)
+                    sums = e.sum(axis=-1, keepdims=True)
+                    for table in (rows, columns):
+                        got = softmax_parts(table, alpha)
+                        assert got[0].flags.c_contiguous
+                        for want, part in zip((e / sums, mx, sums), got):
+                            assert want.shape == part.shape
+                            assert want.tobytes() == part.tobytes()
 
     def test_reference_row(self):
         pol = softmax_policy(toy_qtable(), 0)
@@ -242,6 +285,20 @@ class TestExactSoftVi:
         with pytest.raises(ValueError, match="temperature must be positive"):
             exact_soft_vi(build_channel_chain(3, 2), alpha)
 
+    def test_stops_at_the_first_overflow(self):
+        # At alpha = 1e-308 the toy's rewards 4 and 3 over alpha overflow.
+        # solve used to print numpy's "overflow encountered in divide" and
+        # "invalid value encountered in subtract" and write the table.
+        with pytest.raises(FloatingPointError, match="overflow"):
+            exact_soft_vi(build_toy_mcg(priority=0.0).mdp, 1e-308)
+
+    def test_a_row_whose_spread_passes_the_float_range_is_solved(self):
+        # Q / alpha is +-1e308, finite, but their difference is not: the low
+        # entry weighs exp(-inf) = 0, as the table's policy has it.
+        q = exact_soft_vi(plus_minus_mdp(), 1e-308)
+        assert q.values.tolist() == [[1.0, -1.0], [0.0, 0.0]]
+        assert softmax_policy(q, 0).probs.tolist() == [1.0, 0.0]
+
     def test_entropy_monotone_in_temperature(self):
         mcg = build_toy_mcg(priority=0.0)
         entropies = []
@@ -289,6 +346,17 @@ class TestTrainSoftQ:
                 build_channel_chain(3, 2), 1.0, episodes, learning_rate,
                 np.random.default_rng(0),
             )
+
+    def test_stops_at_the_first_overflow(self):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            train_soft_q(build_toy_mcg(priority=0.0).mdp, 1e-308, 1000, 0.1,
+                         np.random.default_rng(0))
+
+    def test_a_row_whose_spread_passes_the_float_range_is_learned(self):
+        # On this seed both actions are tried early; every later episode
+        # softmaxes the row (1, -1), whose spread over alpha overflows.
+        q = train_soft_q(plus_minus_mdp(), 1e-308, 5, 1.0, np.random.default_rng(0))
+        assert q.values.tolist() == [[1.0, -1.0], [0.0, 0.0]]
 
     def test_a_learning_rate_of_one_is_taken(self):
         q = train_soft_q(build_channel_chain(3, 2), 1.0, 5, 1.0, np.random.default_rng(0))
