@@ -95,10 +95,10 @@ def mcg_from_document(doc: dict) -> McgSpec:
 
     A document of another format version than ``MCG_FORMAT_VERSION`` (one
     with no ``format_version`` is version 1), a missing key, a field of the
-    wrong type (a count, state or block size that is not an integer, or a
-    ``factored`` that is not a bool included), a document or ``"mdp"`` that
-    is not a JSON object, or an MDP that breaks its horizon bound raises
-    ValueError.
+    wrong type (a count, state or block size that is not an integer, a
+    ``factored`` that is not a bool, or a ``priority`` or ``noise_p`` that is
+    one included), a document or ``"mdp"`` that is not a JSON object, or an
+    MDP that breaks its horizon bound raises ValueError.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"game spec must be a JSON object, not {type(doc).__name__}")
@@ -175,26 +175,27 @@ def load_qtable(path) -> QTable:
     if len(head) != 2 or head[0] != "alpha":
         raise ValueError("Q-table file must start with an 'alpha <value>' header")
     alpha = float(head[1])
-    triples = []
-    for line in lines[1:]:
-        if not line.strip():
+    pairs = {}
+    for n, line in enumerate(lines[1:], start=2):
+        fields = line.split()
+        if not fields:
             continue
-        s, a, v = line.split()
-        triples.append((int(s), int(a), float(v)))
-    if not triples:
-        raise ValueError("Q-table file has no 'state action value' lines")
-    # The shape follows the largest indices; each pair in it appears once.
-    n_states = max(s for s, _, _ in triples) + 1
-    n_actions = max(a for _, a, _ in triples) + 1
-    values = np.zeros((n_states, n_actions))
-    seen = set()
-    for s, a, v in triples:
-        if s < 0 or a < 0 or (s, a) in seen:
+        if len(fields) != 3:
+            raise ValueError(f"Q-table line {n} is not 'state action value': {line!r}")
+        s, a, v = int(fields[0]), int(fields[1]), float(fields[2])
+        if s < 0 or a < 0 or (s, a) in pairs:
             raise ValueError(f"Q-table repeats state {s}, action {a}, or has a negative index")
-        seen.add((s, a))
+        pairs[s, a] = v
+    if not pairs:
+        raise ValueError("Q-table file has no 'state action value' lines")
+    # The shape follows the largest indices, and each pair in it has a line,
+    # so a table is sized only once its lines cover it.
+    shape = (max(s for s, _ in pairs) + 1, max(a for _, a in pairs) + 1)
+    if len(pairs) != shape[0] * shape[1]:
+        raise ValueError(f"Q-table lacks {shape[0] * shape[1] - len(pairs)} of its {shape} pairs")
+    values = np.zeros(shape)
+    for (s, a), v in pairs.items():
         values[s, a] = v
-    if len(seen) != values.size:
-        raise ValueError(f"Q-table lacks {values.size - len(seen)} of its {values.shape} pairs")
     return QTable(values=values, alpha=alpha)
 
 

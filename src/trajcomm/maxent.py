@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import functools
 import math
 from typing import Callable
 
@@ -52,12 +53,18 @@ class QTable:
             raise ValueError(
                 f"Q / alpha must be finite, but |Q| reaches {largest} at temperature {self.alpha}"
             )
-        # softmax_policy's per-state cache, its one Dist per distinct row
-        # bytes, and the whole table's softmax, built on the first call: a
-        # table that is planned but never asked for a policy does not pay for it.
-        object.__setattr__(self, "_policy_rows", {})
-        object.__setattr__(self, "_policy_canon", {})
-        object.__setattr__(self, "_policy_batch", None)
+
+    @functools.cached_property
+    def _policies(self) -> tuple[Dist, ...]:
+        """Every state's ``softmax_policy``, from one softmax of the whole table,
+        built on first use: a table that is planned but never asked for a
+        policy does not pay for it. Rows with equal bytes share one ``Dist``."""
+        # Q / alpha is finite, but a row's spread can pass the float64 range: its
+        # low entries then come to exp(-inf) = 0, which numpy need not warn of.
+        with np.errstate(over="ignore"):
+            probs = softmax_parts(self.values, self.alpha)[0]
+        canon = {}
+        return tuple(canon.setdefault(row.tobytes(), Dist._owning(row)) for row in probs)
 
 
 def frozen_q_values(values, axes: tuple[str, ...]) -> np.ndarray:
@@ -135,35 +142,19 @@ def _shifted(x: np.ndarray, mx: np.ndarray) -> np.ndarray:
 def softmax_policy(q: QTable, s: int) -> Dist:
     """Boltzmann policy pi(a|s) proportional to exp(Q(s,a)/alpha).
 
-    Cached per state on the (immutable) Q table: sender and receiver ask for
-    the same rows at every decision, so each row is built once. The first
-    call softmaxes the whole table in one batch, and each row is handed out
-    as a read-only view of the batch, bytes equal to its own
-    ``softmax_parts``. ``QTable`` keeps Q / alpha finite, so every row is a
-    distribution: its largest term is exp(0) = 1, and the others lie in [0, 1].
+    Cached on the (immutable) Q table: sender and receiver ask for the same
+    rows at every decision, so the whole table is softmaxed once, on the
+    first call, and each row is handed out as a read-only view of that batch,
+    bytes equal to its own ``softmax_parts``. ``QTable`` keeps Q / alpha
+    finite, so every row is a distribution: its largest term is exp(0) = 1,
+    and the others lie in [0, 1].
 
     Equal bytes mean the same object: rows with equal bytes, at any states
     of one table, are handed out as one ``Dist``, the first one built. The
     coder keys its memo by the policy object, so a decision repeated at
     another state with the same row is found without reading its bytes.
     """
-    d = q._policy_rows.get(s)
-    if d is None:
-        probs = q._policy_batch if q._policy_batch is not None else _policy_batch(q)
-        d = Dist._owning(probs[s])
-        d = q._policy_rows[s] = q._policy_canon.setdefault(d.probs.tobytes(), d)
-    return d
-
-
-def _policy_batch(q: QTable) -> np.ndarray:
-    """Every row's softmax, read-only; kept on ``q``."""
-    # Q / alpha is finite, but a row's spread can pass the float64 range: its
-    # low entries then come to exp(-inf) = 0, which numpy need not warn of.
-    with np.errstate(over="ignore"):
-        probs = softmax_parts(q.values, q.alpha)[0]
-    probs.setflags(write=False)
-    object.__setattr__(q, "_policy_batch", probs)
-    return probs
+    return q._policies[s]
 
 
 @np.errstate(over="raise", invalid="raise")

@@ -105,7 +105,7 @@ class McgSpec:
 
     ``priority``, finite and non-negative, weighs decode correctness against
     the MDP's return; the RL baseline (``baseline.train_rl_pr``) shapes its
-    terminal reward with it.
+    terminal reward with it. Neither it nor ``noise_p`` may be a bool.
     """
 
     mdp: MdpSpec
@@ -115,6 +115,9 @@ class McgSpec:
     noise_p: float = 0.0
 
     def __post_init__(self):
+        for name, value in (("priority", self.priority), ("noise_p", self.noise_p)):
+            if isinstance(value, bool):
+                raise TypeError(f"{name} must be a number, not {value!r}")
         if self.priority < 0.0:
             raise ValueError("message priority must be non-negative")
         if not self.priority < float("inf"):  # NaN fails this too

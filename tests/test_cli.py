@@ -2,7 +2,12 @@
 
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +26,19 @@ def _codegrid_8(tmp_path):
     assert main(["make-env", "codegrid", "--messages", "8", "--out", str(spec)]) == 0
     assert main(["solve", "--spec", str(spec), "--beta", "2", "--out", str(qtable)]) == 0
     return spec, qtable
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def _run_cli(argv, cwd):
+    """``python -m trajcomm.cli`` with ``argv``, in a process of its own on this
+    checkout's sources; one that runs past a minute fails the test."""
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "trajcomm.cli", *argv], cwd=cwd,
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, timeout=60,
+    )
 
 
 def test_solve_send_receive_decodes_the_sent_message(tmp_path):
@@ -397,10 +415,10 @@ def test_load_rejects_a_spec_that_breaks_its_horizon_bound(tmp_path, fault):
         load_mcg(spec)
 
 
-@pytest.mark.parametrize("command", ["train", "send", "receive"])
-def test_commands_reject_a_spec_that_breaks_its_horizon_bound(tmp_path, capsys, command):
-    # The horizon-one-short fault: on it, a command that missed the check
-    # would still end, and fail this test instead of hanging it.
+def _broken_horizon_argv(tmp_path, command, fault):
+    """A train, send or receive command line on a 5-step chain spec broken by
+    ``fault``, writing ``tmp_path / "out.txt"``; its table and trajectory
+    were made before the spec was broken."""
     spec, qtable, traj = tmp_path / "env.json", tmp_path / "q.txt", tmp_path / "z.txt"
     assert main(["make-env", "chain", "--steps", "5", "--actions", "2", "--out", str(spec)]) == 0
     assert main(["solve", "--spec", str(spec), "--beta", "1", "--out", str(qtable)]) == 0
@@ -408,18 +426,35 @@ def test_commands_reject_a_spec_that_breaks_its_horizon_bound(tmp_path, capsys, 
         "send", "--spec", str(spec), "--qtable", str(qtable), "--message", "1",
         "--seed", "0", "--out", str(traj),
     ]) == 0
-    _break_horizon_bound(spec, "horizon-one-short")
-    out = tmp_path / "out.txt"
+    _break_horizon_bound(spec, fault)
     args = {
         "train": ["--beta", "1", "--episodes", "10", "--seed", "0"],
         "send": ["--qtable", str(qtable), "--message", "1", "--seed", "0"],
         "receive": ["--qtable", str(qtable), "--traj", str(traj)],
     }[command]
+    return [command, "--spec", str(spec), *args, "--out", str(tmp_path / "out.txt")]
+
+
+@pytest.mark.parametrize("command", ["train", "send", "receive"])
+def test_commands_reject_a_spec_that_breaks_its_horizon_bound(tmp_path, capsys, command):
+    # The horizon-one-short fault: on it, a command that missed the check
+    # would still end, and fail this test instead of hanging it.
+    argv = _broken_horizon_argv(tmp_path, command, "horizon-one-short")
     capsys.readouterr()
-    assert main([command, "--spec", str(spec), *args, "--out", str(out)]) == 2
+    assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "horizon bound" in err
-    assert not out.exists()
+    assert not (tmp_path / "out.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "send", "receive"])
+def test_commands_reject_a_spec_with_a_cycle(tmp_path, command):
+    # On the cycle, train and send used to loop for ever: each command runs
+    # in a process of its own, whose timeout turns a hang into a failure.
+    result = _run_cli(_broken_horizon_argv(tmp_path, command, "cycle"), tmp_path)
+    assert result.returncode == 2
+    assert result.stderr.startswith("error:") and "horizon bound" in result.stderr
+    assert not (tmp_path / "out.txt").exists()
 
 
 @pytest.mark.parametrize("fault", ["horizon-one-short", "cycle"])
@@ -471,15 +506,22 @@ BAD_SPECS = {
 
 
 # Edits to the lines of a valid Q-table file (its header, then one line per
-# (state, action) pair), and the text the error must contain. Apart from the
-# emptied file, each edited table used to load: a repeated pair overwrote the
-# first, a missing pair read 0, and a negative index wrapped round.
+# (state, action) pair), and the text the error must contain. The emptied
+# file aside, the first three edited tables used to load: a repeated pair
+# overwrote the first, a missing pair read 0, and a negative index wrapped
+# round. A state index of 10^12 was sized before its lines were counted and
+# died with numpy's MemoryError, exit 1, and a line of four fields read "too
+# many values to unpack (expected 3)".
 BAD_QTABLES = {
     "Q-table": (lambda lines: [], "Q-table"),
     "qtable-repeated": (lambda lines: lines + [lines[1].rsplit(" ", 1)[0] + " 9.0"],
                         "repeats state 0, action 0"),
     "qtable-missing": (lambda lines: lines[:5] + lines[6:], "lacks 1 of"),
     "qtable-negative": (lambda lines: lines + ["-1 0 9.0"], "negative index"),
+    "qtable-huge-index": (lambda lines: lines + ["1000000000000 0 0.0"],
+                          "of its (1000000000001, 4) pairs"),
+    "qtable-four-fields": (lambda lines: lines + ["0 0 0.0 1"],
+                           "is not 'state action value': '0 0 0.0 1'"),
 }
 
 
@@ -507,7 +549,7 @@ def test_malformed_input_files_exit_cleanly(tmp_path, capsys, fault):
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and expected in err
+    assert err.startswith("error:") and err.count("\n") == 1 and expected in err
 
 
 def _send_receive_argv(tmp_path, command, spec, qtable):
@@ -657,9 +699,9 @@ def test_send_and_receive_refuse_a_table_whose_q_over_alpha_overflows(tmp_path, 
     assert not (tmp_path / "out.txt").exists()
 
 
-# The pins below are the command-line checks of the CI workflow
-# (.github/workflows/tier1.yml), run in-process with the same arguments and
-# the same expected bytes.
+# The command-line pins: each stage of the pipeline, from planning through
+# coupling and sending to replaying and decoding, run in-process through
+# cli.main, with the bytes it must write or print.
 
 def _digest(path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
@@ -679,7 +721,9 @@ def test_noisy_image_round_trip_writes_the_recorded_trajectory(
     tmp_path, pixels, block, image, shape, digest
 ):
     # 5% actuator noise over 24 steps: seed 0 flips at least one action, and
-    # the noise-aware receiver still decodes the image.
+    # the noise-aware receiver still decodes the image. Blocks of 3 pixels
+    # have 8 values, the smallest belief block whose weights numpy sums
+    # pairwise; blocks of 2 pixels sum theirs one at a time.
     spec, qtable, pbm = tmp_path / "noisy.json", tmp_path / "q.txt", tmp_path / "in.pbm"
     traj, decoded = tmp_path / "z.txt", tmp_path / "out.pbm"
     pbm.write_text(image)
@@ -699,6 +743,9 @@ def test_noisy_image_round_trip_writes_the_recorded_trajectory(
 
 
 def test_chain_of_200_steps_writes_the_recorded_trajectory_and_entropy_trace(tmp_path):
+    # 64 explicit messages over 4 actions: the belief collapses to a point
+    # mass within a few steps, and nearly every later decision reuses a
+    # memoized coupling and keeps its belief as it is.
     spec, qtable = tmp_path / "chain64.json", tmp_path / "q64.txt"
     traj, csv, decoded = tmp_path / "z64.txt", tmp_path / "h64.csv", tmp_path / "m64.txt"
     assert main(["make-env", "chain", "--steps", "200", "--actions", "4", "--messages", "64",
@@ -718,7 +765,7 @@ SWEEP_HEADER = (
     "mean_hamming,hamming_se,rollouts,error"
 )
 
-# Sweep configs of the CI workflow and the rows each writes.
+# Sweep configs and the rows each writes.
 SWEEP_PINS = {
     "rl_pr": (
         {"env": "codegrid", "env_params": {"n_messages": 4}, "method": "rl_pr",
@@ -786,7 +833,7 @@ def test_solve_writes_the_three_step_chain_soft_values(tmp_path):
     ]) + "\n"
 
 
-# mec inputs of the CI workflow and the lines each prints.
+# mec inputs and the lines each prints.
 MEC_PINS = {
     "two-rows": ("0.5\n0.5\n", "0.25\n0.75\n", [
         "0.5 0 1", "0.25 1 0", "0.25 1 1", "joint_bits 1.5", "row_marginal_bits 1",
@@ -824,3 +871,33 @@ def test_mec_prints_the_recorded_run_of_100_equal_rows(tmp_path, capsys):
     assert hashlib.sha256(out).hexdigest() == (
         "fe2307228ec6a0c83911e4628cad37049a12c2a0c83a729b5b42e6be41f98f56"
     )
+
+
+# The process boundary: the exit status main returns is the program's, and
+# pyproject.toml installs main as the trajcomm console script.
+
+def test_the_program_exits_0_when_a_command_succeeds(tmp_path):
+    result = _run_cli(["make-env", "toy", "--out", "toy.json"], tmp_path)
+    assert result.returncode == 0 and result.stderr == ""
+    assert _digest(tmp_path / "toy.json") == dict(SPEC_DIGESTS)["toy"]
+
+
+def test_the_program_exits_2_with_one_error_line_and_writes_nothing(tmp_path):
+    # A grid given as the string "17" used to run beta = 1 and beta = 7.
+    (tmp_path / "grid.json").write_text(json.dumps(
+        {"env": "codegrid", "method": "meme", "grid": "17", "seeds": [0], "rollouts": 1}
+    ))
+    result = _run_cli(["sweep", "--config", "grid.json", "--out", "grid.csv"], tmp_path)
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == "error: 'grid' takes a list, not '17'\n"
+    assert not (tmp_path / "grid.csv").exists()
+
+
+def test_the_console_script_is_cli_main():
+    # A regex, not tomllib, which Python 3.10 lacks.
+    text = (SRC.parent / "pyproject.toml").read_text()
+    scripts = re.search(r"^\[project\.scripts\]$(.*?)(?=^\[|\Z)", text, re.M | re.S)
+    assert scripts is not None
+    assert re.findall(r"^(\S+)\s*=\s*\"(.*)\"\s*$", scripts.group(1), re.M) == [
+        ("trajcomm", "trajcomm.cli:main")
+    ]

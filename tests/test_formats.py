@@ -179,6 +179,8 @@ class TestMcgDocumentVersions:
             lambda doc: doc["message_space"].update(block_sizes=[True]),
             lambda doc: doc["message_space"].update(factored="yes"),
             lambda doc: doc["message_space"].update(factored=0),
+            lambda doc: doc.update(priority=True),
+            lambda doc: doc.update(noise_p=False),
         ],
         ids=[
             "message-space-list",
@@ -196,11 +198,14 @@ class TestMcgDocumentVersions:
             "block-size-bool",
             "factored-str",
             "factored-int",
+            "priority-bool",
+            "noise-p-bool",
         ],
     )
     def test_field_of_the_wrong_type_rejected(self, edit):
         # The first five used to escape as a TypeError; the rest loaded, and
-        # some of them failed later in send or receive.
+        # some of them failed later in send or receive. A priority of true
+        # solved as zeta = 1.
         doc = mcg_to_document(build_toy_mcg(priority=1.0))
         edit(doc)
         with pytest.raises(ValueError, match="game spec has a field of the wrong type"):
