@@ -21,7 +21,11 @@ the likelihoods, normalizes, and resets a belief whose total is exactly 0.
 
 The coupling is the decision rule. It stores one row per message in the
 belief's support, so after a few steps a block of thousands of messages is
-coupled, checked and updated through a table of a few rows. Neither
+coupled, checked and updated through a table of a few rows. The table is
+column-major, one contiguous column per action: each message's total
+(``row_mass``) adds the columns left to right, so its bytes do not depend on
+the layout, and ``check_mixture``'s column sums and ``posterior_update``'s
+executed column read contiguous memory. Neither
 ``greedy_mec`` nor ``SparseCoupling`` checks a coupling; the coder validates
 each one once, where it uses it, against its own belief and policy
 (``check_mixture``), the one check a coupling gets. Message ``m`` acts by
@@ -119,7 +123,10 @@ def check_mixture(coupling: SparseCoupling, b: Dist, policy: Dist) -> None:
 
     This is the one validation of a coupling: ``SparseCoupling`` checks
     nothing, and what this leaves out, new arrays and rows ascending below
-    ``n_rows``, holds by construction in ``greedy_mec``.
+    ``n_rows``, holds by construction in ``greedy_mec``. The column sums are
+    numpy's reduction along each column, contiguous in ``greedy_mec``'s
+    column-major table; they are only compared within tolerance, never
+    stored, so their last bit does not reach a trace.
     """
     rows, joint = coupling.rows, coupling.joint
     shape, want = (coupling.n_rows, joint.shape[1]), (len(b.probs), len(policy.probs))

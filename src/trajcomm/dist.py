@@ -112,15 +112,18 @@ def sample_index(probs: np.ndarray, rng: np.random.Generator) -> int:
     return min(bisect_right(cum, rng.random() * cum[-1]), len(cum) - 1)
 
 
-def _running_total(table: np.ndarray, axis: int) -> np.ndarray:
-    """Sums along ``axis``, each adding its entries one at a time in order.
+def _row_totals(joint: np.ndarray) -> np.ndarray:
+    """The row totals of a table, adding its columns left to right.
 
-    Adding a zero leaves a total unchanged, so these are the sums of the
-    positive cells in row-major order; the final ``+ 0.0`` turns the total
-    of a line holding only ``-0.0`` into ``0.0``.
+    Each total adds its row's entries one at a time in order, whatever the
+    table's memory layout: a vector add per column, never a reduction, which
+    numpy may sum pairwise along contiguous memory. The ``+ 0.0`` that starts
+    the sum turns a total of only ``-0.0`` into ``0.0``.
     """
-    totals = np.add.accumulate(table, axis=axis)
-    return (totals[:, -1] if axis == 1 else totals[-1]) + 0.0
+    totals = joint[:, 0] + 0.0
+    for j in range(1, joint.shape[1]):
+        totals += joint[:, j]
+    return totals
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -142,12 +145,16 @@ class SparseCoupling:
 
     ``entries`` derives the ``(mass, row, col)`` triples of the positive
     cells in row-major order, with global row indices. Both marginals add
-    those masses in that order, one at a time (``np.add.accumulate``; a
-    pairwise ``joint.sum(axis=...)`` can differ in the last bit): the stored
-    rows' totals ``row_mass`` (one per entry of ``rows``, read-only) at
-    construction, the column marginal on each call of ``col_marginal()``.
-    ``row_marginal()`` is ``row_mass`` placed at ``rows`` in a vector of
-    ``n_rows`` entries. Both marginals are validated as ``Dist``.
+    those masses in that order, one at a time, so their bytes do not depend
+    on the table's memory layout (a pairwise ``joint.sum(axis=...)`` can
+    differ in the last bit). The stored rows' totals ``row_mass`` (one per
+    entry of ``rows``, read-only) are summed at construction by adding the
+    columns left to right, one vector add each; ``greedy_mec`` stores its
+    table column-major, so each column is contiguous. The column marginal is
+    summed row after row (``np.add.accumulate``) on each call of
+    ``col_marginal()``. ``row_marginal()`` is ``row_mass`` placed at
+    ``rows`` in a vector of ``n_rows`` entries. Both marginals are validated
+    as ``Dist``.
     """
 
     joint: np.ndarray
@@ -156,7 +163,7 @@ class SparseCoupling:
     row_mass: np.ndarray = dataclasses.field(init=False, repr=False)
 
     def __post_init__(self):
-        row_mass = _running_total(self.joint, axis=1)
+        row_mass = _row_totals(self.joint)
         for arr in (self.joint, self.rows, row_mass):
             arr.setflags(write=False)
         object.__setattr__(self, "row_mass", row_mass)
@@ -178,7 +185,7 @@ class SparseCoupling:
         return Dist(probs)
 
     def col_marginal(self) -> Dist:
-        return Dist(_running_total(self.joint, axis=0))
+        return Dist(np.add.accumulate(self.joint, axis=0)[-1] + 0.0)
 
 
 class CouplingEntropies(NamedTuple):

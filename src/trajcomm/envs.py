@@ -1,13 +1,18 @@
 """Concrete environments and the game catalogue ``GAMES``: one builder per
 game, whose keyword parameters are the game's whole parameter set and whose
 defaults are the only place the game's defaults are written. Every keyword is
-a plain value (a number, a list or a dict) that a sweep's JSON can give. An
+a plain value (a number, a list or a dict) that a sweep's JSON can give, and
+its annotation is the type ``check_game_params`` holds a sweep's value to. An
 image space's codec, ``image_to_message`` and ``message_to_image``, is here
 too: it reads the block size off the space, so no caller derives it."""
 
 from __future__ import annotations
 
+import functools
 import inspect
+import numbers
+import types
+import typing
 
 import numpy as np
 
@@ -259,17 +264,53 @@ def _game_builder(name: str):
     return globals()[GAMES[name]]
 
 
+def _fits(value, hint) -> bool:
+    """Whether a JSON value fits a builder's annotation. An ``int`` takes an
+    integer and a ``float`` any real number, neither a bool; a tuple takes a
+    list or a tuple of fitting items; a union takes what any member takes."""
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_fits(value, arg) for arg in args)
+    if hint is type(None):
+        return value is None
+    if hint in (int, float):
+        kind = numbers.Integral if hint is int else numbers.Real
+        return isinstance(value, kind) and not isinstance(value, bool)
+    if hint is dict:
+        return isinstance(value, dict)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        if len(args) == 2 and args[1] is Ellipsis:
+            return all(_fits(item, args[0]) for item in value)
+        return len(value) == len(args) and all(map(_fits, value, args))
+    raise TypeError(f"no check for the annotation {hint!r}")
+
+
+@functools.cache
+def _builder_types(builder) -> tuple[inspect.Signature, dict]:
+    """A builder's signature and its evaluated annotations, read once per
+    builder object: a sweep checks its parameters once per config."""
+    return inspect.signature(builder), typing.get_type_hints(builder)
+
+
 def check_game_params(name: str, params) -> None:
     """Raise ValueError, naming the key, unless ``params`` is a dict of
-    keywords the named game's builder takes; ``noise_p`` is set on its own."""
+    keywords the named game's builder takes, each of the type its annotation
+    states (``_fits``); ``noise_p`` is set on its own."""
     if not isinstance(params, dict):
         raise ValueError(f"{name} parameters must be a JSON object, not {type(params).__name__}")
     if "noise_p" in params:
         raise ValueError("'noise_p' is set on its own, not among the game parameters")
+    signature, hints = _builder_types(_game_builder(name))
     try:
-        inspect.signature(_game_builder(name)).bind(**params)
+        signature.bind(**params)
     except TypeError as e:
         raise ValueError(f"{name} game: {e}") from None
+    for key, value in params.items():
+        if not _fits(value, hints[key]):
+            hint = inspect.formatannotation(hints[key])
+            raise ValueError(f"{name} game: {key!r} takes {hint}, not {value!r}")
 
 
 def build_env(name: str, params: dict, noise_p: float = 0.0) -> McgSpec:

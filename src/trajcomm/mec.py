@@ -37,7 +37,9 @@ def greedy_mec(p: Dist, q: Dist) -> SparseCoupling:
     ``(mass, -index)``, so its last entry is its largest mass, and ties
     between equal masses go to the lower index. Identical inputs therefore
     always yield an identical table; sender and receiver rely on that to
-    reconstruct the same coupling independently.
+    reconstruct the same coupling independently. The column list depends on
+    ``q`` alone, so it is built once per ``q`` object, kept on it, and
+    copied by each call before the call pops from it.
 
     Runs: a support of at least ``RUN_MIN`` rows is sorted once by numpy, and
     each run of at least ``RUN_MIN`` equal masses m is kept out of the row
@@ -65,23 +67,24 @@ def greedy_mec(p: Dist, q: Dist) -> SparseCoupling:
     Returns:
         SparseCoupling over the rows in the support of ``p``, each step's
         mass in the cell it filled and every other cell 0. Its arrays are
-        new, and its rows, from ``nonzero()``, ascend below ``len(p)``. It
-        is not validated here: its user checks it once against the
-        marginals it expects (``coding.check_mixture``).
+        new, and its rows, from ``nonzero()``, ascend below ``len(p)``. The
+        table is stored column-major (``order="F"``), so each action's
+        column is contiguous: the row totals add the columns left to right,
+        and the coder's column sums and likelihood column read contiguous
+        memory. It is not validated here: its user checks it once against
+        the marginals it expects (``coding.check_mixture``).
 
     Raises:
         ValueError: If either input is not a valid distribution (raised at
             Dist construction).
     """
     p_norm = p.probs / p.probs.sum()
-    q_norm = q.probs / q.probs.sum()
     support = p_norm.nonzero()[0]
-    live = q_norm.nonzero()[0]
-    n, n_cols = len(support), len(q_norm)
+    n, n_cols = len(support), len(q)
     masses = p_norm[support]
     # Rows are keyed by their position in the support, which ascends with the
     # message index; both sides store the negated index.
-    cols = sorted(zip(q_norm[live].tolist(), (-live).tolist()))
+    cols = list(_columns(q))
     runs = []  # runs to place in bulk, the largest mass last: ((mass, key), rows)
     if n < RUN_MIN:
         rows = sorted(zip(masses.tolist(), range(0, -n, -1)))
@@ -97,7 +100,7 @@ def greedy_mec(p: Dist, q: Dist) -> SparseCoupling:
         runs.reverse()
         short = order[short][::-1]
         rows = list(zip(masses[short].tolist(), (-short).tolist()))
-    joint = np.zeros((n, n_cols))  # rows by position in the support
+    joint = np.zeros((n, n_cols), order="F")  # rows by position in the support
     while cols and (rows or runs):
         if runs and (not rows or rows[-1] < runs[-1][0]):
             (m, _), run = runs.pop()
@@ -119,6 +122,19 @@ def greedy_mec(p: Dist, q: Dist) -> SparseCoupling:
                 insort(cols, (c - r, j))
     # A rounding sliver left on one side once the other is used up is dropped.
     return SparseCoupling(joint, support, len(p_norm))
+
+
+def _columns(q: Dist) -> tuple:
+    """``q``'s live columns, normalized, as the ascending ``(mass, -index)``
+    list, kept on ``q`` as ``entropy`` keeps its bits: a policy row is one
+    ``Dist`` shared by every decision that plays it."""
+    cols = getattr(q, "_mec_columns", None)
+    if cols is None:
+        q_norm = q.probs / q.probs.sum()
+        live = q_norm.nonzero()[0]
+        cols = tuple(sorted(zip(q_norm[live].tolist(), (-live).tolist())))
+        object.__setattr__(q, "_mec_columns", cols)
+    return cols
 
 
 def _place_run(joint: np.ndarray, run: np.ndarray, m: float, cols: list) -> tuple[int, list]:

@@ -13,9 +13,10 @@ _ORACLE_MAX_SUPPORT = 6
 _SCALE = 10**12
 
 
-def full_coupling(joint) -> SparseCoupling:
-    """A coupling that stores every row of ``joint``, as float64 masses."""
-    joint = np.array(joint, dtype=np.float64)
+def full_coupling(joint, order: str = "C") -> SparseCoupling:
+    """A coupling that stores every row of ``joint``, as float64 masses laid
+    out in ``order`` ("C" row-major, "F" column-major as ``greedy_mec``'s)."""
+    joint = np.array(joint, dtype=np.float64, order=order)
     return SparseCoupling(joint, np.arange(len(joint)), len(joint))
 
 

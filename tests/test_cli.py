@@ -228,13 +228,36 @@ def test_sweep_takes_the_grid_keywords(tmp_path):
          "noise_p"),
         ({"env": "toy", "method": "meme", "grid": [2.0], "seeds": [0], "noise_p": [[0.1]]},
          "noise_p"),
+        # Each game parameter is held to its builder's annotation. These ran
+        # every cell into an error row, and the sweep exited 0.
+        ({"env": "codegrid", "method": "meme", "grid": [2.0], "seeds": [0],
+          "env_params": {"n_messages": "8"}}, "n_messages"),
+        ({"env": "codegrid", "method": "meme", "grid": [2.0], "seeds": [0],
+          "env_params": {"n_messages": 8.0}}, "n_messages"),
+        ({"env": "codegrid", "method": "meme", "grid": [2.0], "seeds": [0],
+          "env_params": {"n_messages": True}}, "n_messages"),
+        ({"env": "codegrid", "method": "meme", "grid": [2.0], "seeds": [0],
+          "env_params": {"priority": True}}, "priority"),
+        ({"env": "codegrid", "method": "rl_pr", "grid": [2.0], "seeds": [0],
+          "env_params": {"priority": "1"}}, "priority"),
+        ({"env": "codegrid", "method": "meme", "grid": [2.0], "seeds": [0],
+          "env_params": {"goal": [3]}}, "goal"),
+        ({"env": "codegrid", "method": "meme", "grid": [2.0], "seeds": [0],
+          "env_params": {"start": [1.5, 1]}}, "start"),
+        ({"env": "coding", "method": "meme", "grid": [2.0], "seeds": [0],
+          "env_params": {"symbol_costs": ["1", "2"]}}, "symbol_costs"),
+        ({"env": "chain", "method": "meme", "grid": [2.0], "seeds": [0],
+          "env_params": {"rewards": [1.0]}}, "rewards"),
     ],
     ids=["misspelt-key", "missing-env", "rollouts-0", "method-params", "episodes-0",
          "noise-p-0.6", "env-params-typo", "env-params-noise", "noise-p-empty",
          "env-params-grid", "rollouts-float", "rollouts-bool", "episodes-float",
          "seed-float", "grid-string", "grid-string-item", "grid-bool-item",
          "grid-null-item", "noise-p-string", "noise-p-string-item", "noise-p-bool-item",
-         "noise-p-list-item"],
+         "noise-p-list-item", "env-params-int-string", "env-params-int-float",
+         "env-params-int-bool", "env-params-priority-bool", "env-params-priority-string",
+         "env-params-tuple-short", "env-params-tuple-float-item",
+         "env-params-tuple-string-items", "env-params-dict-list"],
 )
 def test_sweep_rejects_a_bad_config_key(tmp_path, capsys, doc, key):
     config = tmp_path / "sweep.json"

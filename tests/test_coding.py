@@ -45,7 +45,7 @@ from trajcomm.mec import greedy_mec
 from trajcomm.sweep import SweepConfig, run_sweep
 
 from mec_oracle import full_coupling
-from test_mec import checked_oracle, reference_greedy
+from test_mec import checked_oracle, reference_greedy, same_coupling
 
 TOY_SOFTMAX = np.array([0.7213991842739685, 0.26538792877224193, 0.013212886953789414])
 
@@ -277,18 +277,21 @@ class TestCheckMixture:
         b, policy = Dist([0.25, 0.25, 0.5]), Dist([0.5, 0.3, 0.2])
         check_mixture(greedy_mec(b, policy), b, policy)
 
-    def test_stored_rows_are_checked_against_the_belief(self):
-        c = SparseCoupling(np.array([[0.5], [0.5]]), np.array([0, 2], dtype=np.intp), 3)
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_stored_rows_are_checked_against_the_belief(self, order):
+        joint = np.array([[0.5], [0.5]], order=order)
+        c = SparseCoupling(joint, np.array([0, 2], dtype=np.intp), 3)
         check_mixture(c, Dist([0.5, 0.0, 0.5]), Dist([1.0]))
         with pytest.raises(RuntimeError, match="drifted"):
             check_mixture(c, Dist([0.5, 0.5, 0.0]), Dist([1.0]))
         with pytest.raises(RuntimeError, match="shape"):
             check_mixture(c, Dist([0.5, 0.5]), Dist([1.0]))
 
-    def test_belief_mass_off_the_stored_rows_raises(self):
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_belief_mass_off_the_stored_rows_raises(self, order):
         # Each stored row is 5e-10 above the belief, within tolerance, but
         # the row the coupling leaves out carries 5e-9 of the belief.
-        c = SparseCoupling(np.full((10, 1), 0.1), np.arange(10), 11)
+        c = SparseCoupling(np.full((10, 1), 0.1, order=order), np.arange(10), 11)
         check_mixture(c, Dist([0.1] * 10 + [0.0]), Dist([1.0]))
         with pytest.raises(RuntimeError, match="drifted"):
             check_mixture(c, Dist([0.1 - 5e-10] * 10 + [5e-9]), Dist([1.0]))
@@ -297,16 +300,18 @@ class TestCheckMixture:
         c = full_coupling([[0.5 + 5e-10, 0.0], [0.0, 0.5]])
         check_mixture(c, Dist([0.5, 0.5]), Dist([0.5, 0.5]))
 
-    def test_column_drift_raises(self):
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_column_drift_raises(self, order):
         # Row totals are exact; column 0 carries 2e-9 too much.
-        c = full_coupling([[0.25 + 2e-9, 0.25 - 2e-9], [0.25, 0.25]])
+        c = full_coupling([[0.25 + 2e-9, 0.25 - 2e-9], [0.25, 0.25]], order)
         assert np.array_equal(c.row_mass, [0.5, 0.5])
         with pytest.raises(RuntimeError, match="drifted"):
             check_mixture(c, Dist([0.5, 0.5]), Dist([0.5, 0.5]))
 
-    def test_row_mass_drift_raises(self):
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_row_mass_drift_raises(self, order):
         # Column sums are exact; row 0 carries 2e-9 too much.
-        c = full_coupling([[0.25 + 2e-9, 0.25], [0.25 - 2e-9, 0.25]])
+        c = full_coupling([[0.25 + 2e-9, 0.25], [0.25 - 2e-9, 0.25]], order)
         assert np.array_equal(c.joint.sum(axis=0), [0.5, 0.5])
         with pytest.raises(RuntimeError, match="drifted"):
             check_mixture(c, Dist([0.5, 0.5]), Dist([0.5, 0.5]))
@@ -324,11 +329,12 @@ class TestCheckMixture:
             pytest.param([[0.5 + 8e-10, 0.0], [0.0, 0.5 + 8e-10]], "sums to", id="total"),
         ],
     )
-    def test_corrupted_couplings_raise(self, joint, message):
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_corrupted_couplings_raise(self, joint, message, order):
         b, policy = Dist([0.5, 0.5]), Dist([0.5, 0.5])
-        check_mixture(full_coupling([[0.25, 0.25], [0.25, 0.25]]), b, policy)
+        check_mixture(full_coupling([[0.25, 0.25], [0.25, 0.25]], order), b, policy)
         with pytest.raises(RuntimeError, match=message):
-            check_mixture(full_coupling(joint), b, policy)
+            check_mixture(full_coupling(joint, order), b, policy)
 
     @pytest.mark.parametrize(
         "b, policy",
@@ -792,6 +798,30 @@ class TestMemoMatchesReference:
             ref_decoded, ref_trace = _reference_decode(q, mcg, z)
             assert decoded == ref_decoded
             _assert_same_bytes(trace, ref_trace)
+
+    def test_couplings_against_reused_policies_match_fresh_ones(self, monkeypatch):
+        # Every decision of seeded codegrid-1024 round trips, sender and
+        # receiver: the coupling built against the shared policy row, whose
+        # column list is kept on it, has the bytes of one built against
+        # fresh copies of the belief and the policy.
+        mcg = build_codegrid(1024)
+        q = exact_soft_vi(mcg.mdp, 1 / 7)
+        calls = []
+        original = coding.greedy_mec
+
+        def recorded(p, policy):
+            c = original(p, policy)
+            calls.append((p, policy, c))
+            return c
+
+        monkeypatch.setattr(coding, "greedy_mec", recorded)
+        draws = np.random.default_rng(43)
+        for i in range(2):
+            run_roundtrip(q, mcg, sample_message(mcg, draws), np.random.default_rng(i))
+        assert len({id(policy) for _, policy, _ in calls}) < len(calls)
+        for p, policy, c in calls:
+            assert c.joint.flags.f_contiguous
+            assert same_coupling(c, original(Dist(p.probs), Dist(policy.probs)))
 
     def test_explicit_chain_collapses_to_a_point_mass(self):
         mcg = chain_mcg(build_channel_chain(200, 4), MessageSpace.explicit(64))

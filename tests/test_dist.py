@@ -214,6 +214,38 @@ class TestSparseCoupling:
             assert c.row_marginal().probs.tobytes() == rows.tobytes()
             assert c.col_marginal().probs.tobytes() == cols.tobytes()
 
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_row_totals_add_left_to_right_in_either_layout(self, order):
+        # Reference: each row's cells, zeros and -0.0 included, added to 0.0
+        # one at a time from the left in plain Python floats. numpy reduces a
+        # contiguous line of 8 or more entries pairwise, and a one-row table
+        # is both C- and F-contiguous, so one-row tables of 8 to 69 columns
+        # catch a layout-dependent reduction in either layout.
+        rng = np.random.default_rng(43)
+        tables = [rng.random((1, n_cols)) for n_cols in range(8, 70)]
+        tables += [np.zeros((3, 4)), np.full((2, 3), -0.0), np.array([[-0.0, 0.5, -0.0, 0.5]])]
+        for _ in range(200):
+            shape = (int(rng.integers(1, 40)), int(rng.integers(1, 12)))
+            joint = rng.random(shape) * (rng.random(shape) < 0.6)
+            joint[rng.random(shape) < 0.1] = -0.0
+            joint[int(rng.integers(shape[0]))] = 0.0  # an all-zero row
+            tables.append(joint)
+        pairwise = 0
+        for table in tables:
+            joint = np.array(table, order=order)
+            want = []
+            for row in joint.tolist():
+                total = 0.0
+                for x in row:
+                    total += x
+                want.append(total)
+            want = np.array(want)
+            c = SparseCoupling(joint, np.arange(len(joint)), len(joint))
+            assert c.row_mass.tobytes() == want.tobytes()
+            pairwise += np.add.reduce(joint, axis=1).tobytes() != want.tobytes()
+        # The data can tell a reduction from the sequential sum.
+        assert pairwise > 0
+
 
 class TestCouplingEntropies:
     def test_identity_coupling_of_fair_coins(self):

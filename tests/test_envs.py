@@ -1,6 +1,7 @@
 """Environment-builder tests."""
 
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from trajcomm.envs import (
     build_coding_mcg,
     build_toy_mcg,
     chain_mcg,
+    check_game_params,
 )
 from trajcomm.formats import save_mcg
 from trajcomm.maxent import exact_soft_vi, expected_cumulative_entropy_bits, softmax_policy
@@ -245,6 +247,50 @@ class TestGameCatalogue:
     def test_unknown_game_or_parameter_is_an_error(self, name, params, key):
         with pytest.raises(ValueError, match=repr(key)):
             build_env(name, params)
+
+    @pytest.mark.parametrize(
+        "name, params, key",
+        [
+            ("codegrid", {"n_messages": True}, "n_messages"),
+            ("codegrid", {"n_messages": 4.0}, "n_messages"),
+            ("codegrid", {"n_messages": "4"}, "n_messages"),
+            ("toy", {"priority": False}, "priority"),
+            ("toy", {"priority": "1.0"}, "priority"),
+            ("codegrid", {"goal": [4, 4, 4]}, "goal"),
+            ("codegrid", {"goal": (4, True)}, "goal"),
+            ("codegrid", {"start": "11"}, "start"),
+            ("coding", {"symbol_costs": [1.0, None]}, "symbol_costs"),
+            ("chain", {"rewards": "none"}, "rewards"),
+            ("chain", {"image_pixels": 8.0}, "image_pixels"),
+        ],
+    )
+    def test_a_parameter_of_the_wrong_type_is_an_error(self, name, params, key):
+        with pytest.raises(ValueError, match=f"{key!r} takes "):
+            check_game_params(name, params)
+
+    @pytest.mark.parametrize(
+        "name, params",
+        [
+            ("toy", {"priority": 2}),  # an integer is a number
+            ("codegrid", {"start": [1, 2], "goal": (4, 4)}),  # a JSON list is a tuple
+            ("coding", {"symbol_costs": [1, 2.5], "alphabet_size": 2}),
+            ("coding", {"symbol_costs": None}),
+            ("chain", {"rewards": {"3": 1.0}, "n_messages": None, "image_pixels": None}),
+        ],
+    )
+    def test_values_of_the_annotated_types_pass(self, name, params):
+        check_game_params(name, params)
+        build_env(name, params)
+
+    @pytest.mark.parametrize("name", GAMES)
+    def test_every_default_fits_its_annotation(self, name):
+        builder = getattr(envs, GAMES[name])
+        defaults = {
+            key: p.default for key, p in inspect.signature(builder).parameters.items()
+            if p.default is not inspect.Parameter.empty and key != "noise_p"
+        }
+        assert defaults
+        check_game_params(name, defaults)
 
     @pytest.mark.parametrize("priority", [float("nan"), float("inf")])
     def test_priority_must_be_finite(self, priority):

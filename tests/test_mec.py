@@ -278,6 +278,39 @@ class TestGreedyMecProperties:
             assert len(c.entries) <= support - 1
 
 
+def same_coupling(a: SparseCoupling, b: SparseCoupling) -> bool:
+    """Equal shapes and equal bytes of the table, the rows and the row totals."""
+    return a.n_rows == b.n_rows and all(
+        x.shape == y.shape and x.tobytes() == y.tobytes()
+        for x, y in ((a.joint, b.joint), (a.rows, b.rows), (a.row_mass, b.row_mass))
+    )
+
+
+class TestGreedyMecStorage:
+    """The table is column-major, and a policy's column list, built once and
+    kept on its ``Dist``, gives the bytes a fresh ``Dist`` gives."""
+
+    def test_table_is_column_major(self):
+        rng = np.random.default_rng(17)
+        for _ in range(50):
+            c = greedy_mec(random_dist(rng), random_dist(rng, max_size=8))
+            assert c.joint.flags.f_contiguous
+
+    def test_reused_policy_matches_a_fresh_one(self):
+        # Few policies, each coupled with many beliefs, uniform ones of more
+        # than RUN_MIN rows among them, so calls that place runs in bulk and
+        # calls that pop single steps both start from a kept column list.
+        rng = np.random.default_rng(18)
+        policies = [random_dist(rng, max_size=8) for _ in range(5)]
+        for _ in range(300):
+            if rng.random() < 0.3:
+                p = Dist.uniform(int(rng.integers(1, 3 * RUN_MIN)))
+            else:
+                p = random_dist(rng, max_size=200)
+            q = policies[int(rng.integers(len(policies)))]
+            assert same_coupling(greedy_mec(p, q), greedy_mec(Dist(p.probs), Dist(q.probs)))
+
+
 class TestExactOracle:
     def test_fair_coins(self):
         c = checked_oracle(Dist([0.5, 0.5]), Dist([0.5, 0.5]))
