@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import inspect
 import numbers
+import reprlib
 import types
 import typing
 
@@ -264,27 +265,48 @@ def _game_builder(name: str):
     return globals()[GAMES[name]]
 
 
-def _fits(value, hint) -> bool:
-    """Whether a JSON value fits a builder's annotation. An ``int`` takes an
-    integer and a ``float`` any real number, neither a bool; a tuple takes a
-    list or a tuple of fitting items; a union takes what any member takes."""
+# The types of the JSON numbers each numeric annotation takes on sight.
+_PLAIN_NUMBERS = {int: {int}, float: {int, float}}
+
+
+def fits(value, hint) -> bool:
+    """Whether a JSON value fits an annotation: the one rule for the values
+    of every document (game spec, sweep config, game parameters). An ``int``
+    takes an integer and a ``float`` any real number, neither a bool; a
+    ``bool``, ``str``, ``dict`` or ``None`` takes just that; a tuple takes a
+    list or a tuple of fitting items; a union takes what any member takes.
+    A list of plain ``int`` (or ``float``) objects passes on their types
+    alone, and a list of lists is asked about all their items at once: a
+    spec holds lists of tens of thousands of numbers."""
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
-        return any(_fits(value, arg) for arg in args)
-    if hint is type(None):
-        return value is None
-    if hint in (int, float):
+        return any(fits(value, arg) for arg in args)
+    if hint in _PLAIN_NUMBERS:
         kind = numbers.Integral if hint is int else numbers.Real
-        return isinstance(value, kind) and not isinstance(value, bool)
-    if hint is dict:
-        return isinstance(value, dict)
-    if origin is tuple:
-        if not isinstance(value, (list, tuple)):
-            return False
-        if len(args) == 2 and args[1] is Ellipsis:
-            return all(_fits(item, args[0]) for item in value)
-        return len(value) == len(args) and all(map(_fits, value, args))
-    raise TypeError(f"no check for the annotation {hint!r}")
+        return type(value) in _PLAIN_NUMBERS[hint] or (
+            isinstance(value, kind) and not isinstance(value, bool)
+        )
+    if hint in (bool, str, dict, type(None)):
+        return isinstance(value, hint)
+    if origin is not tuple:
+        raise TypeError(f"no check for the annotation {hint!r}")
+    if not isinstance(value, (list, tuple)):
+        return False
+    if args[1:] != (Ellipsis,):
+        return len(value) == len(args) and all(map(fits, value, args))
+    item, kinds = args[0], set(map(type, value))
+    if kinds <= _PLAIN_NUMBERS.get(item, set()):
+        return True
+    if kinds <= {list, tuple} and typing.get_args(item)[1:] == (Ellipsis,):
+        return fits([x for row in value for x in row], item)
+    return all(fits(x, item) for x in value)
+
+
+def check_fits(key: str, value, hint, context: str = "") -> None:
+    """Raise ValueError naming ``key``, after ``context``, unless ``value`` fits ``hint``."""
+    if not fits(value, hint):
+        hint = inspect.formatannotation(hint)
+        raise ValueError(f"{context}{key!r} takes {hint}, not {reprlib.repr(value)}")
 
 
 @functools.cache
@@ -297,8 +319,8 @@ def _builder_types(builder) -> tuple[inspect.Signature, dict]:
 def check_game_params(name: str, params) -> None:
     """Raise ValueError, naming the key, unless ``params`` is a dict of
     keywords the named game's builder takes, each of the type its annotation
-    states (``_fits``); ``noise_p`` is set on its own."""
-    if not isinstance(params, dict):
+    states (``fits``); ``noise_p`` is set on its own."""
+    if not fits(params, dict):
         raise ValueError(f"{name} parameters must be a JSON object, not {type(params).__name__}")
     if "noise_p" in params:
         raise ValueError("'noise_p' is set on its own, not among the game parameters")
@@ -308,9 +330,7 @@ def check_game_params(name: str, params) -> None:
     except TypeError as e:
         raise ValueError(f"{name} game: {e}") from None
     for key, value in params.items():
-        if not _fits(value, hints[key]):
-            hint = inspect.formatannotation(hints[key])
-            raise ValueError(f"{name} game: {key!r} takes {hint}, not {value!r}")
+        check_fits(key, value, hints[key], f"{name} game: ")
 
 
 def build_env(name: str, params: dict, noise_p: float = 0.0) -> McgSpec:

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .dist import Dist
+from .envs import check_fits, fits
 from .mcg import Belief, McgSpec, MessageSpace
 from .mdp import MdpSpec, Step, Trajectory, heights
 from .maxent import QTable
@@ -56,96 +57,82 @@ def load_dist(path) -> Dist:
 
 MCG_FORMAT_VERSION = 2
 
+# The spec document of version 2, declared once: each key's JSON type as
+# ``envs.fits`` reads it, a nested table for a nested object. The "mdp" keys
+# are ``MdpSpec``'s fields, and those of "message_space" ``MessageSpace``'s.
+_INTS, _NUMBERS = tuple[int, ...], tuple[float, ...]
+SPEC_FIELDS = {
+    "mdp": {
+        "n_states": int, "n_actions": int, "row_offsets": _INTS, "next_state": _INTS,
+        "prob": _NUMBERS, "rewards": tuple[_NUMBERS, ...], "initial_state": int,
+        "terminal_states": _INTS, "horizon_bound": int,
+    },
+    "message_space": {"block_sizes": _INTS, "factored": bool},
+    "prior": tuple[_NUMBERS, ...],
+    "priority": float,
+    "noise_p": float,
+}
+
+
+def _written(value, hint):
+    """A spec value as JSON: a nested table's object, an array as (nested)
+    lists, a set sorted, a belief as its blocks' probabilities."""
+    if isinstance(hint, dict):
+        return {key: _written(getattr(value, key), inner) for key, inner in hint.items()}
+    if isinstance(value, Belief):
+        return [b.probs.tolist() for b in value.blocks]
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    return sorted(value) if isinstance(value, frozenset) else value
+
 
 def mcg_to_document(mcg: McgSpec) -> dict:
-    mdp = mcg.mdp
-    return {
-        "format_version": MCG_FORMAT_VERSION,
-        "mdp": {
-            "n_states": mdp.n_states,
-            "n_actions": mdp.n_actions,
-            "initial_state": mdp.initial_state,
-            "terminal_states": sorted(mdp.terminal_states),
-            "horizon_bound": mdp.horizon_bound,
-            "row_offsets": mdp.row_offsets.tolist(),
-            "next_state": mdp.next_state.tolist(),
-            "prob": mdp.prob.tolist(),
-            "rewards": mdp.rewards.tolist(),
-        },
-        "message_space": {
-            "factored": mcg.message_space.factored,
-            "block_sizes": list(mcg.message_space.block_sizes),
-        },
-        "prior": [list(map(float, b.probs)) for b in mcg.prior.blocks],
-        "priority": mcg.priority,
-        "noise_p": mcg.noise_p,
-    }
+    return {"format_version": MCG_FORMAT_VERSION, **_written(mcg, SPEC_FIELDS)}
 
 
-def _integer(value, field: str):
-    """``value`` if it is an integer; a TypeError naming ``field`` for any
-    other value, a bool or a float such as 1.0 included."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{field} must be an integer, not {value!r}")
-    return value
+_WRONG_TYPE = "game spec has a field of the wrong type: "
+
+
+def _check_fields(doc: dict, fields: dict, name: str) -> None:
+    """Raise ValueError unless the JSON object ``doc`` holds every key of
+    ``fields``, each of its declared type; other keys are ignored."""
+    for key, hint in fields.items():
+        if key not in doc:
+            missing = ", ".join(repr(k) for k in fields if k not in doc)
+            raise ValueError(f"{name} is missing {missing}")
+        value = doc[key]
+        if not isinstance(hint, dict):
+            check_fits(key, value, hint, _WRONG_TYPE)
+        elif fits(value, dict):
+            _check_fields(value, hint, f'{name} "{key}"')
+        else:
+            kind = type(value).__name__
+            raise ValueError(f'{_WRONG_TYPE}{name} "{key}" must be a JSON object, not {kind}')
 
 
 def mcg_from_document(doc: dict) -> McgSpec:
     """The game spec a document describes.
 
-    A document of another format version than ``MCG_FORMAT_VERSION`` (one
-    with no ``format_version`` is version 1), a missing key, a field of the
-    wrong type (a count, state or block size that is not an integer, a
-    ``factored`` that is not a bool, or a ``priority`` or ``noise_p`` that is
-    one included), a document or ``"mdp"`` that is not a JSON object, or an
-    MDP that breaks its horizon bound raises ValueError.
+    Raises ValueError, checked in this order, on a format version other than
+    ``MCG_FORMAT_VERSION`` (a document with none is version 1); on a missing
+    key or a field that does not fit its type in ``SPEC_FIELDS``, before
+    anything is built; and on an MDP that breaks its horizon bound.
     """
-    if not isinstance(doc, dict):
+    if not fits(doc, dict):
         raise ValueError(f"game spec must be a JSON object, not {type(doc).__name__}")
-    try:
-        m = doc["mdp"]
-        if not isinstance(m, dict):
-            raise ValueError(f'game spec "mdp" must be a JSON object, not {type(m).__name__}')
-        terminal = frozenset(_integer(s, "a terminal state") for s in m["terminal_states"])
-        n_states = _integer(m["n_states"], "n_states")
-        n_actions = _integer(m["n_actions"], "n_actions")
-        version = doc.get("format_version", 1)  # version 1 wrote no such field
-        if version != MCG_FORMAT_VERSION:
-            raise ValueError(
-                f"unsupported game-spec format version {version!r}; "
-                f"only version {MCG_FORMAT_VERSION} is read"
-            )
-        mdp = MdpSpec(
-            n_states=n_states,
-            n_actions=n_actions,
-            row_offsets=m["row_offsets"],
-            next_state=m["next_state"],
-            prob=m["prob"],
-            rewards=np.array(m["rewards"]),
-            initial_state=_integer(m["initial_state"], "initial_state"),
-            terminal_states=terminal,
-            horizon_bound=_integer(m["horizon_bound"], "horizon_bound"),
+    version = doc.get("format_version", 1)  # version 1 wrote no such field
+    if version != MCG_FORMAT_VERSION:
+        raise ValueError(
+            f"unsupported game-spec format version {version!r}; "
+            f"only version {MCG_FORMAT_VERSION} is read"
         )
-        heights(mdp)  # on a spec that breaks its horizon bound, episodes may never end
-        factored = doc["message_space"]["factored"]
-        if not isinstance(factored, bool):
-            raise TypeError(f"factored must be true or false, not {factored!r}")
-        space = MessageSpace(
-            tuple(_integer(b, "a block size") for b in doc["message_space"]["block_sizes"]),
-            factored=factored,
-        )
-        prior = Belief(tuple(Dist(np.array(b)) for b in doc["prior"]))
-        return McgSpec(
-            mdp=mdp,
-            message_space=space,
-            prior=prior,
-            priority=doc["priority"],
-            noise_p=doc["noise_p"],
-        )
-    except KeyError as e:
-        raise ValueError(f"game spec is missing the key {e.args[0]!r}") from e
-    except TypeError as e:
-        raise ValueError(f"game spec has a field of the wrong type: {e}") from e
+    _check_fields(doc, SPEC_FIELDS, "game spec")
+    m, ms = doc["mdp"], doc["message_space"]
+    mdp = MdpSpec(**{key: m[key] for key in SPEC_FIELDS["mdp"]})
+    heights(mdp)  # on a spec that breaks its horizon bound, episodes may never end
+    space = MessageSpace(**{key: ms[key] for key in SPEC_FIELDS["message_space"]})
+    prior = Belief(tuple(map(Dist, doc["prior"])))
+    return McgSpec(mdp, space, prior, priority=doc["priority"], noise_p=doc["noise_p"])
 
 
 def save_mcg(mcg: McgSpec, path) -> None:
@@ -159,6 +146,18 @@ def load_mcg(path) -> McgSpec:
 # ---------------------------------------------------------------------------
 # Q tables: a header line with the temperature, then 'state action value'.
 # ---------------------------------------------------------------------------
+
+def _parsed(line: str, n: int, kind: str, names: str, reads) -> list:
+    """Line ``n`` of a ``kind`` file as its fields ``names``, each read by
+    the matching one of ``reads``; a ValueError naming the line otherwise."""
+    fields = line.split()
+    try:
+        if len(fields) == len(reads):
+            return [read(f) for read, f in zip(reads, fields)]
+    except ValueError:
+        pass
+    raise ValueError(f"{kind} line {n} is not '{names}': {line!r}")
+
 
 def save_qtable(q: QTable, path) -> None:
     lines = [f"alpha {_exact(q.alpha)}"]
@@ -177,12 +176,9 @@ def load_qtable(path) -> QTable:
     alpha = float(head[1])
     pairs = {}
     for n, line in enumerate(lines[1:], start=2):
-        fields = line.split()
-        if not fields:
+        if not line.split():
             continue
-        if len(fields) != 3:
-            raise ValueError(f"Q-table line {n} is not 'state action value': {line!r}")
-        s, a, v = int(fields[0]), int(fields[1]), float(fields[2])
+        s, a, v = _parsed(line, n, "Q-table", "state action value", (int, int, float))
         if s < 0 or a < 0 or (s, a) in pairs:
             raise ValueError(f"Q-table repeats state {s}, action {a}, or has a negative index")
         pairs[s, a] = v
@@ -217,12 +213,11 @@ def load_trajectory(path) -> Trajectory:
     head = lines[0].split()
     if len(head) != 2 or head[0] != "final_state":
         raise ValueError("trajectory file must start with a 'final_state <s>' header")
-    steps = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        s, intended, executed, reward = line.split()
-        steps.append(Step(int(s), int(intended), int(executed), float(reward)))
+    names, reads = "state intended executed reward", (int, int, int, float)
+    steps = [
+        Step(*_parsed(line, n, "trajectory", names, reads))
+        for n, line in enumerate(lines[1:], start=2) if line.split()
+    ]
     return Trajectory(steps=tuple(steps), final_state=int(head[1]))
 
 

@@ -171,8 +171,8 @@ def exact_soft_vi(mdp: MdpSpec, alpha: float) -> QTable:
     states plus entries. The live states are ordered by height, and each
     layer of equal height gets its final V from the layers below it:
     ``bincount`` of ``prob * V[next_state]`` over the layer's rows gives
-    E[V(s')], then a log-sum-exp per state gives V. Q is then built from the
-    final V over every row at once.
+    E[V(s')], the layer's Q rows are R + E[V(s')], and a log-sum-exp of
+    each state's row gives V. Those rows are the table: one backup per row.
 
     This is exactly what ``horizon_bound`` Jacobi sweeps from V = 0 give:
     after k sweeps, a state's V is final once its height is at most k, and
@@ -190,26 +190,19 @@ def exact_soft_vi(mdp: MdpSpec, alpha: float) -> QTable:
     if mdp.n_states * mdp.n_actions > MAX_EXACT_ENTRIES:
         raise ValueError("MDP too large for exact soft value iteration")
     check_temperature(alpha)
-    n_states, n_actions = mdp.n_states, mdp.n_actions
-    v = _soft_values(mdp, alpha)
-    ev = np.bincount(
-        mdp.entry_row, weights=mdp.prob * v[mdp.next_state], minlength=n_states * n_actions
-    )
-    rewards = np.where(mdp.terminal_mask[:, None], 0.0, mdp.rewards)
-    return QTable(values=rewards + ev.reshape(n_states, n_actions), alpha=alpha)
+    return QTable(values=_soft_q(mdp, alpha), alpha=alpha)
 
 
-def _soft_values(mdp: MdpSpec, alpha: float) -> np.ndarray:
-    """The soft value of every state, by one pass over the layers of equal height.
-
-    Each layer's entries, rows and rewards are gathered into contiguous
-    slices up front, so the loop over layers only slices and computes.
-    """
-    v = np.zeros(mdp.n_states)
+def _soft_q(mdp: MdpSpec, alpha: float) -> np.ndarray:
+    """The Q table, terminal rows zero, by one pass over the layers of equal
+    height. Each layer's entries, rows and rewards are gathered into
+    contiguous slices up front, so the loop over layers only slices and
+    computes."""
+    n_actions = mdp.n_actions
+    q = np.zeros((mdp.n_states, n_actions))
     live = np.flatnonzero(~mdp.terminal_mask)
     if not len(live):
-        return v
-    n_actions = mdp.n_actions
+        return q
     height = heights(mdp)
     order = live[np.argsort(height, kind="stable")]
     n_live = len(order)
@@ -230,6 +223,7 @@ def _soft_values(mdp: MdpSpec, alpha: float) -> np.ndarray:
     nxt = position[mdp.next_state[entries]]
     prob = mdp.prob[entries]
     rewards = mdp.rewards[order]
+    q_order = np.empty((n_live, n_actions))
     v_order = np.zeros(n_live + 1)
     sb, eb = state_bounds.tolist(), entry_bounds.tolist()
     for p0, p1, e0, e1 in zip(sb, sb[1:], eb, eb[1:]):
@@ -238,7 +232,8 @@ def _soft_values(mdp: MdpSpec, alpha: float) -> np.ndarray:
             weights=prob[e0:e1] * v_order[nxt[e0:e1]],
             minlength=(p1 - p0) * n_actions,
         )
-        x = (rewards[p0:p1] + ev.reshape(p1 - p0, n_actions)) / alpha
+        q_layer = np.add(rewards[p0:p1], ev.reshape(p1 - p0, n_actions), out=q_order[p0:p1])
+        x = q_layer / alpha
         m = x.max(axis=1, keepdims=True)
         sums = np.exp(_shifted(x, m)).sum(axis=1)
         # math.log, not np.log: numpy's SIMD log can differ in the last bit.
@@ -246,8 +241,8 @@ def _soft_values(mdp: MdpSpec, alpha: float) -> np.ndarray:
         v_order[p0:p1] = [
             alpha * (mx + math.log(s)) for (mx,), s in zip(m.tolist(), sums.tolist())
         ]
-    v[order] = v_order[:n_live]
-    return v
+    q[order] = q_order
+    return q
 
 
 @np.errstate(over="raise", invalid="raise")

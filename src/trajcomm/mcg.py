@@ -52,7 +52,7 @@ class MessageSpace:
         return int(np.prod([b for b in self.block_sizes], dtype=object))
 
     def contains(self, m) -> bool:
-        """One in-range integer per block; a bool is none (as in ``formats._integer``)."""
+        """One in-range integer per block; a bool is none (as in ``envs.fits``)."""
         values, sizes = self.values(m), self.block_sizes
         return isinstance(values, tuple) and len(values) == len(sizes) and all(
             isinstance(v, (int, np.integer)) and not isinstance(v, bool) and 0 <= v < b
@@ -105,7 +105,7 @@ class McgSpec:
 
     ``priority``, finite and non-negative, weighs decode correctness against
     the MDP's return; the RL baseline (``baseline.train_rl_pr``) shapes its
-    terminal reward with it. Neither it nor ``noise_p`` may be a bool.
+    terminal reward with it. A document gives neither as a bool (``envs.fits``).
     """
 
     mdp: MdpSpec
@@ -115,9 +115,6 @@ class McgSpec:
     noise_p: float = 0.0
 
     def __post_init__(self):
-        for name, value in (("priority", self.priority), ("noise_p", self.noise_p)):
-            if isinstance(value, bool):
-                raise TypeError(f"{name} must be a number, not {value!r}")
         if self.priority < 0.0:
             raise ValueError("message priority must be non-negative")
         if not self.priority < float("inf"):  # NaN fails this too

@@ -15,13 +15,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import numbers
+import typing
 
 import numpy as np
 
 from .baseline import rollout_rl_pr, train_rl_pr
 from .coding import run_roundtrip
-from .envs import build_env, check_game_params
+from .envs import build_env, check_fits, check_game_params
 from .maxent import exact_soft_vi, named_overflow, temperature
 from .mcg import McgSpec, hamming_distance, sample_message
 from .mdp import trajectory_return
@@ -38,9 +38,7 @@ class SweepConfig:
     whatever ``env_params`` says. ``episodes`` is the per-cell training
     budget (used by the baseline; the coded sender plans exactly), and each
     cell plays ``rollouts`` evaluation episodes; both are integers of at
-    least one. ``grid``, ``seeds`` and ``noise_p`` are lists: every seed is
-    an integer, and every grid value and noise level a number, not a string
-    or a bool.
+    least one. Every field must fit its annotation (``envs.fits``).
     """
 
     env: str
@@ -53,10 +51,8 @@ class SweepConfig:
     noise_p: tuple[float, ...] = (0.0,)
 
     def __post_init__(self):
-        for name in ("grid", "seeds", "noise_p"):
-            value = getattr(self, name)
-            if not isinstance(value, (list, tuple)):
-                raise ValueError(f"{name!r} takes a list, not {value!r}")
+        for name, hint in _CONFIG_TYPES.items():
+            check_fits(name, getattr(self, name), hint)
         if not self.grid:
             raise ValueError("sweep grid must be non-empty")
         if not self.seeds:
@@ -65,24 +61,19 @@ class SweepConfig:
             raise ValueError("'noise_p' must hold at least one noise level")
         if self.method not in ("meme", "rl_pr"):
             raise ValueError(f"unknown method {self.method!r}")
-        counts = [("rollouts", self.rollouts), ("episodes", self.episodes)]
-        for name, value in counts + [("seeds", s) for s in self.seeds]:
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name!r} takes integers only, not {value!r}")
-        for name in ("grid", "noise_p"):
-            for value in getattr(self, name):
-                if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                    raise ValueError(f"{name!r} takes numbers only, not {value!r}")
         if self.rollouts < 1:
             raise ValueError(f"'rollouts' must be at least 1, not {self.rollouts}")
         if self.episodes < 1:
             raise ValueError(f"'episodes' must be at least 1, not {self.episodes}")
-        object.__setattr__(self, "grid", tuple(float(g) for g in self.grid))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
-        object.__setattr__(self, "noise_p", tuple(float(n) for n in self.noise_p))
+        for name, kind in (("grid", float), ("seeds", int), ("noise_p", float)):
+            object.__setattr__(self, name, tuple(map(kind, getattr(self, name))))
         if any(not 0.0 <= n <= 0.5 for n in self.noise_p):
             raise ValueError(f"every 'noise_p' must lie in [0, 0.5], not {list(self.noise_p)}")
         check_game_params(self.env, self.env_params)
+
+
+# Read once: a config is checked against these at every construction.
+_CONFIG_TYPES = typing.get_type_hints(SweepConfig)
 
 
 @dataclasses.dataclass(frozen=True)

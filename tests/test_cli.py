@@ -13,8 +13,8 @@ import numpy as np
 import pytest
 
 from trajcomm.cli import main
-from trajcomm.envs import chain_mcg
-from trajcomm.formats import load_mcg, load_qtable, save_mcg, save_qtable
+from trajcomm.envs import build_toy_mcg, chain_mcg
+from trajcomm.formats import load_mcg, load_qtable, mcg_to_document, save_mcg, save_qtable
 from trajcomm.maxent import train_soft_q
 from trajcomm.mcg import MessageSpace
 from trajcomm.mdp import MdpSpec
@@ -520,11 +520,27 @@ def test_solve_rejects_a_spec_field_of_the_wrong_type(tmp_path, capsys):
     assert not qtable.exists()
 
 
-# Valid JSON that is no game spec, and the text the error must contain.
+def _toy_with(**edits):
+    """The toy game's spec document with some of its "mdp" keys and top-level
+    keys replaced."""
+    doc = mcg_to_document(build_toy_mcg())
+    mdp = {key: edits.pop(key) for key in doc["mdp"] if key in edits}
+    return {**doc, **edits, "mdp": {**doc["mdp"], **mdp}}
+
+
+# Valid JSON that is no game spec, and the text the error must contain. The
+# version is read first: a document with no "format_version" is version 1.
+# The last two used to solve with exit 0, reading 1.7 as 1 and "0.5" as 0.5.
 BAD_SPECS = {
-    "terminal_states": ({"mdp": {}}, "terminal_states"),
+    "terminal_states": ({"format_version": 2, "mdp": {}}, "terminal_states"),
+    "version-missing": ({"mdp": {}}, "unsupported game-spec format version 1"),
     "spec-list": ([1], "game spec must be a JSON object, not list"),
-    "mdp-list": ({"mdp": []}, 'game spec "mdp" must be a JSON object, not list'),
+    "mdp-list": ({"format_version": 2, "mdp": []},
+                 'game spec "mdp" must be a JSON object, not list'),
+    "next-state-float": (_toy_with(next_state=[1.7, 1, 1]),
+                         "'next_state' takes tuple[int, ...], not [1.7, 1, 1]"),
+    "prior-string": (_toy_with(prior=[["0.5", 0.5]]),
+                     "'prior' takes tuple[tuple[float, ...], ...], not [['0.5', 0.5]]"),
 }
 
 
@@ -534,7 +550,8 @@ BAD_SPECS = {
 # overwrote the first, a missing pair read 0, and a negative index wrapped
 # round. A state index of 10^12 was sized before its lines were counted and
 # died with numpy's MemoryError, exit 1, and a line of four fields read "too
-# many values to unpack (expected 3)".
+# many values to unpack (expected 3)", and a state of 1.5 "invalid literal for
+# int() with base 10: '1.5'".
 BAD_QTABLES = {
     "Q-table": (lambda lines: [], "Q-table"),
     "qtable-repeated": (lambda lines: lines + [lines[1].rsplit(" ", 1)[0] + " 9.0"],
@@ -545,14 +562,27 @@ BAD_QTABLES = {
                           "of its (1000000000001, 4) pairs"),
     "qtable-four-fields": (lambda lines: lines + ["0 0 0.0 1"],
                            "is not 'state action value': '0 0 0.0 1'"),
+    "qtable-float-state": (lambda lines: lines + ["1.5 0 0.0"],
+                           "is not 'state action value': '1.5 0 0.0'"),
 }
 
 
-@pytest.mark.parametrize("fault", ["trajectory", *BAD_SPECS, *BAD_QTABLES])
+# Trajectory file texts, and the text the error must contain. The last two
+# printed Python's own errors: "not enough values to unpack (expected 4, got
+# 2)" and "invalid literal for int() with base 10: '1.5'".
+BAD_TRAJECTORIES = {
+    "trajectory": ("", "trajectory"),
+    "trajectory-two-fields": ("final_state 5\n0 1\n",
+                              "trajectory line 2 is not 'state intended executed reward': '0 1'"),
+    "trajectory-float-state": ("final_state 5\n0 1 1 0.0\n1.5 0 0 0.0\n",
+                               "trajectory line 3 is not 'state intended executed reward'"),
+}
+
+
+@pytest.mark.parametrize("fault", [*BAD_TRAJECTORIES, *BAD_SPECS, *BAD_QTABLES])
 def test_malformed_input_files_exit_cleanly(tmp_path, capsys, fault):
-    # Faulty Q tables (above), an empty trajectory file, and game specs that
-    # parse as JSON but have the wrong shape: an "mdp" object that lacks
-    # every key, a list for the whole document, and a list for "mdp".
+    # Faulty Q tables, trajectory files and game specs (above) each exit 2
+    # with one error line.
     spec, qtable = _codegrid_8(tmp_path)
     bad = tmp_path / "bad.txt"
     if fault in BAD_QTABLES:
@@ -560,9 +590,9 @@ def test_malformed_input_files_exit_cleanly(tmp_path, capsys, fault):
         bad.write_text("".join(f"{line}\n" for line in edit(qtable.read_text().splitlines())))
         argv = ["send", "--spec", str(spec), "--qtable", str(bad),
                 "--message", "0", "--seed", "0", "--out", str(tmp_path / "z.txt")]
-    elif fault == "trajectory":
-        bad.write_text("")
-        expected = fault
+    elif fault in BAD_TRAJECTORIES:
+        text, expected = BAD_TRAJECTORIES[fault]
+        bad.write_text(text)
         argv = ["receive", "--spec", str(spec), "--qtable", str(qtable),
                 "--traj", str(bad), "--out", str(tmp_path / "m.txt")]
     else:
@@ -912,7 +942,7 @@ def test_the_program_exits_2_with_one_error_line_and_writes_nothing(tmp_path):
     ))
     result = _run_cli(["sweep", "--config", "grid.json", "--out", "grid.csv"], tmp_path)
     assert result.returncode == 2 and result.stdout == ""
-    assert result.stderr == "error: 'grid' takes a list, not '17'\n"
+    assert result.stderr == "error: 'grid' takes tuple[float, ...], not '17'\n"
     assert not (tmp_path / "grid.csv").exists()
 
 

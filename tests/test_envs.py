@@ -282,6 +282,31 @@ class TestGameCatalogue:
         check_game_params(name, params)
         build_env(name, params)
 
+    @pytest.mark.parametrize(
+        "value, hint, expected",
+        [
+            (True, bool, True),
+            (1, bool, False),
+            ("beta", str, True),
+            (None, str, False),
+            (2, float, True),
+            (np.int64(2), int, True),
+            (np.float64(0.5), int, False),
+            ([1, 2.5], tuple[float, ...], True),
+            ([1, 2.5], tuple[int, ...], False),
+            ([[0.5, 1], []], tuple[tuple[float, ...], ...], True),
+            ([[0.5, "1"]], tuple[tuple[float, ...], ...], False),
+            ([0.5], tuple[tuple[float, ...], ...], False),
+            # Past the plain types, each item is asked on its own.
+            ([*range(1000), np.int64(7)], tuple[int, ...], True),
+            ([*range(1000), True], tuple[int, ...], False),
+            ([0.5] * 1000 + [np.float32(0.5)], tuple[float, ...], True),
+            ([0.5] * 1000 + [False], tuple[float, ...], False),
+        ],
+    )
+    def test_fits(self, value, hint, expected):
+        assert envs.fits(value, hint) is expected
+
     @pytest.mark.parametrize("name", GAMES)
     def test_every_default_fits_its_annotation(self, name):
         builder = getattr(envs, GAMES[name])

@@ -1,11 +1,16 @@
 """Serialization round-trip tests for every file format."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from trajcomm.dist import Dist
 from trajcomm.envs import (
+    GAMES,
     build_channel_chain,
+    build_env,
     build_codegrid,
     build_coding_mcg,
     build_toy_mcg,
@@ -16,6 +21,7 @@ from trajcomm.envs import (
 )
 from trajcomm.formats import (
     MCG_FORMAT_VERSION,
+    SPEC_FIELDS,
     load_dist,
     load_mcg,
     load_pbm,
@@ -181,6 +187,15 @@ class TestMcgDocumentVersions:
             lambda doc: doc["message_space"].update(factored=0),
             lambda doc: doc.update(priority=True),
             lambda doc: doc.update(noise_p=False),
+            lambda doc: doc["mdp"].update(next_state=[1.7, 1, 1]),
+            lambda doc: doc["mdp"].update(next_state=[True, 1, 1]),
+            lambda doc: doc["mdp"].update(row_offsets=[0, 1, 2, 3.9, 3, 3, 3]),
+            lambda doc: doc["mdp"].update(prob=["1.0", 1.0, 1.0]),
+            lambda doc: doc["mdp"].update(rewards=[["4.0", 3.0, 0.0], [0.0, 0.0, 0.0]]),
+            lambda doc: doc.update(prior=[["0.5", 0.5]]),
+            lambda doc: doc.update(prior=[[True, False]]),
+            lambda doc: doc["mdp"].update(rewards=[4.0, 3.0, 0.0, 0.0, 0.0, 0.0]),
+            lambda doc: doc["mdp"].update(rewards=[[4.0, 3.0, 0.0], 0.0]),
         ],
         ids=[
             "message-space-list",
@@ -200,15 +215,74 @@ class TestMcgDocumentVersions:
             "factored-int",
             "priority-bool",
             "noise-p-bool",
+            "next-state-float",
+            "next-state-bool",
+            "row-offsets-float",
+            "prob-string",
+            "rewards-string",
+            "prior-string",
+            "prior-bools",
+            "rewards-flat",
+            "rewards-row-number",
         ],
     )
     def test_field_of_the_wrong_type_rejected(self, edit):
         # The first five used to escape as a TypeError; the rest loaded, and
         # some of them failed later in send or receive. A priority of true
-        # solved as zeta = 1.
+        # solved as zeta = 1. The arrays' values were cut to an integer or
+        # read from a string without a word (a next_state of 1.7 or true as
+        # 1, "1.0" as 1.0, a prior of [true, false] as [1.0, 0.0]); a flat or
+        # ragged rewards was refused for its shape, not its type.
         doc = mcg_to_document(build_toy_mcg(priority=1.0))
         edit(doc)
         with pytest.raises(ValueError, match="game spec has a field of the wrong type"):
+            mcg_from_document(doc)
+
+
+def non_uniform_mcg():
+    """A factored space of two blocks, each with its own skewed prior."""
+    mcg = chain_mcg(build_channel_chain(6, 3), MessageSpace.product([3, 2]), 2.5, 0.1)
+    prior = Belief((Dist([0.1, 0.2, 0.7]), Dist([0.9, 0.1])))
+    return dataclasses.replace(mcg, prior=prior)
+
+
+class TestSpecFields:
+    def test_the_table_names_the_spec_fields(self):
+        # The document's "mdp" and "message_space" keys are the init fields
+        # they build, in order: a field added to either shows here.
+        for key, cls in (("mdp", MdpSpec), ("message_space", MessageSpace)):
+            names = [f.name for f in dataclasses.fields(cls) if f.init]
+            assert list(SPEC_FIELDS[key]) == names
+
+    @pytest.mark.parametrize(
+        "mcg",
+        [
+            *(build_env(name, {}) for name in GAMES),
+            build_env("chain", {"steps": 20, "image_pixels": 8, "block_pixels": 2}, 0.05),
+            non_uniform_mcg(),
+        ],
+        ids=[*GAMES, "image", "non-uniform-prior"],
+    )
+    def test_document_spec_document_is_byte_equal(self, mcg):
+        text = json.dumps(mcg_to_document(mcg), indent=1, sort_keys=True)
+        loaded = mcg_from_document(json.loads(text))
+        assert json.dumps(mcg_to_document(loaded), indent=1, sort_keys=True) == text
+        for key in ("row_offsets", "next_state", "prob", "rewards"):
+            a, b = getattr(loaded.mdp, key), getattr(mcg.mdp, key)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+        for a, b in zip(loaded.prior.blocks, mcg.prior.blocks):
+            assert a.probs.tobytes() == b.probs.tobytes()
+
+    def test_other_keys_are_ignored(self):
+        doc = mcg_to_document(branching_mcg())
+        doc["comment"] = "made by hand"
+        doc["mdp"]["transitions"] = [[0.3, 0.7]]
+        assert mcg_to_document(mcg_from_document(doc)) == mcg_to_document(branching_mcg())
+
+    def test_every_missing_key_of_an_object_is_named(self):
+        doc = mcg_to_document(branching_mcg())
+        del doc["mdp"]["prob"], doc["mdp"]["rewards"]
+        with pytest.raises(ValueError, match="""game spec "mdp" is missing 'prob', 'rewards'$"""):
             mcg_from_document(doc)
 
 
