@@ -173,7 +173,7 @@ def load_qtable(path) -> QTable:
     head = lines[0].split()
     if len(head) != 2 or head[0] != "alpha":
         raise ValueError("Q-table file must start with an 'alpha <value>' header")
-    alpha = float(head[1])
+    _, alpha = _parsed(lines[0], 1, "Q-table", "alpha <value>", (str, float))
     pairs = {}
     for n, line in enumerate(lines[1:], start=2):
         if not line.split():
@@ -213,12 +213,13 @@ def load_trajectory(path) -> Trajectory:
     head = lines[0].split()
     if len(head) != 2 or head[0] != "final_state":
         raise ValueError("trajectory file must start with a 'final_state <s>' header")
+    _, final_state = _parsed(lines[0], 1, "trajectory", "final_state <s>", (str, int))
     names, reads = "state intended executed reward", (int, int, int, float)
     steps = [
         Step(*_parsed(line, n, "trajectory", names, reads))
         for n, line in enumerate(lines[1:], start=2) if line.split()
     ]
-    return Trajectory(steps=tuple(steps), final_state=int(head[1]))
+    return Trajectory(steps=tuple(steps), final_state=final_state)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,9 @@ The entropy-regularized objective E[sum_t R + alpha * H(A_t | S_t)] is
 maximized, for a tabular MDP, by a softmax-of-Q policy with log-sum-exp state
 values. ``exact_soft_vi`` computes that optimum by backward induction, in one
 pass over the MDP's layers of states with equal height (longest path to a
-terminal); ``train_soft_q`` learns the optimum from sampled episodes. Both
+terminal): a layer of one state (every layer of a chain) in Python floats,
+a wider one in numpy arrays, with the same bytes either way;
+``train_soft_q`` learns the optimum from sampled episodes. Both
 reject an MDP that breaks its horizon bound. Entropy inside the backups uses
 natural log to match exp/softmax; reporting functions convert to bits.
 
@@ -58,13 +60,19 @@ class QTable:
     def _policies(self) -> tuple[Dist, ...]:
         """Every state's ``softmax_policy``, from one softmax of the whole table,
         built on first use: a table that is planned but never asked for a
-        policy does not pay for it. Rows with equal bytes share one ``Dist``."""
+        policy does not pay for it. Rows with equal bytes share one ``Dist``,
+        the first one built; a ``Dist`` is built only for bytes not seen yet."""
         # Q / alpha is finite, but a row's spread can pass the float64 range: its
         # low entries then come to exp(-inf) = 0, which numpy need not warn of.
         with np.errstate(over="ignore"):
             probs = softmax_parts(self.values, self.alpha)[0]
-        canon = {}
-        return tuple(canon.setdefault(row.tobytes(), Dist._owning(row)) for row in probs)
+        canon, policies = {}, []
+        for row in probs:
+            key = row.tobytes()
+            if key not in canon:
+                canon[key] = Dist._owning(row)
+            policies.append(canon[key])
+        return tuple(policies)
 
 
 def frozen_q_values(values, axes: tuple[str, ...]) -> np.ndarray:
@@ -181,6 +189,14 @@ def exact_soft_vi(mdp: MdpSpec, alpha: float) -> QTable:
     is ``math.log`` per state, so the table is bit-identical to a per-state
     loop over the branches. Terminal rows of Q stay zero.
 
+    A layer of exactly one state runs that per-state loop itself, in Python
+    floats (``_one_state_v``), with numpy only for ``exp`` and the row sum:
+    on a 1 x n_actions block the array pass's dozen numpy calls (about
+    9 us a layer on a 2-vCPU Xeon, against about 5 us for the float path)
+    cost more than the arithmetic, and a 200-step chain is 200 such layers. Every wider layer takes the array pass. Both paths do
+    the same operations on the same values in the same order, so the bytes
+    do not depend on which one a layer takes.
+
     Raises ``ValueError`` if the MDP breaks ``MdpSpec``'s horizon contract:
     a cycle among its stored entries, or a height above ``horizon_bound``,
     and numpy's ``FloatingPointError``, with no warning, where Q / alpha
@@ -197,7 +213,13 @@ def _soft_q(mdp: MdpSpec, alpha: float) -> np.ndarray:
     """The Q table, terminal rows zero, by one pass over the layers of equal
     height. Each layer's entries, rows and rewards are gathered into
     contiguous slices up front, so the loop over layers only slices and
-    computes."""
+    computes.
+
+    A layer's width picks its path: one state in Python floats
+    (``_one_state_v``), more in arrays. Only the one-state layers' entries
+    and rewards are turned into lists, so an MDP with none (a codegrid)
+    pays nothing for that path. Each V is kept twice, in ``v_order`` for
+    the array pass and in the list ``v`` for the float path."""
     n_actions = mdp.n_actions
     q = np.zeros((mdp.n_states, n_actions))
     live = np.flatnonzero(~mdp.terminal_mask)
@@ -223,10 +245,19 @@ def _soft_q(mdp: MdpSpec, alpha: float) -> np.ndarray:
     nxt = position[mdp.next_state[entries]]
     prob = mdp.prob[entries]
     rewards = mdp.rewards[order]
+    alone_layers = _one_state_layers(layer_sizes, counts, local_row, nxt, prob, rewards)
+    alone_at, alone_q = [], []
     q_order = np.empty((n_live, n_actions))
     v_order = np.zeros(n_live + 1)
+    v = [0.0] * (n_live + 1)  # the same values, read by the one-state layers
     sb, eb = state_bounds.tolist(), entry_bounds.tolist()
     for p0, p1, e0, e1 in zip(sb, sb[1:], eb, eb[1:]):
+        if p1 - p0 == 1:
+            row, v[p0] = _one_state_v(*next(alone_layers), v, alpha)
+            v_order[p0] = v[p0]
+            alone_at.append(p0)
+            alone_q.append(row)
+            continue
         ev = np.bincount(
             local_row[e0:e1],
             weights=prob[e0:e1] * v_order[nxt[e0:e1]],
@@ -238,11 +269,58 @@ def _soft_q(mdp: MdpSpec, alpha: float) -> np.ndarray:
         sums = np.exp(_shifted(x, m)).sum(axis=1)
         # math.log, not np.log: numpy's SIMD log can differ in the last bit.
         # Python float arithmetic rounds as numpy's does.
-        v_order[p0:p1] = [
+        v_order[p0:p1] = v[p0:p1] = [
             alpha * (mx + math.log(s)) for (mx,), s in zip(m.tolist(), sums.tolist())
         ]
+    if alone_q:
+        q_order[alone_at] = alone_q
     q[order] = q_order
     return q
+
+
+def _one_state_layers(layer_sizes, counts, local_row, nxt, prob, rewards):
+    """For each one-state layer, bottom up: its state's branches as
+    ``(action, next position, prob)`` in stored order, and its reward row,
+    as Python lists. A one-state layer's rows within the layer are its
+    actions."""
+    if 1 not in layer_sizes.tolist():
+        return iter(())
+    alone = np.repeat(layer_sizes[1:] == 1, layer_sizes[1:])
+    chosen = np.repeat(alone, counts)
+    branches = list(zip(local_row[chosen].tolist(), nxt[chosen].tolist(), prob[chosen].tolist()))
+    bounds = np.concatenate(([0], np.cumsum(counts[alone]))).tolist()
+    per_state = [branches[b0:b1] for b0, b1 in zip(bounds, bounds[1:])]
+    return zip(per_state, rewards[alone].tolist())
+
+
+def _one_state_v(branches, rewards, v, alpha):
+    """One state's Q row and soft value, in Python floats, from its
+    ``(action, next position, prob)`` branches, its reward row and the
+    values ``v`` of the layers below.
+
+    These are the array pass's operations on a one-row block, in the same
+    order: E[V] adds each row's ``prob * V[next]`` in stored order from 0.0,
+    as ``bincount`` does; Q = R + E[V], Q / alpha, the row max and the
+    shift round as numpy's do; ``np.exp`` and ``np.add.reduce`` of the 1-D
+    row give a 2-D block's row bytes. So the bytes are the array pass's.
+    (A max of 0.0 and -0.0 may take the other sign than numpy's, which no
+    byte shows: exp(+-0) = 1, and -0.0 + log(sums) = 0.0 + log(sums).)
+
+    Python floats overflow without a word, so the check is explicit: a
+    ``FloatingPointError`` where a Q value or Q / alpha is not finite,
+    as the array pass's ``errstate`` raises. A shift past the float64 range
+    goes to -inf, whose weight exp(-inf) = 0, as in ``_shifted``.
+    """
+    ev = [0.0] * len(rewards)
+    for a, j, p in branches:
+        ev[a] += p * v[j]
+    row = [r + e for r, e in zip(rewards, ev)]
+    x = [qa / alpha for qa in row]
+    if not all(map(math.isfinite, x)):
+        raise FloatingPointError(f"overflow: Q / alpha is not finite at temperature {alpha}")
+    mx = max(x)
+    sums = np.add.reduce(np.exp([xa - mx for xa in x]))
+    return row, alpha * (mx + math.log(sums))
 
 
 @np.errstate(over="raise", invalid="raise")

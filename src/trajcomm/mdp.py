@@ -78,7 +78,7 @@ class MdpSpec:
         n_states, n_actions = self.n_states, self.n_actions
         if n_actions < 1:
             raise ValueError("an MDP needs at least one action")
-        rewards = _frozen(self.rewards, np.float64)
+        rewards = _frozen(self.rewards, np.float64, "rewards")
         if rewards.shape != (n_states, n_actions):
             raise ValueError("reward table shape must be (n_states, n_actions)")
         terminal_states = frozenset(self.terminal_states)
@@ -88,9 +88,9 @@ class MdpSpec:
             raise ValueError("initial state out of range")
         if self.horizon_bound < 1:
             raise ValueError("horizon bound must be positive")
-        offsets = _frozen(self.row_offsets, np.int64)
-        next_state = _frozen(self.next_state, np.int64)
-        prob = _frozen(self.prob, np.float64)
+        offsets = _frozen(self.row_offsets, np.int64, "row_offsets")
+        next_state = _frozen(self.next_state, np.int64, "next_state")
+        prob = _frozen(self.prob, np.float64, "prob")
         n_rows = n_states * n_actions
         if offsets.shape != (n_rows + 1,):
             raise ValueError("transition table must have one row per (state, action)")
@@ -181,8 +181,13 @@ class MdpSpec:
         return list(zip(self._next[lo:hi], self._prob[lo:hi]))
 
 
-def _frozen(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+def _frozen(values, dtype, name: str) -> np.ndarray:
+    """A read-only ``dtype`` copy of ``values``; a ValueError naming the
+    field ``name`` if one of its integers lies past ``dtype``'s range."""
+    try:
+        arr = np.array(values, dtype=dtype)
+    except OverflowError:
+        raise ValueError(f"{name} holds an integer past the {dtype.__name__} range") from None
     arr.setflags(write=False)
     return arr
 

@@ -530,7 +530,9 @@ def _toy_with(**edits):
 
 # Valid JSON that is no game spec, and the text the error must contain. The
 # version is read first: a document with no "format_version" is version 1.
-# The last two used to solve with exit 0, reading 1.7 as 1 and "0.5" as 0.5.
+# "next-state-float" and "prior-string" used to solve with exit 0, reading
+# 1.7 as 1 and "0.5" as 0.5. An integer past 64 bits died with numpy's
+# OverflowError "Python int too large to convert to C long", exit 1.
 BAD_SPECS = {
     "terminal_states": ({"format_version": 2, "mdp": {}}, "terminal_states"),
     "version-missing": ({"mdp": {}}, "unsupported game-spec format version 1"),
@@ -541,6 +543,10 @@ BAD_SPECS = {
                          "'next_state' takes tuple[int, ...], not [1.7, 1, 1]"),
     "prior-string": (_toy_with(prior=[["0.5", 0.5]]),
                      "'prior' takes tuple[tuple[float, ...], ...], not [['0.5', 0.5]]"),
+    "next-state-past-64-bits": (_toy_with(next_state=[10**30, 1, 1]),
+                                "next_state holds an integer past the int64 range"),
+    "row-offsets-past-64-bits": (_toy_with(row_offsets=[0, 1, 2, 3, 3, 3, -(10**30)]),
+                                 "row_offsets holds an integer past the int64 range"),
 }
 
 
@@ -550,8 +556,9 @@ BAD_SPECS = {
 # overwrote the first, a missing pair read 0, and a negative index wrapped
 # round. A state index of 10^12 was sized before its lines were counted and
 # died with numpy's MemoryError, exit 1, and a line of four fields read "too
-# many values to unpack (expected 3)", and a state of 1.5 "invalid literal for
-# int() with base 10: '1.5'".
+# many values to unpack (expected 3)", a state of 1.5 "invalid literal for
+# int() with base 10: '1.5'", and a header "alpha x" "could not convert string
+# to float: 'x'".
 BAD_QTABLES = {
     "Q-table": (lambda lines: [], "Q-table"),
     "qtable-repeated": (lambda lines: lines + [lines[1].rsplit(" ", 1)[0] + " 9.0"],
@@ -564,18 +571,22 @@ BAD_QTABLES = {
                            "is not 'state action value': '0 0 0.0 1'"),
     "qtable-float-state": (lambda lines: lines + ["1.5 0 0.0"],
                            "is not 'state action value': '1.5 0 0.0'"),
+    "qtable-header-value": (lambda lines: ["alpha x", *lines[1:]],
+                            "Q-table line 1 is not 'alpha <value>': 'alpha x'"),
 }
 
 
-# Trajectory file texts, and the text the error must contain. The last two
+# Trajectory file texts, and the text the error must contain. The last three
 # printed Python's own errors: "not enough values to unpack (expected 4, got
-# 2)" and "invalid literal for int() with base 10: '1.5'".
+# 2)" and, twice, "invalid literal for int() with base 10: '1.5'".
 BAD_TRAJECTORIES = {
     "trajectory": ("", "trajectory"),
     "trajectory-two-fields": ("final_state 5\n0 1\n",
                               "trajectory line 2 is not 'state intended executed reward': '0 1'"),
     "trajectory-float-state": ("final_state 5\n0 1 1 0.0\n1.5 0 0 0.0\n",
                                "trajectory line 3 is not 'state intended executed reward'"),
+    "trajectory-header-value": ("final_state 1.5\n0 1 1 0.0\n",
+                                "trajectory line 1 is not 'final_state <s>': 'final_state 1.5'"),
 }
 
 

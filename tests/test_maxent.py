@@ -23,7 +23,7 @@ from trajcomm.maxent import (
     temperature,
     train_soft_q,
 )
-from trajcomm.mdp import MdpSpec, exact_policy_return, step, trajectory_return
+from trajcomm.mdp import MdpSpec, exact_policy_return, heights, step, trajectory_return
 
 from mdp_oracle import enumerate_trajectories
 
@@ -546,6 +546,55 @@ class TestSoftViReference:
         mdp = build()
         q = exact_soft_vi(mdp, alpha)
         assert q.values.tobytes() == loop_soft_vi(mdp, alpha).tobytes()
+
+
+def with_twin(mdp, s):
+    """``mdp`` and one more state, a copy of the live state ``s`` that no state
+    enters. The twin has ``s``'s height, so ``s``'s layer holds one more state."""
+    n_actions = mdp.n_actions
+    lo, hi = mdp.row_offsets[s * n_actions], mdp.row_offsets[(s + 1) * n_actions]
+    twin_offsets = mdp.row_offsets[s * n_actions + 1 : (s + 1) * n_actions + 1] - lo
+    return dataclasses.replace(
+        mdp,
+        n_states=mdp.n_states + 1,
+        row_offsets=np.concatenate((mdp.row_offsets, mdp.row_offsets[-1] + twin_offsets)),
+        next_state=np.concatenate((mdp.next_state, mdp.next_state[lo:hi])),
+        prob=np.concatenate((mdp.prob, mdp.prob[lo:hi])),
+        rewards=np.vstack((mdp.rewards, mdp.rewards[s])),
+    )
+
+
+def toy_mdp():
+    return build_toy_mcg(priority=0.0).mdp
+
+
+class TestOneStateLayers:
+    """A one-state layer is backed up in Python floats, a wider one by the
+    array pass. The same state, alone in its layer and beside a twin, gives
+    the same bytes, and both paths stop at the same overflow."""
+
+    @pytest.mark.parametrize(
+        "build,alpha",
+        # At 1e-308 the plus-minus row's spread passes the float range.
+        [(plus_minus_mdp, 1.0), (plus_minus_mdp, 1e-308), (toy_mdp, 1.0)],
+        ids=["plus-minus-alpha1", "plus-minus-alpha1e-308", "toy-alpha1"],
+    )
+    def test_both_paths_give_the_same_bytes(self, build, alpha):
+        mdp = build()
+        twinned = with_twin(mdp, 0)
+        assert np.bincount(heights(mdp)).tolist() == [0, 1]
+        assert np.bincount(heights(twinned)).tolist() == [0, 2]
+        alone = exact_soft_vi(mdp, alpha).values
+        beside = exact_soft_vi(twinned, alpha).values
+        assert beside[: mdp.n_states].tobytes() == alone.tobytes()
+        assert beside[-1].tobytes() == alone[0].tobytes()
+
+    @pytest.mark.parametrize("twinned", [False, True])
+    def test_both_paths_stop_at_the_toy_overflow(self, twinned):
+        # The toy's rewards 4 and 3 over alpha = 1e-308 overflow.
+        mdp = with_twin(toy_mdp(), 0) if twinned else toy_mdp()
+        with pytest.raises(FloatingPointError, match="overflow"):
+            exact_soft_vi(mdp, 1e-308)
 
 
 class TestHorizonContract:
