@@ -53,7 +53,13 @@ it replaces, as a point mass stays a point mass, leaves the ``Belief`` as it
 is. A memo lives for one call of ``sender_episode``, ``receiver_decode`` or
 ``exact_coded_value``: the sender and the receiver never share one, so every
 decode rebuilds its couplings from the observed trajectory alone.
-Each call's ``_Replay`` refuses a Q table whose shape is not the game's MDP's.
+
+Each replay input is checked once, where it enters. ``_Replay`` refuses a Q
+table whose shape is not the game's MDP's and a message block larger than
+``MAX_EXPLICIT_MESSAGES``, before anything is coupled. ``sender_episode``
+refuses a message outside the space. ``receiver_decode`` refuses a view the
+MDP cannot give (``_check_view``), naming its first faulty step, before it
+replays anything. The game itself is checked where it is built.
 """
 
 from __future__ import annotations
@@ -61,14 +67,13 @@ from __future__ import annotations
 import copy
 import dataclasses
 import logging
-from itertools import chain
 
 import numpy as np
 
 from .dist import Dist, SUM_ATOL, SparseCoupling, entropy, sample_index
 from .mcg import Belief, McgSpec, MessageSpace, message_prior_prob
 from .mdp import (
-    ObservedTrajectory, Step, Trajectory, apply_actuator_noise, noisy_likelihood, step,
+    MdpSpec, ObservedTrajectory, Step, Trajectory, apply_actuator_noise, noisy_likelihood, step,
 )
 from .maxent import QTable, softmax_policy
 from .mec import greedy_mec
@@ -207,7 +212,9 @@ class _Replay:
     holds, from the prior or from a posterior, wipe-out resets included, is
     that one object. With ``softmax_policy``'s one object per distinct row,
     a decision is keyed by its two objects, and a repeated decision costs
-    dict lookups only. It refuses a Q table whose shape is not the MDP's.
+    dict lookups only. It refuses a Q table whose shape is not the MDP's,
+    and a message block over the per-coupling cap: block sizes never change
+    during a replay, so one check covers every decision.
     """
 
     def __init__(self, q: QTable, mcg: McgSpec):
@@ -215,6 +222,12 @@ class _Replay:
             raise ValueError(
                 f"Q table shape {q.values.shape} does not match the spec's MDP "
                 f"({mcg.mdp.n_states} states x {mcg.mdp.n_actions} actions)"
+            )
+        block = max(mcg.message_space.block_sizes)
+        if block > MAX_EXPLICIT_MESSAGES:
+            raise ValueError(
+                f"message block size {block} exceeds the per-coupling cap "
+                f"{MAX_EXPLICIT_MESSAGES}; use a factored message space"
             )
         self.q = q
         self.space = mcg.message_space
@@ -247,11 +260,6 @@ class _Replay:
         b = self.belief.blocks[self.block]
         decision = self.memo.get((b, policy))
         if decision is None:
-            if len(b) > MAX_EXPLICIT_MESSAGES:
-                raise ValueError(
-                    f"belief support {len(b)} exceeds the per-coupling cap "
-                    f"{MAX_EXPLICIT_MESSAGES}; use a factored message space"
-                )
             coupling = greedy_mec(b, policy)
             check_mixture(coupling, b, policy)
             decision = self.memo[b, policy] = (coupling, {}, {})
@@ -345,7 +353,7 @@ def receiver_decode(
     (identical block selection and tie-breaking) over the executed actions,
     then returns the MAP message and the full belief trace.
     """
-    _validate_view(mcg, z)
+    _check_view(mcg.mdp, z)
     receiver = _Replay(q, mcg)
     trace = [receiver.belief]
     for s, executed in z.steps:
@@ -354,51 +362,34 @@ def receiver_decode(
     return map_estimate(receiver.belief, mcg.message_space), tuple(trace)
 
 
-def _validate_view(mcg: McgSpec, z: ObservedTrajectory) -> None:
+def _check_view(mdp: MdpSpec, z: ObservedTrajectory) -> None:
     """Raise ``ValueError`` on the first fault of a view the MDP cannot give.
 
     The view must start at the initial state; then, step by step, no step
     may leave a terminal state, each executed action must be in range, and
     the next state must be a stored successor with positive probability;
-    last, the final state must be terminal. All steps are checked at once
-    on the MDP's arrays, and the first faulty step is reported, its first
-    fault in that order.
+    last, the final state must be terminal. One pass reads each step's
+    stored row off the MDP's list views. Every state it reads is the initial
+    state or a successor it has checked, so no index leaves its range.
     """
-    mdp = mcg.mdp
-    steps = (*z.steps, (z.final_state, 0))  # one row per step, then the final state
-    try:
-        view = np.fromiter(chain.from_iterable(steps), dtype=np.int64).reshape(-1, 2)
-    except OverflowError:  # an index past 64 bits is out of range like any other
-        view = np.clip(np.array(steps, dtype=object), -1, mdp.n_states + mdp.n_actions)
-        view = view.astype(np.int64)
-    states, actions = view[:, 0], view[:-1, 1]
+    states = [s for s, _ in z.steps]
+    states.append(z.final_state)
     if states[0] != mdp.initial_state:
         raise ValueError("trajectory does not start at the MDP's initial state")
-    # Indices out of range are read modulo the range. A state out of range
-    # is no stored successor, so the step into it is reported before the
-    # step that reads it; an action out of range is reported before its
-    # transition.
-    source = states[:-1] % mdp.n_states
-    from_terminal = mdp.terminal_mask[source]
-    bad_action = (actions < 0) | (actions >= mdp.n_actions)
-    rows = source * mdp.n_actions + actions % mdp.n_actions
-    # The stored entries of each step's row, one after another.
-    lo = mdp.row_offsets[rows]
-    count = mdp.row_offsets[rows + 1] - lo
-    owner = np.repeat(np.arange(len(rows)), count)
-    entry = np.arange(len(owner)) + np.repeat(lo - (np.cumsum(count) - count), count)
-    hit = (mdp.next_state[entry] == states[1:][owner]) & (mdp.prob[entry] > 0.0)
-    impossible = np.bincount(owner[hit], minlength=len(rows)) == 0
-    faults = (from_terminal | bad_action | impossible).nonzero()[0]
-    if len(faults):
-        i = int(faults[0])
-        (s, a), nxt = steps[i], steps[i + 1][0]
-        if from_terminal[i]:
+    n_actions, terminal = mdp.n_actions, mdp.terminal_states
+    offsets, successors, probs = mdp._offsets, mdp._next, mdp._prob
+    for (s, a), nxt in zip(z.steps, states[1:]):
+        if s in terminal:
             raise ValueError(f"trajectory steps from terminal state {s}")
-        if bad_action[i]:
+        if not 0 <= a < n_actions:
             raise ValueError(f"executed action {a} out of range")
-        raise ValueError(f"transition {s} -[{a}]-> {nxt} impossible under the MDP")
-    if not mdp.is_terminal(z.final_state):
+        r = s * n_actions + a
+        for k in range(offsets[r], offsets[r + 1]):
+            if successors[k] == nxt and probs[k] > 0.0:
+                break
+        else:
+            raise ValueError(f"transition {s} -[{a}]-> {nxt} impossible under the MDP")
+    if z.final_state not in terminal:
         raise ValueError("trajectory does not end in a terminal state")
 
 

@@ -41,10 +41,10 @@ def _exact(x: float) -> str:
 
 def load_dist(path) -> Dist:
     probs = []
-    for raw in Path(path).read_text().splitlines():
+    for n, raw in enumerate(Path(path).read_text().splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if line:
-            probs.append(float(line))
+            probs += _parsed(line, n, "distribution", "probability", (float,))
     if not probs:
         raise ValueError(f"no probabilities found in {path}")
     return Dist(np.array(probs))

@@ -52,8 +52,8 @@ class MdpSpec:
     state ``s``: entries ``row_offsets[r]`` up to ``row_offsets[r + 1]`` of
     the flat ``next_state`` and ``prob`` arrays, in stored order. Every
     non-terminal state has a non-empty row for every action, each row's
-    probabilities sum to 1 within ``SUM_ATOL``, and terminal states have empty
-    rows. ``entry_row[k]`` is the row of entry ``k`` and ``terminal_mask`` the
+    probabilities sum to 1 within ``SUM_ATOL``, terminal states have empty
+    rows, and every reward is finite. ``entry_row[k]`` is the row of entry ``k`` and ``terminal_mask`` the
     terminal states as a boolean vector; both are derived at construction,
     and every array is read-only. Episodes are undiscounted and must
     terminate within ``horizon_bound`` steps, which builders guarantee by
@@ -81,6 +81,8 @@ class MdpSpec:
         rewards = _frozen(self.rewards, np.float64, "rewards")
         if rewards.shape != (n_states, n_actions):
             raise ValueError("reward table shape must be (n_states, n_actions)")
+        if not np.isfinite(rewards).all():
+            raise ValueError("rewards must be finite")
         terminal_states = frozenset(self.terminal_states)
         if not all(0 <= s < n_states for s in terminal_states):
             raise ValueError("terminal state out of range")

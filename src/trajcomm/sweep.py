@@ -69,6 +69,8 @@ class SweepConfig:
             object.__setattr__(self, name, tuple(map(kind, getattr(self, name))))
         if any(not 0.0 <= n <= 0.5 for n in self.noise_p):
             raise ValueError(f"every 'noise_p' must lie in [0, 0.5], not {list(self.noise_p)}")
+        if min(self.seeds) < 0:
+            raise ValueError(f"every 'seeds' must be at least 0, not {list(self.seeds)}")
         check_game_params(self.env, self.env_params)
 
 

@@ -135,6 +135,16 @@ def test_mec_checks_the_coupling_against_its_inputs(tmp_path, monkeypatch):
         main(["mec", "--p", str(p), "--q", str(q)])
 
 
+def test_mec_names_a_faulty_line_of_a_distribution_file(tmp_path, capsys):
+    # The line "abc" printed float()'s "could not convert string to float: 'abc'".
+    p, q = tmp_path / "p.txt", tmp_path / "q.txt"
+    p.write_text("# a coin\n0.5\nabc  # typo\n")
+    q.write_text("1.0\n")
+    assert main(["mec", "--p", str(p), "--q", str(q)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: distribution line 3 is not 'probability': 'abc'\n"
+
+
 def test_receive_writes_the_belief_entropy_trace(tmp_path):
     spec, qtable = _codegrid_8(tmp_path)
     traj, decoded, csv = tmp_path / "z.txt", tmp_path / "m.txt", tmp_path / "h.csv"
@@ -248,6 +258,9 @@ def test_sweep_takes_the_grid_keywords(tmp_path):
           "env_params": {"symbol_costs": ["1", "2"]}}, "symbol_costs"),
         ({"env": "chain", "method": "meme", "grid": [2.0], "seeds": [0],
           "env_params": {"rewards": [1.0]}}, "rewards"),
+        # A negative seed exited 2 with numpy's "expected non-negative
+        # integer", which names no field.
+        ({"env": "toy", "method": "meme", "grid": [2.0], "seeds": [0, -1]}, "seeds"),
     ],
     ids=["misspelt-key", "missing-env", "rollouts-0", "method-params", "episodes-0",
          "noise-p-0.6", "env-params-typo", "env-params-noise", "noise-p-empty",
@@ -257,7 +270,7 @@ def test_sweep_takes_the_grid_keywords(tmp_path):
          "noise-p-list-item", "env-params-int-string", "env-params-int-float",
          "env-params-int-bool", "env-params-priority-bool", "env-params-priority-string",
          "env-params-tuple-short", "env-params-tuple-float-item",
-         "env-params-tuple-string-items", "env-params-dict-list"],
+         "env-params-tuple-string-items", "env-params-dict-list", "seed-negative"],
 )
 def test_sweep_rejects_a_bad_config_key(tmp_path, capsys, doc, key):
     config = tmp_path / "sweep.json"
@@ -307,6 +320,16 @@ def test_make_env_writes_the_recorded_spec(tmp_path, args, digest):
     spec = tmp_path / "env.json"
     assert main(["make-env", *args.split(), "--out", str(spec)]) == 0
     assert hashlib.sha256(spec.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("cost", ["nan", "inf"])
+def test_make_env_refuses_a_cost_that_is_not_finite(tmp_path, capsys, cost):
+    # Each was written into the spec with exit 0; solve then blamed --beta.
+    spec = tmp_path / "env.json"
+    assert main(["make-env", "coding", "--symbol-costs", cost, "1", "--out", str(spec)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: rewards must be finite\n"
+    assert not spec.exists()
 
 
 @pytest.mark.parametrize(
@@ -547,6 +570,8 @@ BAD_SPECS = {
                                 "next_state holds an integer past the int64 range"),
     "row-offsets-past-64-bits": (_toy_with(row_offsets=[0, 1, 2, 3, 3, 3, -(10**30)]),
                                  "row_offsets holds an integer past the int64 range"),
+    "reward-nan": (_toy_with(rewards=[[float("nan"), 3.0, 0.0], [0.0, 0.0, 0.0]]),
+                   "rewards must be finite"),
 }
 
 

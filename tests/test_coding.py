@@ -545,6 +545,38 @@ class TestTableShape:
         assert str(error.value) == want
 
 
+class TestBlockCap:
+    """A message block over ``MAX_EXPLICIT_MESSAGES`` is refused when a replay
+    starts, by every entry point of the coder, before anything is coupled."""
+
+    @pytest.mark.parametrize("entry", ["sender_episode", "receiver_decode", "exact_coded_value"])
+    def test_a_block_over_the_cap_is_refused_before_any_coupling(self, entry, monkeypatch):
+        small = build_codegrid(n_messages=8)
+        big = build_codegrid(n_messages=coding.MAX_EXPLICIT_MESSAGES + 1)
+        q = exact_soft_vi(big.mdp, alpha=1.0)
+        couplings = []
+        original = coding.greedy_mec
+        monkeypatch.setattr(coding, "greedy_mec", lambda *a: couplings.append(a) or original(*a))
+        record = sender_episode(q, small, 3, np.random.default_rng(0))
+        assert couplings  # the counter sees the coder's couplings
+        couplings.clear()
+        calls = {
+            "sender_episode": lambda: sender_episode(q, big, 3, np.random.default_rng(0)),
+            "receiver_decode": lambda: receiver_decode(
+                q, big, record.trajectory.receiver_view()
+            ),
+            "exact_coded_value": lambda: exact_coded_value(q, big),
+        }
+        want = (
+            "message block size 4097 exceeds the per-coupling cap 4096; "
+            "use a factored message space"
+        )
+        with pytest.raises(ValueError) as error:
+            calls[entry]()
+        assert str(error.value) == want
+        assert couplings == []
+
+
 def _forked_game() -> McgSpec:
     """Four states, two actions. From state 0, action 0 forks to state 1 or
     2 at 1/2 each, and action 1 goes to state 1, with a stored entry of
@@ -640,6 +672,49 @@ class TestValidateView:
     )
     def test_the_first_fault_is_reported(self, game, steps, final_state, message):
         self._raises(game, steps, final_state, message)
+
+
+class TestRealViewFaults:
+    """A 200-step noisy image round trip, its view edited at step 150: the
+    receiver names the first fault, as it does on the small forked game."""
+
+    @pytest.fixture(scope="class")
+    def sent(self):
+        mcg = _noisy_image_game()
+        q = exact_soft_vi(mcg.mdp, alpha=1.0)
+        rng = np.random.default_rng(8)
+        m = tuple(int(v) for v in rng.integers(0, 2, size=64))
+        view = sender_episode(q, mcg, m, rng).trajectory.receiver_view()
+        return q, mcg, view
+
+    def test_the_unedited_view_decodes(self, sent):
+        q, mcg, view = sent
+        receiver_decode(q, mcg, view)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            pytest.param(
+                lambda steps, final: ([*steps[:150], (150, 2), *steps[151:]], final),
+                r"executed action 2 out of range", id="action-out-of-range",
+            ),
+            pytest.param(
+                lambda steps, final: ([*steps[:150], (150, 1), (150, 0), *steps[152:]],
+                                      final),
+                r"transition 150 -\[1\]-> 150 impossible under the MDP", id="impossible",
+            ),
+            pytest.param(
+                lambda steps, final: (steps[:150], 150),
+                r"trajectory does not end in a terminal state", id="final-state-not-terminal",
+            ),
+        ],
+    )
+    def test_an_edit_at_step_150_is_named(self, sent, edit, message):
+        q, mcg, view = sent
+        steps, final_state = edit(list(view.steps), view.final_state)
+        z = ObservedTrajectory(steps=tuple(steps), final_state=final_state)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            receiver_decode(q, mcg, z)
 
 
 def _reference_active_block(belief: Belief) -> int:
