@@ -82,10 +82,17 @@ def _cmd_solve(args) -> int:
     return 0
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    """The generator of ``--seed``, which must be at least 0."""
+    if seed < 0:
+        raise ValueError(f"--seed must be at least 0, not {seed}")
+    return np.random.default_rng(seed)
+
+
 def _cmd_train(args) -> int:
     alpha = temperature(args.beta, "--beta")
+    rng = _seeded_rng(args.seed)
     mcg = load_mcg(args.spec)
-    rng = np.random.default_rng(args.seed)
     with named_overflow("--beta", args.beta):
         q = train_soft_q(mcg.mdp, alpha, args.episodes, args.lr, rng)
     save_qtable(q, args.out)
@@ -100,10 +107,10 @@ def _message_from_args(args, mcg):
 
 
 def _cmd_send(args) -> int:
+    rng = _seeded_rng(args.seed)
     mcg = load_mcg(args.spec)
     q = load_qtable(args.qtable)
     m = _message_from_args(args, mcg)
-    rng = np.random.default_rng(args.seed)
     record = sender_episode(q, mcg, m, rng)
     save_trajectory(record.trajectory, args.out)
     print(f"sent message through {len(record.trajectory.steps)} steps; wrote {args.out}")
@@ -111,6 +118,9 @@ def _cmd_send(args) -> int:
 
 
 def _cmd_receive(args) -> int:
+    if args.image_shape is not None and min(args.image_shape) < 1:
+        h, w = args.image_shape
+        raise ValueError(f"--image-shape dimensions must be at least 1, not {h} {w}")
     mcg = load_mcg(args.spec)
     q = load_qtable(args.qtable)
     z = load_trajectory(args.traj).receiver_view()

@@ -230,7 +230,7 @@ def message_to_image(m: tuple, shape: tuple[int, int], space: MessageSpace) -> n
 
 
 def build_chain_mcg(
-    steps: int = 200, n_actions: int = 2, rewards: dict | None = None,
+    steps: int = 200, n_actions: int = 2, rewards: dict[int | str, float] | None = None,
     n_messages: int | None = None, image_pixels: int | None = None,
     block_pixels: int | None = None, priority: float = 1.0, noise_p: float = 0.0,
 ) -> McgSpec:
@@ -245,7 +245,13 @@ def build_chain_mcg(
         raise ValueError("give 'n_messages' or 'image_pixels', not both")
     else:
         space = image_space(image_pixels, 1 if block_pixels is None else block_pixels)
-    mdp = build_channel_chain(steps, n_actions, {int(t): r for t, r in (rewards or {}).items()})
+    step_rewards = {}
+    for t, r in (rewards or {}).items():
+        try:
+            step_rewards[int(t)] = r
+        except ValueError:
+            raise ValueError(f"'rewards' keys are step indices, not {t!r}") from None
+    mdp = build_channel_chain(steps, n_actions, step_rewards)
     return chain_mcg(mdp, space, priority, noise_p)
 
 
@@ -273,8 +279,9 @@ def fits(value, hint) -> bool:
     """Whether a JSON value fits an annotation: the one rule for the values
     of every document (game spec, sweep config, game parameters). An ``int``
     takes an integer and a ``float`` any real number, neither a bool; a
-    ``bool``, ``str``, ``dict`` or ``None`` takes just that; a tuple takes a
-    list or a tuple of fitting items; a union takes what any member takes.
+    ``bool``, ``str``, ``dict`` or ``None`` takes just that; ``dict[K, V]``
+    a dict whose every key fits K and every value V; a tuple takes a list
+    or a tuple of fitting items; a union takes what any member takes.
     A list of plain ``int`` (or ``float``) objects passes on their types
     alone, and a list of lists is asked about all their items at once: a
     spec holds lists of tens of thousands of numbers."""
@@ -288,6 +295,11 @@ def fits(value, hint) -> bool:
         )
     if hint in (bool, str, dict, type(None)):
         return isinstance(value, hint)
+    if origin is dict:
+        key, item = args
+        return isinstance(value, dict) and all(
+            fits(k, key) and fits(x, item) for k, x in value.items()
+        )
     if origin is not tuple:
         raise TypeError(f"no check for the annotation {hint!r}")
     if not isinstance(value, (list, tuple)):

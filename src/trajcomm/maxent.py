@@ -5,10 +5,11 @@ maximized, for a tabular MDP, by a softmax-of-Q policy with log-sum-exp state
 values. ``exact_soft_vi`` computes that optimum by backward induction, in one
 pass over the MDP's layers of states with equal height (longest path to a
 terminal): a layer of one state (every layer of a chain) in Python floats,
-a wider one in numpy arrays, with the same bytes either way;
-``train_soft_q`` learns the optimum from sampled episodes. Both
-reject an MDP that breaks its horizon bound. Entropy inside the backups uses
-natural log to match exp/softmax; reporting functions convert to bits.
+read straight off the MDP's list views, a wider one in numpy arrays, with
+the same bytes either way; ``train_soft_q`` learns the optimum from sampled
+episodes. Both reject an MDP that breaks its horizon bound. Entropy inside
+the backups uses natural log to match exp/softmax; reporting functions
+convert to bits.
 
 One check per fact: ``check_temperature`` (positive and finite) serves every
 temperature, ``temperature``'s 1/beta included, and ``frozen_q_values`` (a
@@ -190,12 +191,14 @@ def exact_soft_vi(mdp: MdpSpec, alpha: float) -> QTable:
     loop over the branches. Terminal rows of Q stay zero.
 
     A layer of exactly one state runs that per-state loop itself, in Python
-    floats (``_one_state_v``), with numpy only for ``exp`` and the row sum:
-    on a 1 x n_actions block the array pass's dozen numpy calls (about
-    9 us a layer on a 2-vCPU Xeon, against about 5 us for the float path)
-    cost more than the arithmetic, and a 200-step chain is 200 such layers. Every wider layer takes the array pass. Both paths do
-    the same operations on the same values in the same order, so the bytes
-    do not depend on which one a layer takes.
+    floats (``_one_state_v``), over the rows that ``MdpSpec`` keeps as
+    Python lists, with numpy only for ``exp`` and the row sum: on a
+    1 x n_actions block the array pass's dozen numpy calls (about 9 us a
+    layer on a 2-vCPU Xeon, against about 5 us for the float path) cost
+    more than the arithmetic, and a 200-step chain is 200 such layers.
+    Every wider layer takes the array pass. Both paths do the same
+    operations on the same values in the same order, so the bytes do not
+    depend on which one a layer takes.
 
     Raises ``ValueError`` if the MDP breaks ``MdpSpec``'s horizon contract:
     a cycle among its stored entries, or a height above ``horizon_bound``,
@@ -215,11 +218,12 @@ def _soft_q(mdp: MdpSpec, alpha: float) -> np.ndarray:
     contiguous slices up front, so the loop over layers only slices and
     computes.
 
-    A layer's width picks its path: one state in Python floats
-    (``_one_state_v``), more in arrays. Only the one-state layers' entries
-    and rewards are turned into lists, so an MDP with none (a codegrid)
-    pays nothing for that path. Each V is kept twice, in ``v_order`` for
-    the array pass and in the list ``v`` for the float path."""
+    A layer's width picks its path: more than one state in arrays, one
+    state in Python floats (``_one_state_v``), off the MDP's list views,
+    finding a successor's V through ``at``, each state's position, which is
+    built only when the MDP has such a layer. Each V is kept twice, in
+    ``v_order`` for the array pass and in the list ``v`` for the float
+    path."""
     n_actions = mdp.n_actions
     q = np.zeros((mdp.n_states, n_actions))
     live = np.flatnonzero(~mdp.terminal_mask)
@@ -245,18 +249,15 @@ def _soft_q(mdp: MdpSpec, alpha: float) -> np.ndarray:
     nxt = position[mdp.next_state[entries]]
     prob = mdp.prob[entries]
     rewards = mdp.rewards[order]
-    alone_layers = _one_state_layers(layer_sizes, counts, local_row, nxt, prob, rewards)
-    alone_at, alone_q = [], []
+    at = position.tolist() if 1 in layer_sizes.tolist() else None
     q_order = np.empty((n_live, n_actions))
     v_order = np.zeros(n_live + 1)
     v = [0.0] * (n_live + 1)  # the same values, read by the one-state layers
     sb, eb = state_bounds.tolist(), entry_bounds.tolist()
     for p0, p1, e0, e1 in zip(sb, sb[1:], eb, eb[1:]):
         if p1 - p0 == 1:
-            row, v[p0] = _one_state_v(*next(alone_layers), v, alpha)
+            q_order[p0], v[p0] = _one_state_v(mdp, int(order[p0]), at, v, alpha)
             v_order[p0] = v[p0]
-            alone_at.append(p0)
-            alone_q.append(row)
             continue
         ev = np.bincount(
             local_row[e0:e1],
@@ -272,31 +273,15 @@ def _soft_q(mdp: MdpSpec, alpha: float) -> np.ndarray:
         v_order[p0:p1] = v[p0:p1] = [
             alpha * (mx + math.log(s)) for (mx,), s in zip(m.tolist(), sums.tolist())
         ]
-    if alone_q:
-        q_order[alone_at] = alone_q
     q[order] = q_order
     return q
 
 
-def _one_state_layers(layer_sizes, counts, local_row, nxt, prob, rewards):
-    """For each one-state layer, bottom up: its state's branches as
-    ``(action, next position, prob)`` in stored order, and its reward row,
-    as Python lists. A one-state layer's rows within the layer are its
-    actions."""
-    if 1 not in layer_sizes.tolist():
-        return iter(())
-    alone = np.repeat(layer_sizes[1:] == 1, layer_sizes[1:])
-    chosen = np.repeat(alone, counts)
-    branches = list(zip(local_row[chosen].tolist(), nxt[chosen].tolist(), prob[chosen].tolist()))
-    bounds = np.concatenate(([0], np.cumsum(counts[alone]))).tolist()
-    per_state = [branches[b0:b1] for b0, b1 in zip(bounds, bounds[1:])]
-    return zip(per_state, rewards[alone].tolist())
-
-
-def _one_state_v(branches, rewards, v, alpha):
-    """One state's Q row and soft value, in Python floats, from its
-    ``(action, next position, prob)`` branches, its reward row and the
-    values ``v`` of the layers below.
+def _one_state_v(mdp, s, at, v, alpha):
+    """State ``s``'s Q row and soft value, in Python floats, from its rows
+    in the MDP's list views (``_offsets``, ``_next``, ``_prob``,
+    ``_rewards``) and the values ``v`` of the layers below, where state
+    ``t``'s V is ``v[at[t]]``.
 
     These are the array pass's operations on a one-row block, in the same
     order: E[V] adds each row's ``prob * V[next]`` in stored order from 0.0,
@@ -311,10 +296,14 @@ def _one_state_v(branches, rewards, v, alpha):
     as the array pass's ``errstate`` raises. A shift past the float64 range
     goes to -inf, whose weight exp(-inf) = 0, as in ``_shifted``.
     """
-    ev = [0.0] * len(rewards)
-    for a, j, p in branches:
-        ev[a] += p * v[j]
-    row = [r + e for r, e in zip(rewards, ev)]
+    offsets, successors, probs = mdp._offsets, mdp._next, mdp._prob
+    r0 = s * mdp.n_actions
+    row = []
+    for r in range(r0, r0 + mdp.n_actions):
+        ev = 0.0
+        for k in range(offsets[r], offsets[r + 1]):
+            ev += probs[k] * v[at[successors[k]]]
+        row.append(mdp._rewards[r] + ev)
     x = [qa / alpha for qa in row]
     if not all(map(math.isfinite, x)):
         raise FloatingPointError(f"overflow: Q / alpha is not finite at temperature {alpha}")

@@ -53,15 +53,16 @@ class MdpSpec:
     the flat ``next_state`` and ``prob`` arrays, in stored order. Every
     non-terminal state has a non-empty row for every action, each row's
     probabilities sum to 1 within ``SUM_ATOL``, terminal states have empty
-    rows, and every reward is finite. ``entry_row[k]`` is the row of entry ``k`` and ``terminal_mask`` the
-    terminal states as a boolean vector; both are derived at construction,
-    and every array is read-only. Episodes are undiscounted and must
-    terminate within ``horizon_bound`` steps, which builders guarantee by
-    encoding time into the state where needed. Construction does not check
-    this, so a builder run once per sweep cell does not pay for it;
-    ``heights`` does, in one pass over the entries in topological order, in
-    time linear in states plus entries, for ``exact_soft_vi``, both trainers
-    and every spec ``formats.load_mcg`` reads.
+    rows, and every reward is finite. ``entry_row[k]`` is the row of entry
+    ``k`` and ``terminal_mask`` the terminal states as a boolean vector;
+    both are derived at construction, and every array is read-only.
+    Episodes are undiscounted and must terminate within ``horizon_bound``
+    steps, which builders guarantee by encoding time into the state where
+    needed. Construction does not check this, so a builder run once per
+    sweep cell does not pay for it; ``heights`` does, in one pass over the
+    entries in topological order, in time linear in states plus entries,
+    for ``exact_soft_vi``, both trainers and every spec ``formats.load_mcg``
+    reads.
     """
 
     n_states: int
@@ -133,8 +134,9 @@ class MdpSpec:
             ("entry_row", entry_row),
             ("terminal_mask", terminal_mask),
             # Python-list views of the arrays, indexed like them (rewards by
-            # row): ``step`` and the tree walkers read single entries, which
-            # costs less from a list than as numpy scalars.
+            # row): ``step``, the tree walkers, the receiver's view check and
+            # the planner's one-state layers read single entries, which costs
+            # less from a list than as numpy scalars.
             ("_offsets", offsets.tolist()),
             ("_next", next_state.tolist()),
             ("_prob", prob.tolist()),

@@ -261,6 +261,11 @@ def test_sweep_takes_the_grid_keywords(tmp_path):
         # A negative seed exited 2 with numpy's "expected non-negative
         # integer", which names no field.
         ({"env": "toy", "method": "meme", "grid": [2.0], "seeds": [0, -1]}, "seeds"),
+        # Each reward is held to float: true was played as 1.0 and "2.5" as 2.5.
+        ({"env": "chain", "method": "meme", "grid": [2.0], "seeds": [0],
+          "env_params": {"steps": 3, "n_actions": 2, "rewards": {"0": True}}}, "rewards"),
+        ({"env": "chain", "method": "meme", "grid": [2.0], "seeds": [0],
+          "env_params": {"steps": 3, "n_actions": 2, "rewards": {"1": "2.5"}}}, "rewards"),
     ],
     ids=["misspelt-key", "missing-env", "rollouts-0", "method-params", "episodes-0",
          "noise-p-0.6", "env-params-typo", "env-params-noise", "noise-p-empty",
@@ -270,7 +275,8 @@ def test_sweep_takes_the_grid_keywords(tmp_path):
          "noise-p-list-item", "env-params-int-string", "env-params-int-float",
          "env-params-int-bool", "env-params-priority-bool", "env-params-priority-string",
          "env-params-tuple-short", "env-params-tuple-float-item",
-         "env-params-tuple-string-items", "env-params-dict-list", "seed-negative"],
+         "env-params-tuple-string-items", "env-params-dict-list", "seed-negative",
+         "env-params-dict-bool-value", "env-params-dict-string-value"],
 )
 def test_sweep_rejects_a_bad_config_key(tmp_path, capsys, doc, key):
     config = tmp_path / "sweep.json"
@@ -437,6 +443,48 @@ def test_send_takes_exactly_one_message_source(tmp_path, given):
               "--seed", "0", "--out", str(traj)])
     assert exit_.value.code == 2
     assert not traj.exists()
+
+
+@pytest.mark.parametrize("command, seed", [("send", "-1"), ("train", "-3")])
+def test_a_negative_seed_is_named(tmp_path, capsys, command, seed):
+    # numpy's "expected non-negative integer" named no flag.
+    spec, qtable = _codegrid_8(tmp_path)
+    out = tmp_path / "out.txt"
+    argv = {
+        "send": ["--qtable", str(qtable), "--message", "3"],
+        "train": ["--beta", "1", "--episodes", "10"],
+    }[command]
+    capsys.readouterr()
+    assert main([command, "--spec", str(spec), *argv, "--seed", seed, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --seed must be at least 0, not {seed}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("shape", [["-2", "-4"], ["0", "8"], ["8", "0"], ["-1", "-8"]])
+def test_receive_names_an_image_shape_below_one(tmp_path, capsys, shape):
+    # On an 8-pixel image, -2 x -4 passed the pixel count and reached
+    # numpy's "can only specify one unknown dimension".
+    spec, qtable, traj = tmp_path / "env.json", tmp_path / "q.txt", tmp_path / "z.txt"
+    out, image = tmp_path / "out.pbm", tmp_path / "in.pbm"
+    image.write_text("P1\n4 2\n1 0 0 1\n0 1 1 1\n")
+    assert main([
+        "make-env", "chain", "--steps", "8", "--image-pixels", "8", "--out", str(spec),
+    ]) == 0
+    assert main(["solve", "--spec", str(spec), "--beta", "1", "--out", str(qtable)]) == 0
+    assert main([
+        "send", "--spec", str(spec), "--qtable", str(qtable), "--image", str(image),
+        "--seed", "0", "--out", str(traj),
+    ]) == 0
+    capsys.readouterr()
+    assert main([
+        "receive", "--spec", str(spec), "--qtable", str(qtable), "--traj", str(traj),
+        "--image-shape", *shape, "--out", str(out),
+    ]) == 2
+    h, w = shape
+    assert capsys.readouterr().err == (
+        f"error: --image-shape dimensions must be at least 1, not {h} {w}\n"
+    )
+    assert not out.exists()
 
 
 def _break_horizon_bound(spec, fault):

@@ -2,6 +2,7 @@
 
 import hashlib
 import inspect
+import re
 
 import numpy as np
 import pytest
@@ -262,6 +263,11 @@ class TestGameCatalogue:
             ("coding", {"symbol_costs": [1.0, None]}, "symbol_costs"),
             ("chain", {"rewards": "none"}, "rewards"),
             ("chain", {"image_pixels": 8.0}, "image_pixels"),
+            # A reward of the wrong type used to be played: true as 1.0, "2.5" as 2.5.
+            ("chain", {"rewards": {"0": True}}, "rewards"),
+            ("chain", {"rewards": {"1": "2.5"}}, "rewards"),
+            ("chain", {"rewards": {"0": None}}, "rewards"),
+            ("chain", {"rewards": {1.5: 1.0}}, "rewards"),
         ],
     )
     def test_a_parameter_of_the_wrong_type_is_an_error(self, name, params, key):
@@ -302,6 +308,15 @@ class TestGameCatalogue:
             ([*range(1000), True], tuple[int, ...], False),
             ([0.5] * 1000 + [np.float32(0.5)], tuple[float, ...], True),
             ([0.5] * 1000 + [False], tuple[float, ...], False),
+            # A dict[K, V] holds every key to K and every value to V.
+            ({}, dict[int | str, float], True),
+            ({"3": 1.0, 4: 2}, dict[int | str, float], True),
+            ({"3": True}, dict[int | str, float], False),
+            ({"3": "1.0"}, dict[int | str, float], False),
+            ({2.5: 1.0}, dict[int | str, float], False),
+            ([("3", 1.0)], dict[int | str, float], False),
+            ({"3": 1.0}, dict[int | str, float] | None, True),
+            (None, dict[int | str, float] | None, True),
         ],
     )
     def test_fits(self, value, hint, expected):
@@ -329,6 +344,13 @@ class TestGameCatalogue:
         mcg = build_env("chain", {"steps": 5, "rewards": {"3": 1.0}})
         assert mcg.mdp.rewards[3].tolist() == [1.0, 1.0]
         assert mcg.mdp.rewards.sum() == 2.0
+
+    @pytest.mark.parametrize("key", ["zero", "1.5", ""])
+    def test_a_reward_key_that_is_no_step_index_is_named(self, key):
+        # int() used to raise "invalid literal for int() with base 10".
+        message = re.escape(f"'rewards' keys are step indices, not {key!r}")
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            build_env("chain", {"steps": 5, "rewards": {key: 1.0}})
 
     def test_builder_is_looked_up_at_call_time(self, monkeypatch):
         # A wrapper installed on the module's name (as a tracer installs one)

@@ -476,6 +476,7 @@ SOFT_VI_CASES = [
     ("fan", lambda: fan_mdp(), 1.0),
     ("skip-chain", lambda: skip_chain_mdp(), 0.45),
     ("branching-dag", lambda: branching_dag_mdp(), 0.8),
+    ("sandwich", lambda: sandwich_mdp(), 0.7),
     # No live state: Q is all zeros whatever the stored rewards.
     (
         "all-terminal",
@@ -535,6 +536,52 @@ def branching_dag_mdp(n_states=30, n_actions=9, seed=2):
         initial_state=0,
         terminal_states=frozenset({terminal}),
         horizon_bound=terminal,
+    )
+
+
+
+def sandwich_mdp(widths=(2, 1, 3, 1, 2, 1), n_actions=3, seed=4):
+    """Layers of ``widths`` states at heights 1, 2, ..., so one-state layers
+    sit between wide ones, over two terminals, with state ids shuffled: at
+    the default seed no live state's id is its position in height order,
+    so a V read by state id instead of by position shows. Every row
+    branches to a state one layer down and skips to a lower one, each with
+    positive probability, and ends in a zero-probability entry one layer
+    down. Action 0 skips to a terminal, and action 1 to a wide layer where
+    one lies two or more layers down."""
+    rng = np.random.default_rng(seed)
+    slots = [[0, 1]]  # terminals, then each layer's slots
+    for width in widths:
+        start = slots[-1][-1] + 1
+        slots.append(list(range(start, start + width)))
+    n_states = slots[-1][-1] + 1
+    ids = rng.permutation(n_states)
+    rows = {}
+    for h in range(1, len(slots)):
+        lower = [t for layer in slots[: h - 1] for t in layer]
+        wide = [t for layer in slots[1 : h - 1] if len(layer) > 1 for t in layer]
+        for slot in slots[h]:
+            for a in range(n_actions):
+                skip = slots[0] if a == 0 or h == 1 else wide if a == 1 and wide else lower
+                targets = [rng.choice(slots[h - 1]), rng.choice(skip), rng.choice(slots[h - 1])]
+                probs = [*rng.dirichlet(np.ones(2)).tolist(), 0.0]
+                rows[ids[slot] * n_actions + a] = ([int(ids[t]) for t in targets], probs)
+    offsets, next_state, prob = [0], [], []
+    for r in range(n_states * n_actions):
+        targets, probs = rows.get(r, ([], []))
+        next_state.extend(targets)
+        prob.extend(probs)
+        offsets.append(len(next_state))
+    return MdpSpec(
+        n_states=n_states,
+        n_actions=n_actions,
+        row_offsets=offsets,
+        next_state=next_state,
+        prob=prob,
+        rewards=rng.normal(size=(n_states, n_actions)),
+        initial_state=int(ids[slots[-1][0]]),
+        terminal_states=frozenset(ids[slots[0]].tolist()),
+        horizon_bound=len(widths),
     )
 
 
