@@ -56,8 +56,9 @@ def build_codegrid(
     0, 1, 2 and 3 move left, right, up (y + 1) and down (y - 1). Bumping a
     wall leaves the position unchanged but still consumes a timestep. Reaching
     the goal ends the episode with reward 1; running out the clock pays 0. A
-    size or deadline below 1, a start or goal off the grid, or a start on the
-    goal (a game that ends before its first move) raises ValueError.
+    size, deadline or message count below 1, a start or goal off the grid, or
+    a start on the goal (a game that ends before its first move) raises
+    ValueError naming the key.
     """
     if min(width, height, max_steps) < 1:
         raise ValueError(
@@ -90,7 +91,7 @@ def build_codegrid(
         terminal_states=frozenset(np.flatnonzero(terminal).tolist()),
         horizon_bound=t_max,
     )
-    return chain_mcg(mdp, MessageSpace.explicit(n_messages), priority, noise_p)
+    return chain_mcg(mdp, _explicit_space(n_messages), priority, noise_p)
 
 
 def build_channel_chain(
@@ -101,14 +102,17 @@ def build_channel_chain(
     ``rewards`` optionally maps a step index to the reward every action pays
     there (default 0 everywhere). With all-zero rewards this is a pure
     referential game: the max-entropy policy is uniform and the chain carries
-    log2(n_actions) bits of coupling budget per step.
+    log2(n_actions) bits of coupling budget per step. A size below 1 or a
+    reward step off the chain raises ValueError naming its key.
     """
-    if steps < 1:
-        raise ValueError("chain needs at least one step")
+    if min(steps, n_actions) < 1:
+        raise ValueError(
+            f"'steps' and 'n_actions' must be at least 1, not {steps} and {n_actions}"
+        )
     table = np.zeros((steps + 1, n_actions))
     for t, r in (rewards or {}).items():
         if not 0 <= t < steps:
-            raise ValueError(f"reward step {t} outside the chain")
+            raise ValueError(f"'rewards' keys must be steps in [0, {steps}), not {t}")
         table[t, :] = r
     next_table = np.repeat(np.arange(1, steps + 2)[:, None], n_actions, axis=1)
     return MdpSpec.deterministic(
@@ -174,7 +178,14 @@ def build_coding_mcg(
         terminal_states=frozenset({limit, sink}),
         horizon_bound=limit + 1,
     )
-    return chain_mcg(mdp, MessageSpace.explicit(n_messages), priority, noise_p)
+    return chain_mcg(mdp, _explicit_space(n_messages), priority, noise_p)
+
+
+def _explicit_space(n_messages: int) -> MessageSpace:
+    """Explicit message space of ``n_messages`` messages, at least one."""
+    if n_messages < 1:
+        raise ValueError(f"'n_messages' must be at least 1, not {n_messages}")
+    return MessageSpace.explicit(n_messages)
 
 
 def image_space(image_pixels: int, block_pixels: int) -> MessageSpace:
@@ -240,7 +251,7 @@ def build_chain_mcg(
     if image_pixels is None:
         if block_pixels is not None:
             raise ValueError("'block_pixels' groups image pixels, so it needs 'image_pixels'")
-        space = MessageSpace.explicit(2 if n_messages is None else n_messages)
+        space = _explicit_space(2 if n_messages is None else n_messages)
     elif n_messages is not None:
         raise ValueError("give 'n_messages' or 'image_pixels', not both")
     else:

@@ -58,11 +58,10 @@ class MdpSpec:
     both are derived at construction, and every array is read-only.
     Episodes are undiscounted and must terminate within ``horizon_bound``
     steps, which builders guarantee by encoding time into the state where
-    needed. Construction does not check this, so a builder run once per
-    sweep cell does not pay for it; ``heights`` does, in one pass over the
-    entries in topological order, in time linear in states plus entries,
-    for ``exact_soft_vi``, both trainers and every spec ``formats.load_mcg``
-    reads.
+    needed. Construction does not check this; ``heights`` does, in one pass
+    over the entries in topological order, in time linear in states plus
+    entries, for ``exact_soft_vi``, both trainers and every spec
+    ``formats.load_mcg`` reads.
     """
 
     n_states: int

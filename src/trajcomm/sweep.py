@@ -1,13 +1,17 @@
 """Parameter sweeps: run (grid x noise x seed) cells and collect metrics rows.
 
 The grid axis is the inverse temperature (beta) for the coupling-coded
-sender, or the message priority (zeta) for the RL baseline. Each method
-turns a cell into a player of one message, ``(decoded, return)``; one loop
-then plays ``rollouts`` messages drawn from the prior and scores both
-methods alike over the message space's block values, so the Hamming
-distance of an explicit message is 1 on a miss. Cells are fully
-deterministic given the config, and per-cell failures are recorded in the
-row instead of aborting the sweep.
+sender, or the message priority (zeta) for the RL baseline. The game is
+built once, before any cell runs, so a game its builder refuses raises
+ValueError and no cell runs. Each noise level is that game with its own
+``noise_p``; all cells share one MDP, so the coded sender plans each beta
+once. Each method turns a cell into a player of one message,
+``(decoded, return)``; one loop then plays ``rollouts`` messages drawn from
+the prior and scores both methods alike over the message space's block
+values, so the Hamming distance of an explicit message is 1 on a miss. Cells
+are fully deterministic given the config, and a cell's own failure (its beta
+or zeta, training or a rollout) is recorded in its row instead of aborting
+the sweep.
 """
 
 from __future__ import annotations
@@ -35,7 +39,8 @@ class SweepConfig:
     of its builder. Noise comes only from ``noise_p`` (values in [0, 0.5]).
     ``grid`` holds beta values for the coded sender and zeta values for the
     baseline; a baseline cell's zeta becomes its game's message priority,
-    whatever ``env_params`` says. ``episodes`` is the per-cell training
+    whatever ``env_params`` says. The game is built once per sweep, before
+    any cell (``run_sweep``). ``episodes`` is the per-cell training
     budget (used by the baseline; the coded sender plans exactly), and each
     cell plays ``rollouts`` evaluation episodes; both are integers of at
     least one. Every field must fit its annotation (``envs.fits``).
@@ -109,10 +114,13 @@ def standard_error(x: np.ndarray) -> float:
     return float(x.std(ddof=1) / math.sqrt(len(x))) if len(x) > 1 else 0.0
 
 
-def _meme_cell(cfg: SweepConfig, mcg: McgSpec, beta: float, rng):
-    """Plan at ``beta``; a message plays one coded round trip."""
-    with named_overflow("beta", beta):
-        q = exact_soft_vi(mcg.mdp, alpha=temperature(beta))
+def _meme_cell(plans: dict, cfg: SweepConfig, mcg: McgSpec, beta: float, rng):
+    """Plan at ``beta``, unless ``plans`` (beta -> table, over one MDP) holds
+    it; a message plays one coded round trip. A refused beta is not kept."""
+    if beta not in plans:
+        with named_overflow("beta", beta):
+            plans[beta] = exact_soft_vi(mcg.mdp, alpha=temperature(beta))
+    q = plans[beta]
 
     def play(m, rng):
         record = run_roundtrip(q, mcg, m, rng)
@@ -143,17 +151,22 @@ def _score(cfg: SweepConfig, mcg: McgSpec, play, rng) -> list[float]:
 
 
 def run_sweep(cfg: SweepConfig) -> list[MetricsRow]:
-    """Run every (grid value, noise level, seed) cell and return its rows."""
-    cell = _meme_cell if cfg.method == "meme" else _rl_pr_cell
+    """Run every (grid value, noise level, seed) cell and return its rows.
+
+    The game is built once, before any cell: a game its builder refuses
+    raises that ValueError and no cell runs. A MEME sweep plans each beta
+    once, in this call only."""
+    game = build_env(cfg.env, cfg.env_params)
+    cell = functools.partial(_meme_cell, {}) if cfg.method == "meme" else _rl_pr_cell
     rows = []
     for gi, param in enumerate(cfg.grid):
         for ni, noise in enumerate(cfg.noise_p):
+            mcg = dataclasses.replace(game, noise_p=noise)
             for seed in cfg.seeds:
                 rng = np.random.default_rng(
                     np.random.SeedSequence([seed, gi, ni, 0xC0DE])
                 )
                 try:
-                    mcg = build_env(cfg.env, cfg.env_params, noise_p=noise)
                     stats = _score(cfg, mcg, cell(cfg, mcg, param, rng), rng)
                     row = MetricsRow(cfg.method, param, noise, seed, *stats, cfg.rollouts)
                 except Exception as e:  # per-cell failures stay in the row

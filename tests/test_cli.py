@@ -266,6 +266,19 @@ def test_sweep_takes_the_grid_keywords(tmp_path):
           "env_params": {"steps": 3, "n_actions": 2, "rewards": {"0": True}}}, "rewards"),
         ({"env": "chain", "method": "meme", "grid": [2.0], "seeds": [0],
           "env_params": {"steps": 3, "n_actions": 2, "rewards": {"1": "2.5"}}}, "rewards"),
+        # Values that fit their annotations but that the builder refuses.
+        # The game was built in every cell, so each of these was an error row
+        # and the sweep exited 0.
+        ({"env": "chain", "method": "meme", "grid": [2.0], "seeds": [0],
+          "env_params": {"steps": 3, "rewards": {"7": 1.0}}}, "rewards"),
+        ({"env": "chain", "method": "meme", "grid": [2.0], "seeds": [0],
+          "env_params": {"steps": 3, "rewards": {"zero": 1.0}}}, "rewards"),
+        ({"env": "chain", "method": "rl_pr", "grid": [2.0], "seeds": [0],
+          "env_params": {"steps": 0}}, "steps"),
+        ({"env": "codegrid", "method": "meme", "grid": [2.0], "seeds": [0],
+          "env_params": {"start": [2, 2], "goal": [2, 2]}}, "start"),
+        ({"env": "codegrid", "method": "rl_pr", "grid": [2.0], "seeds": [0],
+          "env_params": {"n_messages": 0}}, "n_messages"),
     ],
     ids=["misspelt-key", "missing-env", "rollouts-0", "method-params", "episodes-0",
          "noise-p-0.6", "env-params-typo", "env-params-noise", "noise-p-empty",
@@ -276,14 +289,16 @@ def test_sweep_takes_the_grid_keywords(tmp_path):
          "env-params-int-bool", "env-params-priority-bool", "env-params-priority-string",
          "env-params-tuple-short", "env-params-tuple-float-item",
          "env-params-tuple-string-items", "env-params-dict-list", "seed-negative",
-         "env-params-dict-bool-value", "env-params-dict-string-value"],
+         "env-params-dict-bool-value", "env-params-dict-string-value",
+         "chain-reward-step-off-chain", "chain-reward-key-no-step", "chain-steps-0",
+         "codegrid-start-on-goal", "codegrid-messages-0"],
 )
 def test_sweep_rejects_a_bad_config_key(tmp_path, capsys, doc, key):
     config = tmp_path / "sweep.json"
     config.write_text(json.dumps(doc))
     assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "rows.csv")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and repr(key) in err
+    assert err.startswith("error:") and err.count("\n") == 1 and repr(key) in err
     assert not (tmp_path / "rows.csv").exists()
 
 
@@ -956,6 +971,24 @@ def test_sweep_writes_the_recorded_rows(tmp_path, capsys, name):
         assert main(["sweep", "--config", str(config), "--out", str(out)]) == 0
     assert caught == [] and capsys.readouterr().err == ""
     assert out.read_text() == "\n".join([SWEEP_HEADER, *rows]) + "\n"
+
+
+def _readme_sweep_configs():
+    """The sweep config each ``printf '%s'`` example of README.md writes, by
+    the file it writes to: printf repeats its format for every argument, so
+    the config is the arguments joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    configs = {}
+    for command, out in re.findall(r"^ *printf '%s' ([^>]+)> (\S+)$", text, re.M):
+        configs[out] = json.loads("".join(re.findall(r"'([^']*)'", command)))
+    return configs
+
+
+def test_readme_sweep_examples_are_the_pinned_configs():
+    # The examples users copy write exactly the configs whose rows are pinned.
+    assert _readme_sweep_configs() == {
+        "meme.json": SWEEP_PINS["meme"][0], "rlpr.json": SWEEP_PINS["rl_pr"][0],
+    }
 
 
 def test_solve_writes_the_three_step_chain_soft_values(tmp_path):

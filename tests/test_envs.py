@@ -1,5 +1,6 @@
 """Environment-builder tests."""
 
+import dataclasses
 import hashlib
 import inspect
 import re
@@ -23,7 +24,7 @@ from trajcomm.envs import (
 from trajcomm.formats import save_mcg
 from trajcomm.maxent import exact_soft_vi, expected_cumulative_entropy_bits, softmax_policy
 from trajcomm.mcg import McgSpec, MessageSpace
-from trajcomm.mdp import exact_policy_return, trajectory_return
+from trajcomm.mdp import MdpSpec, exact_policy_return, trajectory_return
 
 from mdp_oracle import enumerate_trajectories, exact_mcg_value, rollout
 
@@ -230,11 +231,53 @@ class TestChannelChain:
         assert trajectory_return(z) == 0.5
 
 
+def _game_fields(mcg):
+    """Every field of a game, with each array as its dtype, shape and bytes."""
+    mdp = {}
+    for f in dataclasses.fields(MdpSpec):
+        a = getattr(mcg.mdp, f.name)
+        mdp[f.name] = (a.dtype, a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a
+    prior = [(d.probs.dtype, d.probs.tobytes()) for d in mcg.prior.blocks]
+    return mdp, mcg.message_space, prior, mcg.priority, mcg.noise_p
+
+
 class TestGameCatalogue:
     @pytest.mark.parametrize("name", GAMES)
     def test_every_parameter_has_a_default(self, name):
         mcg = build_env(name, {}, noise_p=0.1)
         assert mcg.noise_p == 0.1 and mcg.priority == 1.0
+
+    @pytest.mark.parametrize("noise_p", [0.05, 0.5])
+    @pytest.mark.parametrize("name", GAMES)
+    def test_noise_is_only_the_games_noise_field(self, name, noise_p):
+        # A sweep builds its game once and gives each noise level the same
+        # game with its noise_p replaced: building at that noise must give
+        # the same game, field for field.
+        replaced = dataclasses.replace(build_env(name, {}), noise_p=noise_p)
+        built = build_env(name, {}, noise_p=noise_p)
+        assert _game_fields(replaced) == _game_fields(built)
+        assert _game_fields(built)[-1] == noise_p
+
+    @pytest.mark.parametrize(
+        "name, params, message",
+        [
+            ("chain", {"steps": 0}, "'steps' and 'n_actions' must be at least 1, not 0 and 2"),
+            ("chain", {"n_actions": 0}, "'steps' and 'n_actions' must be at least 1, not 200 and 0"),
+            ("chain", {"steps": 3, "rewards": {"7": 1.0}},
+             "'rewards' keys must be steps in [0, 3), not 7"),
+            ("chain", {"steps": 3, "rewards": {"-1": 1.0}},
+             "'rewards' keys must be steps in [0, 3), not -1"),
+            ("chain", {"n_messages": 0}, "'n_messages' must be at least 1, not 0"),
+            ("codegrid", {"n_messages": 0}, "'n_messages' must be at least 1, not 0"),
+            ("coding", {"n_messages": -2}, "'n_messages' must be at least 1, not -2"),
+        ],
+    )
+    def test_a_builder_names_the_key_it_refuses(self, name, params, message):
+        # These read "chain needs at least one step", "an MDP needs at least
+        # one action", "reward step 7 outside the chain" and "block sizes
+        # must be positive".
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            build_env(name, params)
 
     @pytest.mark.parametrize(
         "name, params, key",
